@@ -17,7 +17,7 @@
 //! Flip-flops use `.latch q d [en] 0|1` (output, data, optional enable,
 //! initial value). Comments start with `#`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::NetlistError;
 use crate::gate::GateKind;
@@ -25,14 +25,32 @@ use crate::graph::{NetId, Netlist};
 
 /// Serialize a netlist to the text format.
 ///
-/// Nets are named by their debug name when present, otherwise `n<i>`.
+/// Nets are named by their debug name when present, otherwise `n<i>`,
+/// or `n<i>_<k>` with the smallest `k` that avoids every debug name and
+/// output name (a parsed netlist may already hold `n<i>` for another net).
 pub fn write_text(nl: &Netlist) -> String {
     let mut out = String::new();
-    let name_of = |net: NetId| -> String {
-        nl.net_name(net)
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("n{}", net.index()))
-    };
+    let taken: HashSet<&str> = nl
+        .iter_nets()
+        .filter_map(|net| nl.net_name(net))
+        .chain(nl.outputs().iter().map(|(_, name)| name.as_str()))
+        .collect();
+    let names: Vec<String> = nl
+        .iter_nets()
+        .map(|net| match nl.net_name(net) {
+            Some(name) => name.to_owned(),
+            None => {
+                let mut name = format!("n{}", net.index());
+                let mut k = 0;
+                while taken.contains(name.as_str()) {
+                    k += 1;
+                    name = format!("n{}_{k}", net.index());
+                }
+                name
+            }
+        })
+        .collect();
+    let name_of = |net: NetId| -> String { names[net.index()].clone() };
     out.push_str(&format!(".model {}\n", nl.name()));
     out.push_str(".inputs");
     for &pi in nl.inputs() {
@@ -209,6 +227,17 @@ pub fn parse_text(text: &str) -> Result<Netlist, NetlistError> {
             }
             let id = nl.add_dff_placeholder(*init);
             names.insert(output.clone(), id);
+        }
+    }
+    // A gate may not redefine an input, a latch or another gate's output.
+    let mut defined: HashSet<&str> = names.keys().map(String::as_str).collect();
+    for p in &pending {
+        if let Pending::Gate { output, .. } = p {
+            if !defined.insert(output) {
+                return Err(NetlistError::DuplicateName {
+                    name: output.clone(),
+                });
+            }
         }
     }
     // Create combinational gates in multiple passes (inputs may be defined
@@ -408,6 +437,39 @@ mod tests {
         assert_eq!(nl.fanins(dff).len(), 2);
         let again = parse_text(&write_text(&nl)).unwrap();
         assert_eq!(again.fanins(again.dffs()[0]).len(), 2);
+    }
+
+    #[test]
+    fn generated_names_skip_names_already_taken() {
+        // A parsed netlist can name a net `n2` while net 2 itself is
+        // unnamed; the writer must not define `n2` twice.
+        let mut nl = Netlist::new("clash");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g = nl.add_gate(GateKind::Not, &[a]);
+        assert_eq!(g.index(), 2);
+        let h = nl.add_gate_named(GateKind::And, &[g, b], "n2");
+        nl.mark_output(h, "y");
+        let text = write_text(&nl);
+        assert_eq!(text.matches(".gate not n2_1 a").count(), 1, "{text}");
+        let back = parse_text(&text).unwrap();
+        for bits in [[false, false], [false, true], [true, false], [true, true]] {
+            assert_eq!(back.eval_comb(&bits), nl.eval_comb(&bits));
+        }
+    }
+
+    #[test]
+    fn redefined_gate_name_is_rejected() {
+        for text in [
+            ".model m\n.inputs a\n.outputs y\n.gate not y a\n.gate buf y a\n.end",
+            ".model m\n.inputs a\n.outputs a\n.gate not a a\n.end",
+            ".model m\n.inputs d\n.outputs q\n.latch q d 0\n.gate buf q d\n.end",
+        ] {
+            assert!(
+                matches!(parse_text(text), Err(NetlistError::DuplicateName { .. })),
+                "{text}"
+            );
+        }
     }
 
     #[test]

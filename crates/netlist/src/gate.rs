@@ -82,48 +82,16 @@ impl GateKind {
         }
     }
 
-    /// Evaluate the gate 64 patterns at a time (bit-parallel words).
-    ///
-    /// Same conventions as [`GateKind::eval`].
-    pub fn eval_word(self, inputs: &[u64]) -> u64 {
-        match self {
-            GateKind::Input => panic!("primary inputs have no evaluation"),
-            GateKind::Const(v) => {
-                if v {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().fold(u64::MAX, |acc, &w| acc & w),
-            GateKind::Or => inputs.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Nand => !inputs.iter().fold(u64::MAX, |acc, &w| acc & w),
-            GateKind::Nor => !inputs.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Xor => inputs.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Xnor => !inputs.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Mux => (inputs[0] & inputs[2]) | (!inputs[0] & inputs[1]),
-            GateKind::Dff => inputs[0],
-        }
-    }
-
-    /// Evaluate four 64-pattern words at once (256 patterns per call).
-    ///
-    /// Thin wrapper over [`GateKind::eval_wide`] at the default lane count.
-    pub fn eval_word4(self, inputs: &[u64]) -> [u64; 4] {
-        self.eval_wide::<4>(inputs)
-    }
-
     /// Evaluate `L` 64-pattern words at once (`64 * L` patterns per call).
     ///
     /// `inputs` holds the fanin words lane-grouped: fanin `f` occupies
-    /// `inputs[L*f .. L*f+L]`. Lane `l` of the result is exactly
-    /// `eval_word` over lane `l` of every fanin — the L-wide unroll exists
-    /// so the compiler can keep the fold in one wide vector register
-    /// (256-bit at `L = 4`) instead of chasing a serial dependency chain
-    /// of single words. Plain array loops only: rustc autovectorizes this
-    /// on stable, and widening to 512-bit is `L = 8` at the call site.
+    /// `inputs[L*f .. L*f+L]`. Bit `k` of lane `l` of the result is
+    /// exactly [`GateKind::eval`] over bit `k` of lane `l` of every fanin.
+    /// `L = 1` is the single-word case; the L-wide unroll exists so the
+    /// compiler can keep the fold in one wide vector register (256-bit at
+    /// `L = 4`) instead of chasing a serial dependency chain of single
+    /// words. Plain array loops only: rustc autovectorizes this on stable,
+    /// and widening to 512-bit is `L = 8` at the call site.
     ///
     /// # Panics
     ///
@@ -341,29 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn word_eval_matches_scalar() {
-        let kinds = [
-            GateKind::And,
-            GateKind::Or,
-            GateKind::Nand,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ];
-        for kind in kinds {
-            for pattern in 0u32..8 {
-                let bits: Vec<bool> = (0..3).map(|i| pattern >> i & 1 == 1).collect();
-                let words: Vec<u64> = bits.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
-                let scalar = kind.eval(&bits);
-                let word = kind.eval_word(&words);
-                assert_eq!(word == u64::MAX, scalar, "{kind} on {bits:?}");
-                assert!(word == u64::MAX || word == 0);
-            }
-        }
-    }
-
-    #[test]
-    fn word4_eval_matches_word_eval_lanewise() {
+    fn wide_eval_matches_scalar_eval_bitwise() {
         let kinds = [
             GateKind::Const(true),
             GateKind::Const(false),
@@ -386,30 +332,30 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for kind in kinds {
-            let fanin = match kind {
-                GateKind::Const(_) => 0,
-                GateKind::Buf | GateKind::Not | GateKind::Dff => 1,
-                GateKind::Mux => 3,
-                _ => 5,
-            };
-            let lanes: Vec<u64> = (0..fanin * 4).map(|_| next()).collect();
-            let wide = kind.eval_word4(&lanes);
-            for l in 0..4 {
-                let narrow: Vec<u64> = (0..fanin).map(|f| lanes[4 * f + l]).collect();
-                assert_eq!(wide[l], kind.eval_word(&narrow), "{kind} lane {l}");
+        fn check<const L: usize>(kind: GateKind, fanin: usize, next: &mut impl FnMut() -> u64) {
+            let lanes: Vec<u64> = (0..fanin * L).map(|_| next()).collect();
+            let wide = kind.eval_wide::<L>(&lanes);
+            for l in 0..L {
+                for bit in 0..64 {
+                    let ins: Vec<bool> =
+                        (0..fanin).map(|f| lanes[L * f + l] >> bit & 1 == 1).collect();
+                    let got = wide[l] >> bit & 1 == 1;
+                    assert_eq!(got, kind.eval(&ins), "{kind} L={L} lane {l} bit {bit}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn word_eval_mux() {
-        // 4 lanes: sel=0101, a=0011, b=1100 -> out = lane-wise sel? b : a
-        let sel = 0b0101u64;
-        let a = 0b0011u64;
-        let b = 0b1100u64;
-        let out = GateKind::Mux.eval_word(&[sel, a, b]);
-        assert_eq!(out & 0b1111, 0b0110);
+        for kind in kinds {
+            let fanins: &[usize] = match kind {
+                GateKind::Const(_) => &[0],
+                GateKind::Buf | GateKind::Not | GateKind::Dff => &[1],
+                GateKind::Mux => &[3],
+                _ => &[1, 2, 3, 5],
+            };
+            for &fanin in fanins {
+                check::<1>(kind, fanin, &mut next);
+                check::<4>(kind, fanin, &mut next);
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use netlist::{GateKind, NetId, Netlist};
 use crate::par;
 use crate::profile::ActivityProfile;
 use crate::stimulus::{PackedPatterns, PatternSet};
-use crate::wide::{self, LANES};
+use crate::wide::{prefix_mask, LANES};
 
 /// Reusable scratch buffers for [`CombSim`] hot loops.
 ///
@@ -50,11 +50,6 @@ pub struct CombSim<'a> {
     nl: &'a Netlist,
     order: Vec<NetId>,
     obs: obs::Obs,
-    /// Use the wide ([`LANES`]-block) evaluation path for full groups.
-    /// `LPOPT_WIDE_SCALAR=1` (or [`CombSim::with_scalar_reference`]) forces
-    /// the scalar `u64` reference path instead; both produce bit-identical
-    /// counts.
-    wide: bool,
 }
 
 impl<'a> CombSim<'a> {
@@ -71,16 +66,7 @@ impl<'a> CombSim<'a> {
             nl,
             order,
             obs: obs::Obs::disabled(),
-            wide: !wide::scalar_env(),
         }
-    }
-
-    /// Force (or lift) the scalar one-word-at-a-time reference path. The
-    /// wide path is the default; benchmarks use this to measure the wide
-    /// speedup in-process, tests to pin bit-identity.
-    pub fn with_scalar_reference(mut self, scalar: bool) -> CombSim<'a> {
-        self.wide = !scalar;
-        self
     }
 
     /// Attach an observability handle. Work counters (`sim.comb.cycles`,
@@ -95,57 +81,34 @@ impl<'a> CombSim<'a> {
     /// values of input `i` (bit `k` = value in pattern `k`). Returns packed
     /// values per net.
     pub fn eval_words(&self, words: &[u64]) -> Vec<u64> {
+        assert_eq!(words.len(), self.nl.num_inputs(), "input word count");
         let mut values = Vec::new();
-        let mut scratch = Vec::new();
-        self.eval_words_into(words, &mut values, &mut scratch);
+        self.eval_wide_into::<1>(words, 1, &mut values, &mut Vec::new());
         values
     }
 
-    /// Like [`CombSim::eval_words`], but into caller-provided buffers so
-    /// tight estimation loops evaluate block after block with zero
-    /// allocations. `values` is resized to `nl.len()`; `scratch` is fanin
-    /// scratch space.
-    pub fn eval_words_into(&self, words: &[u64], values: &mut Vec<u64>, scratch: &mut Vec<u64>) {
-        assert_eq!(words.len(), self.nl.num_inputs(), "input word count");
-        values.clear();
-        values.resize(self.nl.len(), 0);
-        for (i, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = words[i];
-        }
-        for &net in &self.order {
-            let kind = self.nl.kind(net);
-            if kind == GateKind::Input {
-                continue;
-            }
-            scratch.clear();
-            scratch.extend(self.nl.fanins(net).iter().map(|x| values[x.index()]));
-            values[net.index()] = kind.eval_word(scratch);
-        }
-    }
-
-    /// Evaluate [`LANES`] 64-pattern blocks at once (one wide word — 256
-    /// patterns — per pass over the netlist), the wide sibling of
-    /// [`CombSim::eval_words_into`].
+    /// Evaluate `L` 64-pattern blocks in one pass over the netlist (one
+    /// wide word — 256 patterns at `L = LANES` — per net).
     ///
-    /// `inputs` is one wide group straight out of
-    /// [`PackedPatterns::wide_block`]: `width * LANES` words with input
-    /// `i`'s lanes contiguous at `[i * LANES ..]`. `values` comes back
-    /// lane-grouped the same way (`values[LANES*net + lane]` is block
-    /// `lane`'s word for `net`), so each gate's lanes sit in one cache
-    /// line and the per-gate fold vectorizes to 256-bit ops with **no
-    /// per-block gather**. Lane `lane` is bit-identical to
-    /// `eval_words_into` over that lane's block.
-    pub fn eval_wide_into(&self, inputs: &[u64], values: &mut Vec<u64>, scratch: &mut Vec<u64>) {
-        assert_eq!(
-            inputs.len(),
-            self.nl.num_inputs() * LANES,
-            "input word count"
-        );
+    /// Input `i`'s `L` lane words are read from
+    /// `inputs[i * stride ..][..L]`, so a sub-slice of one
+    /// [`PackedPatterns::wide_block`] (stride [`LANES`]) feeds any `L` that
+    /// divides [`LANES`] with no gather. `values` comes back lane-grouped
+    /// (`values[L*net + lane]` is block `lane`'s word for `net`), so each
+    /// gate's lanes sit in one cache line and the per-gate fold vectorizes
+    /// with **no per-block gather**. Lane `lane` is bit-identical to the
+    /// same kernel at `L = 1` over that lane's block.
+    fn eval_wide_into<const L: usize>(
+        &self,
+        inputs: &[u64],
+        stride: usize,
+        values: &mut Vec<u64>,
+        scratch: &mut Vec<u64>,
+    ) {
         values.clear();
-        values.resize(LANES * self.nl.len(), 0);
+        values.resize(L * self.nl.len(), 0);
         for (i, &pi) in self.nl.inputs().iter().enumerate() {
-            let base = LANES * pi.index();
-            values[base..base + LANES].copy_from_slice(&inputs[i * LANES..(i + 1) * LANES]);
+            values[L * pi.index()..][..L].copy_from_slice(&inputs[i * stride..][..L]);
         }
         // The common arities (1..=3 cover every gate the generators emit)
         // gather fanin lanes into fixed-size stack buffers, so the slice
@@ -153,12 +116,10 @@ impl<'a> CombSim<'a> {
         // whole gather + fold stays unrolled in vector registers. The heap
         // scratch remains as the any-arity spill path.
         #[inline(always)]
-        fn gather<const F: usize>(values: &[u64], fanins: &[NetId]) -> [u64; F] {
-            let mut buf = [0u64; F];
+        fn gather<const L: usize, const F: usize>(values: &[u64], fanins: &[NetId]) -> [[u64; L]; F] {
+            let mut buf = [[0u64; L]; F];
             for (f, &x) in fanins.iter().enumerate() {
-                let base = LANES * x.index();
-                buf[f * LANES..(f + 1) * LANES]
-                    .copy_from_slice(&values[base..base + LANES]);
+                buf[f].copy_from_slice(&values[L * x.index()..][..L]);
             }
             buf
         }
@@ -169,20 +130,18 @@ impl<'a> CombSim<'a> {
             }
             let fanins = self.nl.fanins(net);
             let out = match fanins.len() {
-                1 => kind.eval_wide::<LANES>(&gather::<LANES>(values, fanins)),
-                2 => kind.eval_wide::<LANES>(&gather::<{ 2 * LANES }>(values, fanins)),
-                3 => kind.eval_wide::<LANES>(&gather::<{ 3 * LANES }>(values, fanins)),
+                1 => kind.eval_wide::<L>(gather::<L, 1>(values, fanins).as_flattened()),
+                2 => kind.eval_wide::<L>(gather::<L, 2>(values, fanins).as_flattened()),
+                3 => kind.eval_wide::<L>(gather::<L, 3>(values, fanins).as_flattened()),
                 _ => {
                     scratch.clear();
                     for &x in fanins {
-                        let base = LANES * x.index();
-                        scratch.extend_from_slice(&values[base..base + LANES]);
+                        scratch.extend_from_slice(&values[L * x.index()..][..L]);
                     }
-                    kind.eval_wide::<LANES>(scratch)
+                    kind.eval_wide::<L>(scratch)
                 }
             };
-            let base = LANES * net.index();
-            values[base..base + LANES].copy_from_slice(&out);
+            values[L * net.index()..][..L].copy_from_slice(&out);
         }
     }
 
@@ -192,7 +151,7 @@ impl<'a> CombSim<'a> {
         let mut out = Vec::with_capacity(patterns.len());
         for chunk in patterns.chunks(64) {
             pack_into(chunk, self.nl.num_inputs(), &mut arena.words);
-            self.eval_words_into(&arena.words, &mut arena.values, &mut arena.scratch);
+            self.eval_wide_into::<1>(&arena.words, 1, &mut arena.values, &mut arena.scratch);
             for (k, _) in chunk.iter().enumerate() {
                 out.push(
                     self.nl
@@ -207,28 +166,25 @@ impl<'a> CombSim<'a> {
     }
 
     /// Count toggles/ones over one contiguous run of pre-packed 64-cycle
-    /// blocks, reusing the arena's buffers. Deadline checks are amortized
-    /// to one clock read per ~16 blocks (~1024 cycles) so the budgeted
-    /// path adds nothing measurable to the hot loop.
+    /// blocks, `L` blocks per pass over the netlist
+    /// ([`CombSim::eval_wide_into`], zero input gather), reusing the
+    /// arena's buffers. The stream's last group may hold fewer than
+    /// `64 * L` valid cycles; [`accumulate_group`] masks it. Deadline
+    /// checks are amortized to one clock read per 16 blocks (~1024
+    /// cycles) so the budgeted path adds nothing measurable to the hot
+    /// loop.
     ///
-    /// Aligned runs of [`LANES`] full blocks go through the wide path
-    /// ([`CombSim::eval_wide_into`], one netlist walk per 256 patterns,
-    /// zero input gather); the remainder — any partial tail block, or
-    /// everything under the scalar-reference flag — falls back to the
-    /// single-block path. Counting happens per lane with the same bit
-    /// tricks either way, so the totals are bit-identical.
-    ///
-    /// Shard boundaries are aligned to wide groups by the caller, so
-    /// `blocks.start % LANES == 0` whenever the wide path is live.
-    fn shard_counts(
+    /// Shard boundaries are aligned to [`LANES`]-block groups by the
+    /// caller, so `blocks.start` is a multiple of `L`.
+    fn shard_counts<const L: usize>(
         &self,
         packed: &PackedPatterns,
         blocks: std::ops::Range<usize>,
         arena: &mut CombArena,
         budget: &ResourceBudget,
     ) -> Result<ShardCounts, BudgetExceeded> {
+        const { assert!(LANES % L == 0, "a group must sit inside one packed wide block") };
         let n = self.nl.len();
-        let mut cycles = 0usize;
         let mut counts = ShardCounts {
             toggles: vec![0u64; n],
             ones: vec![0u64; n],
@@ -236,44 +192,16 @@ impl<'a> CombSim<'a> {
             last: vec![false; n],
             cycles: 0,
         };
-        let mut have_prev = false;
-        let mut block = blocks.start;
-        let mut step = 0usize;
-        while block < blocks.end {
-            if step & 0xF == 0 {
+        for block in blocks.clone().step_by(L) {
+            if (block - blocks.start) & 0xF == 0 {
                 budget.check_deadline()?;
             }
-            // Only the stream's final block can be partial, so checking
-            // the group's last block covers the whole group.
-            if self.wide
-                && block.is_multiple_of(LANES)
-                && block + LANES <= blocks.end
-                && packed.block_cycles(block + LANES - 1) == 64
-            {
-                self.eval_wide_into(
-                    packed.wide_block(block / LANES),
-                    &mut arena.values,
-                    &mut arena.scratch,
-                );
-                accumulate_group(&mut counts, &arena.values, have_prev);
-                have_prev = true;
-                cycles += 64 * LANES;
-                block += LANES;
-                step += LANES;
-            } else {
-                arena.words.clear();
-                arena.words.resize(packed.width(), 0);
-                packed.block_into(block, &mut arena.words);
-                self.eval_words_into(&arena.words, &mut arena.values, &mut arena.scratch);
-                let w = packed.block_cycles(block);
-                cycles += w;
-                accumulate_lane(&mut counts, &arena.values, 1, 0, w, have_prev);
-                have_prev = true;
-                block += 1;
-                step += 1;
-            }
+            let group = &packed.wide_block(block / LANES)[block % LANES..];
+            self.eval_wide_into::<L>(group, LANES, &mut arena.values, &mut arena.scratch);
+            let valid = (packed.cycles() - 64 * block).min(64 * L);
+            accumulate_group::<L>(&mut counts, &arena.values, valid, block > blocks.start);
+            counts.cycles += valid;
         }
-        counts.cycles = cycles;
         Ok(counts)
     }
 
@@ -339,6 +267,18 @@ impl<'a> CombSim<'a> {
         }
     }
 
+    /// [`CombSim::activity_packed`] with the same kernel instantiated at
+    /// one lane: one pass over the netlist per 64 patterns instead of per
+    /// `64 * LANES`. Bit-identical to [`CombSim::activity_packed`]; tests
+    /// pin the lane-generic kernel against it and benchmarks time the
+    /// lanes' speedup in-process.
+    pub fn activity_packed_one_lane(&self, packed: &PackedPatterns) -> ActivityProfile {
+        match self.try_activity_packed_lanes::<1>(packed, 1, &ResourceBudget::unlimited()) {
+            Ok(p) => p,
+            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
+        }
+    }
+
     /// [`CombSim::try_activity_jobs`] over a pre-packed stream. All
     /// `PatternSet` entry points funnel here after packing once, so the
     /// counts (and the obs counters) are bit-identical between the packed
@@ -349,17 +289,26 @@ impl<'a> CombSim<'a> {
         jobs: usize,
         budget: &ResourceBudget,
     ) -> Result<ActivityProfile, BudgetExceeded> {
+        self.try_activity_packed_lanes::<LANES>(packed, jobs, budget)
+    }
+
+    fn try_activity_packed_lanes<const L: usize>(
+        &self,
+        packed: &PackedPatterns,
+        jobs: usize,
+        budget: &ResourceBudget,
+    ) -> Result<ActivityProfile, BudgetExceeded> {
         let n = self.nl.len();
         budget.check_sim_steps(packed.cycles() as u64 * n.max(1) as u64)?;
         budget.check_deadline()?;
         let blocks = packed.num_blocks();
         // Shard over wide groups so every shard's block range starts
-        // group-aligned and the wide path covers all its full groups.
+        // group-aligned.
         let groups = packed.num_wide_blocks();
         let shards = par::num_threads(jobs).min(groups).max(1);
         let counts = if shards <= 1 {
             par::record_shard_gauges(&self.obs, "comb", &[packed.cycles()]);
-            vec![self.shard_counts(packed, 0..blocks, &mut CombArena::new(), budget)?]
+            vec![self.shard_counts::<L>(packed, 0..blocks, &mut CombArena::new(), budget)?]
         } else {
             let ranges: Vec<std::ops::Range<usize>> = par::shard_ranges(groups, shards)
                 .into_iter()
@@ -373,7 +322,7 @@ impl<'a> CombSim<'a> {
                 par::record_shard_gauges(&self.obs, "comb", &sizes);
             }
             par::par_map_with(&ranges, shards, CombArena::new, |_, range, arena| {
-                self.shard_counts(packed, range.clone(), arena, budget)
+                self.shard_counts::<L>(packed, range.clone(), arena, budget)
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?
@@ -422,61 +371,37 @@ impl<'a> CombSim<'a> {
     }
 }
 
-/// Fold one evaluated block (lane `lane` at the given `stride` within
-/// `values`) of `w` valid cycles into the shard counts. This is the single
-/// source of truth for the toggle/ones bit tricks, shared by the 1-block
-/// and 4-block paths so they stay bit-identical.
-#[inline(always)]
-fn accumulate_lane(
-    counts: &mut ShardCounts,
-    values: &[u64],
-    stride: usize,
-    lane: usize,
-    w: usize,
-    have_prev: bool,
-) {
-    let n = counts.toggles.len();
-    let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-    for i in 0..n {
-        let v = values[i * stride + lane] & mask;
-        counts.ones[i] += v.count_ones() as u64;
-        // Toggles within the block: v XOR (v >> 1), w-1 positions.
-        let within = (v ^ (v >> 1)) & if w >= 1 { (1u64 << (w - 1)) - 1 } else { 0 };
-        counts.toggles[i] += within.count_ones() as u64;
-        // Toggle across the 64-cycle block boundary.
-        if have_prev && counts.last[i] != (v & 1 == 1) {
-            counts.toggles[i] += 1;
-        }
-        if !have_prev {
-            counts.first[i] = v & 1 == 1;
-        }
-        counts.last[i] = v >> (w - 1) & 1 == 1;
-    }
-}
-
-/// Fold one full wide group (all [`LANES`] blocks at 64 valid cycles,
-/// lane-grouped as produced by [`CombSim::eval_wide_into`]) into the shard
-/// counts in a single pass over `values`. The per-lane bit tricks are the
-/// same as [`accumulate_lane`]'s, and the cross-lane boundary toggles are
-/// the same comparisons `accumulate_lane` makes through `counts.last`, so
-/// the integer sums — and therefore the profile — are bit-identical to
-/// folding the lanes one at a time. One pass instead of [`LANES`] strided
+/// Fold one evaluated group of `L` blocks (lane-grouped as produced by
+/// [`CombSim::eval_wide_into`]) holding `valid` cycles into the shard
+/// counts, in a single pass over `values`. Bits past `valid` (a ragged
+/// last group's padding) are cut off with a [`prefix_mask`]. Within a
+/// lane, toggles are `v XOR (v >> 1)` over the valid positions; across
+/// lanes they compare lane `l - 1`'s bit 63 with lane `l`'s bit 0; across
+/// groups they go through `counts.last`. One pass instead of `L` strided
 /// ones matters: accumulation is roughly half the packed sweep, and this
 /// keeps each net's lanes in one cache line with the popcounts pipelined.
 #[inline(always)]
-fn accumulate_group(counts: &mut ShardCounts, values: &[u64], have_prev: bool) {
+fn accumulate_group<const L: usize>(
+    counts: &mut ShardCounts,
+    values: &[u64],
+    valid: usize,
+    have_prev: bool,
+) {
     let n = counts.toggles.len();
-    const WITHIN: u64 = (1u64 << 63) - 1;
+    let mask = prefix_mask::<L>(valid);
+    // Position `k` toggles when bit `k + 1` differs, so it needs both valid.
+    let within: [u64; L] = std::array::from_fn(|l| mask[l] >> 1);
+    let (last_lane, last_bit) = ((valid - 1) / 64, (valid - 1) % 64);
     for i in 0..n {
-        let v: &[u64] = &values[i * LANES..(i + 1) * LANES];
+        let v: &[u64] = &values[i * L..(i + 1) * L];
         let mut ones = 0u64;
         let mut toggles = 0u64;
-        for l in 0..LANES {
-            ones += v[l].count_ones() as u64;
-            toggles += ((v[l] ^ (v[l] >> 1)) & WITHIN).count_ones() as u64;
+        for l in 0..L {
+            ones += (v[l] & mask[l]).count_ones() as u64;
+            toggles += ((v[l] ^ (v[l] >> 1)) & within[l]).count_ones() as u64;
         }
-        for l in 1..LANES {
-            toggles += (v[l - 1] >> 63) ^ (v[l] & 1);
+        for l in 1..L {
+            toggles += ((v[l - 1] >> 63) ^ v[l]) & mask[l] & 1;
         }
         if have_prev && counts.last[i] != (v[0] & 1 == 1) {
             toggles += 1;
@@ -484,7 +409,7 @@ fn accumulate_group(counts: &mut ShardCounts, values: &[u64], have_prev: bool) {
         if !have_prev {
             counts.first[i] = v[0] & 1 == 1;
         }
-        counts.last[i] = v[LANES - 1] >> 63 & 1 == 1;
+        counts.last[i] = v[last_lane] >> last_bit & 1 == 1;
         counts.ones[i] += ones;
         counts.toggles[i] += toggles;
     }
@@ -618,38 +543,16 @@ mod tests {
     }
 
     #[test]
-    fn eval_words_into_matches_eval_words() {
-        let (nl, _) = ripple_adder(5);
-        let sim = CombSim::new(&nl);
-        let patterns = Stimulus::uniform(10).patterns(64, 3);
-        let mut words = vec![0u64; 10];
-        for (k, p) in patterns.iter().enumerate() {
-            for (i, &b) in p.iter().enumerate() {
-                if b {
-                    words[i] |= 1 << k;
-                }
-            }
-        }
-        let fresh = sim.eval_words(&words);
-        let mut values = vec![0xDEAD_BEEFu64; 3]; // stale garbage must be cleared
-        let mut scratch = vec![7u64; 9];
-        sim.eval_words_into(&words, &mut values, &mut scratch);
-        assert_eq!(values, fresh);
-    }
-
-    #[test]
     fn eval_wide_matches_single_block_lanes() {
         let (nl, _) = array_multiplier(5);
         let sim = CombSim::new(&nl);
         let packed = Stimulus::uniform(10).packed(64 * LANES, 21);
-        let mut wide = Vec::new();
-        let mut scratch = Vec::new();
-        sim.eval_wide_into(packed.wide_block(0), &mut wide, &mut scratch);
-        let mut narrow = Vec::new();
-        let mut words = vec![0u64; 10];
+        let mut wide = vec![0xDEAD_BEEFu64; 3]; // stale garbage must be cleared
+        let mut scratch = vec![7u64; 9];
+        sim.eval_wide_into::<LANES>(packed.wide_block(0), LANES, &mut wide, &mut scratch);
         for lane in 0..LANES {
-            packed.block_into(lane, &mut words);
-            sim.eval_words_into(&words, &mut narrow, &mut scratch);
+            let words: Vec<u64> = (0..10).map(|i| packed.word(i, lane)).collect();
+            let narrow = sim.eval_words(&words);
             for i in 0..nl.len() {
                 assert_eq!(wide[LANES * i + lane], narrow[i], "net {i} lane {lane}");
             }
@@ -657,41 +560,42 @@ mod tests {
     }
 
     #[test]
-    fn scalar_reference_is_bit_identical() {
+    fn one_lane_instantiation_is_bit_identical() {
         let (nl, _) = array_multiplier(5);
-        let patterns = Stimulus::correlated(vec![0.4; 10]).patterns(777, 19);
-        let fast = CombSim::new(&nl).activity(&patterns);
-        let scalar = CombSim::new(&nl)
-            .with_scalar_reference(true)
-            .activity(&patterns);
-        assert_eq!(fast, scalar);
+        let sim = CombSim::new(&nl);
+        for cycles in [1, 64, 100, 256, 777] {
+            let packed = Stimulus::correlated(vec![0.4; 10]).packed(cycles, 19);
+            assert_eq!(
+                sim.activity_packed(&packed),
+                sim.activity_packed_one_lane(&packed),
+                "cycles={cycles}"
+            );
+        }
     }
 
     #[test]
-    fn quad_and_scalar_block_paths_agree() {
-        // 300 cycles: one quad group (256) plus scalar blocks including a
-        // partial tail — the boundary between the paths must not lose or
-        // double-count toggles.
+    fn masked_tail_group_matches_per_cycle_eval() {
+        // 300 cycles: one full wide group (256) plus a 44-cycle tail group
+        // whose padding lanes must not add or lose toggles.
         let (nl, _) = ripple_adder(6);
         let sim = CombSim::new(&nl);
         let patterns = Stimulus::correlated(vec![0.3; 12]).patterns(300, 77);
         let fast = sim.activity(&patterns);
-        // Reference: per-cycle scalar evaluation.
+        // Reference: per-cycle evaluation.
         let mut toggles = vec![0u64; nl.len()];
         let mut ones = vec![0u64; nl.len()];
-        let mut arena = CombArena::new();
+        let mut words = Vec::new();
         let mut prev: Vec<u64> = Vec::new();
         for (k, p) in patterns.iter().enumerate() {
-            pack_into(std::slice::from_ref(p), nl.num_inputs(), &mut arena.words);
-            sim.eval_words_into(&arena.words, &mut arena.values, &mut arena.scratch);
+            pack_into(std::slice::from_ref(p), nl.num_inputs(), &mut words);
+            let values: Vec<u64> = sim.eval_words(&words).iter().map(|&v| v & 1).collect();
             for i in 0..nl.len() {
-                let v = arena.values[i] & 1;
-                ones[i] += v;
-                if k > 0 && prev[i] != v {
+                ones[i] += values[i];
+                if k > 0 && prev[i] != values[i] {
                     toggles[i] += 1;
                 }
             }
-            prev = arena.values.iter().map(|&v| v & 1).collect();
+            prev = values;
         }
         let denom = (patterns.len() - 1) as f64;
         for i in 0..nl.len() {

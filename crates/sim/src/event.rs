@@ -15,7 +15,7 @@ use crate::par;
 use crate::profile::{ActivityProfile, QueueOccupancy};
 use crate::queue::{CalendarQueue, Scheduled};
 use crate::stimulus::PatternSet;
-use crate::wide::{self, LANES};
+use crate::wide::{prefix_mask, LANES};
 
 /// Reusable per-worker buffers for the event loop: net values, the settled
 /// reference state, fanin scratch, the calendar queue and the per-bucket
@@ -32,13 +32,10 @@ pub struct EventArena {
     batch: Vec<(u32, bool)>,
     /// Nets in the batch whose value actually changed.
     toggled: Vec<u32>,
-    /// Current/next wave for the uniform-delay drain, packed
-    /// `net << 1 | value`.
-    wave: Vec<u32>,
-    wave_next: Vec<u32>,
-    /// Word-parallel state for the dense 64-transition blocks: current and
-    /// next per-net lane words, the block's initial settled words, and the
-    /// `(net, toggled-lane-count)` frontier lists.
+    /// Word-parallel state for the dense kernel: current and next per-net
+    /// lane words, the chunk's initial settled words, the
+    /// `(net, toggled-lane-count)` frontier lists and the input words
+    /// before/after each lane's transition.
     wcur: Vec<u64>,
     wnext: Vec<u64>,
     wsettled: Vec<u64>,
@@ -82,6 +79,27 @@ struct EventCounts {
     coalesced: u64,
     /// Popped-bucket size histogram (empty unless obs is enabled).
     occupancy: QueueOccupancy,
+}
+
+/// One shard's count of processed events, flushed in batches to the
+/// run's shared tally, which the step limit is checked against.
+struct StepMeter<'s> {
+    shared: &'s AtomicU64,
+    limit: u64,
+    local: u64,
+}
+
+impl StepMeter<'_> {
+    /// Move the local count into the shared tally; fail once the tally
+    /// reaches the limit.
+    fn flush(&mut self, budget: &ResourceBudget) -> Result<(), BudgetExceeded> {
+        let tally = self.shared.fetch_add(self.local, Ordering::Relaxed) + self.local;
+        self.local = 0;
+        if tally >= self.limit {
+            return Err(budget.sim_steps_exceeded(tally));
+        }
+        Ok(())
+    }
 }
 
 /// How per-gate delays are assigned.
@@ -180,15 +198,10 @@ pub struct EventSim<'a> {
     sinks: Vec<SinkEval>,
     /// Largest per-net delay; sizes the calendar queue's wheel.
     max_delay: u32,
-    /// `Some(d)` when every net has the same delay `d`. Uniform delays
-    /// collapse the calendar queue to a two-array wavefront (see
-    /// [`EventSim::shard_counts`]); `None` takes the general queue path.
-    uniform_delay: Option<u32>,
-    /// Use the [`LANES`]-word (256-lane) dense blocks ahead of the 64-lane
-    /// ones. Off under `LPOPT_WIDE_SCALAR=1`; counters and activity are
-    /// bit-identical either way (lanes evolve independently, so the wide
-    /// popcount sums decompose exactly into the 64-lane ones).
-    wide: bool,
+    /// Every net has the same delay, so event propagation is synchronous
+    /// relaxation and runs without a queue limit take the dense kernel
+    /// (see [`EventSim::dense_block`]).
+    uniform: bool,
     obs: obs::Obs,
 }
 
@@ -240,10 +253,7 @@ impl<'a> EventSim<'a> {
         }
         let delays: Vec<u32> = nl.iter_nets().map(|net| model.delay(nl, net)).collect();
         let max_delay = delays.iter().copied().max().unwrap_or(1);
-        let uniform_delay = match delays.first() {
-            Some(&d) if delays.iter().all(|&x| x == d) => Some(d),
-            _ => None,
-        };
+        let uniform = delays.iter().all(|&d| d == max_delay);
         let mut sinks = Vec::with_capacity(n);
         for si in 0..n {
             let mut e = SinkEval { a: GENERIC, b: 0, lut: 0, delay: delays[si] };
@@ -286,27 +296,9 @@ impl<'a> EventSim<'a> {
             delays,
             sinks,
             max_delay,
-            uniform_delay,
-            wide: !wide::scalar_env(),
+            uniform,
             obs: obs::Obs::disabled(),
         }
-    }
-
-    /// Disable the uniform-delay wavefront fast path, forcing the general
-    /// calendar-queue drain. Only for equivalence tests: results must be
-    /// bit-identical either way.
-    #[cfg(test)]
-    pub(crate) fn force_general_queue(mut self) -> EventSim<'a> {
-        self.uniform_delay = None;
-        self
-    }
-
-    /// Force (or lift) the 64-lane reference path (no 256-lane dense
-    /// blocks). Benchmarks use this to measure the wide speedup
-    /// in-process, tests to pin bit-identity.
-    pub fn with_scalar_reference(mut self, scalar: bool) -> EventSim<'a> {
-        self.wide = !scalar;
-        self
     }
 
     /// Evaluate net `si` straight off the CSR tables, reading fanin values
@@ -345,63 +337,36 @@ impl<'a> EventSim<'a> {
         }
     }
 
-    /// [`EventSim::eval_net`] on 64 lanes at once: same CSR walk, same
-    /// [`GateKind::eval_word`] semantics, one `u64` word per net.
+    /// [`EventSim::eval_net`] on `L` lane words (`64 * L` lanes) at once:
+    /// the same CSR walk, with [`GateKind::eval_wide`] semantics. `w` is
+    /// lane-grouped: net `x`'s words sit at `w[x*L .. +L]`.
     #[inline(always)]
-    fn eval_net_word(&self, si: usize, w: &[u64]) -> u64 {
-        let ins = &self.fanin_idx[self.fanin_off[si] as usize..self.fanin_off[si + 1] as usize];
-        match self.kinds[si] {
-            GateKind::And => ins.iter().fold(u64::MAX, |a, &x| a & w[x as usize]),
-            GateKind::Or => ins.iter().fold(0, |a, &x| a | w[x as usize]),
-            GateKind::Nand => !ins.iter().fold(u64::MAX, |a, &x| a & w[x as usize]),
-            GateKind::Nor => !ins.iter().fold(0, |a, &x| a | w[x as usize]),
-            GateKind::Not => !w[ins[0] as usize],
-            GateKind::Buf | GateKind::Dff => w[ins[0] as usize],
-            GateKind::Xor => ins.iter().fold(0, |a, &x| a ^ w[x as usize]),
-            GateKind::Xnor => !ins.iter().fold(0, |a, &x| a ^ w[x as usize]),
-            GateKind::Mux => {
-                let s = w[ins[0] as usize];
-                (s & w[ins[2] as usize]) | (!s & w[ins[1] as usize])
-            }
-            GateKind::Const(v) => {
-                if v {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
-            GateKind::Input => {
-                debug_assert!(false, "inputs are never evaluated as sinks");
-                w[si]
-            }
-        }
-    }
-
-    /// [`EventSim::eval_net_word`] on [`LANES`] words (256 lanes) at once.
-    /// `w` is lane-grouped: net `x`'s words sit at `w[x*LANES .. +LANES]`.
-    /// Lane `l` is exactly `eval_net_word` over lane `l` of every net.
-    #[inline(always)]
-    fn eval_net_wide(&self, si: usize, w: &[u64]) -> [u64; LANES] {
+    fn eval_net_wide<const L: usize>(&self, si: usize, w: &[u64]) -> [u64; L] {
         #[inline(always)]
-        fn ld(w: &[u64], x: u32) -> [u64; LANES] {
-            let mut out = [0u64; LANES];
-            out.copy_from_slice(&w[x as usize * LANES..][..LANES]);
+        fn ld<const L: usize>(w: &[u64], x: u32) -> [u64; L] {
+            let mut out = [0u64; L];
+            out.copy_from_slice(&w[x as usize * L..][..L]);
             out
         }
         #[inline(always)]
-        fn fold(ins: &[u32], w: &[u64], init: u64, f: impl Fn(u64, u64) -> u64) -> [u64; LANES] {
-            let mut acc = [init; LANES];
+        fn fold<const L: usize>(
+            ins: &[u32],
+            w: &[u64],
+            init: u64,
+            f: impl Fn(u64, u64) -> u64,
+        ) -> [u64; L] {
+            let mut acc = [init; L];
             for &x in ins {
-                let base = x as usize * LANES;
-                for l in 0..LANES {
+                let base = x as usize * L;
+                for l in 0..L {
                     acc[l] = f(acc[l], w[base + l]);
                 }
             }
             acc
         }
         #[inline(always)]
-        fn notl(mut a: [u64; LANES]) -> [u64; LANES] {
-            for l in 0..LANES {
+        fn notl<const L: usize>(mut a: [u64; L]) -> [u64; L] {
+            for l in 0..L {
                 a[l] = !a[l];
             }
             a
@@ -417,14 +382,14 @@ impl<'a> EventSim<'a> {
             GateKind::Xor => fold(ins, w, 0, |a, x| a ^ x),
             GateKind::Xnor => notl(fold(ins, w, 0, |a, x| a ^ x)),
             GateKind::Mux => {
-                let (s, a, b) = (ld(w, ins[0]), ld(w, ins[1]), ld(w, ins[2]));
-                let mut out = [0u64; LANES];
-                for l in 0..LANES {
+                let (s, a, b) = (ld::<L>(w, ins[0]), ld::<L>(w, ins[1]), ld::<L>(w, ins[2]));
+                let mut out = [0u64; L];
+                for l in 0..L {
                     out[l] = (s[l] & b[l]) | (!s[l] & a[l]);
                 }
                 out
             }
-            GateKind::Const(v) => [if v { u64::MAX } else { 0 }; LANES],
+            GateKind::Const(v) => [if v { u64::MAX } else { 0 }; L],
             GateKind::Input => {
                 debug_assert!(false, "inputs are never evaluated as sinks");
                 ld(w, si as u32)
@@ -437,8 +402,8 @@ impl<'a> EventSim<'a> {
     /// plain `u64`s inside each shard and flush once per successful
     /// activity run, along with the `sim.event.occupancy.*` bucket-size
     /// histogram gauges. The histogram profiles the queue, so runs that
-    /// qualify for the dense word path (uniform delays, unlimited
-    /// step/queue budgets) report counters only.
+    /// take the dense kernel (uniform delays, no event-queue limit) report
+    /// counters only.
     pub fn with_obs(mut self, obs: obs::Obs) -> EventSim<'a> {
         self.obs = obs;
         self
@@ -485,22 +450,23 @@ impl<'a> EventSim<'a> {
         self.settle(values, ins);
     }
 
-    /// Simulate 64 consecutive cycle transitions bit-parallel (lane `k` =
-    /// the transition into `chunk[k]`, starting from the settled state of
-    /// the pattern before it).
+    /// Simulate up to `64 * L` consecutive cycle transitions word-parallel
+    /// (lane bit `k` = the transition into `chunk[k]`, starting from the
+    /// settled state of the pattern before it), with `L` lane-grouped
+    /// words per net.
     ///
     /// Under a uniform delay, transport-delay event propagation *is*
     /// synchronous relaxation: every net's value at tick `t` is its gate
     /// function applied to its fanins' values at tick `t - 1`, and the
     /// sparse event queue is merely a work-list implementation of that
     /// iteration. Since a combinational cycle depends only on its
-    /// (previous, current) pattern pair, 64 independent transitions pack
-    /// into one `u64` lane word per net and relax together; per-net toggle
-    /// counts fall out of `popcount(prev ^ next)` per tick, functional
-    /// toggles and signal probabilities out of popcounts of the
-    /// settled-word diff. Results — activity *and* event counters — are
-    /// bit-identical to the wavefront path by construction (and by the
-    /// `dense_word_blocks_match_sparse_event_loop` test):
+    /// (previous, current) pattern pair, independent transitions pack
+    /// into lane words per net and relax together; per-net toggle counts
+    /// fall out of `popcount(prev ^ next)` per tick, functional toggles
+    /// and signal probabilities out of popcounts of the settled-word diff.
+    /// Results — activity *and* event counters — are bit-identical to the
+    /// calendar queue by construction (and by the
+    /// `dense_kernel_matches_calendar_queue_bit_exactly` test):
     ///
     /// * `processed`/`enqueued`: an event is enqueued exactly when an
     ///   evaluation toggles, so both equal seed toggles + gate toggles —
@@ -509,196 +475,60 @@ impl<'a> EventSim<'a> {
     ///   lane toggle of net `u` visits every fanout edge of `u` next tick,
     ///   and each visit either enqueues or coalesces, so per tick it is
     ///   `Σ_toggled popcount(u) · fanout(u) − next-tick enqueues`.
-    /// * `cancelled` is identically 0, as on the wavefront path.
+    /// * `cancelled` is identically 0: with one delay everywhere, a net's
+    ///   next pop is always the event that changes it.
     ///
-    /// Only called when the queue/step budgets are unlimited
-    /// (budget-limited runs keep the event paths' exact enforcement
-    /// points); the deadline is still polled every tick. Obs counters are
-    /// derived exactly from the popcounts above at no marginal cost, so
-    /// the path runs under an enabled handle too; the per-wave occupancy
-    /// histogram is the one diagnostic this path does not produce — there
-    /// is no queue to profile, and recovering per-lane wave sizes costs
-    /// ~O(events), which would break the <2% obs overhead contract — so
-    /// dense-eligible runs skip it on every path (see `shard_counts`).
-    /// On return `arena.values` holds the settled state of `chunk[63]`,
-    /// ready for the sparse remainder loop or the next block.
-    fn dense_block(
+    /// Lanes evolve independently, and a lane that has settled
+    /// contributes zero toggles, visits and enqueues to later ticks. A
+    /// short last chunk leaves its trailing lanes without an input
+    /// transition (initial word = next word), so only `ones` needs the
+    /// valid-lane mask. Each tick's events flush to the shared step tally
+    /// before the next tick runs, so a step limit trips at the same
+    /// "events processed ≥ limit" verdict as the queue; the deadline is
+    /// polled every tick. Obs counters are derived exactly from the
+    /// popcounts above at no marginal cost; the per-wave occupancy
+    /// histogram is the one diagnostic this kernel does not produce —
+    /// there is no queue to profile, and recovering per-lane wave sizes
+    /// costs ~O(events), which would break the <2% obs overhead contract.
+    fn dense_block<const L: usize>(
         &self,
         prev: &[bool],
         chunk: &[Vec<bool>],
         arena: &mut EventArena,
         counts: &mut EventCounts,
         budget: &ResourceBudget,
-        local_steps: &mut u64,
+        meter: &mut StepMeter,
     ) -> Result<(), BudgetExceeded> {
-        debug_assert_eq!(chunk.len(), 64);
+        let m = chunk.len();
+        debug_assert!((1..=64 * L).contains(&m));
         let n = self.nl.len();
         let inputs = self.nl.inputs();
         arena.wcur.clear();
-        arena.wcur.resize(n, 0);
+        arena.wcur.resize(n * L, 0);
         arena.wnext.clear();
-        arena.wnext.resize(n, 0);
+        arena.wnext.resize(n * L, 0);
         arena.wsettled.clear();
-        arena.wsettled.resize(n, 0);
+        arena.wsettled.resize(n * L, 0);
         arena.win_init.clear();
-        arena.win_init.resize(inputs.len(), 0);
+        arena.win_init.resize(inputs.len() * L, 0);
         arena.win_next.clear();
-        arena.win_next.resize(inputs.len(), 0);
+        arena.win_next.resize(inputs.len() * L, 0);
         for j in 0..inputs.len() {
-            let mut init = prev[j] as u64;
-            let mut next = 0u64;
-            for (k, pattern) in chunk.iter().enumerate() {
-                if k > 0 {
-                    init |= (chunk[k - 1][j] as u64) << k;
-                }
-                next |= (pattern[j] as u64) << k;
-            }
-            arena.win_init[j] = init;
-            arena.win_next[j] = next;
-        }
-        // Settle every lane's initial state in topological order.
-        for (j, &pi) in inputs.iter().enumerate() {
-            arena.wcur[pi.index()] = arena.win_init[j];
-        }
-        for &net in &self.order {
-            let si = net.index();
-            match self.kinds[si] {
-                GateKind::Input => {}
-                _ => arena.wcur[si] = self.eval_net_word(si, &arena.wcur),
-            }
-        }
-        arena.wsettled.copy_from_slice(&arena.wcur);
-        // Tick 0: the input transitions seed the frontier.
-        arena.wtoggled.clear();
-        for (j, &pi) in inputs.iter().enumerate() {
-            let i = pi.index();
-            let diff = arena.win_init[j] ^ arena.win_next[j];
-            if diff != 0 {
-                arena.wcur[i] = arena.win_next[j];
-                let pc = diff.count_ones();
-                counts.total[i] += pc as u64;
-                counts.processed += pc as u64;
-                counts.enqueued += pc as u64;
-                *local_steps += pc as u64;
-                arena.wtoggled.push((i as u32, pc));
-            }
-        }
-        // Jacobi relaxation: each tick evaluates the distinct sinks of the
-        // previous tick's toggled nets against the *old* words (double
-        // buffer), exactly the event engine's apply-then-evaluate order.
-        while !arena.wtoggled.is_empty() {
-            budget.check_deadline()?;
-            arena.wnext.copy_from_slice(&arena.wcur);
-            arena.sink_epoch += 1;
-            arena.wtoggled_next.clear();
-            let mut visits = 0u64;
-            let mut enq = 0u64;
-            for &(u, pc) in &arena.wtoggled {
-                let lo = self.fanout_off[u as usize] as usize;
-                let hi = self.fanout_off[u as usize + 1] as usize;
-                visits += (hi - lo) as u64 * pc as u64;
-                for &sink in &self.fanout_idx[lo..hi] {
-                    let si = sink as usize;
-                    if arena.sink_stamp[si] == arena.sink_epoch {
-                        continue;
-                    }
-                    arena.sink_stamp[si] = arena.sink_epoch;
-                    let out = self.eval_net_word(si, &arena.wcur);
-                    let diff = out ^ arena.wcur[si];
-                    if diff != 0 {
-                        arena.wnext[si] = out;
-                        let pc = diff.count_ones();
-                        counts.total[si] += pc as u64;
-                        enq += pc as u64;
-                        arena.wtoggled_next.push((sink, pc));
-                    }
-                }
-            }
-            counts.processed += enq;
-            counts.enqueued += enq;
-            counts.coalesced += visits - enq;
-            *local_steps += enq;
-            std::mem::swap(&mut arena.wcur, &mut arena.wnext);
-            std::mem::swap(&mut arena.wtoggled, &mut arena.wtoggled_next);
-        }
-        // Functional toggles and signal probabilities for all 64 lanes.
-        for i in 0..n {
-            counts.functional[i] += u64::from((arena.wsettled[i] ^ arena.wcur[i]).count_ones());
-            counts.ones[i] += u64::from(arena.wcur[i].count_ones());
-        }
-        // Hand the last lane's settled state back to the scalar loop.
-        for i in 0..n {
-            arena.values[i] = arena.wcur[i] >> 63 & 1 != 0;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut chk = vec![false; n];
-            self.apply_and_settle(&chunk[63], &mut chk, &mut arena.ins);
-            debug_assert_eq!(chk, arena.values, "dense block must exit on the settled state");
-        }
-        Ok(())
-    }
-
-    /// [`EventSim::dense_block`] on `64 * LANES` consecutive transitions
-    /// (256 lanes at the default [`LANES`]), with lane-grouped wide words
-    /// per net so each relaxation step folds whole [`crate::wide::WideWord`]s.
-    ///
-    /// Counters stay bit-identical to running the [`LANES`] 64-lane blocks
-    /// separately: lanes evolve independently under the Jacobi iteration,
-    /// every per-tick count is a popcount sum over lanes (which decomposes
-    /// exactly), and a lane whose block has already settled contributes
-    /// zero toggles, zero visits and zero enqueues to the extra ticks.
-    fn dense_block_wide(
-        &self,
-        prev: &[bool],
-        chunk: &[Vec<bool>],
-        arena: &mut EventArena,
-        counts: &mut EventCounts,
-        budget: &ResourceBudget,
-        local_steps: &mut u64,
-    ) -> Result<(), BudgetExceeded> {
-        debug_assert_eq!(chunk.len(), 64 * LANES);
-        let n = self.nl.len();
-        let inputs = self.nl.inputs();
-        arena.wcur.clear();
-        arena.wcur.resize(n * LANES, 0);
-        arena.wnext.clear();
-        arena.wnext.resize(n * LANES, 0);
-        arena.wsettled.clear();
-        arena.wsettled.resize(n * LANES, 0);
-        arena.win_init.clear();
-        arena.win_init.resize(inputs.len() * LANES, 0);
-        arena.win_next.clear();
-        arena.win_next.resize(inputs.len() * LANES, 0);
-        for j in 0..inputs.len() {
-            for l in 0..LANES {
-                let base = 64 * l;
-                let mut init = if l == 0 {
-                    prev[j] as u64
-                } else {
-                    chunk[base - 1][j] as u64
-                };
-                let mut next = 0u64;
-                for k in 0..64 {
-                    if k > 0 {
-                        init |= (chunk[base + k - 1][j] as u64) << k;
-                    }
-                    next |= (chunk[base + k][j] as u64) << k;
-                }
-                arena.win_init[j * LANES + l] = init;
-                arena.win_next[j * LANES + l] = next;
+            for k in 0..m {
+                let before = if k == 0 { prev[j] } else { chunk[k - 1][j] };
+                arena.win_init[j * L + k / 64] |= (before as u64) << (k % 64);
+                arena.win_next[j * L + k / 64] |= (chunk[k][j] as u64) << (k % 64);
             }
         }
         // Settle every lane's initial state in topological order.
         for (j, &pi) in inputs.iter().enumerate() {
-            arena.wcur[pi.index() * LANES..][..LANES]
-                .copy_from_slice(&arena.win_init[j * LANES..][..LANES]);
+            arena.wcur[pi.index() * L..][..L].copy_from_slice(&arena.win_init[j * L..][..L]);
         }
         for &net in &self.order {
             let si = net.index();
             if self.kinds[si] != GateKind::Input {
-                let out = self.eval_net_wide(si, &arena.wcur);
-                arena.wcur[si * LANES..][..LANES].copy_from_slice(&out);
+                let out = self.eval_net_wide::<L>(si, &arena.wcur);
+                arena.wcur[si * L..][..L].copy_from_slice(&out);
             }
         }
         arena.wsettled.copy_from_slice(&arena.wcur);
@@ -707,21 +537,23 @@ impl<'a> EventSim<'a> {
         for (j, &pi) in inputs.iter().enumerate() {
             let i = pi.index();
             let mut pc = 0u32;
-            for l in 0..LANES {
-                pc += (arena.win_init[j * LANES + l] ^ arena.win_next[j * LANES + l]).count_ones();
+            for l in 0..L {
+                pc += (arena.win_init[j * L + l] ^ arena.win_next[j * L + l]).count_ones();
             }
             if pc != 0 {
-                arena.wcur[i * LANES..][..LANES]
-                    .copy_from_slice(&arena.win_next[j * LANES..][..LANES]);
+                arena.wcur[i * L..][..L].copy_from_slice(&arena.win_next[j * L..][..L]);
                 counts.total[i] += pc as u64;
                 counts.processed += pc as u64;
                 counts.enqueued += pc as u64;
-                *local_steps += pc as u64;
+                meter.local += pc as u64;
                 arena.wtoggled.push((i as u32, pc));
             }
         }
-        // Jacobi relaxation, double-buffered exactly like the 64-lane path.
+        // Jacobi relaxation: each tick evaluates the distinct sinks of the
+        // previous tick's toggled nets against the *old* words (double
+        // buffer), exactly the event engine's apply-then-evaluate order.
         while !arena.wtoggled.is_empty() {
+            meter.flush(budget)?;
             budget.check_deadline()?;
             arena.wnext.copy_from_slice(&arena.wcur);
             arena.sink_epoch += 1;
@@ -738,13 +570,13 @@ impl<'a> EventSim<'a> {
                         continue;
                     }
                     arena.sink_stamp[si] = arena.sink_epoch;
-                    let out = self.eval_net_wide(si, &arena.wcur);
+                    let out = self.eval_net_wide::<L>(si, &arena.wcur);
                     let mut pc = 0u32;
-                    for l in 0..LANES {
-                        pc += (out[l] ^ arena.wcur[si * LANES + l]).count_ones();
+                    for l in 0..L {
+                        pc += (out[l] ^ arena.wcur[si * L + l]).count_ones();
                     }
                     if pc != 0 {
-                        arena.wnext[si * LANES..][..LANES].copy_from_slice(&out);
+                        arena.wnext[si * L..][..L].copy_from_slice(&out);
                         counts.total[si] += pc as u64;
                         enq += pc as u64;
                         arena.wtoggled_next.push((sink, pc));
@@ -754,27 +586,29 @@ impl<'a> EventSim<'a> {
             counts.processed += enq;
             counts.enqueued += enq;
             counts.coalesced += visits - enq;
-            *local_steps += enq;
+            meter.local += enq;
             std::mem::swap(&mut arena.wcur, &mut arena.wnext);
             std::mem::swap(&mut arena.wtoggled, &mut arena.wtoggled_next);
         }
-        // Functional toggles and signal probabilities for all lanes.
+        // Functional toggles and signal probabilities for the valid lanes
+        // (padding lanes never leave their settled state).
+        let valid = prefix_mask::<L>(m);
         for i in 0..n {
-            for l in 0..LANES {
-                counts.functional[i] +=
-                    u64::from((arena.wsettled[i * LANES + l] ^ arena.wcur[i * LANES + l]).count_ones());
-                counts.ones[i] += u64::from(arena.wcur[i * LANES + l].count_ones());
+            for l in 0..L {
+                let cur = arena.wcur[i * L + l];
+                counts.functional[i] += u64::from((arena.wsettled[i * L + l] ^ cur).count_ones());
+                counts.ones[i] += u64::from((cur & valid[l]).count_ones());
             }
-        }
-        // Hand the last lane's settled state back to the scalar loop.
-        for i in 0..n {
-            arena.values[i] = arena.wcur[i * LANES + LANES - 1] >> 63 & 1 != 0;
         }
         #[cfg(debug_assertions)]
         {
+            let (lane, bit) = ((m - 1) / 64, (m - 1) % 64);
             let mut chk = vec![false; n];
-            self.apply_and_settle(&chunk[64 * LANES - 1], &mut chk, &mut arena.ins);
-            debug_assert_eq!(chk, arena.values, "wide block must exit on the settled state");
+            self.apply_and_settle(&chunk[m - 1], &mut chk, &mut arena.ins);
+            for (i, &v) in chk.iter().enumerate() {
+                let got = arena.wcur[i * L + lane] >> bit & 1 != 0;
+                debug_assert_eq!(got, v, "dense block must exit on the settled state");
+            }
         }
         Ok(())
     }
@@ -786,17 +620,21 @@ impl<'a> EventSim<'a> {
     /// pattern, so one uncounted settle reconstructs exactly the state the
     /// serial run would have carried in — shards are embarrassingly
     /// parallel and the merged counts stay bit-identical.
-    /// Events processed count toward the shared `steps` tally (flushed
-    /// every 1024 pops, so the atomic stays off the per-event path); queue
-    /// length is compared against the pre-resolved limit before every node
-    /// creation (one register compare); the wall clock is polled once per
-    /// cycle and once per flush. Unlike the cycle-based engines,
-    /// event-driven cost is unknowable up front — a glitchy circuit can
-    /// schedule orders of magnitude more events than cycles — so these are
-    /// the runtime guards that make the engine safe to call under a budget
-    /// at all.
     ///
-    /// The inner loop drains the calendar queue one *timestamp* at a time:
+    /// Uniform-delay runs without an event-queue limit go through
+    /// [`EventSim::dense_block`], `64 * LANES` transitions per chunk;
+    /// every other run drains the calendar queue pattern by pattern.
+    /// Events processed count toward the shared `steps` tally (flushed
+    /// every 1024 pops on the queue and every tick in the dense kernel, so
+    /// the atomic stays off the per-event path); queue length is compared
+    /// against the pre-resolved limit before every node creation (one
+    /// register compare); the wall clock is polled once per cycle and
+    /// once per flush. Unlike the cycle-based engines, event-driven cost is
+    /// unknowable up front — a glitchy circuit can schedule orders of
+    /// magnitude more events than cycles — so these are the runtime
+    /// guards that make the engine safe to call under a budget at all.
+    ///
+    /// The queue loop drains the calendar queue one *timestamp* at a time:
     /// first every transition in the bucket is applied (they touch
     /// distinct nets, so application order is immaterial), then each
     /// distinct fanout sink is evaluated exactly once and rescheduled.
@@ -816,23 +654,20 @@ impl<'a> EventSim<'a> {
         steps: &AtomicU64,
     ) -> Result<EventCounts, BudgetExceeded> {
         const FLUSH: u64 = 1024;
-        let max_steps = budget.max_sim_steps_or(u64::MAX);
         let max_queue = budget.max_event_queue_or(u64::MAX);
-        let mut local_steps = 0u64;
+        let mut meter = StepMeter {
+            shared: steps,
+            limit: budget.max_sim_steps_or(u64::MAX),
+            local: 0,
+        };
         let n = self.nl.len();
-        // Dense 64-lane blocks need exact budget-enforcement points to be
-        // irrelevant: unlimited step/queue budgets. Observability is fine —
-        // the counters are derived exactly at no marginal cost.
-        let dense_ok =
-            self.uniform_delay.is_some() && max_steps == u64::MAX && max_queue == u64::MAX;
+        // A queue-length limit is enforced on the queue, so only runs
+        // without one may take the dense kernel.
+        let dense = self.uniform && max_queue == u64::MAX;
         // The occupancy histogram profiles the *queue*: it is recorded only
-        // on runs that exercise the queue/wavefront engines. Dense-eligible
-        // runs skip it on every path — including each shard's sub-64
-        // remainder patterns, so the gauges stay `--jobs` invariant
-        // (eligibility depends on the delay model and budget, never on
-        // sharding) — and an exact dense histogram would cost ~O(events),
-        // violating the <2% enabled-obs overhead contract.
-        let record_occupancy = self.obs.is_enabled() && !dense_ok;
+        // on runs that use it. The choice depends on the delay model and
+        // budget, never on sharding, so the gauges stay `--jobs` invariant.
+        let record_occupancy = self.obs.is_enabled() && !dense;
         let mut counts = EventCounts {
             total: vec![0u64; n],
             functional: vec![0u64; n],
@@ -869,31 +704,18 @@ impl<'a> EventSim<'a> {
                 (head, rest)
             }
         };
-        let mut idx = 0;
-        while idx < rest.len() {
-            if dense_ok && self.wide && rest.len() - idx >= 64 * LANES {
-                let chunk = &rest[idx..idx + 64 * LANES];
+        if dense {
+            for chunk in rest.chunks(64 * LANES) {
                 for pattern in chunk {
                     assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
                 }
-                self.dense_block_wide(prev, chunk, arena, &mut counts, budget, &mut local_steps)?;
-                prev = &chunk[64 * LANES - 1];
-                idx += 64 * LANES;
-                continue;
+                self.dense_block::<LANES>(prev, chunk, arena, &mut counts, budget, &mut meter)?;
+                prev = &chunk[chunk.len() - 1];
             }
-            if dense_ok && rest.len() - idx >= 64 {
-                let chunk = &rest[idx..idx + 64];
-                for pattern in chunk {
-                    assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
-                }
-                self.dense_block(prev, chunk, arena, &mut counts, budget, &mut local_steps)?;
-                prev = &chunk[63];
-                idx += 64;
-                continue;
-            }
-            let pattern = &rest[idx];
-            idx += 1;
-            prev = pattern;
+            // Every tick flushed its events, so the tally is complete.
+            return Ok(counts);
+        }
+        for pattern in rest {
             assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
             budget.check_deadline()?;
             // Snapshot the previous settled state. Functional toggles are
@@ -902,111 +724,6 @@ impl<'a> EventSim<'a> {
             // taken after the queue drains, replacing the full per-cycle
             // settle pass the old engine ran just to count them.
             arena.settled.copy_from_slice(&arena.values);
-            if self.uniform_delay.is_some() {
-                // Uniform-delay wavefront drain. With one delay `d`
-                // everywhere, every event scheduled while draining wave `t`
-                // lands at exactly `t + d`, so the calendar queue
-                // degenerates to two flat arrays: the wave being applied
-                // and the wave being built. The general path's remaining
-                // queue work provably never happens here — slot coalescing
-                // needs one net scheduled twice at one instant (the sink
-                // stamp already dedups a wave's evaluations), a stale pop
-                // (`cancelled`) needs the net's value to change between
-                // schedule and pop (its next pop *is* that event), and an
-                // earlier-slot reschedule needs two live nodes per net.
-                // Entries pack `net << 1 | value` so the per-wave
-                // determinism sort is a plain `u32` sort.
-                arena.wave_next.clear();
-                for (i, &pi) in self.nl.inputs().iter().enumerate() {
-                    if arena.values[pi.index()] != pattern[i] {
-                        if arena.wave_next.len() as u64 >= max_queue {
-                            return Err(
-                                budget.event_queue_exceeded(arena.wave_next.len() as u64 + 1)
-                            );
-                        }
-                        arena.wave_next.push((pi.index() as u32) << 1 | pattern[i] as u32);
-                        counts.enqueued += 1;
-                    }
-                }
-                while !arena.wave_next.is_empty() {
-                    std::mem::swap(&mut arena.wave, &mut arena.wave_next);
-                    arena.wave_next.clear();
-                    // No per-wave net sort: unlike the calendar queue's
-                    // pop contract (which incremental wave *recording*
-                    // relies on), nothing here observes intra-wave order —
-                    // the whole wave is applied before any sink runs, and
-                    // the sink stamp dedups evaluations to the same value
-                    // whichever fanin visits first.
-                    if record_occupancy {
-                        counts.occupancy.record(arena.wave.len());
-                    }
-                    counts.processed += arena.wave.len() as u64;
-                    local_steps += arena.wave.len() as u64;
-                    if local_steps >= FLUSH {
-                        let tally = steps.fetch_add(local_steps, Ordering::Relaxed) + local_steps;
-                        local_steps = 0;
-                        if tally >= max_steps {
-                            return Err(budget.sim_steps_exceeded(tally));
-                        }
-                        budget.check_deadline()?;
-                    }
-                    for &packed in &arena.wave {
-                        let i = (packed >> 1) as usize;
-                        debug_assert_ne!(
-                            arena.values[i],
-                            packed & 1 != 0,
-                            "uniform-delay pops always toggle"
-                        );
-                        arena.values[i] = packed & 1 != 0;
-                        counts.total[i] += 1;
-                    }
-                    arena.sink_epoch += 1;
-                    for &packed in &arena.wave {
-                        let raw = (packed >> 1) as usize;
-                        let lo = self.fanout_off[raw] as usize;
-                        let hi = self.fanout_off[raw + 1] as usize;
-                        for &sink in &self.fanout_idx[lo..hi] {
-                            let si = sink as usize;
-                            if arena.sink_stamp[si] == arena.sink_epoch {
-                                counts.coalesced += 1;
-                                continue;
-                            }
-                            arena.sink_stamp[si] = arena.sink_epoch;
-                            let e = self.sinks[si];
-                            let out = if e.a != GENERIC {
-                                let row = ((arena.values[e.a as usize] as u32) << 1)
-                                    | arena.values[e.b as usize] as u32;
-                                e.lut >> row & 1 != 0
-                            } else {
-                                self.eval_net(si, &arena.values)
-                            };
-                            if out == arena.values[si] {
-                                // The general path's schedule-time
-                                // suppression: an unchanged sink with no
-                                // pending node cannot affect the run.
-                                counts.coalesced += 1;
-                                continue;
-                            }
-                            if arena.wave_next.len() as u64 >= max_queue {
-                                return Err(
-                                    budget.event_queue_exceeded(arena.wave_next.len() as u64 + 1)
-                                );
-                            }
-                            arena.wave_next.push(sink << 1 | out as u32);
-                            counts.enqueued += 1;
-                        }
-                    }
-                }
-                // Functional toggles and signal probabilities from the
-                // settled-state diff.
-                for i in 0..n {
-                    counts.functional[i] += (arena.settled[i] != arena.values[i]) as u64;
-                    counts.ones[i] += arena.values[i] as u64;
-                }
-                #[cfg(debug_assertions)]
-                self.debug_check_settled(pattern, arena);
-                continue;
-            }
             // Event-driven propagation from the input changes.
             arena.queue.begin_cycle();
             for (i, &pi) in self.nl.inputs().iter().enumerate() {
@@ -1023,13 +740,9 @@ impl<'a> EventSim<'a> {
                     counts.occupancy.record(arena.batch.len());
                 }
                 counts.processed += arena.batch.len() as u64;
-                local_steps += arena.batch.len() as u64;
-                if local_steps >= FLUSH {
-                    let tally = steps.fetch_add(local_steps, Ordering::Relaxed) + local_steps;
-                    local_steps = 0;
-                    if tally >= max_steps {
-                        return Err(budget.sim_steps_exceeded(tally));
-                    }
+                meter.local += arena.batch.len() as u64;
+                if meter.local >= FLUSH {
+                    meter.flush(budget)?;
                     budget.check_deadline()?;
                 }
                 // Apply the whole batch (one entry per net), remembering
@@ -1089,9 +802,8 @@ impl<'a> EventSim<'a> {
             #[cfg(debug_assertions)]
             self.debug_check_settled(pattern, arena);
         }
-        let tally = steps.fetch_add(local_steps, Ordering::Relaxed) + local_steps;
-        if local_steps > 0 && tally >= max_steps {
-            return Err(budget.sim_steps_exceeded(tally));
+        if meter.local > 0 {
+            meter.flush(budget)?;
         }
         Ok(counts)
     }
@@ -1131,7 +843,8 @@ impl<'a> EventSim<'a> {
     /// [`EventSim::activity_jobs`] under a [`ResourceBudget`].
     ///
     /// The step limit counts *events processed* (summed across shards via
-    /// a shared counter, flushed every 1024 pops), the queue limit bounds
+    /// a shared counter, flushed every 1024 pops on the queue and every
+    /// relaxation tick in the dense kernel), the queue limit bounds
     /// the pending events of each shard's calendar queue, and the deadline
     /// is polled per cycle. On exhaustion the run stops with a typed
     /// [`BudgetExceeded`] — a successful run is still bit-identical to the
@@ -1284,73 +997,42 @@ mod tests {
     }
 
     #[test]
-    fn uniform_wavefront_matches_general_queue_bit_exactly() {
-        // Same netlist, same patterns: the uniform-delay wavefront drain
-        // and the general calendar-queue drain must agree on every
-        // activity number *and* every obs counter.
+    fn dense_kernel_matches_calendar_queue_bit_exactly() {
+        // With no queue limit a uniform-delay run takes the dense kernel
+        // (a step limit keeps it there); a roomy queue limit sends the same
+        // patterns through the calendar queue. Every activity number and
+        // every derived event counter must agree exactly. 300 patterns =
+        // one full 256-lane chunk plus a masked 43-lane chunk, so the
+        // chunk-chaining handoff and the ragged tail are covered too.
         let (nl, _) = array_multiplier(5);
         let patterns = Stimulus::uniform(10).patterns(300, 41);
-        for delay in [1u32, 3] {
-            let model = DelayModel::PerNet(vec![delay; nl.len()]);
-            let run = |sim: EventSim| {
-                let obs = obs::Obs::enabled();
-                let act = sim.with_obs(obs.clone()).activity(&patterns);
-                (act, obs.snapshot())
-            };
-            let (fast, fast_snap) = run(EventSim::new(&nl, &model));
-            let (gen, gen_snap) = run(EventSim::new(&nl, &model).force_general_queue());
-            assert_eq!(fast.total.toggles, gen.total.toggles, "delay {delay}");
-            assert_eq!(fast.functional.toggles, gen.functional.toggles);
-            assert_eq!(fast.total.probability, gen.total.probability);
-            for k in [
-                "sim.event.processed",
-                "sim.event.enqueued",
-                "sim.event.cancelled",
-                "sim.event.coalesced",
-            ] {
-                assert_eq!(fast_snap.counter(k), gen_snap.counter(k), "{k} at delay {delay}");
-            }
-        }
-    }
-
-    #[test]
-    fn dense_word_blocks_match_sparse_event_loop() {
-        // With no budget limits the unit-delay run takes the dense 64-lane
-        // word path; forcing the general queue runs the same patterns
-        // through the calendar queue, and a roomy-but-finite step budget
-        // forces the sparse wavefront. Every activity number and every
-        // derived event counter must agree exactly (obs is enabled, so the
-        // counters come from the real merge path). 150 patterns = two
-        // dense blocks plus a sparse remainder, so the block-chaining
-        // handoff is covered too.
-        let (nl, _) = array_multiplier(5);
-        let patterns = Stimulus::uniform(10).patterns(150, 59);
-        let run = |sim: EventSim, budget: &ResourceBudget| {
-            let mut arena = EventArena::new();
-            let steps = AtomicU64::new(0);
-            sim.with_obs(obs::Obs::enabled())
-                .shard_counts(None, &patterns, &mut arena, budget, &steps)
-                .expect("budget never trips")
-        };
         let unlimited = ResourceBudget::unlimited();
-        let roomy = ResourceBudget::unlimited().with_max_sim_steps(1 << 40);
-        let fast = run(EventSim::new(&nl, &DelayModel::Unit), &unlimited);
-        let general = run(EventSim::new(&nl, &DelayModel::Unit).force_general_queue(), &unlimited);
-        let wavefront = run(EventSim::new(&nl, &DelayModel::Unit), &roomy);
-        for slow in [&general, &wavefront] {
-            assert_eq!(fast.total, slow.total);
-            assert_eq!(fast.functional, slow.functional);
-            assert_eq!(fast.ones, slow.ones);
-            assert_eq!(fast.processed, slow.processed);
-            assert_eq!(fast.enqueued, slow.enqueued);
-            assert_eq!(fast.cancelled, slow.cancelled);
-            assert_eq!(fast.coalesced, slow.coalesced);
+        let steps = ResourceBudget::unlimited().with_max_sim_steps(1 << 40);
+        let queue = ResourceBudget::unlimited().with_max_event_queue(1 << 20);
+        for delay in [1u32, 3] {
+            let sim = EventSim::new(&nl, &DelayModel::PerNet(vec![delay; nl.len()]))
+                .with_obs(obs::Obs::enabled());
+            let run = |budget: &ResourceBudget| {
+                let mut arena = EventArena::new();
+                sim.shard_counts(None, &patterns, &mut arena, budget, &AtomicU64::new(0))
+                    .expect("budget never trips")
+            };
+            let dense = run(&unlimited);
+            for other in [run(&steps), run(&queue)] {
+                assert_eq!(dense.total, other.total, "delay {delay}");
+                assert_eq!(dense.functional, other.functional);
+                assert_eq!(dense.ones, other.ones);
+                assert_eq!(dense.processed, other.processed);
+                assert_eq!(dense.enqueued, other.enqueued);
+                assert_eq!(dense.cancelled, other.cancelled);
+                assert_eq!(dense.coalesced, other.coalesced);
+            }
+            // The occupancy histogram profiles the queue, so only the
+            // queue run records it.
+            assert_eq!(dense.occupancy, QueueOccupancy::default());
+            assert_eq!(run(&steps).occupancy, QueueOccupancy::default());
+            assert!(run(&queue).occupancy.total() > 0);
         }
-        // The occupancy histogram profiles the queue, so only the runs
-        // that exercised one record it — and those two agree exactly.
-        assert_eq!(fast.occupancy, QueueOccupancy::default());
-        assert_eq!(general.occupancy, wavefront.occupancy);
-        assert!(general.occupancy.total() > 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use netlist::{GateKind, NetId, Netlist};
 
 use crate::par;
 use crate::stimulus::PatternSet;
-use crate::wide::{self, LANES};
+use crate::wide::{prefix_mask, LANES};
 
 /// The supported fault models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,7 +215,6 @@ pub struct FaultArena {
 pub struct FaultSim<'a> {
     nl: &'a Netlist,
     order: Vec<NetId>,
-    wide: bool,
 }
 
 impl<'a> FaultSim<'a> {
@@ -226,20 +225,7 @@ impl<'a> FaultSim<'a> {
     /// Panics if the combinational part of the netlist is cyclic.
     pub fn new(nl: &'a Netlist) -> FaultSim<'a> {
         let order = nl.topo_order().expect("combinational part must be acyclic");
-        FaultSim {
-            nl,
-            order,
-            wide: !wide::scalar_env(),
-        }
-    }
-
-    /// Force (`true`) or re-enable the default for the scalar one-cycle
-    /// reference campaign. The packed campaign is bit-identical; this is
-    /// the in-process hook tests and benches use instead of
-    /// `LPOPT_WIDE_SCALAR`.
-    pub fn with_scalar_reference(mut self, scalar: bool) -> FaultSim<'a> {
-        self.wide = if scalar { false } else { !wide::scalar_env() };
-        self
+        FaultSim { nl, order }
     }
 
     /// Settle one cycle with an optional forced net value, writing all net
@@ -450,15 +436,15 @@ impl<'a> FaultSim<'a> {
         // Combinational campaigns run word-parallel: a faulty settle
         // covers 64·LANES cycles at once, and a stuck-at run stops at the
         // first differing group. State feedback makes the packed scheme
-        // unsound for sequential netlists, so those keep the scalar path.
-        if self.wide && self.nl.num_dffs() == 0 && !patterns.is_empty() {
+        // unsound for sequential netlists, so those step cycle by cycle.
+        if self.nl.num_dffs() == 0 {
             self.campaign_packed(patterns, faults, jobs, budget)
         } else {
-            self.campaign_scalar(patterns, faults, jobs, budget)
+            self.campaign_sequential(patterns, faults, jobs, budget)
         }
     }
 
-    fn campaign_scalar(
+    fn campaign_sequential(
         &self,
         patterns: &PatternSet,
         faults: &[Fault],
@@ -537,7 +523,7 @@ impl<'a> FaultSim<'a> {
     }
 
     /// Word-parallel campaign over a combinational netlist. Bit-identical
-    /// to [`FaultSim::campaign_scalar`]: a stuck-at fault settles group
+    /// to [`FaultSim::report`] per fault: a stuck-at fault settles group
     /// by group against the packed golden outputs and reports the first
     /// differing cycle bit; a transient flip only ever differs in its own
     /// cycle's bit column, so a single group settles with the clean word
@@ -618,10 +604,6 @@ impl<'a> FaultSim<'a> {
                 len: self.nl.len(),
             });
         }
-        let bmask = |b: usize| -> u64 {
-            let used = cycles - b * 64;
-            if used >= 64 { u64::MAX } else { (1u64 << used) - 1 }
-        };
         let first_detected = match fault.kind {
             FaultKind::StuckAt0 | FaultKind::StuckAt1 => {
                 let fw = if fault.kind == FaultKind::StuckAt1 {
@@ -637,19 +619,16 @@ impl<'a> FaultSim<'a> {
                         &mut arena.w_vals,
                         &mut arena.w_ins,
                     );
+                    let valid = prefix_mask::<LANES>(cycles - g * 64 * LANES);
                     for w in 0..LANES {
-                        let b = g * LANES + w;
-                        if b * 64 >= cycles {
-                            break;
-                        }
                         let mut diff = 0u64;
                         for (o, (net, _)) in self.nl.outputs().iter().enumerate() {
                             diff |= arena.w_vals[net.index() * LANES + w]
                                 ^ golden[g * osize + o * LANES + w];
                         }
-                        diff &= bmask(b);
+                        diff &= valid[w];
                         if diff != 0 {
-                            hit = Some(b * 64 + diff.trailing_zeros() as usize);
+                            hit = Some((g * LANES + w) * 64 + diff.trailing_zeros() as usize);
                             break 'groups;
                         }
                     }
@@ -803,26 +782,37 @@ mod tests {
     }
 
     #[test]
-    fn packed_campaign_matches_scalar_reference() {
+    fn packed_campaign_matches_per_fault_reports() {
         // Cycle counts straddling block and group boundaries, including a
-        // ragged tail; every stuck-at plus a deterministic SEU mix.
+        // ragged tail; every stuck-at plus a deterministic SEU mix. The
+        // oracle is the per-cycle `report` of each fault.
         let (nl, _) = ripple_adder(5);
-        for cycles in [63, 64, 200, 256, 300] {
+        let sim = FaultSim::new(&nl);
+        for cycles in [0, 63, 64, 200, 256, 300] {
             let patterns = Stimulus::uniform(10).patterns(cycles, 17);
             let mut faults = all_stuck_at_faults(&nl);
             let mut rng = netlist::Rng64::new(41);
             faults.extend((0..40).map(|_| Fault {
                 net: NetId::from_index(rng.range(0, nl.len())),
-                kind: FaultKind::BitFlip { cycle: rng.range(0, cycles) },
+                kind: FaultKind::BitFlip { cycle: rng.range(0, cycles.max(1)) },
             }));
-            let packed = FaultSim::new(&nl)
+            let golden = sim.golden(&patterns);
+            let stepped: Vec<_> = faults
+                .iter()
+                .map(|&f| sim.report(&patterns, f, &golden))
+                .collect();
+            if cycles == 0 {
+                // Every flip cycle is out of range: the campaign fails typed.
+                assert!(stepped.iter().any(Result::is_err));
+                let packed = sim.campaign(&patterns, &faults, 2, &ResourceBudget::unlimited());
+                assert!(matches!(packed, Err(FaultError::CycleOutOfRange { .. })));
+                continue;
+            }
+            let stepped: Vec<FaultReport> = stepped.into_iter().map(Result::unwrap).collect();
+            let packed = sim
                 .campaign(&patterns, &faults, 2, &ResourceBudget::unlimited())
                 .unwrap();
-            let scalar = FaultSim::new(&nl)
-                .with_scalar_reference(true)
-                .campaign(&patterns, &faults, 1, &ResourceBudget::unlimited())
-                .unwrap();
-            assert_eq!(packed.reports, scalar.reports, "cycles={cycles}");
+            assert_eq!(packed.reports, stepped, "cycles={cycles}");
         }
     }
 

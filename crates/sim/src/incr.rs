@@ -53,7 +53,7 @@ use crate::event::{DelayModel, TimingActivity};
 use crate::profile::ActivityProfile;
 use crate::queue::{CalendarQueue, Scheduled};
 use crate::stimulus::PackedPatterns;
-use crate::wide::{self, LANES};
+use crate::wide::{prefix_mask, LANES};
 
 /// One structural edit inside a [`Delta`].
 #[derive(Debug, Clone)]
@@ -264,18 +264,18 @@ pub struct IncrementalSim {
     nl: Netlist,
     cycles: usize,
     nblocks: usize,
-    /// Net-major packed values: `words[net * nblocks + block]`, masked to
-    /// the stream length in the final block.
+    /// Words per net: `nblocks` rounded up to whole [`LANES`]-block groups.
+    stride: usize,
+    /// Net-major packed values: `words[net * stride + block]`, masked to
+    /// the stream length (padding blocks stay zero). Each net's blocks are
+    /// contiguous, so every group of [`LANES`] blocks is a ready-made wide
+    /// word with no gather.
     words: Vec<u64>,
     toggles: Vec<u64>,
     ones: Vec<u64>,
     levels: Vec<u32>,
     fanouts: Vec<Vec<NetId>>,
     force_full: bool,
-    /// Evaluate aligned [`LANES`]-block groups with the wide path (each
-    /// net's blocks are contiguous in `words`, so the lanes need no
-    /// gather). Off under `LPOPT_WIDE_SCALAR=1`; bit-identical either way.
-    wide: bool,
     obs: obs::Obs,
     stats: IncrStats,
     /// Journal frames for applies in `(floor, applied]`, oldest first.
@@ -305,6 +305,20 @@ pub struct IncrementalSim {
 
 fn stress_env() -> bool {
     std::env::var_os("LPOPT_INCR_STRESS").is_some_and(|v| v != "0")
+}
+
+/// Evaluate `kind` over the group of [`LANES`] blocks starting at block
+/// `b` (`ins` holds its fanins' words lane-grouped), with every bit at or
+/// past `cycles` cleared.
+fn eval_group(kind: GateKind, ins: &[u64], b: usize, cycles: usize) -> [u64; LANES] {
+    let mut out = kind.eval_wide::<LANES>(ins);
+    if 64 * (b + LANES) > cycles {
+        let valid = prefix_mask::<LANES>(cycles - 64 * b);
+        for l in 0..LANES {
+            out[l] &= valid[l];
+        }
+    }
+    out
 }
 
 fn remove_one(list: &mut Vec<NetId>, x: NetId) {
@@ -363,19 +377,15 @@ impl IncrementalSim {
         let n = nl.len();
         let cycles = packed.cycles();
         let nblocks = packed.num_blocks();
+        let stride = nblocks.next_multiple_of(LANES);
         budget.check_sim_steps(cycles as u64 * n.max(1) as u64)?;
         budget.check_deadline()?;
-        let mut words = vec![0u64; n * nblocks];
+        let mut words = vec![0u64; n * stride];
         for (i, &pi) in nl.inputs().iter().enumerate() {
             for b in 0..nblocks {
-                words[pi.index() * nblocks + b] = packed.word(i, b);
+                words[pi.index() * stride + b] = packed.word(i, b);
             }
         }
-        // Each net's blocks are contiguous, so an aligned group of LANES
-        // blocks is a ready-made wide word; only the stream's partial tail
-        // (if any) needs the masked scalar path.
-        let wide_on = !wide::scalar_env();
-        let full_blocks = cycles / 64;
         let mut ins = Vec::new();
         for (step, &net) in order.iter().enumerate() {
             if step & 0xF == 0 {
@@ -385,30 +395,19 @@ impl IncrementalSim {
             if kind == GateKind::Input {
                 continue;
             }
-            let mut b = 0;
-            while b < nblocks {
-                if wide_on && b % LANES == 0 && b + LANES <= full_blocks {
-                    ins.clear();
-                    for &f in nl.fanins(net) {
-                        ins.extend_from_slice(&words[f.index() * nblocks + b..][..LANES]);
-                    }
-                    let out = kind.eval_wide::<LANES>(&ins);
-                    words[net.index() * nblocks + b..][..LANES].copy_from_slice(&out);
-                    b += LANES;
-                } else {
-                    ins.clear();
-                    ins.extend(nl.fanins(net).iter().map(|f| words[f.index() * nblocks + b]));
-                    let w = (cycles - b * 64).min(64);
-                    let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-                    words[net.index() * nblocks + b] = kind.eval_word(&ins) & mask;
-                    b += 1;
+            for b in (0..stride).step_by(LANES) {
+                ins.clear();
+                for &f in nl.fanins(net) {
+                    ins.extend_from_slice(&words[f.index() * stride + b..][..LANES]);
                 }
+                let out = eval_group(kind, &ins, b, cycles);
+                words[net.index() * stride + b..][..LANES].copy_from_slice(&out);
             }
         }
         let mut toggles = vec![0u64; n];
         let mut ones = vec![0u64; n];
         for i in 0..n {
-            let (t, o) = count_words(&words[i * nblocks..(i + 1) * nblocks], cycles);
+            let (t, o) = count_words(&words[i * stride..][..nblocks], cycles);
             toggles[i] = t;
             ones[i] = o;
         }
@@ -423,12 +422,12 @@ impl IncrementalSim {
             nl: nl.clone(),
             cycles,
             nblocks,
+            stride,
             words,
             toggles,
             ones,
             levels,
             force_full: stress_env(),
-            wide: wide_on,
             obs,
             stats: IncrStats::default(),
             undo: Vec::new(),
@@ -446,7 +445,7 @@ impl IncrementalSim {
             lvl_onstack: vec![0; n],
             heap: BinaryHeap::new(),
             ins: Vec::new(),
-            new_words: vec![0; nblocks],
+            new_words: vec![0; stride],
         })
     }
 
@@ -480,7 +479,7 @@ impl IncrementalSim {
 
     #[inline]
     fn word_bit(&self, idx: usize, cycle: usize) -> bool {
-        self.words[idx * self.nblocks + cycle / 64] >> (cycle % 64) & 1 == 1
+        self.words[idx * self.stride + cycle / 64] >> (cycle % 64) & 1 == 1
     }
 
     /// Apply a delta (unlimited budget).
@@ -552,7 +551,7 @@ impl IncrementalSim {
                         self.fanouts[f.index()].push(id);
                     }
                     self.levels.push(0);
-                    self.words.extend(std::iter::repeat_n(0, self.nblocks));
+                    self.words.extend(std::iter::repeat_n(0, self.stride));
                     self.toggles.push(0);
                     self.ones.push(0);
                     self.touched.push(id);
@@ -688,39 +687,22 @@ impl IncrementalSim {
             let net = NetId::from_index(idx);
             let kind = self.nl.kind(net);
             let mut changed = false;
-            let full_blocks = self.cycles / 64;
-            let mut b = 0;
-            while b < self.nblocks {
-                if self.wide && b % LANES == 0 && b + LANES <= full_blocks {
-                    self.ins.clear();
-                    for &f in self.nl.fanins(net) {
-                        self.ins
-                            .extend_from_slice(&self.words[f.index() * self.nblocks + b..][..LANES]);
-                    }
-                    let out = kind.eval_wide::<LANES>(&self.ins);
-                    self.new_words[b..b + LANES].copy_from_slice(&out);
-                    // Wide word-equality early cut-off: all lanes at once.
-                    changed |=
-                        out.as_slice() != &self.words[idx * self.nblocks + b..][..LANES];
-                    b += LANES;
-                } else {
-                    self.ins.clear();
-                    for &f in self.nl.fanins(net) {
-                        self.ins.push(self.words[f.index() * self.nblocks + b]);
-                    }
-                    let w = (self.cycles - b * 64).min(64);
-                    let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-                    let v = kind.eval_word(&self.ins) & mask;
-                    self.new_words[b] = v;
-                    changed |= v != self.words[idx * self.nblocks + b];
-                    b += 1;
+            for b in (0..self.stride).step_by(LANES) {
+                self.ins.clear();
+                for &f in self.nl.fanins(net) {
+                    self.ins
+                        .extend_from_slice(&self.words[f.index() * self.stride + b..][..LANES]);
                 }
+                let out = eval_group(kind, &self.ins, b, self.cycles);
+                self.new_words[b..b + LANES].copy_from_slice(&out);
+                // Wide word-equality early cut-off: all lanes at once.
+                changed |= out.as_slice() != &self.words[idx * self.stride + b..][..LANES];
             }
             if !changed {
                 cutoffs += 1;
                 continue;
             }
-            let slot = &mut self.words[idx * self.nblocks..(idx + 1) * self.nblocks];
+            let slot = &mut self.words[idx * self.stride..(idx + 1) * self.stride];
             if idx < prev_len {
                 self.undo.last_mut().expect("undo live").words.push((
                     net,
@@ -729,11 +711,8 @@ impl IncrementalSim {
                     self.ones[idx],
                 ));
             }
-            slot.copy_from_slice(&self.new_words[..self.nblocks]);
-            let (t, o) = count_words(
-                &self.words[idx * self.nblocks..(idx + 1) * self.nblocks],
-                self.cycles,
-            );
+            slot.copy_from_slice(&self.new_words);
+            let (t, o) = count_words(&self.words[idx * self.stride..][..self.nblocks], self.cycles);
             self.toggles[idx] = t;
             self.ones[idx] = o;
             for fi in 0..self.fanouts[idx].len() {
@@ -958,7 +937,7 @@ impl IncrementalSim {
         let prev_len = undo.prev_len;
         for (net, old_words, t, o) in undo.words {
             let idx = net.index();
-            self.words[idx * self.nblocks..(idx + 1) * self.nblocks].copy_from_slice(&old_words);
+            self.words[idx * self.stride..(idx + 1) * self.stride].copy_from_slice(&old_words);
             self.toggles[idx] = t;
             self.ones[idx] = o;
         }
@@ -995,7 +974,7 @@ impl IncrementalSim {
         self.levels.truncate(prev_len);
         self.toggles.truncate(prev_len);
         self.ones.truncate(prev_len);
-        self.words.truncate(prev_len * self.nblocks);
+        self.words.truncate(prev_len * self.stride);
     }
 
     /// The functional activity profile, bit-identical to

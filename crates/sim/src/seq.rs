@@ -13,11 +13,7 @@ use netlist::{GateKind, NetId, Netlist};
 use crate::par;
 use crate::profile::ActivityProfile;
 use crate::stimulus::PatternSet;
-use crate::wide::{self, LANES};
-
-/// Cycles below which the wide path is not worth its fixed costs (the
-/// serial cone-forwarding pass plus one full settle per lane boundary).
-const WIDE_MIN_CYCLES: usize = 4 * 64 * LANES;
+use crate::wide::{prefix_mask, LANES};
 
 /// Cycle-accurate sequential simulator.
 #[derive(Debug)]
@@ -29,7 +25,6 @@ pub struct SeqSim<'a> {
     /// [`SeqSim::activity_jobs`] has to evaluate.
     state_order: Vec<NetId>,
     obs: obs::Obs,
-    wide: bool,
 }
 
 /// Reusable per-worker buffers for sequential simulation.
@@ -38,32 +33,13 @@ struct SeqArena {
     values: Vec<bool>,
     prev_values: Vec<bool>,
     ins: Vec<bool>,
-    d_now: Vec<bool>,
-    prev_d: Vec<bool>,
     state: Vec<bool>,
-    /// Lane-grouped word buffers for the wide path (`net * LANES + w`).
+    /// Lane-grouped word buffers (`net * L + w`).
     w_vals: Vec<u64>,
     w_prev: Vec<u64>,
     w_ins: Vec<u64>,
     w_state: Vec<u64>,
     w_prev_d: Vec<u64>,
-}
-
-/// Bit mask over `64 * LANES` lane bits with the first `nbits` set,
-/// split into `LANES` words.
-fn prefix_mask(nbits: usize) -> [u64; LANES] {
-    let mut m = [0u64; LANES];
-    for (w, word) in m.iter_mut().enumerate() {
-        let lo = w * 64;
-        *word = if nbits >= lo + 64 {
-            u64::MAX
-        } else if nbits > lo {
-            (1u64 << (nbits - lo)) - 1
-        } else {
-            0
-        };
-    }
-    m
 }
 
 /// Raw integer counts from one contiguous shard of a sequential run.
@@ -116,17 +92,7 @@ impl<'a> SeqSim<'a> {
             order,
             state_order,
             obs: obs::Obs::disabled(),
-            wide: !wide::scalar_env(),
         }
-    }
-
-    /// Force (`true`) or re-enable the default for the scalar one-cycle
-    /// reference path. The wide path is bit-identical by construction;
-    /// this exists so tests and benches can compare the two in-process
-    /// without touching `LPOPT_WIDE_SCALAR`.
-    pub fn with_scalar_reference(mut self, scalar: bool) -> SeqSim<'a> {
-        self.wide = if scalar { false } else { !wide::scalar_env() };
-        self
     }
 
     /// Attach an observability handle. Work counters (`sim.seq.cycles`,
@@ -239,8 +205,22 @@ impl<'a> SeqSim<'a> {
     /// counted cycle. `prev_pattern` is the pattern of the cycle just
     /// before the shard (None for the stream head): the worker re-settles
     /// it, uncounted, to reconstruct the settled values and D inputs the
-    /// serial run would compare against.
-    fn shard_counts(
+    /// first counted cycle compares against.
+    ///
+    /// The shard's cycle stream is split into `64 * L` contiguous chunks
+    /// ("virtual streams"), one per lane bit, and the whole netlist
+    /// settles all chunks together with one [`GateKind::eval_wide`] sweep
+    /// per step. Register state still feeds forward serially *within*
+    /// each chunk (that dependence is inherent), so a cone-only forwarding
+    /// pass — the same trick the sharded path already plays across
+    /// threads — first computes the state entering every chunk, and one
+    /// full settle per chunk boundary seeds the cross-chunk toggle and
+    /// D-input comparisons. A shard shorter than `64 * L` cycles gets one
+    /// cycle per lane, so its forwarding pass is one full settle per
+    /// cycle. All counts are exact integer popcounts over the per-cycle
+    /// comparisons [`SeqSim::step`] implies, so the result is
+    /// bit-identical to stepping the stream one cycle at a time.
+    fn shard_counts<const L: usize>(
         &self,
         start_state: &[bool],
         prev_pattern: Option<&[bool]>,
@@ -248,108 +228,11 @@ impl<'a> SeqSim<'a> {
         arena: &mut SeqArena,
         budget: &ResourceBudget,
     ) -> Result<SeqCounts, BudgetExceeded> {
-        if self.wide && patterns.len() >= WIDE_MIN_CYCLES {
-            return self.shard_counts_wide(start_state, prev_pattern, patterns, arena, budget);
-        }
-        let n = self.nl.len();
-        let ndff = self.nl.num_dffs();
-        let mut counts = SeqCounts {
-            toggles: vec![0u64; n],
-            ones: vec![0u64; n],
-            ff_out: vec![0u64; ndff],
-            ff_in: vec![0u64; ndff],
-            ff_load: vec![0u64; ndff],
-        };
-        arena.state.clear();
-        arena.state.extend_from_slice(start_state);
-        let mut have_prev = false;
-        if let Some(p) = prev_pattern {
-            self.settle_into(&arena.state, p, &mut arena.prev_values, &mut arena.ins, &self.order);
-            arena.prev_d.clear();
-            arena.prev_d.extend(
-                self.nl
-                    .dffs()
-                    .iter()
-                    .map(|&dff| arena.prev_values[self.nl.fanins(dff)[0].index()]),
-            );
-            let next = self.next_state(&arena.state, &arena.prev_values);
-            arena.state.clear();
-            arena.state.extend_from_slice(&next);
-            have_prev = true;
-        }
-        for (cycle, p) in patterns.iter().enumerate() {
-            // One clock read per 64 cycles keeps the deadline guard off the
-            // per-cycle path.
-            if cycle & 0x3F == 0 {
-                budget.check_deadline()?;
-            }
-            self.settle_into(&arena.state, p, &mut arena.values, &mut arena.ins, &self.order);
-            for i in 0..n {
-                counts.ones[i] += arena.values[i] as u64;
-            }
-            if have_prev {
-                for i in 0..n {
-                    if arena.prev_values[i] != arena.values[i] {
-                        counts.toggles[i] += 1;
-                    }
-                }
-            }
-            arena.d_now.clear();
-            arena.d_now.extend(
-                self.nl
-                    .dffs()
-                    .iter()
-                    .map(|&dff| arena.values[self.nl.fanins(dff)[0].index()]),
-            );
-            if have_prev {
-                for i in 0..ndff {
-                    if arena.prev_d[i] != arena.d_now[i] {
-                        counts.ff_in[i] += 1;
-                    }
-                }
-            }
-            let next = self.next_state(&arena.state, &arena.values);
-            for i in 0..ndff {
-                if next[i] != arena.state[i] {
-                    counts.ff_out[i] += 1;
-                }
-                let fanins = self.nl.fanins(self.nl.dffs()[i]);
-                let loaded = fanins.len() < 2 || arena.values[fanins[1].index()];
-                counts.ff_load[i] += loaded as u64;
-            }
-            std::mem::swap(&mut arena.prev_values, &mut arena.values);
-            std::mem::swap(&mut arena.prev_d, &mut arena.d_now);
-            arena.state.clear();
-            arena.state.extend_from_slice(&next);
-            have_prev = true;
-        }
-        Ok(counts)
-    }
-
-    /// Wide-word shard measurement: the shard's cycle stream is split into
-    /// `64 * LANES` contiguous chunks ("virtual streams"), one per lane
-    /// bit, and the whole netlist settles all chunks together with one
-    /// [`GateKind::eval_wide`] sweep per step. Register state still feeds
-    /// forward serially *within* each chunk (that dependence is inherent),
-    /// so a cone-only forwarding pass — the same trick the sharded path
-    /// already plays across threads — first computes the state entering
-    /// every chunk, and one full settle per chunk boundary seeds the
-    /// cross-chunk toggle and D-input comparisons. All counts are exact
-    /// integer popcounts over the same per-cycle comparisons the scalar
-    /// loop makes, so the result is bit-identical by construction.
-    fn shard_counts_wide(
-        &self,
-        start_state: &[bool],
-        prev_pattern: Option<&[bool]>,
-        patterns: &[Vec<bool>],
-        arena: &mut SeqArena,
-        budget: &ResourceBudget,
-    ) -> Result<SeqCounts, BudgetExceeded> {
-        const LANE_BITS: usize = 64 * LANES;
+        let lane_bits = 64 * L;
         let n = self.nl.len();
         let ndff = self.nl.num_dffs();
         let cycles = patterns.len();
-        let len = cycles.div_ceil(LANE_BITS);
+        let len = cycles.div_ceil(lane_bits);
         let mut counts = SeqCounts {
             toggles: vec![0u64; n],
             ones: vec![0u64; n],
@@ -358,17 +241,17 @@ impl<'a> SeqSim<'a> {
             ff_load: vec![0u64; ndff],
         };
         arena.w_state.clear();
-        arena.w_state.resize(ndff * LANES, 0);
+        arena.w_state.resize(ndff * L, 0);
         arena.w_prev.clear();
-        arena.w_prev.resize(n * LANES, 0);
+        arena.w_prev.resize(n * L, 0);
         arena.w_prev_d.clear();
-        arena.w_prev_d.resize(ndff * LANES, 0);
+        arena.w_prev_d.resize(ndff * L, 0);
         arena.w_vals.clear();
-        arena.w_vals.resize(n * LANES, 0);
+        arena.w_vals.resize(n * L, 0);
         // Lanes whose step-0 cycle has a predecessor to compare against.
-        let mut prev_valid = [0u64; LANES];
+        let mut prev_valid = [0u64; L];
 
-        // Chunk 0 starts where the scalar path would: re-settle the
+        // Chunk 0 starts from the shard's entry state: re-settle the
         // uncounted previous pattern if the shard has one.
         arena.state.clear();
         arena.state.extend_from_slice(start_state);
@@ -377,12 +260,12 @@ impl<'a> SeqSim<'a> {
             prev_valid[0] |= 1;
             for i in 0..n {
                 if arena.prev_values[i] {
-                    arena.w_prev[i * LANES] |= 1;
+                    arena.w_prev[i * L] |= 1;
                 }
             }
             for (r, &dff) in self.nl.dffs().iter().enumerate() {
                 if arena.prev_values[self.nl.fanins(dff)[0].index()] {
-                    arena.w_prev_d[r * LANES] |= 1;
+                    arena.w_prev_d[r * L] |= 1;
                 }
             }
             let next = self.next_state(&arena.state, &arena.prev_values);
@@ -391,14 +274,14 @@ impl<'a> SeqSim<'a> {
         }
         for (r, &s) in arena.state.iter().enumerate() {
             if s {
-                arena.w_state[r * LANES] |= 1;
+                arena.w_state[r * L] |= 1;
             }
         }
 
         // Serial forwarding pass over the flip-flop cone: register state
         // entering each chunk, plus a full settle at each chunk boundary.
         let mut c = 0usize;
-        for lane in 1..LANE_BITS {
+        for lane in 1..lane_bits {
             let target = lane * len;
             if target >= cycles {
                 break; // this chunk (and all later ones) is empty
@@ -416,17 +299,17 @@ impl<'a> SeqSim<'a> {
                     prev_valid[w] |= 1 << b;
                     for i in 0..n {
                         if arena.values[i] {
-                            arena.w_prev[i * LANES + w] |= 1 << b;
+                            arena.w_prev[i * L + w] |= 1 << b;
                         }
                     }
                     for (r, &dff) in self.nl.dffs().iter().enumerate() {
                         if arena.values[self.nl.fanins(dff)[0].index()] {
-                            arena.w_prev_d[r * LANES + w] |= 1 << b;
+                            arena.w_prev_d[r * L + w] |= 1 << b;
                         }
                     }
                     for (r, &s) in next.iter().enumerate() {
                         if s {
-                            arena.w_state[r * LANES + w] |= 1 << b;
+                            arena.w_state[r * L + w] |= 1 << b;
                         }
                     }
                 }
@@ -443,10 +326,10 @@ impl<'a> SeqSim<'a> {
         for t in 0..len {
             budget.check_deadline()?;
             let nvalid = (cycles - 1 - t) / len + 1;
-            let mask = prefix_mask(nvalid);
+            let mask = prefix_mask::<L>(nvalid);
             for (i, &pi) in self.nl.inputs().iter().enumerate() {
-                let base = pi.index() * LANES;
-                arena.w_vals[base..base + LANES].fill(0);
+                let base = pi.index() * L;
+                arena.w_vals[base..base + L].fill(0);
                 for s in 0..nvalid {
                     if patterns[s * len + t][i] {
                         arena.w_vals[base + s / 64] |= 1 << (s % 64);
@@ -454,14 +337,14 @@ impl<'a> SeqSim<'a> {
                 }
             }
             for (r, &dff) in self.nl.dffs().iter().enumerate() {
-                arena.w_vals[dff.index() * LANES..][..LANES]
-                    .copy_from_slice(&arena.w_state[r * LANES..][..LANES]);
+                arena.w_vals[dff.index() * L..][..L]
+                    .copy_from_slice(&arena.w_state[r * L..][..L]);
             }
             for &net in &self.order {
                 let kind = self.nl.kind(net);
                 if kind.is_source() || kind == GateKind::Dff {
                     if let GateKind::Const(v) = kind {
-                        arena.w_vals[net.index() * LANES..][..LANES]
+                        arena.w_vals[net.index() * L..][..L]
                             .fill(if v { u64::MAX } else { 0 });
                     }
                     continue;
@@ -470,43 +353,43 @@ impl<'a> SeqSim<'a> {
                 for f in self.nl.fanins(net) {
                     arena
                         .w_ins
-                        .extend_from_slice(&arena.w_vals[f.index() * LANES..][..LANES]);
+                        .extend_from_slice(&arena.w_vals[f.index() * L..][..L]);
                 }
-                let out = kind.eval_wide::<LANES>(&arena.w_ins);
-                arena.w_vals[net.index() * LANES..][..LANES].copy_from_slice(&out);
+                let out = kind.eval_wide::<L>(&arena.w_ins);
+                arena.w_vals[net.index() * L..][..L].copy_from_slice(&out);
             }
             // Toggles at step 0 only count lanes with a seeded predecessor.
-            let tmask: [u64; LANES] = if t == 0 {
+            let tmask: [u64; L] = if t == 0 {
                 std::array::from_fn(|w| mask[w] & prev_valid[w])
             } else {
                 mask
             };
             for i in 0..n {
-                let vw = &arena.w_vals[i * LANES..][..LANES];
-                let pw = &arena.w_prev[i * LANES..][..LANES];
-                for w in 0..LANES {
+                let vw = &arena.w_vals[i * L..][..L];
+                let pw = &arena.w_prev[i * L..][..L];
+                for w in 0..L {
                     counts.ones[i] += u64::from((vw[w] & mask[w]).count_ones());
                     counts.toggles[i] += u64::from(((vw[w] ^ pw[w]) & tmask[w]).count_ones());
                 }
             }
             for (r, &dff) in self.nl.dffs().iter().enumerate() {
                 let fanins = self.nl.fanins(dff);
-                let d_base = fanins[0].index() * LANES;
-                for w in 0..LANES {
+                let d_base = fanins[0].index() * L;
+                for w in 0..L {
                     let d = arena.w_vals[d_base + w];
                     counts.ff_in[r] +=
-                        u64::from(((d ^ arena.w_prev_d[r * LANES + w]) & tmask[w]).count_ones());
+                        u64::from(((d ^ arena.w_prev_d[r * L + w]) & tmask[w]).count_ones());
                     let en = if fanins.len() == 2 {
-                        arena.w_vals[fanins[1].index() * LANES + w]
+                        arena.w_vals[fanins[1].index() * L + w]
                     } else {
                         u64::MAX
                     };
-                    let st = arena.w_state[r * LANES + w];
+                    let st = arena.w_state[r * L + w];
                     let next = (en & d) | (!en & st);
                     counts.ff_out[r] += u64::from(((next ^ st) & mask[w]).count_ones());
                     counts.ff_load[r] += u64::from((en & mask[w]).count_ones());
-                    arena.w_state[r * LANES + w] = next;
-                    arena.w_prev_d[r * LANES + w] = d;
+                    arena.w_state[r * L + w] = next;
+                    arena.w_prev_d[r * L + w] = d;
                 }
             }
             std::mem::swap(&mut arena.w_vals, &mut arena.w_prev);
@@ -566,7 +449,7 @@ impl<'a> SeqSim<'a> {
         let ranges = par::shard_ranges(n, shards);
         let counts = if ranges.len() <= 1 {
             par::record_shard_gauges(&self.obs, "seq", &[n]);
-            vec![self.shard_counts(
+            vec![self.shard_counts::<LANES>(
                 &self.initial_state(),
                 None,
                 patterns,
@@ -618,7 +501,7 @@ impl<'a> SeqSim<'a> {
                 par::record_shard_gauges(&self.obs, "seq", &sizes);
             }
             par::par_map_with(&work, shards, SeqArena::default, |_, (start, prev, slice), arena| {
-                self.shard_counts(start, *prev, slice, arena, budget)
+                self.shard_counts::<LANES>(start, *prev, slice, arena, budget)
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?
@@ -740,32 +623,6 @@ mod tests {
             assert_eq!(par.ff_output_toggles, serial.ff_output_toggles, "jobs={jobs}");
             assert_eq!(par.ff_input_toggles, serial.ff_input_toggles, "jobs={jobs}");
             assert_eq!(par.ff_load_fraction, serial.ff_load_fraction, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn wide_path_is_bit_identical_to_scalar() {
-        use crate::stimulus::Stimulus;
-        // Long enough to clear WIDE_MIN_CYCLES, and deliberately not a
-        // multiple of 64*LANES so trailing chunks go partial or empty.
-        let cases: [(netlist::Netlist, usize); 3] = [
-            (pipelined_multiplier(3), 1500),
-            (counter(5), 1100),
-            (lfsr(7, &[6, 5]), 4 * 64 * crate::wide::LANES),
-        ];
-        for (nl, cycles) in &cases {
-            let patterns = Stimulus::uniform(nl.num_inputs()).patterns(*cycles, 23);
-            let wide = SeqSim::new(nl).activity(&patterns);
-            let scalar = SeqSim::new(nl).with_scalar_reference(true).activity(&patterns);
-            assert_eq!(wide.profile, scalar.profile, "{} profile", nl.name());
-            assert_eq!(wide.ff_output_toggles, scalar.ff_output_toggles, "{}", nl.name());
-            assert_eq!(wide.ff_input_toggles, scalar.ff_input_toggles, "{}", nl.name());
-            assert_eq!(wide.ff_load_fraction, scalar.ff_load_fraction, "{}", nl.name());
-            // Sharded runs mix wide and scalar shards; still identical.
-            for jobs in [2, 5] {
-                let par = SeqSim::new(nl).activity_jobs(&patterns, jobs);
-                assert_eq!(par.profile, scalar.profile, "{} jobs={jobs}", nl.name());
-            }
         }
     }
 

@@ -180,11 +180,6 @@ impl PackedPatterns {
         self.cycles.div_ceil(64)
     }
 
-    /// Number of valid cycles in block `b` (64 for all but a partial tail).
-    pub fn block_cycles(&self, b: usize) -> usize {
-        (self.cycles - b * 64).min(64)
-    }
-
     /// Number of [`LANES`]-block wide groups (the last may cover blocks
     /// past the stream's end; their lanes are zero).
     pub fn num_wide_blocks(&self) -> usize {
@@ -202,16 +197,6 @@ impl PackedPatterns {
     pub fn word(&self, input: usize, b: usize) -> u64 {
         debug_assert!(input < self.width && b < self.num_blocks());
         self.words[(b / LANES) * self.width * LANES + input * LANES + b % LANES]
-    }
-
-    /// Copy block `b`'s words into `out` (one `u64` per input) — the
-    /// scalar engines' view of a single 64-cycle block.
-    pub fn block_into(&self, b: usize, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.width);
-        let base = (b / LANES) * self.width * LANES + b % LANES;
-        for (i, w) in out.iter_mut().enumerate() {
-            *w = self.words[base + i * LANES];
-        }
     }
 
     /// Value of `input` in `cycle`.
@@ -325,18 +310,14 @@ mod tests {
         assert_eq!(packed.width(), 5);
         assert_eq!(packed.cycles(), 100);
         assert_eq!(packed.num_blocks(), 2);
-        assert_eq!(packed.block_cycles(0), 64);
-        assert_eq!(packed.block_cycles(1), 36);
         for (k, p) in patterns.iter().enumerate() {
             for (i, &b) in p.iter().enumerate() {
                 assert_eq!(packed.bit(i, k), b, "input {i} cycle {k}");
             }
         }
         // Tail bits beyond the stream are zero.
-        let mut tail = vec![0u64; packed.width()];
-        packed.block_into(1, &mut tail);
-        for &w in &tail {
-            assert_eq!(w >> 36, 0);
+        for i in 0..packed.width() {
+            assert_eq!(packed.word(i, 1) >> 36, 0);
         }
         // Padding lanes of the last wide group are zero too.
         assert_eq!(packed.num_wide_blocks(), 1);

@@ -7,15 +7,11 @@
 //! Widening the entire stack to 512 bits is a one-line change here.
 //!
 //! Lane `l` of a wide group holds block `wb * LANES + l`, i.e. cycles
-//! `64*(wb*LANES + l) .. +64`. All cross-lane concerns (toggles across
-//! block boundaries, partial tails) stay with the per-lane `u64` bit
-//! tricks the engines already use; a wide group is only ever a batch of
-//! independent blocks evaluated together.
-//!
-//! Setting `LPOPT_WIDE_SCALAR=1` forces every engine back onto the
-//! one-`u64`-at-a-time reference path (mirroring `LPOPT_INCR_STRESS`);
-//! the proptests in `tests/wide_props.rs` pin bit-identity between the
-//! two.
+//! `64*(wb*LANES + l) .. +64`. Cross-lane concerns (toggles across block
+//! boundaries) stay with the per-lane `u64` bit tricks the engines
+//! already use, and a stream's ragged last group is evaluated whole and
+//! then cut to its valid cycles with a [`prefix_mask`]: every engine runs
+//! one kernel for every stream length.
 
 /// Lanes per wide word: 4 × 64 = 256 patterns per evaluation step.
 pub const LANES: usize = 4;
@@ -26,7 +22,7 @@ pub type WideWord = Wide<LANES>;
 /// `L` independent 64-pattern words evaluated together.
 ///
 /// `#[repr(transparent)]` over `[u64; L]`, so slices of lane-grouped
-/// storage reinterpret freely as scalars for the tail/reference paths.
+/// storage reinterpret freely as single words.
 #[repr(transparent)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wide<const L: usize>(pub [u64; L]);
@@ -110,11 +106,15 @@ impl<const L: usize> std::ops::Not for Wide<L> {
     }
 }
 
-/// `LPOPT_WIDE_SCALAR=1` forces the scalar `u64` reference path in every
-/// engine (any value but `"0"` counts). Read at engine construction, like
-/// `LPOPT_INCR_STRESS`.
-pub fn scalar_env() -> bool {
-    std::env::var_os("LPOPT_WIDE_SCALAR").is_some_and(|v| v != "0")
+/// `L` lane words with the first `nbits` bits set, counting from bit 0 of
+/// lane 0: the valid cycles of a group that holds `nbits` of them.
+/// `nbits >= 64 * L` sets every bit.
+pub(crate) fn prefix_mask<const L: usize>(nbits: usize) -> [u64; L] {
+    std::array::from_fn(|l| match nbits.saturating_sub(64 * l) {
+        0 => 0,
+        k if k >= 64 => u64::MAX,
+        k => (1u64 << k) - 1,
+    })
 }
 
 #[cfg(test)]
@@ -130,6 +130,16 @@ mod tests {
         assert_eq!((a ^ b).0, [0b0110, 0b0110, u64::MAX, u64::MAX]);
         assert_eq!((!Wide::<4>::ZERO).0, [u64::MAX; 4]);
         assert_eq!(a.count_ones(), 2 + 2 + 64);
+    }
+
+    #[test]
+    fn prefix_mask_covers_valid_bits() {
+        assert_eq!(prefix_mask::<4>(0), [0; 4]);
+        assert_eq!(prefix_mask::<4>(1), [1, 0, 0, 0]);
+        assert_eq!(prefix_mask::<4>(64), [u64::MAX, 0, 0, 0]);
+        assert_eq!(prefix_mask::<4>(130), [u64::MAX, u64::MAX, 0b11, 0]);
+        assert_eq!(prefix_mask::<4>(256), [u64::MAX; 4]);
+        assert_eq!(prefix_mask::<1>(1000), [u64::MAX]);
     }
 
     #[test]

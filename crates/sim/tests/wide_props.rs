@@ -1,15 +1,13 @@
-//! Property tests pinning the wide-word engines to the scalar reference.
+//! Property tests pinning each word-parallel engine to an independent
+//! oracle.
 //!
-//! Every engine that grew a 256-bit path in the wide-word rework — comb,
-//! event, seq, incr, fault — is checked for bit-identity against the
-//! scalar `u64` path on random DAGs, with cycle counts deliberately
-//! straddling block (64) and wide-group (256) boundaries so tail masking
-//! is always in play. The scalar side goes through
-//! `with_scalar_reference(true)` where the engine exposes it; the
-//! incremental engine (env-flag only) is pinned against an always-scalar
-//! `CombSim` oracle instead, which covers both CI modes: with
-//! `LPOPT_WIDE_SCALAR` unset this compares wide vs scalar, and with it
-//! set it compares scalar vs scalar.
+//! Every engine runs one lane-generic kernel at `LANES` words, so each is
+//! checked against something that does not share that kernel's width: comb
+//! against the same kernel at one lane, event against the calendar queue,
+//! seq against per-cycle stepping, fault against per-fault reports, and the
+//! incremental engine against `CombSim` from scratch. Random DAGs and
+//! cycle counts deliberately straddling block (64) and wide-group (256)
+//! boundaries keep ragged-tail masking in play.
 
 use budget::ResourceBudget;
 use netlist::gen::{random_dag, RandomDagConfig};
@@ -19,8 +17,9 @@ use sim::comb::CombSim;
 use sim::event::{DelayModel, EventSim};
 use sim::fault::{all_stuck_at_faults, Fault, FaultKind, FaultSim};
 use sim::incr::{Delta, IncrementalSim};
-use sim::seq::SeqSim;
+use sim::seq::{SeqActivity, SeqSim};
 use sim::stimulus::{PackedPatterns, Stimulus};
+use sim::ActivityProfile;
 
 /// A small random combinational DAG; sized so a case stays cheap even on
 /// a one-core CI host while still covering multi-level reconvergence.
@@ -79,6 +78,58 @@ fn random_seq(seed: u64, inputs: usize, gates: usize, dffs: usize) -> Netlist {
     nl
 }
 
+/// Per-cycle reference for [`SeqSim::activity`]: step the stream one
+/// cycle at a time through `settle` and `next_state`, counting every
+/// comparison the activity numbers are defined by.
+fn stepped_activity(nl: &Netlist, patterns: &[Vec<bool>]) -> SeqActivity {
+    let sim = SeqSim::new(nl);
+    let dffs = nl.dffs();
+    let n = nl.len();
+    let (mut toggles, mut ones) = (vec![0u64; n], vec![0u64; n]);
+    let mut ff_out = vec![0u64; dffs.len()];
+    let mut ff_in = vec![0u64; dffs.len()];
+    let mut ff_load = vec![0u64; dffs.len()];
+    let mut state = sim.initial_state();
+    let mut prev: Option<Vec<bool>> = None;
+    for p in patterns {
+        let values = sim.settle(&state, p);
+        let next = sim.next_state(&state, &values);
+        for i in 0..n {
+            ones[i] += values[i] as u64;
+            toggles[i] += prev.as_ref().is_some_and(|pv| pv[i] != values[i]) as u64;
+        }
+        for (r, &q) in dffs.iter().enumerate() {
+            let fanins = nl.fanins(q);
+            let d = fanins[0].index();
+            ff_in[r] += prev.as_ref().is_some_and(|pv| pv[d] != values[d]) as u64;
+            ff_out[r] += (next[r] != state[r]) as u64;
+            ff_load[r] += (fanins.len() < 2 || values[fanins[1].index()]) as u64;
+        }
+        prev = Some(values);
+        state = next;
+    }
+    let cycles = patterns.len();
+    let pairs = cycles.saturating_sub(1).max(1) as f64;
+    let per_cycle = |v: &[u64]| v.iter().map(|&x| x as f64 / cycles.max(1) as f64).collect();
+    SeqActivity {
+        profile: ActivityProfile {
+            toggles: toggles.iter().map(|&t| t as f64 / pairs).collect(),
+            probability: per_cycle(&ones),
+            cycles,
+        },
+        ff_output_toggles: per_cycle(&ff_out),
+        ff_input_toggles: ff_in.iter().map(|&t| t as f64 / pairs).collect(),
+        ff_load_fraction: per_cycle(&ff_load),
+    }
+}
+
+fn assert_seq_eq(got: &SeqActivity, want: &SeqActivity, what: &str) {
+    assert_eq!(got.profile, want.profile, "{what} profile");
+    assert_eq!(got.ff_output_toggles, want.ff_output_toggles, "{what} Q toggles");
+    assert_eq!(got.ff_input_toggles, want.ff_input_toggles, "{what} D toggles");
+    assert_eq!(got.ff_load_fraction, want.ff_load_fraction, "{what} loads");
+}
+
 /// Cycle counts that straddle the interesting boundaries: sub-block,
 /// exact block, ragged wide group, exact wide group, multi-group tails.
 fn ragged_cycles() -> impl Strategy<Value = usize> {
@@ -95,11 +146,11 @@ fn ragged_cycles() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Comb: the packed wide path reports exactly the scalar profile, and
-    /// both agree with the (independent) unpacked PatternSet path, so
-    /// toggle counts are conserved across all three implementations.
+    /// Comb: the kernel at `LANES` words reports exactly the profile of the
+    /// same kernel at one lane, and both agree with the unpacked
+    /// PatternSet path, so toggle counts are conserved across them.
     #[test]
-    fn comb_wide_matches_scalar(
+    fn comb_wide_matches_one_lane(
         seed in 0u64..1 << 48,
         inputs in 4usize..12,
         gates in 12usize..120,
@@ -109,13 +160,11 @@ proptest! {
         let nl = small_dag(seed, inputs, gates);
         let patterns = Stimulus::uniform(inputs).patterns(cycles, seed ^ 0x9e37);
         let packed = PackedPatterns::pack(&patterns);
-        let wide = CombSim::new(&nl).activity_packed(&packed);
-        let scalar = CombSim::new(&nl)
-            .with_scalar_reference(true)
-            .activity_packed(&packed);
-        prop_assert_eq!(&wide, &scalar);
+        let sim = CombSim::new(&nl);
+        let wide = sim.activity_packed(&packed);
+        prop_assert_eq!(&wide, &sim.activity_packed_one_lane(&packed));
         // Conservation: the bool-vector path counts the same transitions.
-        let unpacked = CombSim::new(&nl).activity_jobs(&patterns, jobs);
+        let unpacked = sim.activity_jobs(&patterns, jobs);
         prop_assert_eq!(&wide, &unpacked);
         // Per-net toggle totals are integral transition counts: toggles
         // are normalized over the cycles-1 consecutive-pattern pairs.
@@ -127,37 +176,40 @@ proptest! {
         }
     }
 
-    /// Event: dense Jacobi blocks evaluated 256 lanes at a time produce
-    /// the same timing activity (total and functional) as the scalar
-    /// word loop, including glitch counts.
+    /// Event: the dense kernel, 256 lanes at a time with a masked last
+    /// chunk, reports the same timing activity (total and functional,
+    /// glitches included) and the same event counters as the calendar
+    /// queue, which a queue limit forces.
     #[test]
-    fn event_wide_matches_scalar(
+    fn event_dense_matches_calendar_queue(
         seed in 0u64..1 << 48,
         inputs in 4usize..10,
         gates in 12usize..80,
-        cycles in 200usize..600,
-        unit in any::<bool>(),
+        cycles in ragged_cycles(),
+        delay in 1u32..4,
     ) {
         let nl = small_dag(seed, inputs, gates);
-        let model = if unit {
-            DelayModel::Unit
-        } else {
-            DelayModel::Analytic { resolution: 4 }
-        };
+        let model = DelayModel::PerNet(vec![delay; nl.len()]);
         let patterns = Stimulus::uniform(inputs).patterns(cycles, seed ^ 0x51ed);
-        let wide = EventSim::new(&nl, &model).activity(&patterns);
-        let scalar = EventSim::new(&nl, &model)
-            .with_scalar_reference(true)
-            .activity(&patterns);
-        prop_assert_eq!(&wide.total, &scalar.total);
-        prop_assert_eq!(&wide.functional, &scalar.functional);
+        let run = |budget: &ResourceBudget| {
+            let obs = obs::Obs::enabled();
+            let sim = EventSim::new(&nl, &model).with_obs(obs.clone());
+            let timing = sim.try_activity(&patterns, budget).expect("budget never trips");
+            (timing, obs.snapshot().counters)
+        };
+        let (dense, dense_counters) = run(&ResourceBudget::unlimited());
+        let queue_budget = ResourceBudget::unlimited().with_max_event_queue(1 << 30);
+        let (queue, queue_counters) = run(&queue_budget);
+        prop_assert_eq!(&dense.total, &queue.total);
+        prop_assert_eq!(&dense.functional, &queue.functional);
+        prop_assert_eq!(dense_counters, queue_counters);
     }
 
-    /// Incr: resident packed words and the wide early cut-off reproduce
-    /// the always-scalar full-eval profile, both at build time and after
-    /// random rewire deltas.
+    /// Incr: resident packed words, the masked last group and the wide
+    /// early cut-off reproduce `CombSim` from scratch, both at build time
+    /// and after random rewire deltas.
     #[test]
-    fn incr_wide_matches_scalar_oracle(
+    fn incr_matches_comb_from_scratch(
         seed in 0u64..1 << 48,
         inputs in 4usize..10,
         gates in 20usize..90,
@@ -167,10 +219,7 @@ proptest! {
         let nl = small_dag(seed, inputs, gates);
         let packed = Stimulus::uniform(inputs).packed(cycles, seed ^ 0xabcd);
         let mut incr = IncrementalSim::from_full_eval(&nl, &packed);
-        let oracle = CombSim::new(&nl)
-            .with_scalar_reference(true)
-            .activity_packed(&packed);
-        prop_assert_eq!(&incr.activity(), &oracle);
+        prop_assert_eq!(&incr.activity(), &CombSim::new(&nl).activity_packed(&packed));
 
         let mut rng = Rng64::new(seed ^ 0xfeed);
         let mut current = nl.clone();
@@ -186,18 +235,16 @@ proptest! {
             delta.set_gate(NetId::from_index(target), kind, &[a, b]);
             incr.apply_delta(&delta);
             delta.apply_to(&mut current);
-            let oracle = CombSim::new(&current)
-                .with_scalar_reference(true)
-                .activity_packed(&packed);
+            let oracle = CombSim::new(&current).activity_packed(&packed);
             prop_assert_eq!(&incr.activity(), &oracle);
         }
     }
 
     /// Fault: the packed combinational campaign reports the same
-    /// first-detection cycle for every stuck-at and bit-flip as the
-    /// scalar per-cycle campaign.
+    /// first-detection cycle for every stuck-at and bit-flip as each
+    /// fault's per-cycle `report`.
     #[test]
-    fn fault_packed_matches_scalar(
+    fn fault_packed_matches_per_fault_reports(
         seed in 0u64..1 << 48,
         inputs in 4usize..10,
         gates in 10usize..60,
@@ -213,43 +260,64 @@ proptest! {
             net: NetId::from_index(rng.range(0, nl.len())),
             kind: FaultKind::BitFlip { cycle: rng.range(0, cycles) },
         }));
-        let packed = FaultSim::new(&nl)
+        let sim = FaultSim::new(&nl);
+        let packed = sim
             .campaign(&patterns, &faults, jobs, &ResourceBudget::unlimited())
             .unwrap();
-        let scalar = FaultSim::new(&nl)
-            .with_scalar_reference(true)
-            .campaign(&patterns, &faults, 1, &ResourceBudget::unlimited())
-            .unwrap();
-        prop_assert_eq!(&packed.reports, &scalar.reports);
+        let golden = sim.golden(&patterns);
+        let stepped: Vec<_> = faults
+            .iter()
+            .map(|&f| sim.report(&patterns, f, &golden).unwrap())
+            .collect();
+        prop_assert_eq!(&packed.reports, &stepped);
     }
 }
 
 proptest! {
-    // Seq cases cost cycles × nets × 2 engines each; keep the count low.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    // Seq cases step the oracle cycle by cycle; keep the count low.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Seq: the virtual-stream wide path (engaged at ≥1024 cycles)
-    /// reproduces the serial scalar run exactly — net activity, register
-    /// D/Q toggles, and load fractions — across chunk boundaries and
-    /// ragged tails, in and out of sharded (`jobs`) mode.
+    /// Seq: the virtual-stream kernel reproduces per-cycle stepping
+    /// exactly — net activity, register D/Q toggles, and load fractions —
+    /// from one cycle (one lane per cycle) up through chunk boundaries
+    /// and ragged tails, in and out of sharded (`jobs`) mode.
     #[test]
-    fn seq_wide_matches_scalar(
+    fn seq_matches_stepping(
         seed in 0u64..1 << 48,
         inputs in 3usize..8,
         gates in 10usize..50,
         dffs in 1usize..6,
-        cycles in 1024usize..1600,
+        cycles in prop_oneof![ragged_cycles(), 1024usize..1600],
         jobs in 1usize..4,
     ) {
         let nl = random_seq(seed, inputs, gates, dffs);
         let patterns = Stimulus::uniform(inputs).patterns(cycles, seed ^ 0xbeef);
-        let wide = SeqSim::new(&nl).activity_jobs(&patterns, jobs);
-        let scalar = SeqSim::new(&nl)
-            .with_scalar_reference(true)
-            .activity(&patterns);
-        prop_assert_eq!(&wide.profile, &scalar.profile);
-        prop_assert_eq!(&wide.ff_output_toggles, &scalar.ff_output_toggles);
-        prop_assert_eq!(&wide.ff_input_toggles, &scalar.ff_input_toggles);
-        prop_assert_eq!(&wide.ff_load_fraction, &scalar.ff_load_fraction);
+        let got = SeqSim::new(&nl).activity_jobs(&patterns, jobs);
+        let want = stepped_activity(&nl, &patterns);
+        prop_assert_eq!(&got.profile, &want.profile);
+        prop_assert_eq!(&got.ff_output_toggles, &want.ff_output_toggles);
+        prop_assert_eq!(&got.ff_input_toggles, &want.ff_input_toggles);
+        prop_assert_eq!(&got.ff_load_fraction, &want.ff_load_fraction);
+    }
+}
+
+/// Seq on the generators, including an input-less LFSR; lengths not a
+/// multiple of `64 * LANES` leave trailing chunks partial or empty.
+#[test]
+fn seq_matches_stepping_on_generators() {
+    use netlist::gen::{counter, lfsr, pipelined_multiplier};
+    let cases: [(Netlist, usize); 4] = [
+        (pipelined_multiplier(3), 1500),
+        (counter(5), 1100),
+        (lfsr(7, &[6, 5]), 1024),
+        (lfsr(5, &[4, 2]), 37),
+    ];
+    for (nl, cycles) in &cases {
+        let patterns = Stimulus::uniform(nl.num_inputs()).patterns(*cycles, 23);
+        let want = stepped_activity(nl, &patterns);
+        for jobs in [1, 2, 5] {
+            let got = SeqSim::new(nl).activity_jobs(&patterns, jobs);
+            assert_seq_eq(&got, &want, &format!("{} jobs={jobs}", nl.name()));
+        }
     }
 }
