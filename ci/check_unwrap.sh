@@ -33,9 +33,10 @@ check() {
 }
 
 check netlist 0 8
-# sim's 15: six topo_order/shard invariants plus nine "undo live" guards in
-# the incremental engine's delta/revert bookkeeping (undo is constructed
-# unconditionally in apply_delta before any path that reads it).
+# sim's 15: nine topo_order/fanout/shard invariants plus six "undo live"
+# guards in the incremental engine's delta/rollback bookkeeping (the undo
+# frame is pushed unconditionally in apply_delta before any path that reads
+# it).
 check sim 0 15
 check power 0 3
 

@@ -1139,6 +1139,24 @@ impl Bdd {
         self.size_many(std::slice::from_ref(&f))
     }
 
+    /// Total node count of a set of roots (shared nodes counted once).
+    pub fn size_many(&self, roots: &[Ref]) -> usize {
+        let mut visited = vec![false; self.nodes.len()];
+        let mut stack: Vec<usize> = roots.iter().map(|r| r.index()).collect();
+        let mut count = 0;
+        while let Some(i) = stack.pop() {
+            if i == 0 || visited[i] {
+                continue;
+            }
+            visited[i] = true;
+            count += 1;
+            let n = self.nodes[i];
+            stack.push((n.lo >> 1) as usize);
+            stack.push((n.hi >> 1) as usize);
+        }
+        count
+    }
+
     // ------------------------------------------------------------------
     // Evaluation / counting
     // ------------------------------------------------------------------
@@ -1958,149 +1976,6 @@ impl Bdd {
     }
 }
 
-impl Bdd {
-    /// Rebuild `roots` in a fresh manager under a new variable order.
-    ///
-    /// `position[v]` gives the level the old variable `v` occupies in the
-    /// new manager (a permutation of `0..n`). Returns the new manager and
-    /// the translated roots, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is not a permutation covering every variable in
-    /// the roots' support.
-    pub fn rebuild_with_order(&self, roots: &[Ref], position: &[u32]) -> (Bdd, Vec<Ref>) {
-        {
-            let mut seen = vec![false; position.len()];
-            for &p in position {
-                assert!(
-                    (p as usize) < position.len() && !seen[p as usize],
-                    "position must be a permutation"
-                );
-                seen[p as usize] = true;
-            }
-        }
-        let mut out = Bdd::new();
-        // Dense memo: old plain node index -> translated ref bits.
-        let mut memo = vec![u32::MAX; self.nodes.len()];
-        let mut translated = Vec::with_capacity(roots.len());
-        for &root in roots {
-            let r = self.rebuild_rec(root, position, &mut out, &mut memo);
-            translated.push(r);
-        }
-        (out, translated)
-    }
-
-    fn rebuild_rec(&self, f: Ref, position: &[u32], out: &mut Bdd, memo: &mut [u32]) -> Ref {
-        if f.is_const() {
-            return f;
-        }
-        let idx = f.index();
-        let plain = if memo[idx] != u32::MAX {
-            Ref(memo[idx])
-        } else {
-            let node = self.nodes[idx];
-            assert!(
-                (node.var as usize) < position.len(),
-                "variable {} outside the permutation",
-                node.var
-            );
-            let lo = self.rebuild_rec(Ref(node.lo), position, out, memo);
-            let hi = self.rebuild_rec(Ref(node.hi), position, out, memo);
-            let v = out.var(position[node.var as usize]);
-            let r = out.ite(v, hi, lo);
-            memo[idx] = r.0;
-            r
-        };
-        if f.is_complemented() {
-            plain.complement()
-        } else {
-            plain
-        }
-    }
-
-    /// Total node count of a set of roots (shared nodes counted once).
-    pub fn size_many(&self, roots: &[Ref]) -> usize {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = roots.iter().map(|r| r.index()).collect();
-        let mut count = 0;
-        while let Some(i) = stack.pop() {
-            if i == 0 || visited[i] {
-                continue;
-            }
-            visited[i] = true;
-            count += 1;
-            let n = self.nodes[i];
-            stack.push((n.lo >> 1) as usize);
-            stack.push((n.hi >> 1) as usize);
-        }
-        count
-    }
-
-    /// Greedy sifting-style reordering: repeatedly move one variable to the
-    /// position that minimizes the shared node count of `roots`, until no
-    /// single move helps. Practical for up to ~16 variables (each trial
-    /// rebuilds the graphs).
-    ///
-    /// Returns the reordered manager, the translated roots, and the final
-    /// `position[old_var] = new_level` permutation.
-    ///
-    /// ```
-    /// use bdd::Bdd;
-    ///
-    /// // x0·x3 + x1·x4 + x2·x5 is large under the interleaved order...
-    /// let mut mgr = Bdd::new();
-    /// let mut f = bdd::Ref::FALSE;
-    /// for (a, b) in [(0, 3), (1, 4), (2, 5)] {
-    ///     let (va, vb) = (mgr.var(a), mgr.var(b));
-    ///     let t = mgr.and(va, vb);
-    ///     f = mgr.or(f, t);
-    /// }
-    /// let (sifted, roots, _) = mgr.sift(&[f], 6);
-    /// // ...and linear (6 nodes) once sifting pairs the variables up.
-    /// assert_eq!(sifted.size_many(&roots), 6);
-    /// ```
-    pub fn sift(&self, roots: &[Ref], num_vars: usize) -> (Bdd, Vec<Ref>, Vec<u32>) {
-        let n = num_vars;
-        let mut position: Vec<u32> = (0..n as u32).collect();
-        let (mut best_mgr, mut best_roots) = self.rebuild_with_order(roots, &position);
-        let mut best_size = best_mgr.size_many(&best_roots);
-        let mut improved = true;
-        while improved {
-            improved = false;
-            for var in 0..n {
-                for target in 0..n as u32 {
-                    // Re-read each time: an accepted move changes the level.
-                    let current_level = position[var];
-                    if target == current_level {
-                        continue;
-                    }
-                    // Move `var` to level `target`, shifting the others.
-                    let mut candidate = position.clone();
-                    for p in candidate.iter_mut() {
-                        if *p > current_level && *p <= target {
-                            *p -= 1;
-                        } else if *p >= target && *p < current_level {
-                            *p += 1;
-                        }
-                    }
-                    candidate[var] = target;
-                    let (mgr, new_roots) = self.rebuild_with_order(roots, &candidate);
-                    let size = mgr.size_many(&new_roots);
-                    if size < best_size {
-                        best_size = size;
-                        best_mgr = mgr;
-                        best_roots = new_roots;
-                        position = candidate;
-                        improved = true;
-                    }
-                }
-            }
-        }
-        (best_mgr, best_roots, position)
-    }
-}
-
 #[cfg(test)]
 mod reorder_tests {
     use super::*;
@@ -2119,43 +1994,6 @@ mod reorder_tests {
     }
 
     #[test]
-    fn rebuild_preserves_function() {
-        let mut mgr = Bdd::new();
-        let f = chain_function(&mut mgr, &[(0, 1), (2, 3), (4, 5)]);
-        // Reverse the variable order.
-        let position: Vec<u32> = (0..6).rev().collect();
-        let (new_mgr, roots) = mgr.rebuild_with_order(&[f], &position);
-        let g = roots[0];
-        for bits in 0u32..64 {
-            let old_env: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
-            // In the new manager, old var v lives at level position[v].
-            let mut new_env = vec![false; 6];
-            for v in 0..6 {
-                new_env[position[v] as usize] = old_env[v];
-            }
-            assert_eq!(new_mgr.eval(g, &new_env), mgr.eval(f, &old_env), "{bits:06b}");
-        }
-    }
-
-    #[test]
-    fn rebuild_preserves_complemented_roots() {
-        let mut mgr = Bdd::new();
-        let f = chain_function(&mut mgr, &[(0, 1), (2, 3)]);
-        let nf = mgr.not(f);
-        let position: Vec<u32> = (0..4).rev().collect();
-        let (new_mgr, roots) = mgr.rebuild_with_order(&[f, nf], &position);
-        for bits in 0u32..16 {
-            let old_env: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
-            let mut new_env = vec![false; 4];
-            for v in 0..4 {
-                new_env[position[v] as usize] = old_env[v];
-            }
-            assert_eq!(new_mgr.eval(roots[0], &new_env), mgr.eval(f, &old_env));
-            assert_eq!(new_mgr.eval(roots[1], &new_env), !mgr.eval(f, &old_env));
-        }
-    }
-
-    #[test]
     fn good_order_is_linear_bad_is_larger() {
         // Natural (paired) order.
         let mut good = Bdd::new();
@@ -2170,52 +2008,6 @@ mod reorder_tests {
             good.size(fg)
         );
     }
-
-    #[test]
-    fn sifting_recovers_linear_size() {
-        let mut bad = Bdd::new();
-        let f = chain_function(&mut bad, &[(0, 3), (1, 4), (2, 5)]);
-        let before = bad.size(f);
-        let (sifted, roots, position) = bad.sift(&[f], 6);
-        let after = sifted.size_many(&roots);
-        assert!(after < before, "sifting {before} -> {after}");
-        // The optimum for a 3-pair chain is 6 internal nodes.
-        assert_eq!(after, 6, "sifting should find the pairing order");
-        // And the function is preserved.
-        for bits in 0u32..64 {
-            let old_env: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
-            let mut new_env = vec![false; 6];
-            for v in 0..6 {
-                new_env[position[v] as usize] = old_env[v];
-            }
-            assert_eq!(sifted.eval(roots[0], &new_env), bad.eval(f, &old_env));
-        }
-    }
-
-    #[test]
-    fn sift_multiple_roots_shares_nodes() {
-        let mut mgr = Bdd::new();
-        let f = chain_function(&mut mgr, &[(0, 2), (1, 3)]);
-        let v0 = mgr.var(0);
-        let g = mgr.and(f, v0);
-        let (sifted, roots, _) = mgr.sift(&[f, g], 4);
-        assert_eq!(roots.len(), 2);
-        assert!(sifted.size_many(&roots) <= mgr.size_many(&[f, g]));
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn rejects_bad_permutation() {
-        let mut mgr = Bdd::new();
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let f = mgr.and(a, b);
-        mgr.rebuild_with_order(&[f], &[0, 0]);
-    }
-
-    // ------------------------------------------------------------------
-    // In-place dynamic reordering
-    // ------------------------------------------------------------------
 
     /// [`chain_function`] under the auto-GC/reorder rooting contract:
     /// every ref held across an allocating call is protected, so a pass

@@ -1,21 +1,22 @@
 //! `bench_incr` — incremental-evaluation regression harness.
 //!
-//! Times the three optimization inner loops that the incremental engines
-//! accelerate, from-scratch vs incremental, on the golden circuits:
+//! Times the optimization inner loops that the incremental engines
+//! accelerate, from-scratch (or the engine's own `force_full` twin) vs
+//! incremental, on the golden circuits:
 //!
 //! * **balance-sweep** (`mult4`): tighten the skew threshold from the
 //!   circuit depth down to 0, measuring glitch activity after every step.
 //!   From-scratch rebalances and re-simulates the whole netlist per
 //!   threshold; the incremental sweep applies `tighten_balance_delta`
 //!   against one resident [`IncrementalEventSim`].
-//! * **sizing-loop** (`mult4`): `downsize_for_power` with a full static
-//!   timing analysis per shrink trial vs the [`StaCache`] that re-times
-//!   only the resized gate's cone.
+//! * **sizing-loop** (`mult4`): `downsize_for_power` on a `StaCache`
+//!   that re-times only the resized gate's cone vs its `force_full` twin
+//!   that re-times every gate per shrink trial.
 //! * **dontcare-pass** (`rand40`, a seeded random DAG with genuine
 //!   observability don't-cares — the arithmetic goldens have none): the
-//!   simulation-driven don't-care driver judging every rewrite on a
-//!   resident [`IncrementalSim`] vs the reference driver that
-//!   re-simulates the edited netlist from scratch.
+//!   simulation-driven don't-care pass judging every rewrite on a resident
+//!   `IncrementalSim` vs its `force_full` twin that re-evaluates the whole
+//!   netlist per candidate.
 //! * **rewrite-search** (`rand200`, a larger seeded random DAG, and
 //!   `wallace8`, the 8-bit Wallace-tree multiplier): the activity-driven
 //!   rewriting search on its resident incremental engine vs its
@@ -46,14 +47,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use circuit::sizing::SizedCircuit;
+use circuit::sizing::{SizedCircuit, StaCache};
 use logicopt::balance::{balance_delta, balance_paths_with_threshold, tighten_balance_delta};
-use logicopt::dontcare::{optimize_dontcares_sim, optimize_dontcares_sim_reference};
+use logicopt::dontcare::{optimize_dontcares_sim, optimize_dontcares_sim_with, DontCareSimReport};
 use logicopt::rewrite::{rewrite_sim, RewriteConfig};
 use netlist::blif::parse_text;
 use netlist::Netlist;
 use sim::event::{DelayModel, EventSim};
-use sim::incr::IncrementalEventSim;
+use sim::incr::{IncrementalEventSim, IncrementalSim};
 use sim::stimulus::{PackedPatterns, Stimulus};
 
 const CYCLES: usize = 256;
@@ -184,32 +185,35 @@ fn bench_balance() -> Section {
     }
 }
 
+/// `downsize_for_power` from size 4 on a cache with the given
+/// `force_full`; returns the final sizes and the cache.
+fn downsize(nl: &Netlist, constraint: f64, force_full: bool) -> (Vec<f64>, StaCache) {
+    let mut c = SizedCircuit::new(nl, 4.0);
+    let mut sta = c.sta_cache();
+    sta.set_force_full(force_full);
+    c.downsize_for_power_with(constraint, &mut sta);
+    (c.sizes, sta)
+}
+
 fn bench_sizing() -> Section {
     let nl = golden("mult4");
     let fastest = SizedCircuit::new(&nl, 4.0).timing(1e9).critical;
     let constraint = fastest * 1.15;
 
-    let mut reference = SizedCircuit::new(&nl, 4.0);
-    reference.downsize_for_power_reference(constraint);
-    let mut incremental = SizedCircuit::new(&nl, 4.0);
-    let mut sta = incremental.sta_cache();
-    incremental.downsize_for_power_with(constraint, &mut sta);
-    let identical = reference
-        .sizes
+    let (full_sizes, full_sta) = downsize(&nl, constraint, true);
+    let (sizes, sta) = downsize(&nl, constraint, false);
+    let identical = full_sizes
         .iter()
-        .zip(&incremental.sizes)
+        .zip(&sizes)
         .all(|(a, b)| a.to_bits() == b.to_bits());
 
-    // The reference re-times every net per shrink trial; the cache only
+    // The twin re-times every gate per shrink trial; the cache only
     // touches the resized gate's fanout cone.
-    let full_evals = sta.trials * nl.len() as u64;
     let scratch_seconds = time_it(|| {
-        let mut c = SizedCircuit::new(&nl, 4.0);
-        std::hint::black_box(c.downsize_for_power_reference(constraint));
+        std::hint::black_box(downsize(&nl, constraint, true));
     });
     let incr_seconds = time_it(|| {
-        let mut c = SizedCircuit::new(&nl, 4.0);
-        std::hint::black_box(c.downsize_for_power(constraint));
+        std::hint::black_box(downsize(&nl, constraint, false));
     });
     Section {
         name: "sizing-loop",
@@ -217,15 +221,29 @@ fn bench_sizing() -> Section {
         scratch_seconds,
         incr_seconds,
         speedup: scratch_seconds / incr_seconds,
-        work_ratio: sta.arrival_evals as f64 / full_evals as f64,
+        work_ratio: sta.arrival_evals as f64 / full_sta.arrival_evals.max(1) as f64,
         work_unit: "arrival-time evaluations",
         identical,
     }
 }
 
+/// The simulation-driven don't-care pass on an engine with the given
+/// `force_full`; returns the optimized netlist and the report.
+fn dontcare(
+    nl: &Netlist,
+    probs: &[f64],
+    packed: &PackedPatterns,
+    force_full: bool,
+) -> (Netlist, DontCareSimReport) {
+    let mut engine = IncrementalSim::from_full_eval(nl, packed);
+    engine.set_force_full(force_full);
+    let report = optimize_dontcares_sim_with(&mut engine, probs, 5);
+    (engine.netlist().clone(), report)
+}
+
 fn bench_dontcare() -> Section {
     // The arithmetic goldens are don't-care-free; a seeded random DAG
-    // exercises the accept/revert loop for real (12 candidates, 8
+    // exercises the accept/rollback loop for real (12 candidates, 8
     // accepted at this seed).
     let config = netlist::gen::RandomDagConfig {
         inputs: 6,
@@ -238,23 +256,22 @@ fn bench_dontcare() -> Section {
     let probs = vec![0.5; nl.num_inputs()];
     let packed = Stimulus::uniform(nl.num_inputs()).packed(CYCLES, SEED);
 
-    let (incr_nl, incr_report) = optimize_dontcares_sim(&nl, &probs, 5, &packed);
-    let (ref_nl, ref_report) = optimize_dontcares_sim_reference(&nl, &probs, 5, &packed);
-    let identical = incr_report.cap_after.to_bits() == ref_report.cap_after.to_bits()
-        && incr_report.nodes_changed == ref_report.nodes_changed
-        && incr_nl.len() == ref_nl.len()
+    let (incr_nl, incr_report) = dontcare(&nl, &probs, &packed, false);
+    let (full_nl, full_report) = dontcare(&nl, &probs, &packed, true);
+    let identical = incr_report.cap_after.to_bits() == full_report.cap_after.to_bits()
+        && incr_report.nodes_changed == full_report.nodes_changed
+        && incr_nl.len() == full_nl.len()
         && incr_nl
             .iter_nets()
-            .all(|n| incr_nl.kind(n) == ref_nl.kind(n) && incr_nl.fanins(n) == ref_nl.fanins(n));
+            .all(|n| incr_nl.kind(n) == full_nl.kind(n) && incr_nl.fanins(n) == full_nl.fanins(n));
 
-    // Each candidate rewrite costs the reference a whole-netlist
-    // re-simulation; the engine replays the rewrite's fanout cone.
-    let scratch_evals = ref_report.nets_reevaluated.max(1);
+    // Each candidate rewrite costs the twin a whole-netlist
+    // re-evaluation; the engine replays the rewrite's fanout cone.
     let scratch_seconds = time_it(|| {
-        std::hint::black_box(optimize_dontcares_sim_reference(&nl, &probs, 5, &packed));
+        std::hint::black_box(dontcare(&nl, &probs, &packed, true));
     });
     let incr_seconds = time_it(|| {
-        std::hint::black_box(optimize_dontcares_sim(&nl, &probs, 5, &packed));
+        std::hint::black_box(dontcare(&nl, &probs, &packed, false));
     });
     Section {
         name: "dontcare-pass",
@@ -262,7 +279,8 @@ fn bench_dontcare() -> Section {
         scratch_seconds,
         incr_seconds,
         speedup: scratch_seconds / incr_seconds,
-        work_ratio: incr_report.nets_reevaluated as f64 / scratch_evals as f64,
+        work_ratio: incr_report.nets_reevaluated as f64
+            / full_report.nets_reevaluated.max(1) as f64,
         work_unit: "net evaluations",
         identical,
     }
@@ -395,7 +413,8 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"incr\",\n");
     out.push_str(
-        "  \"baseline\": \"from-scratch re-simulation / full STA per candidate edit\",\n",
+        "  \"baseline\": \"from-scratch re-simulation (balance) / force_full twin \
+         (sizing, dontcare, rewrite) per candidate edit\",\n",
     );
     out.push_str("  \"sections\": [\n");
     for (i, s) in sections.iter().enumerate() {

@@ -151,8 +151,9 @@ pub fn ablations() -> String {
             chain = mgr.or(chain, and);
         }
         let before = mgr.size(chain);
-        let (sifted, roots, _) = mgr.sift(&[chain], 6);
-        let after = sifted.size_many(&roots);
+        mgr.protect(chain);
+        mgr.reorder_now();
+        let after = mgr.size(chain);
         t.row(&[
             "x0x3 + x1x4 + x2x5".into(),
             before.to_string(),
@@ -161,11 +162,14 @@ pub fn ablations() -> String {
         ]);
         // Comparator output: the MSB-first order is better than LSB-first.
         let (cmp, nets) = gen::comparator_gt(5);
-        let bdds = circuit_bdds(&cmp);
+        let mut bdds = circuit_bdds(&cmp);
         let froot = bdds.func(nets.gt);
         let before = bdds.mgr.size(froot);
-        let (sifted, roots, _) = bdds.mgr.sift(&[froot], bdds.mgr.num_vars());
-        let after = sifted.size_many(&roots);
+        // Sift for this one output: only its root may stay live.
+        bdds.mgr.clear_roots();
+        bdds.mgr.protect(froot);
+        bdds.mgr.reorder_now();
+        let after = bdds.mgr.size(froot);
         t.row(&[
             "comparator_gt_5".into(),
             before.to_string(),

@@ -22,7 +22,6 @@
 use bdd::{Ref, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
 use power::exact::{circuit_bdds, CircuitBddCache};
-use sim::comb::CombSim;
 use sim::incr::{Delta, IncrementalSim};
 use sim::stimulus::PackedPatterns;
 
@@ -162,23 +161,19 @@ pub struct DontCareSimReport {
     pub cap_before: f64,
     /// Simulated switched capacitance after.
     pub cap_after: f64,
-    /// Candidate rewrites evaluated (applied then accepted or reverted).
+    /// Candidate rewrites evaluated (applied then accepted or rolled back).
     pub rewrites_tried: usize,
-    /// Nets (re-)evaluated to judge the candidates: the engine's dirty-cone
-    /// replays for the incremental driver, whole-netlist re-simulations for
-    /// the reference driver. The ratio is the deterministic work saving.
+    /// Nets the engine re-evaluated to judge the candidates: dirty cones,
+    /// or every gate per candidate on a force-full engine. The ratio of
+    /// the two is the deterministic work saving.
     pub nets_reevaluated: u64,
 }
 
 /// Don't-care optimization driven by *simulated* activity instead of exact
 /// probabilities: each candidate rewrite is applied to a resident
 /// [`IncrementalSim`] as a [`Delta`], judged by the engine's live-net
-/// switched capacitance, and reverted in place when it does not pay — no
-/// re-simulation from scratch anywhere in the loop.
-///
-/// Bit-identical in decisions and result to
-/// [`optimize_dontcares_sim_reference`] (the from-scratch driver kept for
-/// A/B benchmarking).
+/// switched capacitance, and rolled back in place when it does not pay —
+/// no re-simulation from scratch anywhere in the loop.
 ///
 /// # Panics
 ///
@@ -190,8 +185,26 @@ pub fn optimize_dontcares_sim(
     max_fanin: usize,
     packed: &PackedPatterns,
 ) -> (Netlist, DontCareSimReport) {
-    assert_eq!(input_probs.len(), nl.num_inputs());
     let mut engine = IncrementalSim::from_full_eval(nl, packed);
+    let report = optimize_dontcares_sim_with(&mut engine, input_probs, max_fanin);
+    (engine.netlist().clone(), report)
+}
+
+/// [`optimize_dontcares_sim`] on a caller-owned engine, which holds the
+/// optimized netlist afterwards. On an engine with
+/// [`IncrementalSim::set_force_full`] every candidate re-evaluates the
+/// whole netlist: the pass's A/B twin, identical in decisions and result.
+///
+/// # Panics
+///
+/// Panics if `input_probs` does not match the engine's input count.
+pub fn optimize_dontcares_sim_with(
+    engine: &mut IncrementalSim,
+    input_probs: &[f64],
+    max_fanin: usize,
+) -> DontCareSimReport {
+    assert_eq!(input_probs.len(), engine.netlist().num_inputs());
+    let nets_before = engine.stats().nets_reevaluated;
     let cap_before = engine.switched_cap_live();
     let mut cap_current = cap_before;
     let mut cache = CircuitBddCache::new();
@@ -209,6 +222,9 @@ pub fn optimize_dontcares_sim(
         let bdds = cache
             .get_or_build(&current, &ResourceBudget::unlimited())
             .expect("unlimited budget");
+        // One live mark per pass: a rejected rewrite unwinds to it, an
+        // accepted one is committed and the next pass re-takes the mark.
+        let mark = engine.checkpoint();
         for node in sim_candidates(&current, max_fanin) {
             let Some(rewrite) = find_rewrite(&current, &bdds, node, input_probs) else {
                 continue;
@@ -220,89 +236,23 @@ pub fn optimize_dontcares_sim(
             engine.apply_delta(&delta);
             let cap_new = engine.switched_cap_live();
             if cap_new < cap_current - 1e-9 {
+                engine.commit(mark);
                 cap_current = cap_new;
                 nodes_changed += 1;
                 continue 'outer;
             }
-            engine.revert();
+            engine.rollback_to(mark);
         }
+        engine.commit(mark);
         break;
     }
-    (
-        engine.netlist().clone(),
-        DontCareSimReport {
-            nodes_changed,
-            cap_before,
-            cap_after: cap_current,
-            rewrites_tried,
-            nets_reevaluated: engine.stats().nets_reevaluated,
-        },
-    )
-}
-
-/// [`optimize_dontcares_sim`] evaluated the pre-incremental way: every
-/// candidate is applied to a fresh clone and re-simulated from scratch.
-/// Same candidates, same acceptance metric, same result — kept as the
-/// baseline for the `bench_incr` speedup measurements.
-pub fn optimize_dontcares_sim_reference(
-    nl: &Netlist,
-    input_probs: &[f64],
-    max_fanin: usize,
-    packed: &PackedPatterns,
-) -> (Netlist, DontCareSimReport) {
-    assert!(nl.is_combinational(), "don't-care pass needs combinational logic");
-    assert_eq!(input_probs.len(), nl.num_inputs());
-    let nets_simulated = std::cell::Cell::new(0u64);
-    let live_cap = |nl: &Netlist| -> f64 {
-        let mut swept = nl.clone();
-        swept.sweep_dead();
-        nets_simulated.set(nets_simulated.get() + swept.len() as u64);
-        let profile = CombSim::new(&swept).activity_packed(packed);
-        profile.switched_capacitance(&swept)
-    };
-    let mut current = nl.clone();
-    let cap_before = live_cap(&current);
-    let mut cap_current = cap_before;
-    let mut cache = CircuitBddCache::new();
-    let mut nodes_changed = 0;
-    let mut rewrites_tried = 0;
-    let mut pass = 0;
-    'outer: loop {
-        pass += 1;
-        if pass > 8 {
-            break;
-        }
-        let bdds = cache
-            .get_or_build(&current, &ResourceBudget::unlimited())
-            .expect("unlimited budget");
-        for node in sim_candidates(&current, max_fanin) {
-            let Some(rewrite) = find_rewrite(&current, &bdds, node, input_probs) else {
-                continue;
-            };
-            rewrites_tried += 1;
-            let mut candidate = current.clone();
-            let new_root = synthesize_table(&mut candidate, &rewrite.fanins, &rewrite.table);
-            candidate.replace_uses(node, new_root);
-            let cap_new = live_cap(&candidate);
-            if cap_new < cap_current - 1e-9 {
-                cap_current = cap_new;
-                current = candidate;
-                nodes_changed += 1;
-                continue 'outer;
-            }
-        }
-        break;
+    DontCareSimReport {
+        nodes_changed,
+        cap_before,
+        cap_after: cap_current,
+        rewrites_tried,
+        nets_reevaluated: engine.stats().nets_reevaluated - nets_before,
     }
-    (
-        current,
-        DontCareSimReport {
-            nodes_changed,
-            cap_before,
-            cap_after: cap_current,
-            rewrites_tried,
-            nets_reevaluated: nets_simulated.get(),
-        },
-    )
 }
 
 /// Candidate nodes for the simulation-driven pass: live internal gates
@@ -639,7 +589,7 @@ fn synthesize_table(nl: &mut Netlist, fanins: &[NetId], table: &[bool]) -> NetId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::comb::equivalent_exhaustive;
+    use sim::comb::{equivalent_exhaustive, CombSim};
 
     /// out = (a & b) | a — the AND is unobservable when a = 1, so it can be
     /// rewritten to constant 0 (probability pushed to an extreme).
@@ -712,11 +662,22 @@ mod tests {
     #[test]
     fn synthesize_table_covers_all_functions_of_two_vars() {
         for truth in 0u32..16 {
-            let mut nl = Netlist::new("tt");
-            let a = nl.add_input("a");
-            let b = nl.add_input("b");
+            let mut base = Netlist::new("tt");
+            let a = base.add_input("a");
+            let b = base.add_input("b");
             let table: Vec<bool> = (0..4).map(|m| truth >> m & 1 == 1).collect();
+            let mut nl = base.clone();
             let root = synthesize_table(&mut nl, &[a, b], &table);
+            // The delta-recorded construction replays node for node.
+            let mut delta = Delta::for_netlist(&base);
+            let delta_root = synthesize_table_delta(&mut delta, &[a, b], &table);
+            delta.apply_to(&mut base);
+            assert_eq!(delta_root, root, "truth {truth:04b}");
+            assert_eq!(base.len(), nl.len());
+            for net in nl.iter_nets() {
+                assert_eq!(base.kind(net), nl.kind(net), "truth {truth:04b} {net}");
+                assert_eq!(base.fanins(net), nl.fanins(net), "truth {truth:04b} {net}");
+            }
             nl.mark_output(root, "f");
             for m in 0..4usize {
                 let bits = vec![m & 1 == 1, m >> 1 & 1 == 1];
@@ -729,8 +690,17 @@ mod tests {
         }
     }
 
+    /// Switched capacitance of `nl`'s live nets, simulated from scratch.
+    fn swept_cap(nl: &Netlist, packed: &PackedPatterns) -> f64 {
+        let mut swept = nl.clone();
+        swept.sweep_dead();
+        CombSim::new(&swept)
+            .activity_packed(packed)
+            .switched_capacitance(&swept)
+    }
+
     #[test]
-    fn sim_driven_pass_matches_reference_driver() {
+    fn sim_driven_pass_matches_force_full_twin() {
         use sim::stimulus::Stimulus;
         let config = netlist::gen::RandomDagConfig {
             inputs: 6,
@@ -743,15 +713,22 @@ mod tests {
             let nl = netlist::gen::random_dag(&config, seed);
             let packed = Stimulus::uniform(6).packed(512, seed);
             let (incr, ri) = optimize_dontcares_sim(&nl, &[0.5; 6], 5, &packed);
-            let (refr, rr) = optimize_dontcares_sim_reference(&nl, &[0.5; 6], 5, &packed);
-            assert_eq!(ri.nodes_changed, rr.nodes_changed, "seed {seed}");
-            assert_eq!(ri.rewrites_tried, rr.rewrites_tried);
-            assert_eq!(ri.cap_after.to_bits(), rr.cap_after.to_bits());
-            assert_eq!(incr.len(), refr.len());
+            let mut twin = IncrementalSim::from_full_eval(&nl, &packed);
+            twin.set_force_full(true);
+            let rf = optimize_dontcares_sim_with(&mut twin, &[0.5; 6], 5);
+            let full = twin.netlist();
+            assert_eq!(ri.nodes_changed, rf.nodes_changed, "seed {seed}");
+            assert_eq!(ri.rewrites_tried, rf.rewrites_tried);
+            assert_eq!(ri.cap_before.to_bits(), rf.cap_before.to_bits());
+            assert_eq!(ri.cap_after.to_bits(), rf.cap_after.to_bits());
+            assert_eq!(incr.len(), full.len());
             for net in incr.iter_nets() {
-                assert_eq!(incr.kind(net), refr.kind(net), "{net} seed {seed}");
-                assert_eq!(incr.fanins(net), refr.fanins(net), "{net} seed {seed}");
+                assert_eq!(incr.kind(net), full.kind(net), "{net} seed {seed}");
+                assert_eq!(incr.fanins(net), full.fanins(net), "{net} seed {seed}");
             }
+            // Both caps match from-scratch simulation of the swept netlists.
+            assert_eq!(ri.cap_before.to_bits(), swept_cap(&nl, &packed).to_bits());
+            assert_eq!(ri.cap_after.to_bits(), swept_cap(&incr, &packed).to_bits());
             assert!(equivalent_exhaustive(&nl, &incr), "seed {seed}");
             assert!(ri.cap_after <= ri.cap_before + 1e-9);
         }

@@ -1118,8 +1118,8 @@ mod tests {
         let (nl, _) = array_multiplier(5);
         let patterns = Stimulus::uniform(10).patterns(150, 41);
         // Mixed per-net delays exercise the general calendar queue; unit
-        // delays take the dense/wavefront fast paths. Counter invariants
-        // and jobs-invariance must hold on both.
+        // delays take the dense kernel. Counter invariants and
+        // jobs-invariance must hold on both.
         let mixed = DelayModel::PerNet((0..nl.len()).map(|i| 1 + (i as u32 & 1)).collect());
         for model in [DelayModel::Unit, mixed] {
             let run = |jobs: usize| {

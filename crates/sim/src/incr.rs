@@ -31,10 +31,9 @@
 //! apply a chain of deltas, score each state on the resident engine, and
 //! either unwind to any live mark with [`IncrementalSim::rollback_to`]
 //! (bit-identical to never having applied the chain) or make the chain
-//! permanent with [`IncrementalSim::commit`]. Callers that never
-//! checkpoint keep the old single-slot cost: with no outstanding marks
-//! the stack is trimmed to one frame per apply, so [`IncrementalSim::revert`]
-//! still undoes the most recent delta and memory stays constant.
+//! permanent with [`IncrementalSim::commit`]. Only frames above the
+//! oldest outstanding mark are kept, so a caller that never checkpoints
+//! holds no journal at all and memory stays constant.
 //!
 //! Observability: every applied delta publishes `sim.incr.deltas`,
 //! `sim.incr.nets_dirtied`, `sim.incr.nets_reevaluated`,
@@ -222,7 +221,7 @@ pub struct IncrStats {
     pub full_evals: u64,
     /// Checkpoints taken ([`IncrementalSim::checkpoint`]).
     pub checkpoints: u64,
-    /// Rollbacks performed (`rollback_to` / `revert` calls that unwound).
+    /// Rollbacks performed (`rollback_to` calls that unwound).
     pub rollbacks: u64,
     /// Commits performed (`commit` calls that raised the floor).
     pub commits: u64,
@@ -234,7 +233,7 @@ pub struct IncrStats {
 /// was taken) and totally ordered: a later checkpoint compares greater.
 /// A mark stays valid until a `commit` at or above it raises the
 /// journal floor past it, or — for marks released by a rollback/commit —
-/// until the auto-trim on a later apply drops its frames.
+/// until a later apply trims the journal past it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mark(u64);
 
@@ -258,7 +257,7 @@ struct Undo {
 /// Owns a netlist clone plus the packed per-net words, integer toggle/one
 /// counts, levels and fanout lists of the last evaluation, and keeps all of
 /// them consistent under [`IncrementalSim::apply_delta`] /
-/// [`IncrementalSim::revert`].
+/// [`IncrementalSim::rollback_to`].
 #[derive(Debug)]
 pub struct IncrementalSim {
     nl: Netlist,
@@ -285,7 +284,7 @@ pub struct IncrementalSim {
     /// Committed floor: applies at or below it can no longer be unwound.
     floor: u64,
     /// Outstanding checkpoint marks (nondecreasing). The oldest entry
-    /// pins the auto-trim: frames at or above it survive new applies.
+    /// pins the auto-trim: frames above it survive new applies.
     cps: Vec<u64>,
     // Last-apply info consumed by the event engine.
     cone: Vec<NetId>,
@@ -303,7 +302,10 @@ pub struct IncrementalSim {
     new_words: Vec<u64>,
 }
 
-fn stress_env() -> bool {
+/// Whether `LPOPT_INCR_STRESS` is set (to anything but `0`): the default
+/// `force_full` of every incremental engine built while it is, including
+/// `circuit::sizing::StaCache`.
+pub fn stress_env() -> bool {
     std::env::var_os("LPOPT_INCR_STRESS").is_some_and(|v| v != "0")
 }
 
@@ -510,7 +512,15 @@ impl IncrementalSim {
         Ok(info)
     }
 
-    pub(crate) fn flush_incr(&self, info: &ApplyInfo) {
+    /// Count a successful apply in `stats()` and the obs counters. Called
+    /// only once every layer has accepted the delta, so an apply rolled
+    /// back on budget exhaustion leaves no trace in either.
+    pub(crate) fn flush_incr(&mut self, info: &ApplyInfo) {
+        self.stats.deltas += 1;
+        self.stats.nets_dirtied += info.dirtied as u64;
+        self.stats.nets_reevaluated += info.reevaluated as u64;
+        self.stats.cutoffs += info.cutoffs as u64;
+        self.stats.full_evals += info.full_eval as u64;
         if self.obs.is_enabled() {
             self.obs.add("sim.incr.deltas", 1);
             self.obs.add("sim.incr.nets_dirtied", info.dirtied as u64);
@@ -731,11 +741,6 @@ impl IncrementalSim {
             self.cone.len()
         };
         self.applied += 1;
-        self.stats.deltas += 1;
-        self.stats.nets_dirtied += dirtied as u64;
-        self.stats.nets_reevaluated += reevaluated as u64;
-        self.stats.cutoffs += cutoffs as u64;
-        self.stats.full_evals += full as u64;
         Ok(ApplyInfo {
             dirtied,
             reevaluated,
@@ -846,7 +851,7 @@ impl IncrementalSim {
     /// same mark can be rolled back to repeatedly (speculate, unwind,
     /// speculate again), but marks *above* it are released.
     pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        if mark.0 < self.floor || mark.0 > self.applied {
+        if !self.is_live(mark) {
             return false;
         }
         while self.applied > mark.0 {
@@ -870,7 +875,7 @@ impl IncrementalSim {
     /// Returns false (and changes nothing) if the mark is already below
     /// the floor.
     pub fn commit(&mut self, mark: Mark) -> bool {
-        if mark.0 < self.floor || mark.0 > self.applied {
+        if !self.is_live(mark) {
             return false;
         }
         let frames = (mark.0 - self.floor) as usize;
@@ -889,15 +894,16 @@ impl IncrementalSim {
         self.undo.len()
     }
 
-    /// Drop journal frames no outstanding checkpoint can reach. With no
-    /// checkpoints this keeps exactly one frame — the legacy single-slot
-    /// behaviour: [`IncrementalSim::revert`] undoes the latest apply and
-    /// memory stays constant no matter how many deltas are accepted.
+    /// Whether `mark` lies between the committed floor and the present.
+    fn is_live(&self, mark: Mark) -> bool {
+        self.floor <= mark.0 && mark.0 <= self.applied
+    }
+
+    /// Drop journal frames no outstanding checkpoint can reach: every
+    /// frame at or below the oldest mark, or all of them when no mark is
+    /// outstanding. Returns the number of frames dropped.
     fn auto_trim(&mut self) -> usize {
-        let keep_from = match self.cps.first() {
-            Some(&m) => m.min(self.applied.saturating_sub(1)),
-            None => self.applied.saturating_sub(1),
-        };
+        let keep_from = self.cps.first().copied().unwrap_or(self.applied);
         if keep_from > self.floor {
             let frames = (keep_from - self.floor) as usize;
             self.undo.drain(..frames);
@@ -918,17 +924,6 @@ impl IncrementalSim {
             }
             None => false,
         }
-    }
-
-    /// Undo the most recent [`IncrementalSim::apply_delta`] still on the
-    /// stack — a thin alias for rolling back one frame. Returns false if
-    /// everything up to the present has been committed (or auto-trimmed)
-    /// and there is nothing left to revert.
-    pub fn revert(&mut self) -> bool {
-        if self.applied == self.floor || self.undo.is_empty() {
-            return false;
-        }
-        self.rollback_to(Mark(self.applied - 1))
     }
 
     /// Restore the state journaled in one frame (the inverse of the apply
@@ -1126,7 +1121,6 @@ pub struct IncrementalEventSim {
     total: Vec<u64>,
     /// Recorded applied transitions per net, ordered by (cycle, time).
     waves: Vec<Vec<Tr>>,
-    obs: obs::Obs,
     /// Event-layer journal frames, one per functional frame, oldest first.
     undo: Vec<EventUndo>,
     // Scratch.
@@ -1180,7 +1174,7 @@ impl IncrementalEventSim {
         budget: &ResourceBudget,
         obs: obs::Obs,
     ) -> Result<IncrementalEventSim, BudgetExceeded> {
-        let func = IncrementalSim::build(nl, packed, budget, obs.clone())?;
+        let func = IncrementalSim::build(nl, packed, budget, obs)?;
         let n = nl.len();
         let delays: Vec<u32> = nl.iter_nets().map(|net| model.delay(nl, net)).collect();
         let max_delay = delays.iter().copied().max().unwrap_or(1);
@@ -1190,7 +1184,6 @@ impl IncrementalEventSim {
             delays,
             total: vec![0; n],
             waves: vec![Vec::new(); n],
-            obs,
             undo: Vec::new(),
             sepoch: 0,
             in_cone: vec![0; n],
@@ -1214,23 +1207,27 @@ impl IncrementalEventSim {
             sim.total[i] = sim.replay_total[i];
             sim.waves[i] = std::mem::take(&mut sim.wave_buf[i]);
         }
-        if sim.obs.is_enabled() {
-            sim.obs.add("sim.comb.cycles", sim.func.cycles as u64);
+        if sim.func.obs.is_enabled() {
+            sim.func.obs.add("sim.comb.cycles", sim.func.cycles as u64);
             let evaluated = n - sim.func.nl.num_inputs();
-            sim.obs
-                .add("sim.comb.gate_evals", sim.func.nblocks as u64 * evaluated as u64);
+            sim.func.obs.add(
+                "sim.comb.gate_evals",
+                sim.func.nblocks as u64 * evaluated as u64,
+            );
             sim.flush_event(&counts);
         }
         Ok(sim)
     }
 
     fn flush_event(&self, counts: &ReplayCounts) {
-        if self.obs.is_enabled() {
-            self.obs.add("sim.event.cycles", self.func.cycles as u64);
-            self.obs.add("sim.event.processed", counts.processed);
-            self.obs.add("sim.event.enqueued", counts.enqueued);
-            self.obs.add("sim.event.cancelled", counts.cancelled);
-            self.obs.add("sim.event.coalesced", counts.coalesced);
+        if self.func.obs.is_enabled() {
+            self.func
+                .obs
+                .add("sim.event.cycles", self.func.cycles as u64);
+            self.func.obs.add("sim.event.processed", counts.processed);
+            self.func.obs.add("sim.event.enqueued", counts.enqueued);
+            self.func.obs.add("sim.event.cancelled", counts.cancelled);
+            self.func.obs.add("sim.event.coalesced", counts.coalesced);
         }
     }
 
@@ -1313,7 +1310,7 @@ impl IncrementalEventSim {
             self.delays[net.index()] = self.model.delay(&self.func.nl, net);
         }
         // The queue wheel is sized by the largest delay ever seen; keeping
-        // the maximum monotone (reverts never shrink it) means a stale
+        // the maximum monotone (rollbacks never shrink it) means a stale
         // oversized wheel at worst, never an undersized one.
         for idx in prev_len..n {
             self.max_delay = self.max_delay.max(self.delays[idx]);
@@ -1380,42 +1377,23 @@ impl IncrementalEventSim {
     /// checkpoint. Rejects (returns false, changes nothing) marks below
     /// the committed floor; see [`IncrementalSim::rollback_to`].
     pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        if mark.0 < self.func.floor || mark.0 > self.func.applied {
+        if !self.func.is_live(mark) {
             return false;
         }
-        while self.func.applied > mark.0 {
+        for _ in mark.0..self.func.applied {
             self.pop_event_frame();
-            self.func.pop_frame();
-            self.func.applied -= 1;
         }
-        while self.func.cps.last().is_some_and(|&m| m > mark.0) {
-            self.func.cps.pop();
-        }
-        self.func.stats.rollbacks += 1;
-        if self.obs.is_enabled() {
-            self.obs.add("sim.incr.rollbacks", 1);
-        }
-        true
+        self.func.rollback_to(mark)
     }
 
     /// Make every delta at or below `mark` permanent in both layers; see
     /// [`IncrementalSim::commit`].
     pub fn commit(&mut self, mark: Mark) -> bool {
-        if mark.0 < self.func.floor || mark.0 > self.func.applied {
+        if !self.func.is_live(mark) {
             return false;
         }
-        let frames = (mark.0 - self.func.floor) as usize;
-        self.undo.drain(..frames);
+        self.undo.drain(..(mark.0 - self.func.floor) as usize);
         self.func.commit(mark)
-    }
-
-    /// Undo the most recent [`IncrementalEventSim::apply_delta`] still on
-    /// the stack. Returns false if there is nothing left to revert.
-    pub fn revert(&mut self) -> bool {
-        if self.func.applied == self.func.floor || self.undo.is_empty() {
-            return false;
-        }
-        self.rollback_to(Mark(self.func.applied - 1))
     }
 
     /// Pop and undo the top event-layer frame (delays, totals, waves).
@@ -1715,17 +1693,22 @@ mod tests {
             .expect("adder has AND gates");
         let mut delta = Delta::for_netlist(&nl);
         delta.set_gate(victim, GateKind::Or, nl.fanins(victim));
+        let mark = engine.checkpoint();
         let info = engine.apply_delta(&delta);
         assert!(info.reevaluated >= 1);
         let mut edited = nl.clone();
         delta.apply_to(&mut edited);
         let reference = CombSim::new(&edited).activity(&patterns);
         assert_eq!(bits(&engine.activity()), bits(&reference));
-        // Revert restores the original bits.
-        assert!(engine.revert());
+        // Rolling back restores the original bits.
+        assert!(engine.rollback_to(mark));
         let original = CombSim::new(&nl).activity(&patterns);
         assert_eq!(bits(&engine.activity()), bits(&original));
-        assert!(!engine.revert(), "nothing left on the undo stack");
+        assert_eq!(engine.pending_frames(), 0, "nothing left on the undo stack");
+        // With the mark released, an apply keeps no journal frame at all.
+        assert!(engine.commit(mark));
+        engine.apply_delta(&delta);
+        assert_eq!(engine.pending_frames(), 0);
     }
 
     #[test]
@@ -1771,7 +1754,7 @@ mod tests {
         let m_done = engine.checkpoint();
         assert!(engine.commit(m_done));
         assert!(!engine.rollback_to(m0), "rollback past commit must fail");
-        assert!(!engine.revert(), "committed frames are gone");
+        assert_eq!(engine.pending_frames(), 0, "committed frames are gone");
         assert_eq!(bits(&engine.activity()), committed, "rejection changed nothing");
 
         let mut edited = nl.clone();
@@ -1905,6 +1888,7 @@ mod tests {
             let b2 = delta.add_gate(GateKind::Buf, &[b1]);
             fanins[1] = b2;
             delta.set_gate(sink, nl.kind(sink), &fanins);
+            let mark = engine.checkpoint();
             engine.apply_delta(&delta);
             let mut edited = nl.clone();
             delta.apply_to(&mut edited);
@@ -1912,8 +1896,8 @@ mod tests {
             let got = engine.activity();
             assert_eq!(bits(&got.total), bits(&edited_ref.total), "{model:?}");
             assert_eq!(bits(&got.functional), bits(&edited_ref.functional));
-            // Revert restores the original timing activity.
-            assert!(engine.revert());
+            // Rolling back restores the original timing activity.
+            assert!(engine.rollback_to(mark));
             let back = engine.activity();
             assert_eq!(bits(&back.total), bits(&reference.total));
         }
@@ -1946,6 +1930,37 @@ mod tests {
     }
 
     #[test]
+    fn stats_skip_an_apply_the_event_replay_rolls_back() {
+        // XOR-XOR-AND: the functional layer re-evaluates three nets within
+        // the budget, then the event replay of 256 cycles exceeds it.
+        let mut nl = Netlist::new("xxa");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let x1 = nl.add_gate(GateKind::Xor, &[a, b]);
+        let x2 = nl.add_gate(GateKind::Xor, &[x1, c]);
+        let y = nl.add_gate(GateKind::And, &[x2, a]);
+        nl.mark_output(y, "y");
+        let packed = Stimulus::uniform(3).packed(256, 1);
+        let obs = obs::Obs::enabled();
+        let unlimited = ResourceBudget::unlimited();
+        let mut engine = IncrementalEventSim::try_from_full_eval(
+            &nl,
+            &DelayModel::Unit,
+            &packed,
+            &unlimited,
+            obs.clone(),
+        )
+        .expect("unlimited budget");
+        let mut delta = Delta::for_netlist(&nl);
+        delta.set_gate(x1, GateKind::Xnor, &[a, b]);
+        let tight = ResourceBudget::unlimited().with_max_sim_steps(257);
+        assert!(engine.try_apply_delta(&delta, &tight).is_err());
+        assert_eq!(engine.stats(), IncrStats::default());
+        assert_eq!(obs.snapshot().counter("sim.incr.deltas"), None);
+    }
+
+    #[test]
     fn replace_uses_and_added_gate_match() {
         let (nl, _) = ripple_adder(4);
         let patterns = Stimulus::uniform(8).patterns(96, 13);
@@ -1961,6 +1976,7 @@ mod tests {
         let mut delta = Delta::for_netlist(&nl);
         let fresh = delta.add_gate(GateKind::Nor, &[a, b]);
         delta.replace_uses(victim, fresh);
+        let mark = engine.checkpoint();
         engine.apply_delta(&delta);
         let mut edited = nl.clone();
         delta.apply_to(&mut edited);
@@ -1975,8 +1991,8 @@ mod tests {
         let swept_cap = swept_profile.switched_capacitance(&swept);
         assert_eq!(engine.switched_cap_live().to_bits(), swept_cap.to_bits());
         assert!(map[victim.index()].is_none(), "victim actually went dead");
-        // Revert restores everything, including the netlist length.
-        assert!(engine.revert());
+        // Rolling back restores everything, including the netlist length.
+        assert!(engine.rollback_to(mark));
         assert_eq!(engine.netlist().len(), nl.len());
         let original = CombSim::new(&nl).activity(&patterns);
         assert_eq!(bits(&engine.activity()), bits(&original));

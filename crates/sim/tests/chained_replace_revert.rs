@@ -22,13 +22,14 @@ fn chained_replace_uses_revert_restores_outputs() {
     let mut delta = Delta::for_netlist(&nl);
     delta.replace_uses(x, y);
     delta.replace_uses(y, z);
+    let mark = engine.checkpoint();
     engine.apply_delta(&delta);
     assert_eq!(engine.netlist().outputs()[0].0, z);
 
-    assert!(engine.revert());
+    assert!(engine.rollback_to(mark));
     assert_eq!(
         engine.netlist().outputs()[0].0,
         x,
-        "revert must restore the original output net"
+        "rollback must restore the original output net"
     );
 }
