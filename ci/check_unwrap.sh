@@ -33,11 +33,9 @@ check() {
 }
 
 check netlist 0 8
-# sim's 15: nine topo_order/fanout/shard invariants plus six "undo live"
-# guards in the incremental engine's delta/rollback bookkeeping (the undo
-# frame is pushed unconditionally in apply_delta before any path that reads
-# it).
-check sim 0 15
+# sim's 9: topo_order/fanout/shard invariants. The incremental engines
+# build each undo frame as a local, so their bookkeeping needs no guard.
+check sim 0 9
 check power 0 3
 
 exit "$fail"

@@ -123,8 +123,10 @@ fn balance_scratch(nl: &Netlist, patterns: &sim::stimulus::PatternSet, sweep: &[
 }
 
 /// Incremental balance sweep: one resident engine, deltas only. Also
-/// returns the total nets re-evaluated (dirty-cone replays + the initial
-/// full build counted as one whole-netlist evaluation).
+/// returns the nets the functional layer re-evaluated (dirty cones plus
+/// the initial build counted as one whole-netlist evaluation). The balance
+/// work ratio counts only those: the event layer re-times every net of
+/// the edited netlist per delta with one `EventSim` run.
 fn balance_incr(nl: &Netlist, packed: &PackedPatterns, sweep: &[usize]) -> (Vec<f64>, u64) {
     let levels = nl.levels().expect("acyclic");
     let mut engine = IncrementalEventSim::from_full_eval(nl, &DelayModel::Unit, packed);

@@ -18,6 +18,7 @@ use std::collections::BinaryHeap;
 
 use netlist::{NetId, Netlist};
 use power::model::{PowerParams, PowerReport};
+use sim::incr::{Journal, Mark};
 use sim::ActivityProfile;
 
 /// A netlist with per-gate continuous size factors and timing/power views.
@@ -91,29 +92,52 @@ impl<'a> SizedCircuit<'a> {
         d0 * (1.0 + self.gamma * self.load(net) / self.sizes[net.index()])
     }
 
+    /// `net`'s arrival time given its fanins' arrivals. Every timing view
+    /// (full or incremental) uses this one expression — same fanin order,
+    /// same `max` fold — so they agree bit for bit.
+    fn arrival_at(&self, net: NetId, arrival: &[f64]) -> f64 {
+        let input_arrival = self
+            .nl
+            .fanins(net)
+            .iter()
+            .map(|x| arrival[x.index()])
+            .fold(0.0f64, f64::max);
+        input_arrival + self.gate_delay(net)
+    }
+
+    /// Arrival time of every net (sources arrive at 0), in one
+    /// topological pass.
+    fn arrivals(&self) -> Vec<f64> {
+        let mut arrival = vec![0.0f64; self.nl.len()];
+        for &net in &self.order {
+            if !self.nl.kind(net).is_source() {
+                arrival[net.index()] = self.arrival_at(net, &arrival);
+            }
+        }
+        arrival
+    }
+
+    /// Worst arrival over primary outputs.
+    fn worst_output(&self, arrival: &[f64]) -> f64 {
+        self.nl
+            .outputs()
+            .iter()
+            .map(|(net, _)| arrival[net.index()])
+            .fold(0.0f64, f64::max)
+    }
+
+    /// Critical delay at the current sizes: `timing(..).critical` without
+    /// the required-time and slack passes.
+    pub fn critical_delay(&self) -> f64 {
+        self.worst_output(&self.arrivals())
+    }
+
     /// Static timing analysis against a required time `constraint` at every
     /// primary output.
     pub fn timing(&self, constraint: f64) -> Timing {
         let n = self.nl.len();
-        let mut arrival = vec![0.0f64; n];
-        for &net in &self.order {
-            if self.nl.kind(net).is_source() {
-                continue;
-            }
-            let input_arrival = self
-                .nl
-                .fanins(net)
-                .iter()
-                .map(|x| arrival[x.index()])
-                .fold(0.0f64, f64::max);
-            arrival[net.index()] = input_arrival + self.gate_delay(net);
-        }
-        let critical = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|(net, _)| arrival[net.index()])
-            .fold(0.0f64, f64::max);
+        let arrival = self.arrivals();
+        let critical = self.worst_output(&arrival);
         // Required times propagate backwards.
         let mut required = vec![f64::INFINITY; n];
         for (net, _) in self.nl.outputs() {
@@ -227,20 +251,6 @@ impl<'a> SizedCircuit<'a> {
     /// It starts in force-full mode when `LPOPT_INCR_STRESS` is set (see
     /// [`StaCache::set_force_full`]).
     pub fn sta_cache(&self) -> StaCache {
-        let n = self.nl.len();
-        let mut arrival = vec![0.0f64; n];
-        for &net in &self.order {
-            if self.nl.kind(net).is_source() {
-                continue;
-            }
-            let input_arrival = self
-                .nl
-                .fanins(net)
-                .iter()
-                .map(|x| arrival[x.index()])
-                .fold(0.0f64, f64::max);
-            arrival[net.index()] = input_arrival + self.gate_delay(net);
-        }
         let levels = self
             .nl
             .levels()
@@ -249,15 +259,12 @@ impl<'a> SizedCircuit<'a> {
             .map(|l| l as u32)
             .collect();
         StaCache {
-            arrival,
+            arrival: self.arrivals(),
             levels,
             heap: BinaryHeap::new(),
-            queued: vec![0; n],
+            queued: vec![0; self.nl.len()],
             epoch: 0,
-            undo: Vec::new(),
-            applied: 0,
-            floor: 0,
-            cps: Vec::new(),
+            journal: Journal::default(),
             force_full: sim::incr::stress_env(),
             trials: 0,
             arrival_evals: 0,
@@ -279,17 +286,18 @@ impl<'a> SizedCircuit<'a> {
 /// bit-identical to the stored one — so a shrink trial on a gate with small
 /// downstream cone touches a handful of nets instead of the whole netlist.
 ///
-/// Arrivals are computed with exactly the expression [`SizedCircuit::timing`]
-/// uses (same fanin order, same `max` fold), so the returned critical delay
-/// is bit-identical to a from-scratch analysis and every accept/reject
-/// decision made through the cache matches the full-STA driver.
+/// Arrivals are computed with the same expression [`SizedCircuit::timing`]
+/// uses, so the returned critical delay is bit-identical to a from-scratch
+/// analysis and every accept/reject decision made through the cache
+/// matches the full-STA driver.
 ///
-/// Trials journal onto a multi-slot undo **stack**: [`StaCache::checkpoint`]
-/// mints a [`StaMark`], chains of speculative resizes can be unwound to any
-/// live mark with [`StaCache::rollback_to`] (restoring sizes and arrivals
-/// bit-identically) or sealed with [`StaCache::commit`]. Only frames above
-/// the oldest outstanding mark are kept, so a cache nobody checkpoints
-/// journals nothing.
+/// Trials journal onto the incremental simulators' undo stack
+/// ([`sim::incr::Journal`]): [`StaCache::checkpoint`] mints a [`Mark`],
+/// chains of speculative resizes can be unwound to any live mark with
+/// [`StaCache::rollback_to`] (restoring sizes and arrivals bit-identically)
+/// or sealed with [`StaCache::commit`]. Only frames above the oldest
+/// outstanding mark are kept, so a cache nobody checkpoints journals
+/// nothing.
 ///
 /// [`StaCache::set_force_full`] turns the cache into its own A/B twin:
 /// every trial re-times every gate, with identical results.
@@ -300,15 +308,7 @@ pub struct StaCache {
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     queued: Vec<u64>,
     epoch: u64,
-    /// Journal frames for trials in `(floor, applied]`, oldest first.
-    undo: Vec<StaFrame>,
-    /// Resize trials applied over the cache's lifetime (monotone).
-    applied: u64,
-    /// Committed floor: trials at or below it can no longer be unwound.
-    floor: u64,
-    /// Outstanding checkpoint marks (nondecreasing); the oldest pins the
-    /// auto-trim.
-    cps: Vec<u64>,
+    journal: Journal<StaFrame>,
     /// Re-time every gate per trial instead of the resized gate's cone.
     force_full: bool,
     /// Resize trials performed.
@@ -318,8 +318,7 @@ pub struct StaCache {
     pub arrival_evals: u64,
 }
 
-/// Undo journal frame for one [`StaCache::resize`] trial. Frames stack:
-/// the cache keeps one per trial above the committed floor, undone LIFO.
+/// Undo frame for one [`StaCache::resize`] trial.
 #[derive(Debug)]
 struct StaFrame {
     /// `(net index, previous size)` of the resized gate.
@@ -327,12 +326,6 @@ struct StaFrame {
     /// `(net index, previous arrival)` for every arrival that moved.
     arrivals: Vec<(usize, f64)>,
 }
-
-/// A position in a [`StaCache`] undo stack, minted by
-/// [`StaCache::checkpoint`]. Absolute and totally ordered: a later
-/// checkpoint compares greater.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StaMark(u64);
 
 impl StaCache {
     /// Set `net`'s size and propagate arrivals; returns the new critical
@@ -347,10 +340,10 @@ impl StaCache {
         assert!(!c.nl.kind(net).is_source(), "sources are never sized");
         self.trials += 1;
         self.epoch += 1;
-        self.undo.push(StaFrame {
+        let mut frame = StaFrame {
             size: (net.index(), c.sizes[net.index()]),
             arrivals: Vec::new(),
-        });
+        };
         c.sizes[net.index()] = new_size;
         self.heap.clear();
         // The resized gate's delay changed; so did its fanins' (their load
@@ -373,27 +366,18 @@ impl StaCache {
             let idx = raw as usize;
             let nid = NetId::from_index(idx);
             self.arrival_evals += 1;
-            let input_arrival = c
-                .nl
-                .fanins(nid)
-                .iter()
-                .map(|x| self.arrival[x.index()])
-                .fold(0.0f64, f64::max);
-            let a = input_arrival + c.gate_delay(nid);
+            let a = c.arrival_at(nid, &self.arrival);
             if a.to_bits() == self.arrival[idx].to_bits() {
                 continue; // early cut-off: nothing downstream can move
             }
-            if let Some(frame) = self.undo.last_mut() {
-                frame.arrivals.push((idx, self.arrival[idx]));
-            }
+            frame.arrivals.push((idx, self.arrival[idx]));
             self.arrival[idx] = a;
             for fi in 0..c.fanouts[idx].len() {
                 let sink = c.fanouts[idx][fi];
                 self.enqueue(sink);
             }
         }
-        self.applied += 1;
-        self.auto_trim();
+        self.journal.push(frame);
         self.critical(c)
     }
 
@@ -414,84 +398,33 @@ impl StaCache {
 
     /// Worst arrival over primary outputs under the cached arrivals.
     pub fn critical(&self, c: &SizedCircuit<'_>) -> f64 {
-        c.nl
-            .outputs()
-            .iter()
-            .map(|(net, _)| self.arrival[net.index()])
-            .fold(0.0f64, f64::max)
+        c.worst_output(&self.arrival)
     }
 
     /// Mark the current state for a later [`StaCache::rollback_to`] or
-    /// [`StaCache::commit`]. While a mark is outstanding, every frame above
-    /// it is retained, so chains of speculative resizes can be unwound to
-    /// any mark between the checkpoint and the present.
-    pub fn checkpoint(&mut self) -> StaMark {
-        self.cps.push(self.applied);
-        StaMark(self.applied)
+    /// [`StaCache::commit`]; see [`Journal::checkpoint`].
+    pub fn checkpoint(&mut self) -> Mark {
+        self.journal.checkpoint()
     }
 
     /// Unwind every resize applied after `mark`, restoring sizes and
-    /// arrivals bit-identically to the state at the checkpoint.
-    ///
-    /// Returns false (and changes nothing) if a [`StaCache::commit`] has
-    /// passed the mark — rollback past the committed floor is rejected.
-    /// The mark itself stays live and can be rolled back to repeatedly;
-    /// marks above it are released.
-    pub fn rollback_to(&mut self, c: &mut SizedCircuit<'_>, mark: StaMark) -> bool {
-        if !self.is_live(mark) {
-            return false;
-        }
-        while self.applied > mark.0 {
-            if let Some(frame) = self.undo.pop() {
-                self.undo_frame(c, frame);
+    /// arrivals bit-identically to the state at the checkpoint. Returns
+    /// false (and changes nothing) if a [`StaCache::commit`] has passed
+    /// the mark; see [`Journal::rollback_to`].
+    pub fn rollback_to(&mut self, c: &mut SizedCircuit<'_>, mark: Mark) -> bool {
+        self.journal.rollback_to(mark, |frame| {
+            let (idx, old) = frame.size;
+            c.sizes[idx] = old;
+            for (i, a) in frame.arrivals {
+                self.arrival[i] = a;
             }
-            self.applied -= 1;
-        }
-        while self.cps.last().is_some_and(|&m| m > mark.0) {
-            self.cps.pop();
-        }
-        true
+        })
     }
 
-    /// Make every resize at or below `mark` permanent: frames are dropped,
-    /// the floor rises to the mark, and later rollbacks past it are
-    /// rejected. Releases every outstanding mark at or below `mark`.
-    /// Returns false (and changes nothing) if the mark is already below
-    /// the floor.
-    pub fn commit(&mut self, mark: StaMark) -> bool {
-        if !self.is_live(mark) {
-            return false;
-        }
-        self.undo.drain(..(mark.0 - self.floor) as usize);
-        self.floor = mark.0;
-        self.cps.retain(|&m| m > mark.0);
-        true
-    }
-
-    /// Whether `mark` lies between the committed floor and the present.
-    fn is_live(&self, mark: StaMark) -> bool {
-        self.floor <= mark.0 && mark.0 <= self.applied
-    }
-
-    /// Restore the state journaled in one frame (frames undo LIFO).
-    fn undo_frame(&mut self, c: &mut SizedCircuit<'_>, frame: StaFrame) {
-        let (idx, old) = frame.size;
-        c.sizes[idx] = old;
-        for &(i, a) in &frame.arrivals {
-            self.arrival[i] = a;
-        }
-    }
-
-    /// Drop frames no outstanding checkpoint can reach: every frame at
-    /// or below the oldest mark, or all of them when no mark is
-    /// outstanding.
-    fn auto_trim(&mut self) {
-        let keep_from = self.cps.first().copied().unwrap_or(self.applied);
-        if keep_from > self.floor {
-            let frames = (keep_from - self.floor) as usize;
-            self.undo.drain(..frames);
-            self.floor = keep_from;
-        }
+    /// Make every resize at or below `mark` permanent; see
+    /// [`Journal::commit`].
+    pub fn commit(&mut self, mark: Mark) -> bool {
+        self.journal.commit(mark)
     }
 }
 

@@ -6,10 +6,11 @@
 //! agree with each other on every returned delay and every size. Rolling
 //! back past a commit must be rejected without touching either cache.
 
-use circuit::sizing::{SizedCircuit, StaCache, StaMark};
+use circuit::sizing::{SizedCircuit, StaCache};
 use netlist::gen::{random_dag, RandomDagConfig};
 use netlist::{NetId, Rng64};
 use proptest::prelude::*;
+use sim::incr::Mark;
 
 /// Assert the cache's critical delay equals a full analysis of `c`.
 fn check(c: &SizedCircuit<'_>, sta: &StaCache) -> Result<(), TestCaseError> {
@@ -46,8 +47,8 @@ proptest! {
         let mut rng = Rng64::new(op_seed);
         // Live marks, oldest first, with the sizes each must restore, and
         // the latest mark a commit left below the floor.
-        let mut marks: Vec<(StaMark, StaMark, Vec<f64>)> = Vec::new();
-        let mut dead: Option<(StaMark, StaMark)> = None;
+        let mut marks: Vec<(Mark, Mark, Vec<f64>)> = Vec::new();
+        let mut dead: Option<(Mark, Mark)> = None;
         for _ in 0..ops {
             match rng.range(0, 5) {
                 0 | 1 => {

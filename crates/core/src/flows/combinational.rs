@@ -140,7 +140,7 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
     let (balanced, buffers_added) = if dc_rewrites == 0 && rewrite_chains == 0 {
         // Netlist unchanged since the baseline measurement: balance as a
         // delta against the resident engine, so the optimized measurement
-        // below re-simulates only the buffered cones.
+        // below needs no fresh engine build.
         let levels = nl.levels().expect("acyclic");
         let (delta, buffers) = balance_delta(nl, &levels, config.balance_threshold);
         if !delta.is_empty() {

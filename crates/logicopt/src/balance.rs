@@ -72,7 +72,8 @@ pub fn balance_paths_with_threshold(nl: &Netlist, threshold: usize) -> (Netlist,
 
 /// The balancing edit as a [`Delta`] instead of a rebuilt netlist, for the
 /// incremental engines: apply it to an `IncrementalEventSim` holding `nl`
-/// and only the buffered edges' fanout cones re-simulate.
+/// and only the buffered edges' fanout cones re-evaluate functionally
+/// before the engine re-times the edited netlist.
 ///
 /// `levels` must be `nl.levels()`. Replaying the delta on a clone of `nl`
 /// produces exactly the netlist [`balance_paths_with_threshold`] returns

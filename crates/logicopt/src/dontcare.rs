@@ -258,23 +258,7 @@ pub fn optimize_dontcares_sim_with(
 /// Candidate nodes for the simulation-driven pass: live internal gates
 /// small enough to enumerate.
 pub(crate) fn sim_candidates(nl: &Netlist, max_fanin: usize) -> Vec<NetId> {
-    let mut live = vec![false; nl.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (net, _) in nl.outputs() {
-        stack.push(net.index());
-    }
-    for &pi in nl.inputs() {
-        stack.push(pi.index());
-    }
-    while let Some(v) = stack.pop() {
-        if live[v] {
-            continue;
-        }
-        live[v] = true;
-        for &f in nl.fanins(NetId::from_index(v)) {
-            stack.push(f.index());
-        }
-    }
+    let live = nl.live_mask();
     nl.iter_nets()
         .filter(|&net| {
             let kind = nl.kind(net);

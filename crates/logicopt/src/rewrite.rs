@@ -376,8 +376,7 @@ pub fn try_rewrite_sim(
 fn unit_critical(nl: &Netlist) -> f64 {
     let mut swept = nl.clone();
     swept.sweep_dead();
-    let sized = SizedCircuit::new(&swept, 1.0);
-    sized.sta_cache().critical(&sized)
+    SizedCircuit::new(&swept, 1.0).critical_delay()
 }
 
 /// Score every move on the engine: apply, read the live cap, check the
@@ -428,7 +427,9 @@ fn enumerate_moves(
     let bdds = cache
         .get_or_build(nl, &ResourceBudget::unlimited())
         .expect("unlimited budget");
-    let live = live_mask(nl);
+    // Rewrites leave dead cones in place (net ids stay stable for the
+    // engine), so moves only target live logic.
+    let live = nl.live_mask();
     let mut out = Vec::new();
     resub_moves(nl, &bdds, &live, cfg.moves_per_class, &mut out);
     pair_extract_moves(nl, &live, cfg.moves_per_class, &mut out);
@@ -442,30 +443,6 @@ fn enumerate_moves(
         dontcare_moves(nl, &bdds, input_probs, cfg, &mut out);
     }
     out
-}
-
-/// Reachability from primary outputs and inputs — rewrites leave dead cones
-/// in place (net ids stay stable for the engine), so moves only target live
-/// logic.
-fn live_mask(nl: &Netlist) -> Vec<bool> {
-    let mut live = vec![false; nl.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (net, _) in nl.outputs() {
-        stack.push(net.index());
-    }
-    for &pi in nl.inputs() {
-        stack.push(pi.index());
-    }
-    while let Some(v) = stack.pop() {
-        if live[v] {
-            continue;
-        }
-        live[v] = true;
-        for &f in nl.fanins(NetId::from_index(v)) {
-            stack.push(f.index());
-        }
-    }
-    live
 }
 
 /// Resubstitution: redirect users of a net to a no-deeper net with the same
@@ -833,7 +810,7 @@ mod tests {
         let y = nl.add_gate(GateKind::And, &[a, b, d]);
         let f = nl.add_gate(GateKind::Or, &[x, y]);
         nl.mark_output(f, "f");
-        let live = live_mask(&nl);
+        let live = nl.live_mask();
         let mut moves = Vec::new();
         pair_extract_moves(&nl, &live, 16, &mut moves);
         assert!(!moves.is_empty(), "shared pair {{a,b}} should be found");
@@ -860,7 +837,7 @@ mod tests {
         let t3 = nl.add_gate(GateKind::And, &[a, b, e]);
         let f = nl.add_gate(GateKind::Or, &[t1, t2, t3, g]);
         nl.mark_output(f, "f");
-        let live = live_mask(&nl);
+        let live = nl.live_mask();
         let mut moves = Vec::new();
         kernel_moves(&nl, &live, 16, &mut moves);
         assert!(!moves.is_empty(), "the (c + d + e) kernel should be found");

@@ -530,32 +530,32 @@ impl Netlist {
     // Surgery
     // ------------------------------------------------------------------
 
+    /// Which nets are live: reachable from a primary output or flip-flop,
+    /// plus the primary inputs (kept so the interface is stable). Exactly
+    /// the nets [`Netlist::sweep_dead`] keeps.
+    pub fn live_mask(&self) -> Vec<bool> {
+        let mut live = vec![false; self.nodes.len()];
+        let mut stack: Vec<usize> = self
+            .outputs
+            .iter()
+            .map(|(net, _)| net.index())
+            .chain(self.dffs.iter().chain(&self.inputs).map(|net| net.index()))
+            .collect();
+        while let Some(v) = stack.pop() {
+            if !live[v] {
+                live[v] = true;
+                stack.extend(self.nodes[v].inputs.iter().map(|input| input.index()));
+            }
+        }
+        live
+    }
+
     /// Remove nodes not reachable from any primary output or flip-flop.
     ///
     /// Returns the mapping `old id -> new id` (`None` for removed nodes).
     pub fn sweep_dead(&mut self) -> Vec<Option<NetId>> {
         let n = self.nodes.len();
-        let mut live = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for (net, _) in &self.outputs {
-            stack.push(net.index());
-        }
-        for &dff in &self.dffs {
-            stack.push(dff.index());
-        }
-        // Keep primary inputs so the interface is stable.
-        for &pi in &self.inputs {
-            stack.push(pi.index());
-        }
-        while let Some(v) = stack.pop() {
-            if live[v] {
-                continue;
-            }
-            live[v] = true;
-            for &input in &self.nodes[v].inputs {
-                stack.push(input.index());
-            }
-        }
+        let live = self.live_mask();
         let mut map: Vec<Option<NetId>> = vec![None; n];
         let mut new_nodes = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {

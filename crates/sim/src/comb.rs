@@ -183,7 +183,7 @@ impl<'a> CombSim<'a> {
         arena: &mut CombArena,
         budget: &ResourceBudget,
     ) -> Result<ShardCounts, BudgetExceeded> {
-        const { assert!(LANES % L == 0, "a group must sit inside one packed wide block") };
+        const { assert!(LANES.is_multiple_of(L), "a group must sit inside one packed wide block") };
         let n = self.nl.len();
         let mut counts = ShardCounts {
             toggles: vec![0u64; n],

@@ -192,7 +192,6 @@ pub struct EventSim<'a> {
     fanin_idx: Vec<u32>,
     fanout_off: Vec<u32>,
     fanout_idx: Vec<u32>,
-    delays: Vec<u32>,
     /// One packed record per net for the drain loop: a sink evaluation is
     /// one 16-byte load plus two value loads and a shift.
     sinks: Vec<SinkEval>,
@@ -293,7 +292,6 @@ impl<'a> EventSim<'a> {
             fanin_idx,
             fanout_off,
             fanout_idx,
-            delays,
             sinks,
             max_delay,
             uniform,
@@ -407,11 +405,6 @@ impl<'a> EventSim<'a> {
     pub fn with_obs(mut self, obs: obs::Obs) -> EventSim<'a> {
         self.obs = obs;
         self
-    }
-
-    /// Per-net delay in ticks used by this simulator.
-    pub fn delay_of(&self, net: NetId) -> u32 {
-        self.delays[net.index()]
     }
 
     fn settle(&self, values: &mut [bool], ins: &mut Vec<bool>) {

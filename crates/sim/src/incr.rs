@@ -3,11 +3,11 @@
 //! The optimization passes of this workspace (path balancing, don't-care
 //! rewriting, transistor sizing) are iterative-improvement loops: propose a
 //! small structural edit, re-estimate power, accept or revert. Re-running a
-//! full [`crate::comb::CombSim`] / [`crate::event::EventSim`] per candidate
-//! makes every pass O(gates × candidates). The engines here keep the packed
-//! 64-wide per-net words of the last full evaluation resident, apply a
-//! [`Delta`], mark the structural fanout cone of the edit dirty, and
-//! re-evaluate **only** dirtied nets in levelized order — with an early
+//! full [`crate::comb::CombSim`] per candidate makes every pass
+//! O(gates × candidates). [`IncrementalSim`] keeps the packed 64-wide
+//! per-net words of the last full evaluation resident, applies a
+//! [`Delta`], marks the structural fanout cone of the edit dirty, and
+//! re-evaluates **only** dirtied nets in levelized order — with an early
 //! cut-off wherever a re-evaluated net's words come out unchanged. Toggle
 //! and one counts are updated by subtracting the old cone contribution and
 //! adding the new one, never by recounting the stream.
@@ -15,32 +15,34 @@
 //! Both engines are **bit-identical** to their from-scratch counterparts:
 //! [`IncrementalSim::activity`] equals `CombSim::activity` and
 //! [`IncrementalEventSim::activity`] equals `EventSim::activity` on the
-//! same netlist and stimulus, bit for bit. The event-driven variant replays
-//! the existing event queue, but seeds each cycle's wave from the recorded
-//! transition waveforms of the dirty cone's *boundary* (fanins just outside
-//! the cone) instead of the primary inputs, so replay cost is proportional
-//! to the cone's event traffic.
+//! same netlist and stimulus, bit for bit. The event-driven variant adds
+//! the glitch-inclusive profile by re-timing the edited netlist with one
+//! [`crate::event::EventSim`] run per applied delta, so its answer *is*
+//! `EventSim`'s; under uniform delays that run takes the word-parallel
+//! dense kernel.
 //!
 //! When a delta dirties more than half the netlist (or under
 //! `LPOPT_INCR_STRESS=1`), the engines fall back to a full re-evaluation
 //! through the same code path — results are identical either way, the
 //! fallback merely skips pointless cone bookkeeping.
 //!
-//! Applied deltas are journaled on a multi-slot **undo stack**: a search
-//! can take a [`Mark`] with [`IncrementalSim::checkpoint`], speculatively
-//! apply a chain of deltas, score each state on the resident engine, and
-//! either unwind to any live mark with [`IncrementalSim::rollback_to`]
-//! (bit-identical to never having applied the chain) or make the chain
-//! permanent with [`IncrementalSim::commit`]. Only frames above the
-//! oldest outstanding mark are kept, so a caller that never checkpoints
-//! holds no journal at all and memory stays constant.
+//! Applied deltas are journaled on a multi-slot **undo stack** (each
+//! engine holds one [`Journal`], the type `circuit::sizing::StaCache` uses
+//! too): a search can take a [`Mark`] with [`IncrementalSim::checkpoint`],
+//! speculatively apply a chain of deltas, score each state on the resident
+//! engine, and either unwind to any live mark with
+//! [`IncrementalSim::rollback_to`] (bit-identical to never having applied
+//! the chain) or make the chain permanent with [`IncrementalSim::commit`].
+//! Only frames above the oldest outstanding mark are kept, so a caller
+//! that never checkpoints holds no journal at all and memory stays
+//! constant.
 //!
 //! Observability: every applied delta publishes `sim.incr.deltas`,
 //! `sim.incr.nets_dirtied`, `sim.incr.nets_reevaluated`,
 //! `sim.incr.cutoffs`, and `sim.incr.full_evals`; the undo stack adds
 //! `sim.incr.checkpoints`, `sim.incr.rollbacks`, and `sim.incr.commits`;
-//! the event engine also publishes the usual `sim.event.*` counters for
-//! its (restricted) replays.
+//! the event engine's `EventSim` runs publish the usual whole-netlist
+//! `sim.event.*` counters.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,10 +50,9 @@ use std::collections::BinaryHeap;
 use budget::{BudgetExceeded, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
 
-use crate::event::{DelayModel, TimingActivity};
+use crate::event::{DelayModel, EventSim, TimingActivity};
 use crate::profile::ActivityProfile;
-use crate::queue::{CalendarQueue, Scheduled};
-use crate::stimulus::PackedPatterns;
+use crate::stimulus::{PackedPatterns, PatternSet};
 use crate::wide::{prefix_mask, LANES};
 
 /// One structural edit inside a [`Delta`].
@@ -229,7 +230,7 @@ pub struct IncrStats {
 
 /// A position in an engine's undo stack, minted by `checkpoint()`.
 ///
-/// Marks are absolute (the number of deltas applied when the checkpoint
+/// Marks are absolute (the number of applies recorded when the checkpoint
 /// was taken) and totally ordered: a later checkpoint compares greater.
 /// A mark stays valid until a `commit` at or above it raises the
 /// journal floor past it, or — for marks released by a rollback/commit —
@@ -237,8 +238,108 @@ pub struct IncrStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mark(u64);
 
-/// Undo journal frame for one applied delta. Frames stack: the engines
-/// keep one per apply above the committed floor, undone LIFO.
+/// The undo-stack policy of every incremental engine: one frame per apply
+/// above the committed floor, kept only while an outstanding [`Mark`] can
+/// still reach it.
+///
+/// An engine builds a frame per apply (whatever inverts that apply) and
+/// records it with [`Journal::push`]; [`Journal::rollback_to`] hands the
+/// frames above a mark back, newest first, for the engine to undo. A
+/// journal nobody checkpoints holds no frames at all.
+#[derive(Debug)]
+pub struct Journal<F> {
+    /// Frames for applies in `(floor, applied]`, oldest first.
+    frames: Vec<F>,
+    /// Applies recorded over the journal's lifetime (monotone).
+    applied: u64,
+    /// Committed floor: applies at or below it can no longer be unwound.
+    floor: u64,
+    /// Outstanding checkpoint marks (nondecreasing). The oldest entry
+    /// pins the trim: frames above it survive new applies.
+    marks: Vec<u64>,
+}
+
+// Written out because `#[derive(Default)]` would require `F: Default`.
+impl<F> Default for Journal<F> {
+    fn default() -> Journal<F> {
+        Journal {
+            frames: Vec::new(),
+            applied: 0,
+            floor: 0,
+            marks: Vec::new(),
+        }
+    }
+}
+
+impl<F> Journal<F> {
+    /// Record one apply's frame, then drop every frame no outstanding mark
+    /// can reach: all frames at or below the oldest mark, or all of them
+    /// when no mark is outstanding.
+    pub fn push(&mut self, frame: F) {
+        self.frames.push(frame);
+        self.applied += 1;
+        let keep_from = self.marks.first().copied().unwrap_or(self.applied);
+        if keep_from > self.floor {
+            self.frames.drain(..(keep_from - self.floor) as usize);
+            self.floor = keep_from;
+        }
+    }
+
+    /// Mark the current state. While the mark is outstanding, every frame
+    /// above it is retained, so a chain of applies can be unwound to any
+    /// mark between the checkpoint and the present.
+    pub fn checkpoint(&mut self) -> Mark {
+        self.marks.push(self.applied);
+        Mark(self.applied)
+    }
+
+    /// Hand every frame above `mark` to `undo`, newest first.
+    ///
+    /// Returns false (and changes nothing) if a commit has passed the
+    /// mark — rollback past the committed floor is rejected, never
+    /// partially applied. The mark itself stays live: the same mark can be
+    /// rolled back to repeatedly, but marks *above* it are released.
+    pub fn rollback_to(&mut self, mark: Mark, undo: impl FnMut(F)) -> bool {
+        if !self.is_live(mark) {
+            return false;
+        }
+        self.frames
+            .drain((mark.0 - self.floor) as usize..)
+            .rev()
+            .for_each(undo);
+        self.applied = mark.0;
+        while self.marks.last().is_some_and(|&m| m > mark.0) {
+            self.marks.pop();
+        }
+        true
+    }
+
+    /// Make every apply at or below `mark` permanent: its frames are
+    /// dropped, the floor rises to the mark, and every outstanding mark at
+    /// or below it is released. Returns false (and changes nothing) if the
+    /// mark is already below the floor.
+    pub fn commit(&mut self, mark: Mark) -> bool {
+        if !self.is_live(mark) {
+            return false;
+        }
+        self.frames.drain(..(mark.0 - self.floor) as usize);
+        self.floor = mark.0;
+        self.marks.retain(|&m| m > mark.0);
+        true
+    }
+
+    /// Number of frames currently held (applies above the floor).
+    pub(crate) fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether `mark` lies between the committed floor and the present.
+    fn is_live(&self, mark: Mark) -> bool {
+        self.floor <= mark.0 && mark.0 <= self.applied
+    }
+}
+
+/// Undo frame for one applied delta (the inverse of that apply).
 #[derive(Debug, Default)]
 struct Undo {
     prev_len: usize,
@@ -258,8 +359,12 @@ struct Undo {
 /// counts, levels and fanout lists of the last evaluation, and keeps all of
 /// them consistent under [`IncrementalSim::apply_delta`] /
 /// [`IncrementalSim::rollback_to`].
+///
+/// `X` is extra per-apply state a wrapping engine journals beside each
+/// functional frame (the event engine's previous total profile); plain
+/// callers use the default `()`.
 #[derive(Debug)]
-pub struct IncrementalSim {
+pub struct IncrementalSim<X = ()> {
     nl: Netlist,
     cycles: usize,
     nblocks: usize,
@@ -277,19 +382,10 @@ pub struct IncrementalSim {
     force_full: bool,
     obs: obs::Obs,
     stats: IncrStats,
-    /// Journal frames for applies in `(floor, applied]`, oldest first.
-    undo: Vec<Undo>,
-    /// Deltas applied over the engine's lifetime (monotone).
-    applied: u64,
-    /// Committed floor: applies at or below it can no longer be unwound.
-    floor: u64,
-    /// Outstanding checkpoint marks (nondecreasing). The oldest entry
-    /// pins the auto-trim: frames above it survive new applies.
-    cps: Vec<u64>,
-    // Last-apply info consumed by the event engine.
+    journal: Journal<(Undo, X)>,
+    // Per-apply scratch: the edited nets and their structural fanout cone.
     cone: Vec<NetId>,
     touched: Vec<NetId>,
-    last_full: bool,
     // Epoch-stamped scratch (no per-delta clearing).
     epoch: u64,
     cone_stamp: Vec<u64>,
@@ -358,21 +454,54 @@ impl IncrementalSim {
         obs: obs::Obs,
     ) -> Result<IncrementalSim, BudgetExceeded> {
         let sim = Self::build(nl, packed, budget, obs)?;
-        if sim.obs.is_enabled() {
-            sim.obs.add("sim.comb.cycles", sim.cycles as u64);
-            let evaluated = sim.nl.len() - sim.nl.num_inputs();
-            sim.obs
-                .add("sim.comb.gate_evals", sim.nblocks as u64 * evaluated as u64);
-        }
+        sim.count_build();
         Ok(sim)
     }
 
-    pub(crate) fn build(
+    /// Apply a delta (unlimited budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the delta creates a combinational cycle or violates
+    /// netlist invariants.
+    pub fn apply_delta(&mut self, delta: &Delta) -> ApplyInfo {
+        match self.try_apply_delta(delta, &ResourceBudget::unlimited()) {
+            Ok(info) => info,
+            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
+        }
+    }
+
+    /// Apply a delta under a budget. Each re-evaluated net is metered as
+    /// `cycles` simulation steps (the unit the full engines use), checked
+    /// every 16 nets along with the deadline. On exhaustion the partial
+    /// apply is rolled back and the engine is exactly as before the call.
+    pub fn try_apply_delta(
+        &mut self,
+        delta: &Delta,
+        budget: &ResourceBudget,
+    ) -> Result<ApplyInfo, BudgetExceeded> {
+        let (info, undo) = self.apply(delta, budget)?;
+        self.record(&info, undo, ());
+        Ok(info)
+    }
+
+    /// Unwind every delta applied after `mark`, restoring the engine
+    /// bit-identically to its state when the checkpoint was taken.
+    ///
+    /// Returns false (and changes nothing) if the mark has been passed by
+    /// a [`IncrementalSim::commit`]; see [`Journal::rollback_to`].
+    pub fn rollback_to(&mut self, mark: Mark) -> bool {
+        self.rollback_with(mark, |()| {})
+    }
+}
+
+impl<X> IncrementalSim<X> {
+    fn build(
         nl: &Netlist,
         packed: &PackedPatterns,
         budget: &ResourceBudget,
         obs: obs::Obs,
-    ) -> Result<IncrementalSim, BudgetExceeded> {
+    ) -> Result<IncrementalSim<X>, BudgetExceeded> {
         assert!(nl.is_combinational(), "incremental engine requires combinational netlist");
         assert_eq!(packed.width(), nl.num_inputs(), "stimulus width");
         let order = nl.topo_order().expect("netlist must be acyclic");
@@ -432,13 +561,9 @@ impl IncrementalSim {
             force_full: stress_env(),
             obs,
             stats: IncrStats::default(),
-            undo: Vec::new(),
-            applied: 0,
-            floor: 0,
-            cps: Vec::new(),
+            journal: Journal::default(),
             cone: Vec::new(),
             touched: Vec::new(),
-            last_full: false,
             epoch: 0,
             cone_stamp: vec![0; n],
             queued_stamp: vec![0; n],
@@ -449,6 +574,17 @@ impl IncrementalSim {
             ins: Vec::new(),
             new_words: vec![0; stride],
         })
+    }
+
+    /// Publish the counters a [`crate::comb::CombSim`] run of the initial
+    /// evaluation would (once the whole build has succeeded).
+    fn count_build(&self) {
+        if self.obs.is_enabled() {
+            self.obs.add("sim.comb.cycles", self.cycles as u64);
+            let evaluated = self.nl.len() - self.nl.num_inputs();
+            self.obs
+                .add("sim.comb.gate_evals", self.nblocks as u64 * evaluated as u64);
+        }
     }
 
     /// The engine's current netlist (base netlist plus all applied deltas).
@@ -474,48 +610,17 @@ impl IncrementalSim {
     }
 
     /// Attach an observability handle (counters flush per applied delta).
-    pub fn with_obs(mut self, obs: obs::Obs) -> IncrementalSim {
+    pub fn with_obs(mut self, obs: obs::Obs) -> IncrementalSim<X> {
         self.obs = obs;
         self
     }
 
-    #[inline]
-    fn word_bit(&self, idx: usize, cycle: usize) -> bool {
-        self.words[idx * self.stride + cycle / 64] >> (cycle % 64) & 1 == 1
-    }
-
-    /// Apply a delta (unlimited budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta creates a combinational cycle or violates
-    /// netlist invariants.
-    pub fn apply_delta(&mut self, delta: &Delta) -> ApplyInfo {
-        match self.try_apply_delta(delta, &ResourceBudget::unlimited()) {
-            Ok(info) => info,
-            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-        }
-    }
-
-    /// Apply a delta under a budget. Each re-evaluated net is metered as
-    /// `cycles` simulation steps (the unit the full engines use), checked
-    /// every 16 nets along with the deadline. On exhaustion the partial
-    /// apply is rolled back and the engine is exactly as before the call.
-    pub fn try_apply_delta(
-        &mut self,
-        delta: &Delta,
-        budget: &ResourceBudget,
-    ) -> Result<ApplyInfo, BudgetExceeded> {
-        let info = self.try_apply_delta_noflush(delta, budget)?;
-        self.auto_trim();
-        self.flush_incr(&info);
-        Ok(info)
-    }
-
-    /// Count a successful apply in `stats()` and the obs counters. Called
-    /// only once every layer has accepted the delta, so an apply rolled
-    /// back on budget exhaustion leaves no trace in either.
-    pub(crate) fn flush_incr(&mut self, info: &ApplyInfo) {
+    /// Journal an accepted apply (with the wrapping engine's `extra`
+    /// state) and count it in `stats()` and the obs counters. Called only
+    /// once every layer has accepted the delta, so an apply undone on
+    /// budget exhaustion leaves no trace in either.
+    fn record(&mut self, info: &ApplyInfo, undo: Undo, extra: X) {
+        self.journal.push((undo, extra));
         self.stats.deltas += 1;
         self.stats.nets_dirtied += info.dirtied as u64;
         self.stats.nets_reevaluated += info.reevaluated as u64;
@@ -531,11 +636,15 @@ impl IncrementalSim {
         }
     }
 
-    pub(crate) fn try_apply_delta_noflush(
+    /// Edit the netlist and re-evaluate the dirty nets, returning what
+    /// happened plus the frame that undoes it. The caller either records
+    /// the frame or undoes it; on budget exhaustion the partial apply is
+    /// undone here.
+    fn apply(
         &mut self,
         delta: &Delta,
         budget: &ResourceBudget,
-    ) -> Result<ApplyInfo, BudgetExceeded> {
+    ) -> Result<(ApplyInfo, Undo), BudgetExceeded> {
         assert_eq!(
             delta.base_len,
             self.nl.len(),
@@ -545,10 +654,10 @@ impl IncrementalSim {
         let new_len = prev_len + delta.added;
         self.epoch += 1;
         self.grow_scratch(new_len);
-        self.undo.push(Undo {
+        let mut undo = Undo {
             prev_len,
             ..Undo::default()
-        });
+        };
         self.touched.clear();
 
         // Phase 1: structural application (cheap; no evaluation).
@@ -571,7 +680,7 @@ impl IncrementalSim {
                         self.nl.kind(*net) != GateKind::Input,
                         "cannot rewrite primary input {net}"
                     );
-                    self.journal_structure(*net);
+                    self.journal_structure(&mut undo, *net);
                     for &f in self.nl.fanins(*net).to_vec().iter() {
                         remove_one(&mut self.fanouts[f.index()], *net);
                     }
@@ -585,12 +694,12 @@ impl IncrementalSim {
                     assert!(new.index() < self.nl.len(), "replacement {new} out of range");
                     for (idx, (net, _)) in self.nl.outputs().iter().enumerate() {
                         if net == old {
-                            self.undo.last_mut().expect("undo live").outputs.push((idx, *old));
+                            undo.outputs.push((idx, *old));
                         }
                     }
                     let users = std::mem::take(&mut self.fanouts[old.index()]);
                     for &user in &users {
-                        self.journal_structure(user);
+                        self.journal_structure(&mut undo, user);
                     }
                     // Each entry in `users` is one fanin edge user -> old;
                     // all of them move to `new`.
@@ -631,7 +740,6 @@ impl IncrementalSim {
             }
         }
         let full = self.force_full || self.cone.len() * 2 > self.nl.len();
-        self.last_full = full;
 
         // Phase 3: recompute levels (full Kahn pass in fallback mode, a
         // memoized DFS over the cone otherwise; both journal changes and
@@ -645,17 +753,13 @@ impl IncrementalSim {
                 let l = l as u32;
                 if self.levels[i] != l {
                     if i < prev_len {
-                        self.undo
-                            .last_mut()
-                            .expect("undo live")
-                            .levels
-                            .push((NetId::from_index(i), self.levels[i]));
+                        undo.levels.push((NetId::from_index(i), self.levels[i]));
                     }
                     self.levels[i] = l;
                 }
             }
         } else {
-            self.recompute_cone_levels(prev_len);
+            self.recompute_cone_levels(&mut undo);
         }
 
         // Phase 4: levelized re-evaluation with early cut-off.
@@ -684,12 +788,13 @@ impl IncrementalSim {
             let idx = raw as usize;
             tally += self.cycles as u64;
             if reevaluated & 0xF == 0 {
-                if tally >= max_steps {
-                    self.pop_frame();
-                    return Err(budget.sim_steps_exceeded(tally));
-                }
-                if let Err(e) = budget.check_deadline() {
-                    self.pop_frame();
+                let check = if tally >= max_steps {
+                    Err(budget.sim_steps_exceeded(tally))
+                } else {
+                    budget.check_deadline()
+                };
+                if let Err(e) = check {
+                    self.undo_frame(undo);
                     return Err(e);
                 }
             }
@@ -714,12 +819,8 @@ impl IncrementalSim {
             }
             let slot = &mut self.words[idx * self.stride..(idx + 1) * self.stride];
             if idx < prev_len {
-                self.undo.last_mut().expect("undo live").words.push((
-                    net,
-                    slot.to_vec(),
-                    self.toggles[idx],
-                    self.ones[idx],
-                ));
+                undo.words
+                    .push((net, slot.to_vec(), self.toggles[idx], self.ones[idx]));
             }
             slot.copy_from_slice(&self.new_words);
             let (t, o) = count_words(&self.words[idx * self.stride..][..self.nblocks], self.cycles);
@@ -740,13 +841,13 @@ impl IncrementalSim {
         } else {
             self.cone.len()
         };
-        self.applied += 1;
-        Ok(ApplyInfo {
+        let info = ApplyInfo {
             dirtied,
             reevaluated,
             cutoffs,
             full_eval: full,
-        })
+        };
+        Ok((info, undo))
     }
 
     fn grow_scratch(&mut self, n: usize) {
@@ -757,25 +858,22 @@ impl IncrementalSim {
         self.lvl_onstack.resize(n, 0);
     }
 
-    fn journal_structure(&mut self, net: NetId) {
-        if net.index() >= self.undo.last().expect("undo live").prev_len {
+    fn journal_structure(&mut self, undo: &mut Undo, net: NetId) {
+        if net.index() >= undo.prev_len {
             return; // appended this delta; truncation reverts it
         }
         if self.struct_stamp[net.index()] == self.epoch {
             return;
         }
         self.struct_stamp[net.index()] = self.epoch;
-        self.undo.last_mut().expect("undo live").structure.push((
-            net,
-            self.nl.kind(net),
-            self.nl.fanins(net).to_vec(),
-        ));
+        undo.structure
+            .push((net, self.nl.kind(net), self.nl.fanins(net).to_vec()));
     }
 
     /// Recompute levels of every cone member via iterative DFS; fanins
     /// outside the cone keep their (still valid) stored levels. Detects
     /// delta-created cycles (any new cycle passes through the cone).
-    fn recompute_cone_levels(&mut self, prev_len: usize) {
+    fn recompute_cone_levels(&mut self, undo: &mut Undo) {
         let mut stack: Vec<(u32, usize)> = Vec::new();
         for ci in 0..self.cone.len() {
             let root = self.cone[ci];
@@ -813,12 +911,8 @@ impl IncrementalSim {
                             .unwrap_or(0)
                     };
                     if self.levels[idx] != lvl {
-                        if idx < prev_len {
-                            self.undo
-                                .last_mut()
-                                .expect("undo live")
-                                .levels
-                                .push((net, self.levels[idx]));
+                        if idx < undo.prev_len {
+                            undo.levels.push((net, self.levels[idx]));
                         }
                         self.levels[idx] = lvl;
                     }
@@ -829,59 +923,40 @@ impl IncrementalSim {
         }
     }
 
-    /// Mark the current state for a later [`IncrementalSim::rollback_to`]
-    /// or [`IncrementalSim::commit`]. While a mark is outstanding, every
-    /// frame above it is retained, so chains of speculative applies can be
-    /// unwound to any mark between the checkpoint and the present.
+    /// Mark the current state for a later `rollback_to` or
+    /// [`IncrementalSim::commit`]; see [`Journal::checkpoint`].
     pub fn checkpoint(&mut self) -> Mark {
         self.stats.checkpoints += 1;
         if self.obs.is_enabled() {
             self.obs.add("sim.incr.checkpoints", 1);
         }
-        self.cps.push(self.applied);
-        Mark(self.applied)
+        self.journal.checkpoint()
     }
 
-    /// Unwind every delta applied after `mark`, restoring the engine
-    /// bit-identically to its state when the checkpoint was taken.
-    ///
-    /// Returns false (and changes nothing) if the mark has been passed by
-    /// a [`IncrementalSim::commit`] — rollback past the committed floor is
-    /// rejected, never partially applied. The mark itself stays live: the
-    /// same mark can be rolled back to repeatedly (speculate, unwind,
-    /// speculate again), but marks *above* it are released.
-    pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        if !self.is_live(mark) {
-            return false;
+    /// Undo every frame above `mark`, handing each frame's extra state to
+    /// `restore` (newest first); see [`Journal::rollback_to`].
+    fn rollback_with(&mut self, mark: Mark, mut restore: impl FnMut(X)) -> bool {
+        let mut journal = std::mem::take(&mut self.journal);
+        let live = journal.rollback_to(mark, |(undo, extra)| {
+            self.undo_frame(undo);
+            restore(extra);
+        });
+        self.journal = journal;
+        if live {
+            self.stats.rollbacks += 1;
+            if self.obs.is_enabled() {
+                self.obs.add("sim.incr.rollbacks", 1);
+            }
         }
-        while self.applied > mark.0 {
-            self.pop_frame();
-            self.applied -= 1;
-        }
-        while self.cps.last().is_some_and(|&m| m > mark.0) {
-            self.cps.pop();
-        }
-        self.stats.rollbacks += 1;
-        if self.obs.is_enabled() {
-            self.obs.add("sim.incr.rollbacks", 1);
-        }
-        true
+        live
     }
 
-    /// Make every delta at or below `mark` permanent: their journal frames
-    /// are dropped, the floor rises to the mark, and later rollbacks past
-    /// it are rejected. Releases every outstanding mark at or below `mark`.
-    ///
-    /// Returns false (and changes nothing) if the mark is already below
-    /// the floor.
+    /// Make every delta at or below `mark` permanent; see
+    /// [`Journal::commit`].
     pub fn commit(&mut self, mark: Mark) -> bool {
-        if !self.is_live(mark) {
+        if !self.journal.commit(mark) {
             return false;
         }
-        let frames = (mark.0 - self.floor) as usize;
-        self.undo.drain(..frames);
-        self.floor = mark.0;
-        self.cps.retain(|&m| m > mark.0);
         self.stats.commits += 1;
         if self.obs.is_enabled() {
             self.obs.add("sim.incr.commits", 1);
@@ -891,39 +966,7 @@ impl IncrementalSim {
 
     /// Number of journal frames currently held (applies above the floor).
     pub fn pending_frames(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// Whether `mark` lies between the committed floor and the present.
-    fn is_live(&self, mark: Mark) -> bool {
-        self.floor <= mark.0 && mark.0 <= self.applied
-    }
-
-    /// Drop journal frames no outstanding checkpoint can reach: every
-    /// frame at or below the oldest mark, or all of them when no mark is
-    /// outstanding. Returns the number of frames dropped.
-    fn auto_trim(&mut self) -> usize {
-        let keep_from = self.cps.first().copied().unwrap_or(self.applied);
-        if keep_from > self.floor {
-            let frames = (keep_from - self.floor) as usize;
-            self.undo.drain(..frames);
-            self.floor = keep_from;
-            frames
-        } else {
-            0
-        }
-    }
-
-    /// Pop and undo the top journal frame (no `applied` bookkeeping);
-    /// false if the stack is empty.
-    fn pop_frame(&mut self) -> bool {
-        match self.undo.pop() {
-            Some(undo) => {
-                self.undo_frame(undo);
-                true
-            }
-            None => false,
-        }
+        self.journal.len()
     }
 
     /// Restore the state journaled in one frame (the inverse of the apply
@@ -987,50 +1030,21 @@ impl IncrementalSim {
         }
     }
 
-    /// Switched capacitance per cycle, bit-identical to
-    /// [`ActivityProfile::switched_capacitance`] on
-    /// [`IncrementalSim::activity`] (same iteration and summation order).
+    /// Switched capacitance per cycle: [`ActivityProfile::switched_capacitance`]
+    /// on [`IncrementalSim::activity`].
     pub fn switched_cap(&self) -> f64 {
-        let fanouts = self.nl.fanouts();
-        let denom = (self.cycles.saturating_sub(1)).max(1) as f64;
-        let mut total = 0.0;
-        for net in self.nl.iter_nets() {
-            let kind = self.nl.kind(net);
-            let fanin = self.nl.fanins(net).len();
-            let mut load = kind.intrinsic_cap(fanin);
-            for &sink in &fanouts[net.index()] {
-                load += self.nl.kind(sink).input_cap();
-            }
-            total += load * (self.toggles[net.index()] as f64 / denom);
-        }
-        total
+        self.activity().switched_capacitance(&self.nl)
     }
 
-    /// [`IncrementalSim::switched_cap`] restricted to live nets (those a
-    /// [`Netlist::sweep_dead`] would keep) and live sinks.
+    /// [`IncrementalSim::switched_cap`] restricted to the nets and sinks
+    /// [`Netlist::live_mask`] marks (those a [`Netlist::sweep_dead`]
+    /// keeps).
     ///
     /// Bit-identical to calling `switched_capacitance` on the swept clone:
     /// sweeping preserves the relative order of live nodes, so both sums
     /// visit the same loads and toggle rates in the same order.
     pub fn switched_cap_live(&self) -> f64 {
-        let n = self.nl.len();
-        let mut live = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for (net, _) in self.nl.outputs() {
-            stack.push(net.index());
-        }
-        for &pi in self.nl.inputs() {
-            stack.push(pi.index());
-        }
-        while let Some(v) = stack.pop() {
-            if live[v] {
-                continue;
-            }
-            live[v] = true;
-            for &f in self.nl.fanins(NetId::from_index(v)) {
-                stack.push(f.index());
-            }
-        }
+        let live = self.nl.live_mask();
         let fanouts = self.nl.fanouts();
         let denom = (self.cycles.saturating_sub(1)).max(1) as f64;
         let mut total = 0.0;
@@ -1073,80 +1087,26 @@ fn count_words(words: &[u64], cycles: usize) -> (u64, u64) {
     (toggles, ones)
 }
 
-/// One recorded transition: in cycle `cycle`, net changed to `value` at
-/// event time `time`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Tr {
-    cycle: u32,
-    time: u64,
-    value: bool,
-}
-
-/// Undo journal frame for the event layer of one applied delta; stacks in
-/// lockstep with the functional layer's frames.
-#[derive(Debug, Default)]
-struct EventUndo {
-    prev_len: usize,
-    delays: Vec<(NetId, u32)>,
-    /// `(net, old total, old wave)` for dirty existing nets.
-    totals: Vec<(NetId, u64, Vec<Tr>)>,
-}
-
-/// Counters from one event replay.
-#[derive(Debug, Default, Clone, Copy)]
-struct ReplayCounts {
-    processed: u64,
-    enqueued: u64,
-    cancelled: u64,
-    /// Schedules the calendar queue folded into a pending slot plus fanout
-    /// sinks already evaluated in the current bucket (work the old heap
-    /// engine enqueued and then cancelled).
-    coalesced: u64,
-}
-
 /// Incremental event-driven (timing) engine.
 ///
-/// Wraps an [`IncrementalSim`] for the functional layer and keeps per-net
-/// *total* transition counts plus the recorded transition waveform of every
-/// net. A delta replays the event waves of the structural cone only,
-/// seeding each cycle from the recorded transitions of the cone's boundary
-/// fanins — the waveforms outside the cone cannot have changed, so the
-/// replayed counts are bit-identical to a from-scratch
-/// [`crate::event::EventSim`] run on the edited netlist.
+/// An [`IncrementalSim`] carries the functional layer; the glitch-inclusive
+/// layer is one [`EventSim`] run over the edited netlist per applied delta,
+/// so [`IncrementalEventSim::activity`] is `EventSim`'s answer by
+/// construction. Each journal frame stores the total profile the apply
+/// replaced, so a rollback restores both layers.
 #[derive(Debug)]
 pub struct IncrementalEventSim {
-    func: IncrementalSim,
+    func: IncrementalSim<ActivityProfile>,
     model: DelayModel,
-    delays: Vec<u32>,
-    total: Vec<u64>,
-    /// Recorded applied transitions per net, ordered by (cycle, time).
-    waves: Vec<Vec<Tr>>,
-    /// Event-layer journal frames, one per functional frame, oldest first.
-    undo: Vec<EventUndo>,
-    // Scratch.
-    sepoch: u64,
-    in_cone: Vec<u64>,
-    in_boundary: Vec<u64>,
-    boundary: Vec<NetId>,
-    cursors: Vec<usize>,
-    values: Vec<bool>,
-    ins: Vec<bool>,
-    queue: CalendarQueue,
-    /// True when an aborted replay may have left events in the queue.
-    queue_dirty: bool,
-    /// Largest per-net delay ever seen (monotone; sizes the queue wheel).
-    max_delay: u32,
-    batch: Vec<(u32, bool)>,
-    toggled: Vec<u32>,
-    sink_stamp: Vec<u64>,
-    sink_epoch: u64,
-    replay_total: Vec<u64>,
-    wave_buf: Vec<Vec<Tr>>,
+    /// The resident stimulus, unpacked once for the event runs.
+    patterns: PatternSet,
+    /// Glitch-inclusive profile of the current netlist.
+    total: ActivityProfile,
 }
 
 impl IncrementalEventSim {
-    /// Build from a full evaluation plus a full event replay (unlimited
-    /// budget, no obs).
+    /// Build from a full functional evaluation plus one event run
+    /// (unlimited budget, no obs).
     ///
     /// # Panics
     ///
@@ -1164,9 +1124,9 @@ impl IncrementalEventSim {
     }
 
     /// [`IncrementalEventSim::from_full_eval`] under a budget, with an obs
-    /// handle. The initial build publishes the same `sim.event.*` counters
-    /// an [`crate::event::EventSim`] activity run would (plus the
-    /// functional layer's `sim.comb.*`).
+    /// handle. The event run publishes its `sim.event.*` counters and the
+    /// functional layer the `sim.comb.*` counters of its initial
+    /// evaluation.
     pub fn try_from_full_eval(
         nl: &Netlist,
         model: &DelayModel,
@@ -1174,61 +1134,21 @@ impl IncrementalEventSim {
         budget: &ResourceBudget,
         obs: obs::Obs,
     ) -> Result<IncrementalEventSim, BudgetExceeded> {
-        let func = IncrementalSim::build(nl, packed, budget, obs)?;
-        let n = nl.len();
-        let delays: Vec<u32> = nl.iter_nets().map(|net| model.delay(nl, net)).collect();
-        let max_delay = delays.iter().copied().max().unwrap_or(1);
-        let mut sim = IncrementalEventSim {
+        let func = IncrementalSim::<ActivityProfile>::build(nl, packed, budget, obs)?;
+        let patterns: PatternSet = (0..packed.cycles())
+            .map(|k| (0..packed.width()).map(|i| packed.bit(i, k)).collect())
+            .collect();
+        let total = EventSim::new(nl, model)
+            .with_obs(func.obs.clone())
+            .try_activity(&patterns, budget)?
+            .total;
+        func.count_build();
+        Ok(IncrementalEventSim {
             func,
             model: model.clone(),
-            delays,
-            total: vec![0; n],
-            waves: vec![Vec::new(); n],
-            undo: Vec::new(),
-            sepoch: 0,
-            in_cone: vec![0; n],
-            in_boundary: vec![0; n],
-            boundary: Vec::new(),
-            cursors: Vec::new(),
-            values: Vec::new(),
-            ins: Vec::new(),
-            queue: CalendarQueue::new(),
-            queue_dirty: true,
-            max_delay,
-            batch: Vec::new(),
-            toggled: Vec::new(),
-            sink_stamp: Vec::new(),
-            sink_epoch: 0,
-            replay_total: vec![0; n],
-            wave_buf: vec![Vec::new(); n],
-        };
-        let counts = sim.replay(true, budget)?;
-        for i in 0..n {
-            sim.total[i] = sim.replay_total[i];
-            sim.waves[i] = std::mem::take(&mut sim.wave_buf[i]);
-        }
-        if sim.func.obs.is_enabled() {
-            sim.func.obs.add("sim.comb.cycles", sim.func.cycles as u64);
-            let evaluated = n - sim.func.nl.num_inputs();
-            sim.func.obs.add(
-                "sim.comb.gate_evals",
-                sim.func.nblocks as u64 * evaluated as u64,
-            );
-            sim.flush_event(&counts);
-        }
-        Ok(sim)
-    }
-
-    fn flush_event(&self, counts: &ReplayCounts) {
-        if self.func.obs.is_enabled() {
-            self.func
-                .obs
-                .add("sim.event.cycles", self.func.cycles as u64);
-            self.func.obs.add("sim.event.processed", counts.processed);
-            self.func.obs.add("sim.event.enqueued", counts.enqueued);
-            self.func.obs.add("sim.event.cancelled", counts.cancelled);
-            self.func.obs.add("sim.event.coalesced", counts.coalesced);
-        }
+            patterns,
+            total,
+        })
     }
 
     /// The engine's current netlist.
@@ -1251,11 +1171,6 @@ impl IncrementalEventSim {
         self.func.set_force_full(on);
     }
 
-    /// Per-net delay in ticks.
-    pub fn delay_of(&self, net: NetId) -> u32 {
-        self.delays[net.index()]
-    }
-
     /// Apply a delta (unlimited budget).
     ///
     /// # Panics
@@ -1270,105 +1185,34 @@ impl IncrementalEventSim {
     }
 
     /// Apply a delta under a budget: the functional layer meters
-    /// re-evaluated nets as `cycles` steps each, the event replay meters
-    /// processed events against the same step limit plus the event-queue
-    /// limit. On exhaustion everything (functional + event state) is rolled
-    /// back and the error returned.
+    /// re-evaluated nets as `cycles` steps each, and the event run meters
+    /// the whole netlist's processed events against the same step limit
+    /// plus the event-queue limit. On exhaustion both layers are exactly
+    /// as before the call and the error is returned.
     pub fn try_apply_delta(
         &mut self,
         delta: &Delta,
         budget: &ResourceBudget,
     ) -> Result<ApplyInfo, BudgetExceeded> {
-        let prev_len = self.func.nl.len();
-        let info = self.func.try_apply_delta_noflush(delta, budget)?;
-        let full = self.func.last_full;
-        let n = self.func.nl.len();
-
-        // Delay layer: only edited/added nets can change (delay depends on
-        // kind + fanin count alone).
-        let mut undo = EventUndo {
-            prev_len,
-            ..EventUndo::default()
-        };
-        for i in 0..self.func.touched.len() {
-            let t = self.func.touched[i];
-            if t.index() < prev_len {
-                undo.delays.push((t, self.delays[t.index()]));
+        let (info, undo) = self.func.apply(delta, budget)?;
+        let timing = EventSim::new(&self.func.nl, &self.model)
+            .with_obs(self.func.obs.clone())
+            .try_activity(&self.patterns, budget);
+        match timing {
+            Ok(timing) => {
+                let prev = std::mem::replace(&mut self.total, timing.total);
+                self.func.record(&info, undo, prev);
+                Ok(info)
             }
-        }
-        for idx in prev_len..n {
-            let net = NetId::from_index(idx);
-            self.delays.push(self.model.delay(&self.func.nl, net));
-            self.total.push(0);
-            self.waves.push(Vec::new());
-            self.replay_total.push(0);
-            self.wave_buf.push(Vec::new());
-            self.in_cone.push(0);
-            self.in_boundary.push(0);
-        }
-        for &(net, _) in &undo.delays {
-            self.delays[net.index()] = self.model.delay(&self.func.nl, net);
-        }
-        // The queue wheel is sized by the largest delay ever seen; keeping
-        // the maximum monotone (rollbacks never shrink it) means a stale
-        // oversized wheel at worst, never an undersized one.
-        for idx in prev_len..n {
-            self.max_delay = self.max_delay.max(self.delays[idx]);
-        }
-        for &(net, _) in &undo.delays {
-            self.max_delay = self.max_delay.max(self.delays[net.index()]);
-        }
-
-        // Event layer: replay the cone's waves.
-        let counts = match self.replay(full, budget) {
-            Ok(c) => c,
             Err(e) => {
-                for &(net, d) in &undo.delays {
-                    self.delays[net.index()] = d;
-                }
-                self.truncate_event(prev_len);
-                // The functional apply succeeded; unwind just that frame
-                // (earlier frames stay intact for outstanding marks).
-                self.func.pop_frame();
-                self.func.applied -= 1;
-                return Err(e);
+                self.func.undo_frame(undo);
+                Err(e)
             }
-        };
-        let dirty: Vec<NetId> = if full {
-            (0..n).map(NetId::from_index).collect()
-        } else {
-            self.func.cone.clone()
-        };
-        for &d in &dirty {
-            let idx = d.index();
-            let new_wave = std::mem::take(&mut self.wave_buf[idx]);
-            let old_wave = std::mem::replace(&mut self.waves[idx], new_wave);
-            if idx < prev_len {
-                undo.totals.push((d, self.total[idx], old_wave));
-            }
-            self.total[idx] = self.replay_total[idx];
         }
-        self.undo.push(undo);
-        let dropped = self.func.auto_trim();
-        self.undo.drain(..dropped);
-        self.func.flush_incr(&info);
-        self.flush_event(&counts);
-        Ok(info)
     }
 
-    fn truncate_event(&mut self, prev_len: usize) {
-        self.delays.truncate(prev_len);
-        self.total.truncate(prev_len);
-        self.waves.truncate(prev_len);
-        self.replay_total.truncate(prev_len);
-        self.wave_buf.truncate(prev_len);
-        self.in_cone.truncate(prev_len);
-        self.in_boundary.truncate(prev_len);
-        self.sink_stamp.truncate(prev_len);
-    }
-
-    /// Mark the current state for a later rollback or commit; shares the
-    /// functional layer's mark space (see [`IncrementalSim::checkpoint`]).
+    /// Mark the current state for a later rollback or commit (see
+    /// [`IncrementalSim::checkpoint`]).
     pub fn checkpoint(&mut self) -> Mark {
         self.func.checkpoint()
     }
@@ -1377,275 +1221,30 @@ impl IncrementalEventSim {
     /// checkpoint. Rejects (returns false, changes nothing) marks below
     /// the committed floor; see [`IncrementalSim::rollback_to`].
     pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        if !self.func.is_live(mark) {
-            return false;
-        }
-        for _ in mark.0..self.func.applied {
-            self.pop_event_frame();
-        }
-        self.func.rollback_to(mark)
+        self.func.rollback_with(mark, |prev| self.total = prev)
     }
 
-    /// Make every delta at or below `mark` permanent in both layers; see
+    /// Make every delta at or below `mark` permanent; see
     /// [`IncrementalSim::commit`].
     pub fn commit(&mut self, mark: Mark) -> bool {
-        if !self.func.is_live(mark) {
-            return false;
-        }
-        self.undo.drain(..(mark.0 - self.func.floor) as usize);
         self.func.commit(mark)
-    }
-
-    /// Pop and undo the top event-layer frame (delays, totals, waves).
-    fn pop_event_frame(&mut self) {
-        if let Some(undo) = self.undo.pop() {
-            for &(net, d) in &undo.delays {
-                self.delays[net.index()] = d;
-            }
-            for (net, t, wave) in undo.totals {
-                self.total[net.index()] = t;
-                self.waves[net.index()] = wave;
-            }
-            self.truncate_event(undo.prev_len);
-        }
-    }
-
-    /// Replay event waves. With `full` set, every net is in the cone and
-    /// input seeds come straight from the packed words (this is exactly an
-    /// `EventSim` run). Otherwise only the functional layer's structural
-    /// cone is waved, seeded per cycle by the recorded transitions of the
-    /// cone's boundary fanins; everything outside the cone keeps its
-    /// already-recorded waveform and count.
-    fn replay(&mut self, full: bool, budget: &ResourceBudget) -> Result<ReplayCounts, BudgetExceeded> {
-        const FLUSH: u64 = 1024;
-        let n = self.func.nl.len();
-        let cycles = self.func.cycles;
-        let max_steps = budget.max_sim_steps_or(u64::MAX);
-        let max_queue = budget.max_event_queue_or(u64::MAX);
-        let mut local_steps = 0u64;
-        let mut tally = 0u64;
-        let mut counts = ReplayCounts::default();
-        self.sepoch += 1;
-        self.boundary.clear();
-        if full {
-            self.values.clear();
-            self.values.resize(n, false);
-            for i in 0..n {
-                self.in_cone[i] = self.sepoch;
-                self.values[i] = self.func.word_bit(i, 0);
-                self.replay_total[i] = 0;
-                self.wave_buf[i].clear();
-            }
-        } else {
-            self.values.resize(n, false);
-            for i in 0..self.func.cone.len() {
-                let c = self.func.cone[i];
-                self.in_cone[c.index()] = self.sepoch;
-            }
-            for ci in 0..self.func.cone.len() {
-                let c = self.func.cone[ci];
-                let idx = c.index();
-                self.replay_total[idx] = 0;
-                self.wave_buf[idx].clear();
-                self.values[idx] = self.func.word_bit(idx, 0);
-                for &f in self.func.nl.fanins(c) {
-                    if self.in_cone[f.index()] != self.sepoch
-                        && self.in_boundary[f.index()] != self.sepoch
-                    {
-                        self.in_boundary[f.index()] = self.sepoch;
-                        self.boundary.push(f);
-                    }
-                }
-            }
-            for bi in 0..self.boundary.len() {
-                let b = self.boundary[bi];
-                self.values[b.index()] = self.func.word_bit(b.index(), 0);
-            }
-        }
-        if cycles == 0 {
-            return Ok(counts);
-        }
-        self.cursors.clear();
-        self.cursors.resize(self.boundary.len(), 0);
-        // An early (budget) return below can leave scheduled events in the
-        // queue; the flag makes the next replay start from a full reset.
-        if self.queue_dirty {
-            self.queue.reset(n, self.max_delay);
-        } else {
-            self.queue.ensure(n, self.max_delay);
-        }
-        self.queue_dirty = true;
-        self.sink_stamp.resize(n, 0);
-        for c in 1..cycles {
-            budget.check_deadline()?;
-            self.queue.begin_cycle();
-            if full {
-                // Seed from primary-input changes, in input order (the
-                // order EventSim assigns seed sequence numbers).
-                let inputs = self.func.nl.inputs();
-                for &pi in inputs {
-                    let cur = self.func.word_bit(pi.index(), c);
-                    if self.values[pi.index()] != cur {
-                        if self.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(self.queue.pending() + 1));
-                        }
-                        self.queue.schedule(pi.index() as u32, 0, cur);
-                        counts.enqueued += 1;
-                    }
-                }
-            } else {
-                // Seed from the recorded boundary transitions of cycle c.
-                // Boundary nets sit outside the cone, so they are never
-                // rescheduled as sinks; their recorded per-cycle times are
-                // strictly increasing, satisfying the queue's per-net
-                // nondecreasing-time contract.
-                for bi in 0..self.boundary.len() {
-                    let b = self.boundary[bi];
-                    let wave = &self.waves[b.index()];
-                    while self.cursors[bi] < wave.len() && wave[self.cursors[bi]].cycle == c as u32 {
-                        let tr = wave[self.cursors[bi]];
-                        self.cursors[bi] += 1;
-                        if self.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(self.queue.pending() + 1));
-                        }
-                        self.queue.schedule(b.index() as u32, tr.time, tr.value);
-                        counts.enqueued += 1;
-                    }
-                    // Skip any transitions of cycles this replay never
-                    // waved (possible only if earlier cycles enqueued
-                    // nothing — cursors advance monotonically).
-                    while self.cursors[bi] < wave.len() && wave[self.cursors[bi]].cycle < c as u32 {
-                        self.cursors[bi] += 1;
-                    }
-                }
-            }
-            while let Some(time) = self.queue.pop_bucket(&mut self.batch) {
-                counts.processed += self.batch.len() as u64;
-                local_steps += self.batch.len() as u64;
-                if local_steps >= FLUSH {
-                    tally += local_steps;
-                    local_steps = 0;
-                    if tally >= max_steps {
-                        return Err(budget.sim_steps_exceeded(tally));
-                    }
-                    budget.check_deadline()?;
-                }
-                // Apply the whole bucket (one entry per net, net order),
-                // recording waves for in-cone nets.
-                self.toggled.clear();
-                for &(raw, value) in &self.batch {
-                    let idx = raw as usize;
-                    if self.values[idx] == value {
-                        counts.cancelled += 1;
-                        continue;
-                    }
-                    self.values[idx] = value;
-                    if self.in_cone[idx] == self.sepoch {
-                        self.replay_total[idx] += 1;
-                        self.wave_buf[idx].push(Tr {
-                            cycle: c as u32,
-                            time,
-                            value,
-                        });
-                    }
-                    self.toggled.push(raw);
-                }
-                // Evaluate each distinct in-cone sink once per bucket.
-                self.sink_epoch += 1;
-                for ti in 0..self.toggled.len() {
-                    let idx = self.toggled[ti] as usize;
-                    for fi in 0..self.func.fanouts[idx].len() {
-                        let sink = self.func.fanouts[idx][fi];
-                        let si = sink.index();
-                        if self.in_cone[si] != self.sepoch {
-                            continue;
-                        }
-                        if self.sink_stamp[si] == self.sink_epoch {
-                            counts.coalesced += 1;
-                            continue;
-                        }
-                        self.sink_stamp[si] = self.sink_epoch;
-                        let kind = self.func.nl.kind(sink);
-                        self.ins.clear();
-                        for &f in self.func.nl.fanins(sink) {
-                            self.ins.push(self.values[f.index()]);
-                        }
-                        let out = kind.eval(&self.ins);
-                        let t = time + self.delays[si] as u64;
-                        if self.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(self.queue.pending() + 1));
-                        }
-                        match self.queue.schedule(si as u32, t, out) {
-                            Scheduled::New => counts.enqueued += 1,
-                            // `schedule` never suppresses; only the fused
-                            // `schedule_transition` path does.
-                            Scheduled::Coalesced | Scheduled::Suppressed => counts.coalesced += 1,
-                        }
-                    }
-                }
-            }
-            #[cfg(debug_assertions)]
-            {
-                for i in 0..n {
-                    if self.in_cone[i] == self.sepoch || self.in_boundary[i] == self.sepoch {
-                        debug_assert_eq!(
-                            self.values[i],
-                            self.func.word_bit(i, c),
-                            "replayed net n{i} must settle to its functional value in cycle {c}"
-                        );
-                    }
-                }
-            }
-        }
-        tally += local_steps;
-        if local_steps > 0 && tally >= max_steps {
-            return Err(budget.sim_steps_exceeded(tally));
-        }
-        self.queue_dirty = false;
-        Ok(counts)
     }
 
     /// The timing activity, bit-identical to
     /// `EventSim::new(self.netlist(), model).activity(..)` on the same
     /// stimulus.
     pub fn activity(&self) -> TimingActivity {
-        let cycles = self.func.cycles;
-        let denom = cycles.saturating_sub(1).max(1) as f64;
-        let probability: Vec<f64> = self
-            .func
-            .ones
-            .iter()
-            .map(|&o| o as f64 / cycles.max(1) as f64)
-            .collect();
-        let make = |toggles: &[u64]| ActivityProfile {
-            toggles: toggles.iter().map(|&t| t as f64 / denom).collect(),
-            probability: probability.clone(),
-            cycles,
-        };
         TimingActivity {
-            total: make(&self.total),
-            functional: make(&self.func.toggles),
+            total: self.total.clone(),
+            functional: self.func.activity(),
         }
     }
 
     /// Switched capacitance per cycle under the *total* (glitch-inclusive)
-    /// toggle counts; bit-identical to `switched_capacitance` on the total
-    /// profile of [`IncrementalEventSim::activity`].
+    /// toggle rates: `switched_capacitance` on the total profile of
+    /// [`IncrementalEventSim::activity`].
     pub fn switched_cap(&self) -> f64 {
-        let nl = &self.func.nl;
-        let fanouts = nl.fanouts();
-        let denom = (self.func.cycles.saturating_sub(1)).max(1) as f64;
-        let mut total = 0.0;
-        for net in nl.iter_nets() {
-            let kind = nl.kind(net);
-            let fanin = nl.fanins(net).len();
-            let mut load = kind.intrinsic_cap(fanin);
-            for &sink in &fanouts[net.index()] {
-                load += nl.kind(sink).input_cap();
-            }
-            total += load * (self.total[net.index()] as f64 / denom);
-        }
-        total
+        self.total.switched_capacitance(&self.func.nl)
     }
 }
 
@@ -1655,6 +1254,7 @@ mod tests {
     use crate::comb::CombSim;
     use crate::event::EventSim;
     use crate::stimulus::Stimulus;
+    use netlist::blif::write_text;
     use netlist::gen::{array_multiplier, ripple_adder};
 
     fn iter_rev(nl: &Netlist) -> impl Iterator<Item = NetId> + '_ {
@@ -1666,6 +1266,27 @@ mod tests {
             p.toggles.iter().map(|t| t.to_bits()).collect(),
             p.probability.iter().map(|t| t.to_bits()).collect(),
         )
+    }
+
+    #[test]
+    fn journal_keeps_only_frames_a_mark_can_reach() {
+        let mut journal = Journal::default();
+        journal.push(1);
+        assert_eq!(journal.len(), 0, "no mark outstanding: nothing kept");
+        let mark = journal.checkpoint();
+        journal.push(2);
+        journal.push(3);
+        let mut undone = Vec::new();
+        assert!(journal.rollback_to(mark, |f| undone.push(f)));
+        assert_eq!(undone, [3, 2], "frames come back newest first");
+        journal.push(4);
+        let top = journal.checkpoint();
+        assert!(journal.commit(top));
+        assert_eq!(journal.len(), 0, "committed frames are dropped");
+        assert!(
+            !journal.rollback_to(mark, |_| unreachable!()),
+            "mark below the floor"
+        );
     }
 
     #[test]
@@ -1932,7 +1553,7 @@ mod tests {
     #[test]
     fn stats_skip_an_apply_the_event_replay_rolls_back() {
         // XOR-XOR-AND: the functional layer re-evaluates three nets within
-        // the budget, then the event replay of 256 cycles exceeds it.
+        // the budget, then the event run of 256 cycles exceeds it.
         let mut nl = Netlist::new("xxa");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -1941,7 +1562,8 @@ mod tests {
         let x2 = nl.add_gate(GateKind::Xor, &[x1, c]);
         let y = nl.add_gate(GateKind::And, &[x2, a]);
         nl.mark_output(y, "y");
-        let packed = Stimulus::uniform(3).packed(256, 1);
+        let patterns = Stimulus::uniform(3).patterns(256, 1);
+        let packed = PackedPatterns::pack(&patterns);
         let obs = obs::Obs::enabled();
         let unlimited = ResourceBudget::unlimited();
         let mut engine = IncrementalEventSim::try_from_full_eval(
@@ -1952,12 +1574,35 @@ mod tests {
             obs.clone(),
         )
         .expect("unlimited budget");
-        let mut delta = Delta::for_netlist(&nl);
-        delta.set_gate(x1, GateKind::Xnor, &[a, b]);
+        // One accepted edit under a live mark, then a starved one.
+        let mark = engine.checkpoint();
+        let mut first = Delta::for_netlist(&nl);
+        first.set_gate(y, GateKind::Or, &[x2, a]);
+        engine.apply_delta(&first);
+        let before = engine.stats();
+        let mut once = nl.clone();
+        first.apply_to(&mut once);
+        let mut starved = Delta::for_netlist(&once);
+        starved.set_gate(x1, GateKind::Xnor, &[a, b]);
         let tight = ResourceBudget::unlimited().with_max_sim_steps(257);
-        assert!(engine.try_apply_delta(&delta, &tight).is_err());
-        assert_eq!(engine.stats(), IncrStats::default());
-        assert_eq!(obs.snapshot().counter("sim.incr.deltas"), None);
+        assert!(engine.try_apply_delta(&starved, &tight).is_err());
+        // Both layers are exactly the once-edited engine's, and no counter
+        // moved for the failed apply.
+        assert_eq!(write_text(engine.netlist()), write_text(&once));
+        let reference = EventSim::new(&once, &DelayModel::Unit).activity(&patterns);
+        let got = engine.activity();
+        assert_eq!(bits(&got.functional), bits(&reference.functional));
+        assert_eq!(bits(&got.total), bits(&reference.total));
+        assert_eq!(engine.stats(), before);
+        assert_eq!(engine.stats().deltas, 1);
+        assert_eq!(obs.snapshot().counter("sim.incr.deltas"), Some(1));
+        // The mark still unwinds both layers to the base netlist.
+        assert!(engine.rollback_to(mark));
+        let base = EventSim::new(&nl, &DelayModel::Unit).activity(&patterns);
+        let got = engine.activity();
+        assert_eq!(bits(&got.functional), bits(&base.functional));
+        assert_eq!(bits(&got.total), bits(&base.total));
+        assert_eq!(engine.stats().rollbacks, 1);
     }
 
     #[test]

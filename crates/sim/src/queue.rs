@@ -1,20 +1,20 @@
 //! Bucketed calendar/time-wheel event queue for the timing simulators.
 //!
-//! The event engines ([`crate::event::EventSim`],
-//! [`crate::incr::IncrementalEventSim`]) used to order pending events with a
-//! global `BinaryHeap<Reverse<(time, net, seq, value)>>`: every push and pop
-//! paid an `O(log n)` sift over 24-byte tuples, and same-instant duplicates
-//! for one net were only coalesced lazily at pop time. This queue replaces
-//! the heap with the classic calendar-queue layout:
+//! The event engine ([`crate::event::EventSim`]) used to order pending
+//! events with a global `BinaryHeap<Reverse<(time, net, seq, value)>>`:
+//! every push and pop paid an `O(log n)` sift over 24-byte tuples, and
+//! same-instant duplicates for one net were only coalesced lazily at pop
+//! time. This queue replaces the heap with the classic calendar-queue
+//! layout:
 //!
 //! * a power-of-two **wheel** of `W` buckets, one bucket per timestamp in
 //!   the sliding window `[cursor, cursor + W)` (bucket `t & (W-1)`), with a
 //!   one-bit-per-bucket occupancy bitmap so the next timestamp is found by
 //!   a circular `trailing_zeros` scan instead of a heap sift;
 //! * a small **overflow heap** for the rare event scheduled at or beyond
-//!   `cursor + W` (incremental replays seed boundary transitions at
-//!   arbitrary recorded times); entries migrate into the wheel lazily as
-//!   the cursor advances past their window;
+//!   `cursor + W` (only delays past the largest wheel reach it); entries
+//!   migrate into the wheel lazily as the cursor advances past their
+//!   window;
 //! * a pooled **node arena**, cleared per cycle, so events are `(u32, bool)`
 //!   pool slots instead of heap-allocated tuples; and
 //! * a per-net **pending slot**: at most one scheduled event per net is
@@ -36,9 +36,9 @@
 //! * Timestamps passed to [`CalendarQueue::schedule`] must not precede the
 //!   last popped timestamp (gate delays are clamped `>= 1`, so fanout
 //!   events always land strictly after the bucket being processed).
-//! * Per net, schedule times must be nondecreasing within a cycle. Both
-//!   engines satisfy this naturally: a net's events are produced by pops at
-//!   nondecreasing times plus one fixed per-net delay.
+//! * Per net, schedule times must be nondecreasing within a cycle. The
+//!   event engine satisfies this naturally: a net's events are produced by
+//!   pops at nondecreasing times plus one fixed per-net delay.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -122,9 +122,8 @@ impl CalendarQueue {
     ///
     /// The wheel spans `(max_delay + 1).next_power_of_two()` buckets,
     /// clamped to `[64, 4096]`: every fanout event scheduled while draining
-    /// the cursor bucket then lands inside the wheel window, so only
-    /// far-future seeds (incremental boundary replays) touch the overflow
-    /// heap.
+    /// the cursor bucket then lands inside the wheel window, so only delays
+    /// beyond the clamp touch the overflow heap.
     pub fn reset(&mut self, nets: usize, max_delay: u32) {
         let wheel = (max_delay.saturating_add(1))
             .next_power_of_two()
@@ -146,29 +145,6 @@ impl CalendarQueue {
         self.epoch = 0;
         self.slots.clear();
         self.slots.resize(nets, Slot::default());
-    }
-
-    /// Grow capacity in place for `nets` nets and delays up to `max_delay`
-    /// without touching live slot state; the queue must be drained.
-    ///
-    /// Unlike [`CalendarQueue::reset`] this costs `O(added nets)`, not
-    /// `O(all nets)`: existing slot stamps stay valid because slots are
-    /// invalidated by the epoch bump in [`CalendarQueue::begin_cycle`],
-    /// not by clearing. The incremental engine calls this per replay so a
-    /// small-cone delta does not pay a whole-netlist queue reset.
-    pub fn ensure(&mut self, nets: usize, max_delay: u32) {
-        debug_assert_eq!(self.pending, 0, "ensure() needs a drained queue");
-        let wheel = (max_delay.saturating_add(1))
-            .next_power_of_two()
-            .clamp(MIN_WHEEL, MAX_WHEEL) as usize;
-        if self.buckets.len() != wheel {
-            self.buckets = vec![Vec::new(); wheel];
-            self.occupied = vec![0u64; wheel / 64];
-            self.mask = wheel as u64 - 1;
-        }
-        if self.slots.len() < nets {
-            self.slots.resize(nets, Slot::default());
-        }
     }
 
     /// Start a new cycle: recycle the node pool, rewind the cursor and
@@ -197,20 +173,6 @@ impl CalendarQueue {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
-    }
-
-    /// Whether `net` has a live (scheduled, not yet popped) event.
-    ///
-    /// The slot tracks the net's most recent schedule, and per-net
-    /// nondecreasing schedule times mean every earlier event for the net
-    /// popped at or before the slot time — so `slot_time > cursor` is
-    /// exactly "still pending". Valid between pops (the engines call this
-    /// from the drain loop, where the cursor bucket is fully drained);
-    /// right after seeding, events at the cursor time itself would be
-    /// misreported as popped.
-    pub fn has_pending(&self, net: u32) -> bool {
-        let s = self.slots[net as usize];
-        s.stamp == self.epoch && s.time > self.cursor
     }
 
     /// Schedule `net` to take `value` at `time`.

@@ -340,7 +340,7 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             // Not-worse guard: path balancing trades buffer capacitance for
             // glitch power, so check the trade under the timing engine and
             // keep the original if it lost. One incremental engine measures
-            // both sides: the balance edit replays only the buffered cones.
+            // both sides, the balance edit applied to it as one delta.
             let mut chosen = &balanced;
             let mut verdict = String::new();
             if buffers_added > 0 {
