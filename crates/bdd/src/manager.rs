@@ -324,8 +324,32 @@ pub struct Bdd {
     /// Live-node count when the last reorder pass finished (trigger base).
     reorder_baseline: usize,
     /// A reorder pass is running: suppress stress-GC inside swap `mk`s so
-    /// the snapshotted candidate lists stay valid.
+    /// the pass state and the snapshotted candidate lists stay valid.
     in_reorder: bool,
+    /// Reference counts and per-variable node lists of the running
+    /// reorder pass; empty outside [`Bdd::reorder_now`].
+    pass: PassState,
+}
+
+/// What adjacent-level swaps need to stay local to their two levels: exact
+/// reference counts and a node list per variable. Filled after the pass's
+/// opening collection, when every interior node is reachable, and dropped
+/// when the pass ends.
+#[derive(Debug, Clone, Default)]
+struct PassState {
+    /// Per node index: one per parent edge from a live node plus one per
+    /// `roots`/`guard` entry (duplicates included).
+    rc: Vec<u32>,
+    /// Per variable: indices of its live nodes, plus entries of slots
+    /// freed since (and perhaps recycled) that a swap drops when it takes
+    /// the list.
+    var_nodes: Vec<Vec<u32>>,
+    /// Nodes whose count reached zero in the running swap.
+    dead: Vec<u32>,
+    /// Work stack of the release cascade.
+    stack: Vec<u32>,
+    /// `nodes_freed` when the pass began.
+    freed_at_begin: u64,
 }
 
 impl Default for Bdd {
@@ -367,6 +391,7 @@ impl Bdd {
             schedule: ReorderSchedule::Off,
             reorder_baseline: 1,
             in_reorder: false,
+            pass: PassState::default(),
         }
     }
 
@@ -671,8 +696,8 @@ impl Bdd {
         // Top of a fresh recursion is the one safe point for an automatic
         // in-place reorder: no cofactor pair chosen under the old order is
         // held by a caller frame. The operands are pinned first — a reorder
-        // pass ends with a collection, and e.g. an n-ary fold's accumulator
-        // may be neither rooted nor anyone's child.
+        // pass frees every node no root or pin reaches, and e.g. an n-ary
+        // fold's accumulator may be neither rooted nor anyone's child.
         if self.reorder_due() {
             let base = self.guard.len();
             self.guard.push(f.0);
@@ -893,7 +918,7 @@ impl Bdd {
 
     /// Negation. With complement edges this is a bit flip: no allocation,
     /// no cache traffic.
-    pub fn not(&mut self, f: Ref) -> Ref {
+    pub fn not(&self, f: Ref) -> Ref {
         f.complement()
     }
 
@@ -1219,8 +1244,16 @@ impl Bdd {
     ///
     /// Variables beyond the slice default to probability 0.5.
     pub fn probability(&self, f: Ref, p: &[f64]) -> f64 {
+        self.probability_many(std::slice::from_ref(&f), p)[0]
+    }
+
+    /// [`Bdd::probability`] of every root in `fs`, over one memo shared by
+    /// all of them: one arena-sized allocation instead of one per root.
+    /// Bit-identical to per-root calls — a plain node's value is the same
+    /// expression of its children whichever root reaches it first.
+    pub fn probability_many(&self, fs: &[Ref], p: &[f64]) -> Vec<f64> {
         let mut memo = vec![f64::NAN; self.nodes.len()];
-        self.prob_rec(f, p, &mut memo)
+        fs.iter().map(|&f| self.prob_rec(f, p, &mut memo)).collect()
     }
 
     /// Dense memo keyed by plain node index (`NAN` = unvisited; computed
@@ -1776,7 +1809,8 @@ impl Bdd {
     /// Install an automatic reorder policy. Like [`Bdd::set_auto_gc`], any
     /// schedule other than [`ReorderSchedule::Off`] requires every [`Ref`]
     /// held across an allocating call to be kept alive via
-    /// [`Bdd::protect`]: a pass begins and ends with a collection.
+    /// [`Bdd::protect`]: a pass begins with a collection and frees what
+    /// its swaps orphan.
     pub fn set_reorder_schedule(&mut self, schedule: ReorderSchedule) {
         self.schedule = schedule;
         self.reorder_baseline = self.live_nodes.max(1);
@@ -1818,10 +1852,10 @@ impl Bdd {
     /// Every variable is sifted (densest first) through adjacent-level
     /// swaps and parked at the level minimizing the live node count. All
     /// [`Ref`]s stay valid — nodes are rewritten in place, so a ref keeps
-    /// denoting the same Boolean function — but the pass begins and ends
-    /// with a collection, so unprotected refs follow the same rooting
-    /// contract as [`Bdd::set_auto_gc`]. Returns `(nodes_before,
-    /// nodes_after)` live counts.
+    /// denoting the same Boolean function — but the pass begins with a
+    /// collection and every swap frees the nodes it orphans, so unprotected
+    /// refs follow the same rooting contract as [`Bdd::set_auto_gc`].
+    /// Returns `(nodes_before, nodes_after)` live counts.
     pub fn reorder_now(&mut self) -> (usize, usize) {
         self.ensure_level_maps();
         self.counts.reorder_runs += 1;
@@ -1832,14 +1866,10 @@ impl Bdd {
         let before = self.live_nodes;
         let n = self.num_vars as usize;
         if n >= 2 {
+            self.begin_pass();
             // Sift densest variables first: moving them is where the big
             // wins are, and a fixed order keeps passes deterministic.
-            let mut occupancy = vec![0usize; n];
-            for node in self.nodes.iter().skip(1) {
-                if node.var != FREE_VAR {
-                    occupancy[node.var as usize] += 1;
-                }
-            }
+            let occupancy: Vec<usize> = self.pass.var_nodes.iter().map(Vec::len).collect();
             let mut vars: Vec<u32> = (0..n as u32).collect();
             vars.sort_by(|&a, &b| {
                 occupancy[b as usize]
@@ -1866,6 +1896,7 @@ impl Bdd {
                 }
                 self.sift_one(var);
             }
+            self.end_pass();
         }
         let after = self.live_nodes;
         self.counts.reorder_nodes_before += before as u64;
@@ -1915,6 +1946,41 @@ impl Bdd {
         }
     }
 
+    /// Fill the pass state. Runs right after the pass's opening
+    /// collection, so every interior node is reachable and one arena walk
+    /// gives exact counts.
+    fn begin_pass(&mut self) {
+        let mut rc = vec![0u32; self.nodes.len()];
+        let mut var_nodes = vec![Vec::new(); self.num_vars as usize];
+        for (i, node) in self.nodes.iter().enumerate().skip(1) {
+            if node.var == FREE_VAR {
+                continue;
+            }
+            rc[(node.lo >> 1) as usize] += 1;
+            rc[(node.hi >> 1) as usize] += 1;
+            var_nodes[node.var as usize].push(i as u32);
+        }
+        for &r in self.roots.iter().chain(&self.guard) {
+            rc[(r >> 1) as usize] += 1;
+        }
+        self.pass = PassState {
+            rc,
+            var_nodes,
+            freed_at_begin: self.counts.nodes_freed,
+            ..PassState::default()
+        };
+    }
+
+    /// Drop the pass state. No ITE runs during a pass, so the cache only
+    /// needs the wipe a collection gives it when a swap freed a node whose
+    /// slot a later allocation may recycle.
+    fn end_pass(&mut self) {
+        if self.counts.nodes_freed != self.pass.freed_at_begin {
+            self.cache.fill(CacheEntry::INVALID);
+        }
+        self.pass = PassState::default();
+    }
+
     /// Swap adjacent levels `level` and `level + 1` in place.
     ///
     /// Let `u`/`w` be the variables at the two levels. Every `u`-node with
@@ -1926,52 +1992,227 @@ impl Bdd {
     /// a ref's function never changes; complement-edge canonicity is
     /// preserved because the new hi child is built from the old (regular)
     /// stored-hi cofactors, so it is always regular itself.
+    ///
+    /// The swap touches only `u`'s node list and the nodes whose count it
+    /// changes. Nodes orphaned by the rewrites (at `w` or below; `u`-nodes
+    /// keep their parents) stay interned and counted live until the swap
+    /// ends, then go to the free list in ascending index order — the state
+    /// a full collection would leave.
     fn swap_levels(&mut self, level: usize) {
         let u = self.level2var[level];
         let w = self.level2var[level + 1];
-        // Snapshot the candidates before allocating: new u-children created
+        // `u`'s live nodes in ascending index order, as an arena scan would
+        // meet them; entries gone stale since the list was last taken drop
+        // out here.
+        let mut keep = std::mem::take(&mut self.pass.var_nodes[u as usize]);
+        keep.retain(|&i| self.nodes[i as usize].var == u);
+        keep.sort_unstable();
+        keep.dedup();
+        // Candidates have a w-topped child. The new u-children created
         // below have all their children strictly under `w`, so they are
         // never candidates themselves.
-        let mut candidates: Vec<u32> = Vec::new();
-        for i in 1..self.nodes.len() {
-            let node = self.nodes[i];
-            if node.var != u {
-                continue;
+        let mut candidates = Vec::new();
+        keep.retain(|&i| {
+            let node = self.nodes[i as usize];
+            let entangled = self.nodes[(node.lo >> 1) as usize].var == w
+                || self.nodes[(node.hi >> 1) as usize].var == w;
+            if entangled {
+                candidates.push(i);
             }
-            let lo_var = self.nodes[(node.lo >> 1) as usize].var;
-            let hi_var = self.nodes[(node.hi >> 1) as usize].var;
-            if lo_var == w || hi_var == w {
-                candidates.push(i as u32);
-            }
-        }
+            !entangled
+        });
         for &ci in &candidates {
             let node = self.nodes[ci as usize];
             let (f00, f01) = self.cofactors_at(Ref(node.lo), w);
             let (f10, f11) = self.cofactors_at(Ref(node.hi), w);
-            let g0 = self.mk(u, f00, f10);
-            let g1 = self.mk(u, f01, f11);
+            let g0 = self.mk_counted(u, f00, f10, &mut keep);
+            let g1 = self.mk_counted(u, f01, f11, &mut keep);
             // The candidate depends on `w`, so its two new cofactors
             // differ; and g1 is built from regular stored-hi edges, so the
             // rewritten node keeps the hi-regular invariant.
             debug_assert_ne!(g0, g1);
             debug_assert!(!g1.is_complemented());
+            // New children are counted before old ones are released, so a
+            // grandchild both share never touches zero.
+            self.pass.rc[g0.index()] += 1;
+            self.pass.rc[g1.index()] += 1;
+            self.unlink(ci);
             self.nodes[ci as usize] = Node {
                 var: w,
                 lo: g0.0,
                 hi: g1.0,
             };
+            self.link(ci);
+            self.release(node.lo);
+            self.release(node.hi);
         }
+        self.pass.var_nodes[u as usize] = keep;
+        self.pass.var_nodes[w as usize].extend_from_slice(&candidates);
         self.level2var.swap(level, level + 1);
         self.var2level[u as usize] = (level + 1) as u32;
         self.var2level[w as usize] = level as u32;
         self.counts.reorder_swaps += 1;
-        // Rewritten nodes sit in the table under their old hash and the
-        // swap's dead children inflate the live count: one collection
-        // frees the garbage and rebuilds the table. If nothing was freed
-        // the table still holds stale slots — rebuild explicitly.
-        let freed = self.gc_run();
-        if freed == 0 {
-            self.rebuild_table(self.table_mask + 1);
+        // Free the orphans as `gc_run`'s sweep would: ascending, each
+        // pushed onto the free list, so later allocations recycle the same
+        // slots in the same order.
+        let mut dead = std::mem::take(&mut self.pass.dead);
+        dead.sort_unstable();
+        for &i in &dead {
+            self.unlink(i);
+            self.nodes[i as usize] = Node {
+                var: FREE_VAR,
+                lo: self.free_head,
+                hi: 0,
+            };
+            self.free_head = i;
+        }
+        self.live_nodes -= dead.len();
+        self.counts.nodes_freed += dead.len() as u64;
+        dead.clear();
+        self.pass.dead = dead;
+        #[cfg(test)]
+        self.assert_swap_left_no_garbage();
+    }
+
+    /// [`Bdd::mk`] inside a swap. A node it interns (always a `u`-node)
+    /// starts from a zero count — its slot may be a recycled one — counts
+    /// its children, and joins `u`'s list.
+    fn mk_counted(&mut self, var: u32, lo: Ref, hi: Ref, list: &mut Vec<u32>) -> Ref {
+        let created = self.counts.nodes_created;
+        let r = self.mk(var, lo, hi);
+        if self.counts.nodes_created != created {
+            let i = r.index();
+            if i >= self.pass.rc.len() {
+                self.pass.rc.resize(i + 1, 0);
+            }
+            self.pass.rc[i] = 0;
+            self.pass.rc[lo.index()] += 1;
+            self.pass.rc[hi.index()] += 1;
+            list.push(i as u32);
+        }
+        r
+    }
+
+    /// Drop one reference along raw edge `edge`. A node whose count reaches
+    /// zero is recorded as dead and releases its own children; the
+    /// terminal is never freed.
+    fn release(&mut self, edge: u32) {
+        self.pass.stack.push(edge >> 1);
+        while let Some(i) = self.pass.stack.pop() {
+            if i == 0 {
+                continue;
+            }
+            let count = &mut self.pass.rc[i as usize];
+            *count -= 1;
+            if *count == 0 {
+                self.pass.dead.push(i);
+                let node = self.nodes[i as usize];
+                self.pass.stack.push(node.lo >> 1);
+                self.pass.stack.push(node.hi >> 1);
+            }
+        }
+    }
+
+    /// Intern node `i` in the unique table under its current contents.
+    fn link(&mut self, i: u32) {
+        let n = self.nodes[i as usize];
+        let mut slot = triple_hash(n.var, n.lo, n.hi) as usize & self.table_mask;
+        while self.table[slot] != EMPTY {
+            slot = (slot + 1) & self.table_mask;
+        }
+        self.table[slot] = i;
+        self.table_len += 1;
+    }
+
+    /// Remove node `i`, interned under its current contents, from the
+    /// unique table. Later entries of the probe run shift back into the
+    /// hole, so every remaining node stays findable by linear probing.
+    fn unlink(&mut self, i: u32) {
+        let mask = self.table_mask;
+        let n = self.nodes[i as usize];
+        let mut hole = triple_hash(n.var, n.lo, n.hi) as usize & mask;
+        while self.table[hole] != i {
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let k = self.table[j];
+            if k == EMPTY {
+                break;
+            }
+            let m = self.nodes[k as usize];
+            let home = triple_hash(m.var, m.lo, m.hi) as usize & mask;
+            // `k` moves back unless its home lies cyclically in (hole, j].
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.table[hole] = k;
+                hole = j;
+            }
+        }
+        self.table[hole] = EMPTY;
+        self.table_len -= 1;
+    }
+}
+
+/// Traversal oracle for the reference-counted swap, run after every swap in
+/// this crate's tests.
+#[cfg(test)]
+impl Bdd {
+    fn assert_swap_left_no_garbage(&self) {
+        let mut reached = vec![false; self.nodes.len()];
+        reached[0] = true;
+        let mut reachable = 1;
+        let mut stack: Vec<usize> = self
+            .roots
+            .iter()
+            .chain(&self.guard)
+            .map(|&r| (r >> 1) as usize)
+            .collect();
+        while let Some(i) = stack.pop() {
+            if reached[i] {
+                continue;
+            }
+            reached[i] = true;
+            reachable += 1;
+            let n = self.nodes[i];
+            stack.push((n.lo >> 1) as usize);
+            stack.push((n.hi >> 1) as usize);
+        }
+        assert_eq!(
+            self.node_count(),
+            reachable,
+            "live count must equal the nodes reachable from roots and guard pins"
+        );
+        let mut free = self.free_head;
+        while free != NIL {
+            assert!(
+                !reached[free as usize],
+                "reachable node {free} is on the free list"
+            );
+            free = self.nodes[free as usize].lo;
+        }
+        let interned: Vec<u32> = self.table.iter().copied().filter(|&k| k != EMPTY).collect();
+        assert_eq!(
+            interned.len(),
+            reachable - 1,
+            "the unique table holds a dead node"
+        );
+        assert!(interned.iter().all(|&k| reached[k as usize]));
+        for (i, n) in self.nodes.iter().enumerate().skip(1) {
+            if n.var == FREE_VAR {
+                continue;
+            }
+            let mut slot = triple_hash(n.var, n.lo, n.hi) as usize & self.table_mask;
+            loop {
+                let k = self.table[slot];
+                assert_ne!(k, EMPTY, "live node {i} is not in the unique table");
+                let m = self.nodes[k as usize];
+                if (m.var, m.lo, m.hi) == (n.var, n.lo, n.hi) {
+                    assert_eq!(k as usize, i, "two live nodes share contents");
+                    break;
+                }
+                slot = (slot + 1) & self.table_mask;
+            }
         }
     }
 }
@@ -2050,7 +2291,10 @@ mod reorder_tests {
         mgr.protect(f);
         mgr.protect(nf);
         let want_f = truth_table(&mgr, f, 6);
+        // Set up the pass state as `reorder_now` does: collect, then count.
         mgr.ensure_level_maps();
+        mgr.gc();
+        mgr.begin_pass();
         // Walk every adjacent pair, twice — same external refs throughout.
         for pass in 0..2 {
             for l in 0..5 {
@@ -2060,7 +2304,111 @@ mod reorder_tests {
                 assert!(got_nf.iter().zip(&want_f).all(|(a, b)| *a != *b));
             }
         }
+        mgr.end_pass();
         assert!(mgr.op_counts().reorder_swaps >= 10);
+    }
+
+    /// Deterministic xorshift64 stream for the random-function tests.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random function over `nvars` variables: `terms` random two- or
+    /// three-literal products, folded by random OR/XOR. Intermediates are
+    /// left unrooted, so a pass's opening collection has garbage to sweep.
+    fn random_function(mgr: &mut Bdd, rng: &mut u64, nvars: u32, terms: usize) -> Ref {
+        let mut f = Ref::FALSE;
+        for _ in 0..terms {
+            let mut t = Ref::TRUE;
+            for _ in 0..2 + next(rng) % 2 {
+                let r = next(rng);
+                let v = (r % nvars as u64) as u32;
+                let lit = if r >> 32 & 1 == 1 {
+                    mgr.var(v)
+                } else {
+                    mgr.nvar(v)
+                };
+                t = mgr.and(t, lit);
+            }
+            f = if next(rng) & 1 == 1 {
+                mgr.or(f, t)
+            } else {
+                mgr.xor(f, t)
+            };
+        }
+        f
+    }
+
+    #[test]
+    fn reference_counted_swaps_free_exactly_the_unreachable_nodes() {
+        // Full passes over random rooted functions. Every swap ends with
+        // `assert_swap_left_no_garbage`: the live count equals a traversal
+        // count from roots and guard pins, the unique table finds every
+        // live node by its contents, and no reachable node is free.
+        let mut grown = 0;
+        for seed in 1..=16u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let nvars = 6 + (seed % 4) as u32;
+            let mut mgr = Bdd::new();
+            let mut rooted = Vec::new();
+            for k in 0..4 {
+                let f = random_function(&mut mgr, &mut rng, nvars, 6 + k);
+                // Complemented and duplicate roots count like any other.
+                let f = if k % 2 == 1 { mgr.not(f) } else { f };
+                mgr.protect(f);
+                if k == 0 {
+                    mgr.protect(f);
+                }
+                rooted.push(f);
+            }
+            // Operands pinned the way `try_ite` pins them before it starts
+            // a pass: one unrooted, one also a rooted node's child.
+            let pinned = random_function(&mut mgr, &mut rng, nvars, 8);
+            let child = mgr.low(rooted[3]);
+            let want: Vec<Vec<bool>> = rooted
+                .iter()
+                .chain([&pinned, &child])
+                .map(|&f| truth_table(&mgr, f, nvars))
+                .collect();
+            let base = mgr.guard.len();
+            mgr.guard.push(pinned.0);
+            mgr.guard.push(child.0);
+            // Shrink the unique table to the smallest capacity holding the
+            // live nodes, so swaps that intern new nodes before freeing
+            // the orphans must grow it mid-swap (which re-interns the
+            // orphans awaiting their free).
+            mgr.gc();
+            let mut cap = 16;
+            while mgr.table_len * 4 >= cap * 3 {
+                cap *= 2;
+            }
+            mgr.rebuild_table(cap);
+            mgr.reorder_now();
+            grown += usize::from(mgr.table.len() > cap);
+            // A second pass from the found order, after dropping one root
+            // and one of a duplicate pair: its opening collection frees
+            // the dropped function, and the counts restart from what stays.
+            mgr.unprotect(rooted[0]);
+            mgr.unprotect(rooted[1]);
+            let (_, after) = mgr.reorder_now();
+            mgr.guard.truncate(base);
+            let kept = [rooted[0], rooted[2], rooted[3], pinned, child];
+            let wanted = [&want[0], &want[2], &want[3], &want[4], &want[5]];
+            for (&f, want) in kept.iter().zip(wanted) {
+                assert_eq!(&truth_table(&mgr, f, nvars), want, "seed {seed}");
+            }
+            assert_eq!(after, mgr.node_count());
+            let c = mgr.op_counts();
+            assert!(c.reorder_swaps > 0, "seed {seed}: no swap ran");
+            assert_eq!(
+                c.gc_runs, 3,
+                "seed {seed}: the explicit collection, then one per pass"
+            );
+        }
+        assert!(grown > 0, "no pass grew the unique table mid-swap");
     }
 
     #[test]

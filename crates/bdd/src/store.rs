@@ -362,7 +362,7 @@ mod tests {
     fn round_trip_preserves_functions() {
         let (mgr, roots) = sample();
         let blob = write_bdd(&mgr, &roots);
-        let (mut back, rebuilt) = read_bdd(&blob).expect("round trip");
+        let (back, rebuilt) = read_bdd(&blob).expect("round trip");
         assert_eq!(rebuilt.len(), roots.len());
         let p = [0.3, 0.7, 0.5];
         for (&orig, &new) in roots.iter().zip(&rebuilt) {

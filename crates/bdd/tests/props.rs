@@ -152,6 +152,26 @@ proptest! {
         prop_assert!((p - count / (1 << NVARS) as f64).abs() < 1e-9);
     }
 
+    /// One memo shared across roots gives every root the value a fresh
+    /// memo gives it, bit for bit, under non-dyadic biases.
+    #[test]
+    fn shared_memo_probabilities_match_per_root(
+        exprs in proptest::collection::vec(arb_expr(), 1..6),
+        weights in proptest::collection::vec(1u32..1000, NVARS..NVARS + 1),
+    ) {
+        let mut mgr = Bdd::new();
+        let plain: Vec<Ref> = exprs.iter().map(|e| e.build(&mut mgr)).collect();
+        // Complements read their plain node's memo entry.
+        let complements = plain.iter().map(|&f| mgr.not(f));
+        let roots: Vec<Ref> = plain.iter().copied().chain(complements).collect();
+        let p: Vec<f64> = weights.iter().map(|&w| w as f64 / 1000.0).collect();
+        let shared = mgr.probability_many(&roots, &p);
+        prop_assert_eq!(shared.len(), roots.len());
+        for (&f, got) in roots.iter().zip(&shared) {
+            prop_assert_eq!(got.to_bits(), mgr.probability(f, &p).to_bits());
+        }
+    }
+
     #[test]
     fn compose_is_substitution(expr in arb_expr(), g in arb_expr(), var in 0..NVARS as u32) {
         let mut mgr = Bdd::new();

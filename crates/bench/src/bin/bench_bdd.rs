@@ -22,7 +22,11 @@
 //! peak and the natural-order peak: the fixed-order build must exhaust
 //! the budget while the reorder-enabled build completes the exact tier.
 //! `--check` enforces that separation too — both halves are
-//! deterministic node counts, immune to CI timing noise.
+//! deterministic node counts, immune to CI timing noise — and fails if the
+//! sifted build's pass count, swap count or peak drifts from the committed
+//! values: sifting is deterministic, so any drift means the reorderer now
+//! decides differently. The exhibit also records the sifted build's
+//! collections and freed nodes, and its best-of-3 wall-clock time.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -136,12 +140,20 @@ fn measure(base: &Baseline) -> Measured {
 /// either direction trips the gate before it halves the win.
 const REORDER_SPEC: &str = "dfs+threshold:256";
 const REORDER_NODE_BUDGET: u64 = 40_000;
+/// The sifted build's committed reorder passes, adjacent swaps and peak
+/// live nodes.
+const SIFTED_RUNS: u64 = 9;
+const SIFTED_SWAPS: u64 = 3755;
+const SIFTED_PEAK: u64 = 36_339;
 
 struct ReorderMeasured {
     fixed_peak: u64,
     reordered_peak: u64,
     reorder_runs: u64,
     reorder_swaps: u64,
+    gc_runs: u64,
+    nodes_freed: u64,
+    /// Best of 3 sifted builds.
     seconds: f64,
     /// The natural order must blow the committed budget…
     fixed_exhausts_budget: bool,
@@ -155,10 +167,16 @@ fn measure_reorder() -> ReorderMeasured {
     let nobs = lowpower::obs::Obs::disabled();
     let cfg = ReorderConfig::parse(REORDER_SPEC).expect("committed reorder spec parses");
     let fixed = try_circuit_bdds(&nl, &unlimited).expect("unlimited fixed-order build");
-    let start = Instant::now();
-    let reordered =
-        try_circuit_bdds_reorder(&nl, &unlimited, &cfg, &nobs).expect("unlimited sifted build");
-    let seconds = start.elapsed().as_secs_f64();
+    let mut seconds = f64::INFINITY;
+    let mut reordered = None;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let build =
+            try_circuit_bdds_reorder(&nl, &unlimited, &cfg, &nobs).expect("unlimited sifted build");
+        seconds = seconds.min(start.elapsed().as_secs_f64());
+        reordered = Some(build);
+    }
+    let reordered = reordered.expect("three sifted builds ran");
     let counts = reordered.mgr.op_counts();
     let budget = ResourceBudget::unlimited().with_max_bdd_nodes(REORDER_NODE_BUDGET);
     ReorderMeasured {
@@ -166,6 +184,8 @@ fn measure_reorder() -> ReorderMeasured {
         reordered_peak: reordered.mgr.peak_live_nodes() as u64,
         reorder_runs: counts.reorder_runs,
         reorder_swaps: counts.reorder_swaps,
+        gc_runs: counts.gc_runs,
+        nodes_freed: counts.nodes_freed,
         seconds,
         fixed_exhausts_budget: try_circuit_bdds(&nl, &budget).is_err(),
         reordered_completes_budget: try_circuit_bdds_reorder(&nl, &budget, &cfg, &nobs).is_ok(),
@@ -182,6 +202,8 @@ fn reorder_json(r: &ReorderMeasured) -> String {
     let _ = writeln!(out, "    \"reordered_peak_live_nodes\": {},", r.reordered_peak);
     let _ = writeln!(out, "    \"reorder_runs\": {},", r.reorder_runs);
     let _ = writeln!(out, "    \"reorder_swaps\": {},", r.reorder_swaps);
+    let _ = writeln!(out, "    \"gc_runs\": {},", r.gc_runs);
+    let _ = writeln!(out, "    \"nodes_freed\": {},", r.nodes_freed);
     let _ = writeln!(out, "    \"seconds\": {:.3e},", r.seconds);
     let _ = writeln!(out, "    \"fixed_exhausts_budget\": {},", r.fixed_exhausts_budget);
     let _ = writeln!(
@@ -250,12 +272,14 @@ fn main() {
         );
     }
     println!(
-        "  mult8    peak {} -> {} under {REORDER_SPEC} ({} runs, {} swaps); \
-         budget {REORDER_NODE_BUDGET}: fixed {}, reordered {}",
+        "  mult8    peak {} -> {} under {REORDER_SPEC} ({} runs, {} swaps, {} collections, \
+         {:.3e} s best of 3); budget {REORDER_NODE_BUDGET}: fixed {}, reordered {}",
         reorder.fixed_peak,
         reorder.reordered_peak,
         reorder.reorder_runs,
         reorder.reorder_swaps,
+        reorder.gc_runs,
+        reorder.seconds,
         if reorder.fixed_exhausts_budget { "exhausts" } else { "COMPLETES" },
         if reorder.reordered_completes_budget { "completes" } else { "EXHAUSTS" },
     );
@@ -293,6 +317,24 @@ fn main() {
             "check ok: mult8 exact tier completes under {REORDER_NODE_BUDGET} nodes \
              only with {REORDER_SPEC} (peak {} vs fixed {})",
             reorder.reordered_peak, reorder.fixed_peak
+        );
+        let sifted = (
+            reorder.reorder_runs,
+            reorder.reorder_swaps,
+            reorder.reordered_peak,
+        );
+        if sifted != (SIFTED_RUNS, SIFTED_SWAPS, SIFTED_PEAK) {
+            eprintln!(
+                "check FAILED: mult8 under {REORDER_SPEC} ran {} passes, {} swaps, peak {} \
+                 (committed {SIFTED_RUNS}, {SIFTED_SWAPS}, {SIFTED_PEAK}): sifting is \
+                 deterministic, so the reorderer now decides differently",
+                sifted.0, sifted.1, sifted.2
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "check ok: mult8 sifting decisions unchanged ({SIFTED_RUNS} passes, \
+             {SIFTED_SWAPS} swaps, peak {SIFTED_PEAK})"
         );
     }
 }

@@ -454,10 +454,6 @@ fn resub_moves(nl: &Netlist, bdds: &CircuitBdds, live: &[bool], cap: usize, out:
     let Ok(levels) = nl.levels() else {
         return;
     };
-    let mut mgr = bdds.mgr.clone();
-    // The clone only computes complements (no new nodes beyond the
-    // complement edges), but keep it from collecting under us regardless.
-    mgr.set_auto_gc(false);
     // Representative for each global function: the shallowest live net
     // (ties to the lowest id, so enumeration is deterministic).
     let mut rep: HashMap<Ref, NetId> = HashMap::new();
@@ -496,7 +492,7 @@ fn resub_moves(nl: &Netlist, bdds: &CircuitBdds, live: &[bool], cap: usize, out:
                 continue;
             }
         }
-        let complement = mgr.not(bdds.funcs[i]);
+        let complement = bdds.mgr.not(bdds.funcs[i]);
         if let Some(&d) = rep.get(&complement) {
             if d != net && levels[d.index()] <= levels[i] {
                 let mut delta = Delta::for_netlist(nl);

@@ -222,10 +222,7 @@ impl CircuitBdds {
                 var_probs[v as usize] = input_probs[i];
             }
         }
-        self.funcs
-            .iter()
-            .map(|&f| self.mgr.probability(f, &var_probs))
-            .collect()
+        self.mgr.probability_many(&self.funcs, &var_probs)
     }
 
     /// Exact zero-delay activity profile under temporal independence:

@@ -17,12 +17,19 @@
 //!   it there), because a reorder pass and a stress collection obey the
 //!   same rooting contract.
 //!
+//! Separately, the sifting *decisions* on real circuits are pinned:
+//! sifting is deterministic, so the pass count, swap count, freed nodes,
+//! final and peak live nodes and the final order of a few committed
+//! builds may only change when the reorderer is meant to decide
+//! differently.
+//!
 //! Sizes stay small: the `always` schedule re-sifts on every growth and
 //! is quadratic-ish in debug builds, and all-assignment evaluation is
 //! `2^inputs` per case.
 
 use lowpower::budget::ResourceBudget;
-use lowpower::netlist::gen::{random_dag, RandomDagConfig};
+use lowpower::netlist::blif::{parse_text, write_text};
+use lowpower::netlist::gen::{self, random_dag, RandomDagConfig};
 use lowpower::netlist::Netlist;
 use lowpower::power::exact::{try_circuit_bdds, try_circuit_bdds_reorder, CircuitBdds};
 use lowpower::power::order::ReorderConfig;
@@ -179,5 +186,123 @@ proptest! {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&fixed.probability), bits(&dynamic.probability));
         prop_assert_eq!(bits(&fixed.toggles), bits(&dynamic.toggles));
+    }
+}
+
+/// One committed build and the outcome of its sifting.
+struct Pinned {
+    name: &'static str,
+    circuit: fn() -> Netlist,
+    spec: &'static str,
+    max_nodes: Option<u64>,
+    runs: u64,
+    swaps: u64,
+    nodes_freed: u64,
+    node_count: usize,
+    peak: usize,
+    order: &'static [u32],
+}
+
+/// Outcomes measured before swaps kept reference counts (each swap then
+/// ended with a full collection), on the generators' BLIF round trip as
+/// `lpopt` reads them.
+const PINNED: &[Pinned] = &[
+    Pinned {
+        name: "mult6",
+        circuit: || gen::array_multiplier(6).0,
+        spec: "dfs+threshold:256",
+        max_nodes: Some(40_000),
+        runs: 5,
+        swaps: 1157,
+        nodes_freed: 99_917,
+        node_count: 3767,
+        peak: 4006,
+        order: &[8, 11, 6, 9, 10, 7, 4, 5, 3, 2, 1, 0],
+    },
+    Pinned {
+        name: "mult8",
+        circuit: || gen::array_multiplier(8).0,
+        spec: "dfs+threshold:256",
+        max_nodes: Some(40_000),
+        runs: 9,
+        swaps: 3755,
+        nodes_freed: 1_278_715,
+        node_count: 36_339,
+        peak: 36_339,
+        order: &[10, 9, 8, 11, 13, 14, 15, 12, 6, 7, 5, 4, 3, 2, 1, 0],
+    },
+    Pinned {
+        name: "cmp12",
+        circuit: || gen::comparator_gt(12).0,
+        spec: "always",
+        max_nodes: None,
+        runs: 46,
+        swaps: 46_812,
+        nodes_freed: 46_797,
+        node_count: 434,
+        peak: 562,
+        order: &[
+            0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23,
+        ],
+    },
+];
+
+/// The pinned builds reproduce their counts and final order exactly, and
+/// each pass runs one collection. GC stress collects at every allocation
+/// outside a pass, which moves when passes fire, so under it the test
+/// re-runs itself in a child process without the stress variable.
+#[test]
+fn sifting_decisions_match_pinned_outcomes() {
+    const NAME: &str = "sifting_decisions_match_pinned_outcomes";
+    if std::env::var_os("LPOPT_BDD_GC_STRESS").is_some() {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args([NAME, "--exact"])
+            .env_remove("LPOPT_BDD_GC_STRESS")
+            .output()
+            .expect("re-run the test without GC stress");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "pinned sifting outcomes differ:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    for pin in PINNED {
+        let nl = parse_text(&write_text(&(pin.circuit)())).expect("generated BLIF parses");
+        let cfg = ReorderConfig::parse(pin.spec).expect("pinned spec parses");
+        let budget = pin.max_nodes.map_or(ResourceBudget::unlimited(), |n| {
+            ResourceBudget::unlimited().with_max_bdd_nodes(n)
+        });
+        let bdds = try_circuit_bdds_reorder(&nl, &budget, &cfg, &obs::Obs::disabled())
+            .unwrap_or_else(|e| panic!("{}: {e}", pin.name));
+        let c = bdds.mgr.op_counts();
+        let got = (
+            c.reorder_runs,
+            c.reorder_swaps,
+            c.nodes_freed,
+            bdds.mgr.node_count(),
+            bdds.mgr.peak_live_nodes(),
+        );
+        let want = (
+            pin.runs,
+            pin.swaps,
+            pin.nodes_freed,
+            pin.node_count,
+            pin.peak,
+        );
+        assert_eq!(got, want, "{}: (runs, swaps, freed, live, peak)", pin.name);
+        assert_eq!(
+            bdds.variable_order(),
+            pin.order,
+            "{}: final order",
+            pin.name
+        );
+        assert_eq!(
+            c.gc_runs, c.reorder_runs,
+            "{}: one collection per pass",
+            pin.name
+        );
     }
 }
