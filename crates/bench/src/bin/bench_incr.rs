@@ -25,7 +25,10 @@
 //! * **rewrite-flow** (same circuits): the combined rewriting pass
 //!   (rewrite → balance → size) against the sequential pipeline
 //!   (balance → don't-cares → size), both sized to one shared delay
-//!   constraint, compared on glitch-aware switched capacitance.
+//!   constraint, compared on glitch-aware switched capacitance. Each flow
+//!   also records where the sequential pipeline's don't-care candidates
+//!   went: settled by the simulation witness, unreachable, or through the
+//!   full BDD analysis.
 //!
 //! Emits `BENCH_incr.json` (override with the first non-flag argument).
 //!
@@ -33,23 +36,26 @@
 //! cargo run --release -p bench --bin bench_incr [out.json] [--check]
 //! ```
 //!
-//! With `--check` the harness exits nonzero unless the balance, sizing
-//! and rewrite-search loops hold their headline win: work ratio
-//! (incremental evaluations per from-scratch evaluation) at most 1/3, or
-//! wall-clock at least 3x faster. The work ratios are the primary
-//! criterion — they are deterministic, so the check is meaningful on a
-//! noisy CI box where timings are not. Result identity (bitwise sizes,
-//! bitwise capacitance, glitch totals to 1e-9, node-for-node netlists
-//! from the rewrite twins) is always enforced, as is the rewrite-flow
-//! criterion: combined switched capacitance no worse than the sequential
-//! pipeline's at the shared delay constraint.
+//! With `--check` the harness exits nonzero unless every section holds
+//! its headline win: work ratio (incremental evaluations per from-scratch
+//! evaluation) at most 1/3, or wall-clock at least 3x faster. The work
+//! ratios are the primary criterion — they are deterministic, so the
+//! check is meaningful on a noisy CI box where timings are not. Result
+//! identity (bitwise sizes, bitwise capacitance, glitch totals to 1e-9,
+//! node-for-node netlists from the rewrite twins) is always enforced, as
+//! are the rewrite-flow criteria: combined switched capacitance no worse
+//! than the sequential pipeline's at the shared delay constraint, and on
+//! wallace8 at most 150 full BDD don't-care analyses in the sequential
+//! pipeline (a deterministic count).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use circuit::sizing::{SizedCircuit, StaCache};
 use logicopt::balance::{balance_delta, balance_paths_with_threshold, tighten_balance_delta};
-use logicopt::dontcare::{optimize_dontcares_sim, optimize_dontcares_sim_with, DontCareSimReport};
+use logicopt::dontcare::{
+    optimize_dontcares_sim, optimize_dontcares_sim_with, CandidateCounts, DontCareSimReport,
+};
 use logicopt::rewrite::{rewrite_sim, RewriteConfig};
 use netlist::blif::parse_text;
 use netlist::Netlist;
@@ -365,6 +371,10 @@ struct FlowSection {
     combined_seconds: f64,
     /// Both sized variants meet the shared constraint.
     meets_constraint: bool,
+    /// Where the sequential pipeline's don't-care candidates went.
+    sequential_candidates: CandidateCounts,
+    /// Bound on the sequential pipeline's full BDD analyses, if gated.
+    max_analyses: Option<u64>,
 }
 
 /// Size `nl` for minimum power at `constraint` and report its switched
@@ -379,14 +389,18 @@ fn sized_cap(nl: &Netlist, patterns: &sim::stimulus::PatternSet, constraint: f64
     )
 }
 
-fn bench_rewrite_flow(circuit: &'static str, nl: &Netlist) -> FlowSection {
+fn bench_rewrite_flow(
+    circuit: &'static str,
+    nl: &Netlist,
+    max_analyses: Option<u64>,
+) -> FlowSection {
     let probs = vec![0.5; nl.num_inputs()];
     let patterns = Stimulus::uniform(nl.num_inputs()).patterns(CYCLES, SEED);
     let packed = PackedPatterns::pack(&patterns);
 
     let start = Instant::now();
     let (balanced, _) = balance_paths_with_threshold(nl, 0);
-    let (seq_nl, _) = optimize_dontcares_sim(&balanced, &probs, 5, &packed);
+    let (seq_nl, seq_report) = optimize_dontcares_sim(&balanced, &probs, 5, &packed);
     let sequential_seconds = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
@@ -408,6 +422,8 @@ fn bench_rewrite_flow(circuit: &'static str, nl: &Netlist) -> FlowSection {
         sequential_seconds,
         combined_seconds,
         meets_constraint: seq_ok && comb_ok,
+        sequential_candidates: seq_report.candidates,
+        max_analyses,
     }
 }
 
@@ -446,6 +462,13 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
             f.sequential_seconds
         );
         let _ = writeln!(out, "      \"combined_seconds\": {:.3e},", f.combined_seconds);
+        let c = f.sequential_candidates;
+        let _ = writeln!(
+            out,
+            "      \"sequential_candidates\": {{\"witnessed\": {}, \"unreachable\": {}, \
+             \"analyzed\": {}, \"rewritten\": {}}},",
+            c.witnessed, c.unreachable, c.analyzed, c.rewritten
+        );
         let _ = writeln!(out, "      \"meets_constraint\": {}", f.meets_constraint);
         out.push_str(if i + 1 < flows.len() { "    },\n" } else { "    }\n" });
     }
@@ -474,8 +497,8 @@ fn main() {
         bench_rewrite_search("wallace8", &wallace),
     ];
     let flows = vec![
-        bench_rewrite_flow("rand200", &rand),
-        bench_rewrite_flow("wallace8", &wallace),
+        bench_rewrite_flow("rand200", &rand, None),
+        bench_rewrite_flow("wallace8", &wallace, Some(150)),
     ];
     std::fs::write(&out_path, to_json(&sections, &flows)).expect("write benchmark JSON");
 
@@ -505,6 +528,17 @@ fn main() {
             f.constraint,
             f.meets_constraint,
         );
+        let c = f.sequential_candidates;
+        println!(
+            "  {:<14} {:<8} sequential don't-care candidates: {} witnessed, {} unreachable, \
+             {} analyzed ({} rewritten)",
+            "",
+            f.circuit,
+            c.witnessed,
+            c.unreachable,
+            c.analyzed,
+            c.rewritten,
+        );
     }
 
     if check {
@@ -518,7 +552,7 @@ fn main() {
                 ok = false;
             }
         }
-        for s in sections.iter().filter(|s| s.name != "dontcare-pass") {
+        for s in &sections {
             // Deterministic work ratio is primary; wall clock rescues a
             // run on a machine with different constant factors.
             if s.work_ratio > 1.0 / 3.0 && s.speedup < 3.0 {
@@ -547,6 +581,18 @@ fn main() {
                     f.circuit, f.combined_cap, f.sequential_cap
                 );
                 ok = false;
+            }
+            // The simulation witness settles nearly every don't-care
+            // candidate before the BDD analysis; a deterministic count.
+            if let Some(max) = f.max_analyses {
+                if f.sequential_candidates.analyzed > max {
+                    eprintln!(
+                        "check FAILED: rewrite-flow ({}) sequential pipeline ran {} BDD \
+                         analyses > {max}",
+                        f.circuit, f.sequential_candidates.analyzed
+                    );
+                    ok = false;
+                }
             }
         }
         if !ok {

@@ -18,12 +18,22 @@
 //! weighted activity (\[38\]); [`Mode::FanoutAware`] re-propagates
 //! probabilities and accepts only if the *whole network's* estimated
 //! switched capacitance drops (\[19\]).
+//!
+//! Most candidates have no don't-cares at all, and simulation proves it
+//! cheaply. Before any BDD work each candidate asks an [`IncrementalSim`]
+//! which fanin minterms it has *seen* as care: a pattern that drives the
+//! fanins to the minterm while inverting the node flips an output is a
+//! point of the minterm's condition and the node's observability, so the
+//! analysis would mark it care too. A candidate whose minterms are all
+//! witnessed, or whose unwitnessed minterms cannot occur at all, is
+//! skipped; the analysis would have returned nothing for it. Reports count
+//! where the candidates went ([`CandidateCounts`]).
 
-use bdd::{Ref, ResourceBudget};
+use bdd::{BudgetExceeded, Ref, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
-use power::exact::{circuit_bdds, CircuitBddCache};
+use power::exact::{try_circuit_bdds, CircuitBddCache, CircuitBdds};
 use sim::incr::{Delta, IncrementalSim};
-use sim::stimulus::PackedPatterns;
+use sim::stimulus::{PackedPatterns, Stimulus};
 
 /// Acceptance criterion for a node rewrite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +46,45 @@ pub enum Mode {
     FanoutAware,
 }
 
+/// Where the don't-care candidates of one driver run went. Each candidate
+/// lands in exactly one of `witnessed`, `unreachable` and `analyzed`;
+/// `rewritten` counts the analyzed ones that yielded a table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CandidateCounts {
+    /// Skipped on the simulation witness alone: every fanin minterm seen
+    /// as care.
+    pub witnessed: u64,
+    /// Skipped after the fanin-condition check: every minterm the witness
+    /// missed cannot occur.
+    pub unreachable: u64,
+    /// The full BDD observability analysis ran.
+    pub analyzed: u64,
+    /// The analysis returned a rebiased truth table.
+    pub rewritten: u64,
+}
+
+impl CandidateCounts {
+    pub(crate) fn record(&mut self, analysis: &Analysis) {
+        match analysis {
+            Analysis::Witnessed => self.witnessed += 1,
+            Analysis::Unreachable => self.unreachable += 1,
+            Analysis::Analyzed(rewrite) => {
+                self.analyzed += 1;
+                self.rewritten += rewrite.is_some() as u64;
+            }
+        }
+    }
+
+    /// Publish as the `dontcare.candidates.{witnessed,unreachable,
+    /// analyzed,rewritten}` counters.
+    pub fn publish(&self, obs: &obs::Obs) {
+        obs.add("dontcare.candidates.witnessed", self.witnessed);
+        obs.add("dontcare.candidates.unreachable", self.unreachable);
+        obs.add("dontcare.candidates.analyzed", self.analyzed);
+        obs.add("dontcare.candidates.rewritten", self.rewritten);
+    }
+}
+
 /// Outcome of the don't-care optimization pass.
 #[derive(Debug, Clone)]
 pub struct DontCareReport {
@@ -45,12 +94,25 @@ pub struct DontCareReport {
     pub cap_before: f64,
     /// Estimated switched capacitance after.
     pub cap_after: f64,
+    /// Where the candidates went.
+    pub candidates: CandidateCounts,
+    /// The budget ran out mid-pass; the result is the last accepted
+    /// netlist, still functionally equivalent to the input.
+    pub budget_exhausted: bool,
 }
 
 /// Estimated switched capacitance from exact probabilities (fF/cycle).
 pub fn estimated_cap(nl: &Netlist, input_probs: &[f64]) -> f64 {
-    let bdds = circuit_bdds(nl);
-    bdds.activity(input_probs).switched_capacitance(nl)
+    try_estimated_cap(nl, input_probs, &ResourceBudget::unlimited()).expect("unlimited budget")
+}
+
+fn try_estimated_cap(
+    nl: &Netlist,
+    input_probs: &[f64],
+    budget: &ResourceBudget,
+) -> Result<f64, BudgetExceeded> {
+    let bdds = try_circuit_bdds(nl, budget)?;
+    Ok(bdds.activity(input_probs).switched_capacitance(nl))
 }
 
 /// [`estimated_cap`] through a caller-owned BDD cache: structurally
@@ -61,10 +123,18 @@ pub fn estimated_cap_cached(
     input_probs: &[f64],
     cache: &mut CircuitBddCache,
 ) -> f64 {
-    let bdds = cache
-        .get_or_build(nl, &ResourceBudget::unlimited())
-        .expect("unlimited budget");
-    bdds.activity(input_probs).switched_capacitance(nl)
+    try_estimated_cap_cached(nl, input_probs, cache, &ResourceBudget::unlimited())
+        .expect("unlimited budget")
+}
+
+fn try_estimated_cap_cached(
+    nl: &Netlist,
+    input_probs: &[f64],
+    cache: &mut CircuitBddCache,
+    budget: &ResourceBudget,
+) -> Result<f64, BudgetExceeded> {
+    let bdds = cache.get_or_build(nl, budget)?;
+    Ok(bdds.activity(input_probs).switched_capacitance(nl))
 }
 
 /// Run don't-care node optimization.
@@ -101,10 +171,50 @@ pub fn optimize_dontcares_cached(
     max_fanin: usize,
     cache: &mut CircuitBddCache,
 ) -> (Netlist, DontCareReport) {
+    let unlimited = ResourceBudget::unlimited();
+    match try_optimize_dontcares_cached(nl, input_probs, mode, max_fanin, cache, &unlimited) {
+        Ok(result) => result,
+        Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
+    }
+}
+
+/// Patterns in the witness stimulus of the estimate-driven driver.
+const WITNESS_CYCLES: usize = 4096;
+/// Seed of the witness stimulus (any input vector is a legal witness).
+const WITNESS_SEED: u64 = 0x0DC5;
+
+/// [`optimize_dontcares_cached`] under a budget. The budget bounds the
+/// circuit-BDD builds (through [`CircuitBddCache::get_or_build`]), the
+/// deadline (checked once per candidate) and the witness simulation (each
+/// engine build, and each candidate's re-evaluated nets as `cycles` steps
+/// apiece). The witness only skips analyses, so a witness the budget
+/// cannot afford is dropped and the analyses run in full: it never fails
+/// or shortens a pass. `Err` is returned only when the first pass's
+/// circuit-BDD build exhausts; exhaustion later keeps the last accepted
+/// netlist and sets [`DontCareReport::budget_exhausted`].
+///
+/// # Panics
+///
+/// Panics if the netlist is sequential, cyclic, or `input_probs` has the
+/// wrong width.
+pub fn try_optimize_dontcares_cached(
+    nl: &Netlist,
+    input_probs: &[f64],
+    mode: Mode,
+    max_fanin: usize,
+    cache: &mut CircuitBddCache,
+    budget: &ResourceBudget,
+) -> Result<(Netlist, DontCareReport), BudgetExceeded> {
     assert!(nl.is_combinational(), "don't-care pass needs combinational logic");
     assert_eq!(input_probs.len(), nl.num_inputs());
     let mut current = nl.clone();
-    let cap_before = estimated_cap_cached(&current, input_probs, cache);
+    let cap_before = try_estimated_cap_cached(&current, input_probs, cache, budget)?;
+    // Capacitance of `current`, for a report whose final estimate the
+    // budget no longer affords.
+    let mut cap_current = cap_before;
+    let stimulus = Stimulus::uniform(nl.num_inputs()).packed(WITNESS_CYCLES, WITNESS_SEED);
+    let mut candidates_seen = CandidateCounts::default();
+    let mut budget_exhausted = false;
     let mut nodes_changed = 0;
 
     // Iterate to a fixpoint (bounded): each accepted rewrite invalidates
@@ -115,9 +225,18 @@ pub fn optimize_dontcares_cached(
         if pass > 8 {
             break;
         }
-        let bdds = cache
-            .get_or_build(&current, &ResourceBudget::unlimited())
-            .expect("unlimited budget");
+        let bdds = match cache.get_or_build(&current, budget) {
+            Ok(bdds) => bdds,
+            Err(e) if pass == 1 => return Err(e),
+            Err(_) => {
+                budget_exhausted = true;
+                break;
+            }
+        };
+        // `sweep_dead` renumbers nets, so every pass simulates afresh.
+        let mut witness =
+            IncrementalSim::try_from_full_eval(&current, &stimulus, budget, obs::Obs::disabled())
+                .ok();
         let fanout_counts = current.fanout_counts();
         let candidates: Vec<NetId> = current
             .iter_nets()
@@ -131,25 +250,53 @@ pub fn optimize_dontcares_cached(
             })
             .collect();
         for node in candidates {
-            if let Some(improved) = try_rewrite(&current, &bdds, node, input_probs, mode, cache)
-            {
-                current = improved;
-                current.sweep_dead();
-                nodes_changed += 1;
-                continue 'outer;
+            let verdict = budget.check_deadline().and_then(|()| {
+                let known = match &mut witness {
+                    Some(engine) => care_witness(engine, node, budget),
+                    None => vec![false; 1 << current.fanins(node).len()],
+                };
+                let analysis = find_rewrite(&current, &bdds, node, input_probs, &known);
+                candidates_seen.record(&analysis);
+                match analysis {
+                    Analysis::Analyzed(Some(rewrite)) => {
+                        try_rewrite(&current, node, &rewrite, input_probs, mode, cache, budget)
+                    }
+                    _ => Ok(None),
+                }
+            });
+            match verdict {
+                Ok(Some((improved, cap))) => {
+                    current = improved;
+                    cap_current = cap;
+                    nodes_changed += 1;
+                    continue 'outer;
+                }
+                Ok(None) => {}
+                Err(_) => {
+                    budget_exhausted = true;
+                    break;
+                }
             }
         }
         break;
     }
-    let cap_after = estimated_cap_cached(&current, input_probs, cache);
-    (
+    let cap_after = match try_estimated_cap_cached(&current, input_probs, cache, budget) {
+        Ok(cap) => cap,
+        Err(_) => {
+            budget_exhausted = true;
+            cap_current
+        }
+    };
+    Ok((
         current,
         DontCareReport {
             nodes_changed,
             cap_before,
             cap_after,
+            candidates: candidates_seen,
+            budget_exhausted,
         },
-    )
+    ))
 }
 
 /// Outcome of the simulation-driven don't-care pass.
@@ -167,6 +314,8 @@ pub struct DontCareSimReport {
     /// or every gate per candidate on a force-full engine. The ratio of
     /// the two is the deterministic work saving.
     pub nets_reevaluated: u64,
+    /// Where the candidates went.
+    pub candidates: CandidateCounts,
 }
 
 /// Don't-care optimization driven by *simulated* activity instead of exact
@@ -191,9 +340,10 @@ pub fn optimize_dontcares_sim(
 }
 
 /// [`optimize_dontcares_sim`] on a caller-owned engine, which holds the
-/// optimized netlist afterwards. On an engine with
-/// [`IncrementalSim::set_force_full`] every candidate re-evaluates the
-/// whole netlist: the pass's A/B twin, identical in decisions and result.
+/// optimized netlist afterwards and whose resident words are the witness.
+/// On an engine with [`IncrementalSim::set_force_full`] every candidate
+/// re-evaluates the whole netlist: the pass's A/B twin, identical in
+/// decisions and result.
 ///
 /// # Panics
 ///
@@ -204,10 +354,12 @@ pub fn optimize_dontcares_sim_with(
     max_fanin: usize,
 ) -> DontCareSimReport {
     assert_eq!(input_probs.len(), engine.netlist().num_inputs());
+    let unlimited = ResourceBudget::unlimited();
     let nets_before = engine.stats().nets_reevaluated;
     let cap_before = engine.switched_cap_live();
     let mut cap_current = cap_before;
     let mut cache = CircuitBddCache::new();
+    let mut candidates_seen = CandidateCounts::default();
     let mut nodes_changed = 0;
     let mut rewrites_tried = 0;
     let mut pass = 0;
@@ -220,13 +372,16 @@ pub fn optimize_dontcares_sim_with(
         // stable for the engine), so candidates are filtered to live nets.
         let current = engine.netlist().clone();
         let bdds = cache
-            .get_or_build(&current, &ResourceBudget::unlimited())
+            .get_or_build(&current, &unlimited)
             .expect("unlimited budget");
         // One live mark per pass: a rejected rewrite unwinds to it, an
         // accepted one is committed and the next pass re-takes the mark.
         let mark = engine.checkpoint();
         for node in sim_candidates(&current, max_fanin) {
-            let Some(rewrite) = find_rewrite(&current, &bdds, node, input_probs) else {
+            let known = care_witness(engine, node, &unlimited);
+            let analysis = find_rewrite(&current, &bdds, node, input_probs, &known);
+            candidates_seen.record(&analysis);
+            let Analysis::Analyzed(Some(rewrite)) = analysis else {
                 continue;
             };
             rewrites_tried += 1;
@@ -252,6 +407,7 @@ pub fn optimize_dontcares_sim_with(
         cap_after: cap_current,
         rewrites_tried,
         nets_reevaluated: engine.stats().nets_reevaluated - nets_before,
+        candidates: candidates_seen,
     }
 }
 
@@ -325,36 +481,38 @@ pub(crate) fn synthesize_table_delta(delta: &mut Delta, fanins: &[NetId], table:
     }
 }
 
+/// Judge `rewrite` of `node` in `nl` by `mode`. On acceptance returns the
+/// rewritten netlist, dead logic swept, with its estimated switched
+/// capacitance; the candidate's BDD build is the budgeted work.
 fn try_rewrite(
     nl: &Netlist,
-    bdds: &power::exact::CircuitBdds,
     node: NetId,
+    rewrite: &Rewrite,
     input_probs: &[f64],
     mode: Mode,
     cache: &mut CircuitBddCache,
-) -> Option<Netlist> {
-    let rewrite = find_rewrite(nl, bdds, node, input_probs)?;
-
+    budget: &ResourceBudget,
+) -> Result<Option<(Netlist, f64)>, BudgetExceeded> {
     // Build the rewritten netlist: node := SOP over its fanins.
     let mut rebuilt = nl.clone();
     let new_root = synthesize_table(&mut rebuilt, &rewrite.fanins, &rewrite.table);
     rebuilt.replace_uses(node, new_root);
     debug_assert!(rebuilt.validate().is_ok());
+    rebuilt.sweep_dead();
 
     match mode {
-        Mode::NodeLocal => Some(rebuilt),
+        // Accepted outright; the next pass builds this netlist's BDDs
+        // anyway, so building them through the cache now costs nothing.
+        Mode::NodeLocal => {
+            let cap = try_estimated_cap_cached(&rebuilt, input_probs, cache, budget)?;
+            Ok(Some((rebuilt, cap)))
+        }
         Mode::FanoutAware => {
-            let mut swept = rebuilt.clone();
-            swept.sweep_dead();
             // `nl` repeats across every candidate of a pass: cached. The
             // candidate itself is a throwaway structure: built directly.
-            let before = estimated_cap_cached(nl, input_probs, cache);
-            let after = estimated_cap(&swept, input_probs);
-            if after < before - 1e-9 {
-                Some(rebuilt)
-            } else {
-                None
-            }
+            let before = try_estimated_cap_cached(nl, input_probs, cache, budget)?;
+            let after = try_estimated_cap(&rebuilt, input_probs, budget)?;
+            Ok((after < before - 1e-9).then_some((rebuilt, after)))
         }
     }
 }
@@ -366,16 +524,80 @@ pub(crate) struct Rewrite {
     pub(crate) table: Vec<bool>,
 }
 
-/// The don't-care analysis shared by the estimate-driven and the
-/// simulation-driven pass drivers: compute `node`'s observability
-/// don't-cares and, if its one-probability can be pushed further from 0.5
-/// inside them, return the rebiased local truth table.
+/// How [`find_rewrite`] settled one candidate.
+pub(crate) enum Analysis {
+    /// Every fanin minterm was witnessed care: no BDD work at all.
+    Witnessed,
+    /// Every unwitnessed minterm's fanin condition is `FALSE`: settled
+    /// before the substitution.
+    Unreachable,
+    /// The full analysis ran; `Some` when it found a profitable table.
+    Analyzed(Option<Rewrite>),
+}
+
+/// `node`'s fanin minterms that `engine`'s resident stimulus proves care:
+/// entry `m` (fanin `i` is bit `i` of `m`) is set when some pattern drives
+/// the fanins to `m` while inverting `node` flips a primary output. Such a
+/// pattern satisfies both the minterm's fanin condition and the node's
+/// observability, so a witnessed minterm is care in [`find_rewrite`]. A
+/// query `budget` cannot afford witnesses nothing: the analysis then runs
+/// in full, as it would without a witness.
+///
+/// `engine` must hold the netlist the candidate belongs to.
+pub(crate) fn care_witness(
+    engine: &mut IncrementalSim,
+    node: NetId,
+    budget: &ResourceBudget,
+) -> Vec<bool> {
+    let mut known = vec![false; 1 << engine.netlist().fanins(node).len()];
+    let Ok(observed) = engine.observability_mask(node, budget) else {
+        return known;
+    };
+    let fanins: Vec<&[u64]> = engine
+        .netlist()
+        .fanins(node)
+        .iter()
+        .map(|&f| engine.net_words(f))
+        .collect();
+    for (b, &obs_word) in observed.iter().enumerate() {
+        if obs_word == 0 {
+            continue;
+        }
+        for (m, seen) in known.iter_mut().enumerate() {
+            if *seen {
+                continue;
+            }
+            let hits = fanins.iter().enumerate().fold(obs_word, |acc, (i, words)| {
+                acc & if m >> i & 1 == 1 { words[b] } else { !words[b] }
+            });
+            *seen = hits != 0;
+        }
+    }
+    known
+}
+
+/// The don't-care analysis shared by the estimate-driven pass, the
+/// simulation-driven pass and the rewrite search: compute `node`'s
+/// observability don't-cares and, if its one-probability can be pushed
+/// further from 0.5 inside them, return the rebiased local truth table.
+///
+/// `known_care` holds one flag per fanin minterm (from [`care_witness`]);
+/// a set flag asserts the minterm is care. When every minterm is known
+/// care, or every unknown one cannot occur, the analysis could only
+/// return nothing and stops early. Otherwise it runs in full.
 pub(crate) fn find_rewrite(
     nl: &Netlist,
-    bdds: &power::exact::CircuitBdds,
+    bdds: &CircuitBdds,
     node: NetId,
     input_probs: &[f64],
-) -> Option<Rewrite> {
+    known_care: &[bool],
+) -> Analysis {
+    let fanins = nl.fanins(node).to_vec();
+    let k = fanins.len();
+    assert_eq!(known_care.len(), 1 << k, "one witness flag per fanin minterm");
+    if known_care.iter().all(|&c| c) {
+        return Analysis::Witnessed;
+    }
     let mut mgr = bdds.mgr.clone();
     // The scratch manager holds plenty of refs no root protects (the
     // substituted cones, the observability union); collection would free
@@ -383,46 +605,35 @@ pub(crate) fn find_rewrite(
     mgr.set_auto_gc(false);
     let funcs = &bdds.funcs;
     let nvars = mgr.num_vars() as u32;
-    let w = nvars; // fresh variable standing for the node's output
 
-    // Rebuild output functions with `node` replaced by variable w.
-    let order = nl.topo_order().expect("acyclic");
-    let mut subst: Vec<Ref> = funcs.clone();
-    subst[node.index()] = mgr.var(w);
-    let mut dependent = vec![false; nl.len()];
-    dependent[node.index()] = true;
-    for &net in &order {
-        if net == node {
-            continue;
-        }
-        let kind = nl.kind(net);
-        if kind.is_source() || kind == GateKind::Dff {
-            continue;
-        }
-        if !nl.fanins(net).iter().any(|f| dependent[f.index()]) {
-            continue;
-        }
-        dependent[net.index()] = true;
-        let ins: Vec<Ref> = nl.fanins(net).iter().map(|f| subst[f.index()]).collect();
-        subst[net.index()] = build_gate(&mut mgr, kind, &ins);
+    // Fanin condition of each local minterm. An unwitnessed minterm that
+    // cannot occur is a don't-care of probability exactly 0.0: rebiasing
+    // it moves neither the table's probability nor its activity.
+    let conds: Vec<Ref> = (0..1usize << k)
+        .map(|m| {
+            let mut cond = Ref::TRUE;
+            for (i, &fi) in fanins.iter().enumerate() {
+                let f = funcs[fi.index()];
+                let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
+                cond = mgr.and(cond, lit);
+            }
+            cond
+        })
+        .collect();
+    if known_care
+        .iter()
+        .zip(&conds)
+        .all(|(&known, &cond)| known || cond == Ref::FALSE)
+    {
+        return Analysis::Unreachable;
     }
 
-    // Observability: any output sensitive to w.
-    let mut sensitive = Ref::FALSE;
-    for (out, _) in nl.outputs() {
-        if !dependent[out.index()] {
-            continue;
-        }
-        let s = mgr.boolean_difference(subst[out.index()], w);
-        sensitive = mgr.or(sensitive, s);
-    }
+    let sensitive = observability(&mut mgr, nl, funcs, node);
     if sensitive == Ref::TRUE {
-        return None; // fully observable: no freedom
+        return Analysis::Analyzed(None); // fully observable: no freedom
     }
 
     // Local care analysis over the node's fanin minterms.
-    let fanins = nl.fanins(node).to_vec();
-    let k = fanins.len();
     let kind = nl.kind(node);
     let mut care_probs = Vec::with_capacity(1 << k);
     let mut table = Vec::with_capacity(1 << k);
@@ -436,13 +647,7 @@ pub(crate) fn find_rewrite(
         }
         v
     };
-    for m in 0..1usize << k {
-        let mut cond = Ref::TRUE;
-        for (i, &fi) in fanins.iter().enumerate() {
-            let f = funcs[fi.index()];
-            let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
-            cond = mgr.and(cond, lit);
-        }
+    for (m, &cond) in conds.iter().enumerate() {
         let observable = mgr.and(cond, sensitive);
         care.push(observable != Ref::FALSE);
         care_probs.push(mgr.probability(cond, &var_probs));
@@ -450,7 +655,7 @@ pub(crate) fn find_rewrite(
         table.push(kind.eval(&bits));
     }
     if care.iter().all(|&c| c) {
-        return None;
+        return Analysis::Analyzed(None);
     }
 
     // Candidate tables: don't-cares all 0 or all 1.
@@ -480,16 +685,52 @@ pub(crate) fn find_rewrite(
         (high, p_high)
     };
     if new_table == table {
-        return None;
+        return Analysis::Analyzed(None);
     }
     let activity = |p: f64| 2.0 * p * (1.0 - p);
     if activity(p_new) >= activity(p_orig) - 1e-12 {
-        return None;
+        return Analysis::Analyzed(None);
     }
-    Some(Rewrite {
+    Analysis::Analyzed(Some(Rewrite {
         fanins,
         table: new_table,
-    })
+    }))
+}
+
+/// The global observability of `node`: replace it by a fresh variable `w`
+/// (the manager's next), rebuild every dependent net, and OR the Boolean
+/// difference of each dependent output with respect to `w`.
+fn observability(mgr: &mut bdd::Bdd, nl: &Netlist, funcs: &[Ref], node: NetId) -> Ref {
+    let w = mgr.num_vars() as u32;
+    let order = nl.topo_order().expect("acyclic");
+    let mut subst: Vec<Ref> = funcs.to_vec();
+    subst[node.index()] = mgr.var(w);
+    let mut dependent = vec![false; nl.len()];
+    dependent[node.index()] = true;
+    for &net in &order {
+        if net == node {
+            continue;
+        }
+        let kind = nl.kind(net);
+        if kind.is_source() || kind == GateKind::Dff {
+            continue;
+        }
+        if !nl.fanins(net).iter().any(|f| dependent[f.index()]) {
+            continue;
+        }
+        dependent[net.index()] = true;
+        let ins: Vec<Ref> = nl.fanins(net).iter().map(|f| subst[f.index()]).collect();
+        subst[net.index()] = build_gate(mgr, kind, &ins);
+    }
+    let mut sensitive = Ref::FALSE;
+    for (out, _) in nl.outputs() {
+        if !dependent[out.index()] {
+            continue;
+        }
+        let s = mgr.boolean_difference(subst[out.index()], w);
+        sensitive = mgr.or(sensitive, s);
+    }
+    sensitive
 }
 
 fn build_gate(mgr: &mut bdd::Bdd, kind: GateKind, ins: &[Ref]) -> Ref {
@@ -573,6 +814,9 @@ fn synthesize_table(nl: &mut Netlist, fanins: &[NetId], table: &[bool]) -> NetId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netlist::blif::write_text;
+    use power::exact::circuit_bdds;
+    use proptest::prelude::*;
     use sim::comb::{equivalent_exhaustive, CombSim};
 
     /// out = (a & b) | a — the AND is unobservable when a = 1, so it can be
@@ -752,5 +996,205 @@ mod tests {
                 report.cap_after
             );
         }
+    }
+
+    /// The BDD analysis's care flag of every fanin minterm of `node`: the
+    /// minterm's condition meets the node's observability.
+    fn bdd_care(nl: &Netlist, bdds: &CircuitBdds, node: NetId) -> Vec<bool> {
+        let mut mgr = bdds.mgr.clone();
+        mgr.set_auto_gc(false);
+        let sensitive = observability(&mut mgr, nl, &bdds.funcs, node);
+        let fanins = nl.fanins(node);
+        (0..1usize << fanins.len())
+            .map(|m| {
+                let mut cond = Ref::TRUE;
+                for (i, &fi) in fanins.iter().enumerate() {
+                    let f = bdds.funcs[fi.index()];
+                    let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
+                    cond = mgr.and(cond, lit);
+                }
+                mgr.and(cond, sensitive) != Ref::FALSE
+            })
+            .collect()
+    }
+
+    fn found(analysis: Analysis) -> Option<(Vec<NetId>, Vec<bool>)> {
+        match analysis {
+            Analysis::Analyzed(Some(rewrite)) => Some((rewrite.fanins, rewrite.table)),
+            _ => None,
+        }
+    }
+
+    /// Witness every candidate of `nl` on a `cycles`-long stimulus: each
+    /// witnessed minterm must be care in the BDD analysis, and the witness
+    /// flags must not change what `find_rewrite` returns. Returns how many
+    /// minterms were witnessed.
+    fn check_witness(nl: &Netlist, cycles: usize, seed: u64) -> Result<usize, TestCaseError> {
+        let bdds = circuit_bdds(nl);
+        let packed = Stimulus::uniform(nl.num_inputs()).packed(cycles, seed);
+        let mut engine = IncrementalSim::from_full_eval(nl, &packed);
+        let probs: Vec<f64> = (0..nl.num_inputs())
+            .map(|i| if seed >> (i % 64) & 1 == 1 { 0.8 } else { 0.3 })
+            .collect();
+        let mut witnessed = 0;
+        for node in sim_candidates(nl, 6) {
+            let known = care_witness(&mut engine, node, &ResourceBudget::unlimited());
+            let care = bdd_care(nl, &bdds, node);
+            for (m, (&seen, &is_care)) in known.iter().zip(&care).enumerate() {
+                prop_assert!(!seen || is_care, "{node}: minterm {m} witnessed but not care");
+            }
+            witnessed += known.iter().filter(|&&k| k).count();
+            let blind = vec![false; known.len()];
+            prop_assert_eq!(
+                found(find_rewrite(nl, &bdds, node, &probs, &known)),
+                found(find_rewrite(nl, &bdds, node, &probs, &blind)),
+                "{} at {} cycles",
+                node,
+                cycles
+            );
+        }
+        Ok(witnessed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The witness is sound and only ever skips a `None`: on random
+        /// DAGs and ragged stimulus lengths, every witnessed minterm is
+        /// care, and `find_rewrite` answers the same with the witness
+        /// flags as with none.
+        #[test]
+        fn witness_only_skips_what_the_analysis_rejects(
+            seed in 0u64..10_000,
+            inputs in 6usize..13,
+            gates in 30usize..121,
+            len in 0usize..3,
+        ) {
+            let config = netlist::gen::RandomDagConfig {
+                inputs,
+                gates,
+                outputs: 4,
+                max_fanin: 3,
+                window: 12,
+            };
+            let nl = netlist::gen::random_dag(&config, seed);
+            let witnessed = check_witness(&nl, [100, 512, 1000][len], seed)?;
+            prop_assert!(witnessed > 0, "the stimulus witnessed nothing");
+        }
+    }
+
+    #[test]
+    fn witness_only_skips_what_the_analysis_rejects_on_multipliers() {
+        let circuits = [
+            netlist::gen::array_multiplier(4).0,
+            netlist::gen::wallace_multiplier(4).0,
+        ];
+        for nl in &circuits {
+            for cycles in [100, 512, 1000] {
+                let witnessed = check_witness(nl, cycles, 7).unwrap_or_else(|e| panic!("{e}"));
+                assert!(witnessed > 0, "{cycles} cycles witnessed nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn witness_settles_parity_without_bdd_work() {
+        // Every XOR node of a parity tree is fully observable, and 256
+        // uniform patterns show every fanin minterm of each.
+        let nl = netlist::gen::parity_tree(8);
+        let (_, report) = optimize_dontcares(&nl, &[0.5; 8], Mode::FanoutAware, 6);
+        let c = report.candidates;
+        assert!(c.witnessed > 0);
+        assert_eq!((c.unreachable, c.analyzed, c.rewritten), (0, 0, 0));
+    }
+
+    #[test]
+    fn candidate_counts_add_up() {
+        let config = netlist::gen::RandomDagConfig {
+            inputs: 6,
+            gates: 30,
+            outputs: 3,
+            max_fanin: 3,
+            window: 10,
+        };
+        let nl = netlist::gen::random_dag(&config, 4);
+        let (_, report) = optimize_dontcares(&nl, &[0.5; 6], Mode::FanoutAware, 5);
+        let c = report.candidates;
+        assert!(c.rewritten <= c.analyzed);
+        assert!(c.rewritten as usize >= report.nodes_changed);
+        let packed = Stimulus::uniform(6).packed(512, 4);
+        let (_, sim_report) = optimize_dontcares_sim(&nl, &[0.5; 6], 5, &packed);
+        let c = sim_report.candidates;
+        assert_eq!(c.rewritten as usize, sim_report.rewrites_tried);
+    }
+
+    /// The smallest node budget the circuit BDDs of `nl` build under.
+    fn least_node_budget(nl: &Netlist) -> u64 {
+        let (mut lo, mut hi) = (1u64, circuit_bdds(nl).mgr.peak_live_nodes() as u64 + 1);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let budget = ResourceBudget::unlimited().with_max_bdd_nodes(mid);
+            if try_circuit_bdds(nl, &budget).is_ok() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Starved budgets on random DAGs, from just enough nodes for the
+    /// input's BDDs upward: every answer is equivalent to the input, an
+    /// unstarved one equals the unlimited run, some rung runs out
+    /// mid-pass, and a budget too small for the first build fails typed.
+    /// A step budget too small for the witness engine only drops the
+    /// witness: the pass still runs to the unlimited answer.
+    #[test]
+    fn starved_dontcare_pass_keeps_an_equivalent_netlist() {
+        let config = netlist::gen::RandomDagConfig {
+            inputs: 7,
+            gates: 40,
+            outputs: 3,
+            max_fanin: 3,
+            window: 10,
+        };
+        let mode = Mode::FanoutAware;
+        let mut exhausted = 0;
+        for seed in [12u64, 16, 19] {
+            let nl = netlist::gen::random_dag(&config, seed);
+            let probs = [0.5; 7];
+            let (reference, _) = optimize_dontcares(&nl, &probs, mode, 5);
+            let least = least_node_budget(&nl);
+            for extra in [0u64, 1, 2, 4, 8, 16, 32, 64] {
+                let budget = ResourceBudget::unlimited().with_max_bdd_nodes(least + extra);
+                // A rung too tight for the first build fails typed; only
+                // an answer carries obligations.
+                let mut cache = CircuitBddCache::new();
+                let run = try_optimize_dontcares_cached(&nl, &probs, mode, 5, &mut cache, &budget);
+                if let Ok((out, report)) = run {
+                    assert!(equivalent_exhaustive(&nl, &out), "seed {seed} +{extra}");
+                    if report.budget_exhausted {
+                        exhausted += 1;
+                    } else {
+                        let (got, want) = (write_text(&out), write_text(&reference));
+                        assert_eq!(got, want, "seed {seed} +{extra}");
+                    }
+                }
+            }
+            let no_witness = ResourceBudget::unlimited().with_max_sim_steps(2000);
+            let mut cache = CircuitBddCache::new();
+            let (out, report) =
+                try_optimize_dontcares_cached(&nl, &probs, mode, 5, &mut cache, &no_witness)
+                    .expect("steps meter only the witness");
+            assert!(!report.budget_exhausted, "seed {seed}");
+            assert_eq!(report.candidates.witnessed, 0, "seed {seed}");
+            assert_eq!(write_text(&out), write_text(&reference), "seed {seed}");
+            // A budget too small for the first build fails typed.
+            let starved = ResourceBudget::unlimited().with_max_bdd_nodes(4);
+            let mut cache = CircuitBddCache::new();
+            let run = try_optimize_dontcares_cached(&nl, &probs, mode, 5, &mut cache, &starved);
+            assert!(run.is_err());
+        }
+        assert!(exhausted > 0, "no rung ran out mid-pass");
     }
 }

@@ -24,17 +24,19 @@
 //! from-scratch replay, so decisions (and the final netlist) are identical
 //! under `force_full`.
 //!
-//! The delay guard compares unit-sized [`SizedCircuit`] critical paths
-//! ([`circuit::sizing`]'s `StaCache`): a move is legal only while the swept
+//! The delay guard compares unit-sized critical paths
+//! ([`SizedCircuit::critical_delay`]): a move is legal only while the swept
 //! candidate stays within `1 + delay_slack` of the input circuit's critical
 //! path. Sharing moves concentrate fanout load on the surviving net, so
 //! they trade a bounded unit-delay slip for capacitance; downstream gate
 //! sizing recovers the slip, which is how the `bench_incr` equal-delay
 //! comparison holds both flows to one timing constraint.
 //!
-//! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}` and
-//! `rewrite.moves.accepted.{resub,extract,dontcare}`; the engine itself
-//! publishes `sim.incr.checkpoints/rollbacks/commits`.
+//! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}`,
+//! `rewrite.moves.accepted.{resub,extract,dontcare}`, and where the
+//! dontcare class's candidates went,
+//! `dontcare.candidates.{witnessed,unreachable,analyzed,rewritten}`; the
+//! engine itself publishes `sim.incr.checkpoints/rollbacks/commits`.
 
 use std::collections::HashMap;
 
@@ -45,7 +47,9 @@ use power::exact::{CircuitBddCache, CircuitBdds};
 use sim::incr::{Delta, IncrementalSim};
 use sim::stimulus::PackedPatterns;
 
-use crate::dontcare::{find_rewrite, sim_candidates, synthesize_table_delta};
+use crate::dontcare::{
+    care_witness, find_rewrite, sim_candidates, synthesize_table_delta, Analysis, CandidateCounts,
+};
 use crate::factor::{Cube, Sop};
 
 /// One move class of the rewriting search.
@@ -183,6 +187,8 @@ pub struct RewriteReport {
     /// deterministic work metric `bench_incr` compares against the
     /// force-full twin.
     pub nets_reevaluated: u64,
+    /// Where the dontcare class's candidates went, over every enumeration.
+    pub dontcare_candidates: CandidateCounts,
     /// The budget ran out mid-search; the result is the last committed
     /// (safe) state, still functionally equivalent to the input.
     pub budget_exhausted: bool,
@@ -254,6 +260,7 @@ pub fn try_rewrite_sim(
         tried: MoveCounts::default(),
         accepted: MoveCounts::default(),
         nets_reevaluated: 0,
+        dontcare_candidates: CandidateCounts::default(),
         budget_exhausted: false,
     };
     let mut cap_current = cap_before;
@@ -261,7 +268,8 @@ pub fn try_rewrite_sim(
     'search: for _round in 0..cfg.max_rounds {
         let base_mark = engine.checkpoint();
         let base = engine.netlist().clone();
-        let moves = enumerate_moves(&base, &mut cache, input_probs, cfg);
+        let counts = &mut report.dontcare_candidates;
+        let moves = enumerate_moves(&base, &mut engine, &mut cache, input_probs, cfg, counts);
         let scored = match score_moves(&mut engine, &moves, budget, guard, cfg, &mut report) {
             Ok(s) => s,
             Err(_) => {
@@ -291,7 +299,9 @@ pub fn try_rewrite_sim(
                     break 'search;
                 }
                 let mid = engine.netlist().clone();
-                let next_moves = enumerate_moves(&mid, &mut cache, input_probs, cfg);
+                let counts = &mut report.dontcare_candidates;
+                let next_moves =
+                    enumerate_moves(&mid, &mut engine, &mut cache, input_probs, cfg, counts);
                 match score_moves(&mut engine, &next_moves, budget, guard, cfg, &mut report) {
                     Ok(next_scored) => {
                         if let Some(&(next, cap_next)) = next_scored.first() {
@@ -369,6 +379,7 @@ pub fn try_rewrite_sim(
     report.cap_after = cap_current;
     report.crit_after = unit_critical(&out);
     report.nets_reevaluated = engine.stats().nets_reevaluated;
+    report.dontcare_candidates.publish(&cfg.obs);
     Ok((out, report))
 }
 
@@ -417,12 +428,16 @@ fn score_moves(
 }
 
 /// Enumerate all candidate moves against `nl`, per class, in deterministic
-/// net-id order, each class capped at `cfg.moves_per_class`.
+/// net-id order, each class capped at `cfg.moves_per_class`. `engine`
+/// must hold `nl`: its resident words witness the dontcare class's care
+/// minterms, whose fate is tallied in `counts`.
 fn enumerate_moves(
     nl: &Netlist,
+    engine: &mut IncrementalSim,
     cache: &mut CircuitBddCache,
     input_probs: &[f64],
     cfg: &RewriteConfig,
+    counts: &mut CandidateCounts,
 ) -> Vec<Move> {
     let bdds = cache
         .get_or_build(nl, &ResourceBudget::unlimited())
@@ -440,7 +455,7 @@ fn enumerate_moves(
     // no observability don't-cares anyway) that dwarfs the rest of the
     // search, so the class only runs while the shared manager stays small.
     if bdds.mgr.node_count() <= cfg.dontcare_node_limit {
-        dontcare_moves(nl, &bdds, input_probs, cfg, &mut out);
+        dontcare_moves(nl, engine, &bdds, input_probs, cfg, counts, &mut out);
     }
     out
 }
@@ -732,20 +747,31 @@ fn emit_sop(
     }
 }
 
-/// The don't-care table rewrites of [`crate::dontcare`] as one move class.
+/// The don't-care table rewrites of [`crate::dontcare`] as one move class,
+/// witnessed on `engine`'s resident words. Like the BDD build it reads,
+/// enumeration runs unbudgeted; the search's budget meters the scoring.
 fn dontcare_moves(
     nl: &Netlist,
+    engine: &mut IncrementalSim,
     bdds: &CircuitBdds,
     input_probs: &[f64],
     cfg: &RewriteConfig,
+    counts: &mut CandidateCounts,
     out: &mut Vec<Move>,
 ) {
+    // The search enumerates while the engine sits on the round's base or
+    // on a lookahead head, so the engine holds `nl` itself.
+    assert_eq!(engine.netlist().len(), nl.len(), "witness engine holds another netlist");
+    let unlimited = ResourceBudget::unlimited();
     let mut count = 0;
     for node in sim_candidates(nl, cfg.max_fanin) {
         if count >= cfg.moves_per_class {
             break;
         }
-        let Some(rewrite) = find_rewrite(nl, bdds, node, input_probs) else {
+        let known = care_witness(engine, node, &unlimited);
+        let analysis = find_rewrite(nl, bdds, node, input_probs, &known);
+        counts.record(&analysis);
+        let Analysis::Analyzed(Some(rewrite)) = analysis else {
             continue;
         };
         let mut delta = Delta::for_netlist(nl);

@@ -37,6 +37,14 @@
 //! that never checkpoints holds no journal at all and memory stays
 //! constant.
 //!
+//! [`IncrementalSim::observability_mask`] asks the resident words which
+//! patterns observe a node: it inverts the node's words in place,
+//! propagates the inversion through the fanout cone with the same levelized
+//! cut-off an apply uses, XORs the primary outputs against their saved
+//! words, and restores every slot it wrote. It is a query, not a delta: no
+//! journal frame, no `stats()` or counter change, and the engine is left
+//! bit for bit as it was.
+//!
 //! Observability: every applied delta publishes `sim.incr.deltas`,
 //! `sim.incr.nets_dirtied`, `sim.incr.nets_reevaluated`,
 //! `sim.incr.cutoffs`, and `sim.incr.full_evals`; the undo stack adds
@@ -763,8 +771,6 @@ impl<X> IncrementalSim<X> {
         }
 
         // Phase 4: levelized re-evaluation with early cut-off.
-        let max_steps = budget.max_sim_steps_or(u64::MAX);
-        let mut tally = 0u64;
         self.heap.clear();
         if full {
             for i in 0..self.nl.len() {
@@ -782,21 +788,69 @@ impl<X> IncrementalSim<X> {
                 }
             }
         }
+        let evaluated = self.propagate(budget, |sim, idx| {
+            let slot = &mut sim.words[idx * sim.stride..(idx + 1) * sim.stride];
+            if idx < prev_len {
+                undo.words.push((
+                    NetId::from_index(idx),
+                    slot.to_vec(),
+                    sim.toggles[idx],
+                    sim.ones[idx],
+                ));
+            }
+            slot.copy_from_slice(&sim.new_words);
+            let (t, o) = count_words(&sim.words[idx * sim.stride..][..sim.nblocks], sim.cycles);
+            sim.toggles[idx] = t;
+            sim.ones[idx] = o;
+        });
+        let (reevaluated, cutoffs) = match evaluated {
+            Ok(counts) => counts,
+            Err(e) => {
+                self.undo_frame(undo);
+                return Err(e);
+            }
+        };
+
+        let dirtied = if full {
+            self.nl.len() - self.nl.num_inputs()
+        } else {
+            self.cone.len()
+        };
+        let info = ApplyInfo {
+            dirtied,
+            reevaluated,
+            cutoffs,
+            full_eval: full,
+        };
+        Ok((info, undo))
+    }
+
+    /// Levelized evaluation with early cut-off, shared by an apply's phase
+    /// 4 and [`IncrementalSim::observability_mask`]: pop the queued nets in
+    /// level order, evaluate each from its fanins' words into `new_words`,
+    /// and stop wherever the result equals the resident words. Every net
+    /// whose words changed goes to `store`, which must write `new_words`
+    /// into its slot, then its fanouts are queued. Each evaluation is
+    /// metered as `cycles` simulation steps, checked with the deadline
+    /// every 16 nets. Returns the nets evaluated and the cut-offs among
+    /// them.
+    fn propagate(
+        &mut self,
+        budget: &ResourceBudget,
+        mut store: impl FnMut(&mut Self, usize),
+    ) -> Result<(usize, usize), BudgetExceeded> {
+        let max_steps = budget.max_sim_steps_or(u64::MAX);
+        let mut tally = 0u64;
         let mut reevaluated = 0usize;
         let mut cutoffs = 0usize;
         while let Some(Reverse((_, raw))) = self.heap.pop() {
             let idx = raw as usize;
             tally += self.cycles as u64;
             if reevaluated & 0xF == 0 {
-                let check = if tally >= max_steps {
-                    Err(budget.sim_steps_exceeded(tally))
-                } else {
-                    budget.check_deadline()
-                };
-                if let Err(e) = check {
-                    self.undo_frame(undo);
-                    return Err(e);
+                if tally >= max_steps {
+                    return Err(budget.sim_steps_exceeded(tally));
                 }
+                budget.check_deadline()?;
             }
             reevaluated += 1;
             let net = NetId::from_index(idx);
@@ -817,37 +871,87 @@ impl<X> IncrementalSim<X> {
                 cutoffs += 1;
                 continue;
             }
-            let slot = &mut self.words[idx * self.stride..(idx + 1) * self.stride];
-            if idx < prev_len {
-                undo.words
-                    .push((net, slot.to_vec(), self.toggles[idx], self.ones[idx]));
-            }
-            slot.copy_from_slice(&self.new_words);
-            let (t, o) = count_words(&self.words[idx * self.stride..][..self.nblocks], self.cycles);
-            self.toggles[idx] = t;
-            self.ones[idx] = o;
-            for fi in 0..self.fanouts[idx].len() {
-                let sink = self.fanouts[idx][fi];
-                if self.queued_stamp[sink.index()] != self.epoch {
-                    self.queued_stamp[sink.index()] = self.epoch;
-                    self.heap
-                        .push(Reverse((self.levels[sink.index()], sink.index() as u32)));
-                }
+            store(self, idx);
+            self.queue_fanouts(idx);
+        }
+        Ok((reevaluated, cutoffs))
+    }
+
+    /// Queue every fanout of net `idx` not yet queued this epoch.
+    fn queue_fanouts(&mut self, idx: usize) {
+        for fi in 0..self.fanouts[idx].len() {
+            let sink = self.fanouts[idx][fi];
+            if self.queued_stamp[sink.index()] != self.epoch {
+                self.queued_stamp[sink.index()] = self.epoch;
+                self.heap
+                    .push(Reverse((self.levels[sink.index()], sink.index() as u32)));
             }
         }
+    }
 
-        let dirtied = if full {
-            self.nl.len() - self.nl.num_inputs()
-        } else {
-            self.cone.len()
+    /// Which patterns of the resident stimulus observe `node`: one word per
+    /// stimulus block, where bit `k` of word `b` is set when inverting
+    /// `node`'s output at cycle `64 b + k` flips at least one primary
+    /// output.
+    ///
+    /// A read-only query: the node's words are inverted in place and the
+    /// inversion propagates through the fanout cone in level order, cut
+    /// off wherever a net comes out as it is resident. Every overwritten
+    /// slot is saved first and restored before returning, on exhaustion
+    /// too, so the words, counts, netlist, journal, `stats()` and obs
+    /// counters are left exactly as they were; the scratch it needs grows
+    /// with the cone, not the netlist. Each evaluated net is metered as
+    /// `cycles` simulation steps, checked with the deadline every 16 nets,
+    /// as an apply meters.
+    pub fn observability_mask(
+        &mut self,
+        node: NetId,
+        budget: &ResourceBudget,
+    ) -> Result<Vec<u64>, BudgetExceeded> {
+        assert!(node.index() < self.nl.len(), "node {node} out of range");
+        self.epoch += 1;
+        // The primary outputs, stamped in the epoch-scoped cone scratch.
+        for (out, _) in self.nl.outputs() {
+            self.cone_stamp[out.index()] = self.epoch;
+        }
+        let mut mask = vec![0u64; self.nblocks];
+        // Overwritten nets and their resident words, `stride` per net.
+        let mut saved_nets = Vec::new();
+        let mut saved_words = Vec::new();
+        let mut store = |sim: &mut Self, idx: usize| {
+            let slot = &mut sim.words[idx * sim.stride..(idx + 1) * sim.stride];
+            saved_nets.push(idx);
+            saved_words.extend_from_slice(slot);
+            if sim.cone_stamp[idx] == sim.epoch {
+                for ((m, &old), &new) in mask.iter_mut().zip(&*slot).zip(&sim.new_words) {
+                    *m |= old ^ new;
+                }
+            }
+            slot.copy_from_slice(&sim.new_words);
         };
-        let info = ApplyInfo {
-            dirtied,
-            reevaluated,
-            cutoffs,
-            full_eval: full,
-        };
-        Ok((info, undo))
+        // An inverter over the node's words: masked to the stream length,
+        // so padding bits stay zero.
+        let base = node.index() * self.stride;
+        for b in (0..self.stride).step_by(LANES) {
+            let resident = &self.words[base + b..][..LANES];
+            let flipped = eval_group(GateKind::Not, resident, b, self.cycles);
+            self.new_words[b..b + LANES].copy_from_slice(&flipped);
+        }
+        store(self, node.index());
+        self.heap.clear();
+        self.queue_fanouts(node.index());
+        let evaluated = self.propagate(budget, &mut store);
+        for (i, &idx) in saved_nets.iter().enumerate() {
+            self.words[idx * self.stride..(idx + 1) * self.stride]
+                .copy_from_slice(&saved_words[i * self.stride..(i + 1) * self.stride]);
+        }
+        evaluated.map(|_| mask)
+    }
+
+    /// The resident packed words of `net`: one per 64-cycle block, masked
+    /// to the stream length.
+    pub fn net_words(&self, net: NetId) -> &[u64] {
+        &self.words[net.index() * self.stride..][..self.nblocks]
     }
 
     fn grow_scratch(&mut self, n: usize) {

@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use lowpower::budget::ResourceBudget;
 use lowpower::obs;
 use lowpower::logicopt::balance::balance_delta;
-use lowpower::logicopt::dontcare::{optimize_dontcares_cached, Mode};
+use lowpower::logicopt::dontcare::{try_optimize_dontcares_cached, Mode};
 use lowpower::logicopt::mapping::{map, standard_library, MapObjective};
 use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use lowpower::netlist::blif::{parse_text, write_text};
@@ -397,8 +397,16 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             // pass seeds it with the original and final netlists, so the
             // not-worse guard below re-reads both builds for free.
             let mut bdd_cache = CircuitBddCache::new();
-            let (optimized, report) =
-                optimize_dontcares_cached(&nl, &probs, Mode::FanoutAware, 6, &mut bdd_cache);
+            let (optimized, report) = try_optimize_dontcares_cached(
+                &nl,
+                &probs,
+                Mode::FanoutAware,
+                6,
+                &mut bdd_cache,
+                &opts.budget,
+            )
+            .map_err(|e| fail(format!("dontcare: {e}")))?;
+            report.candidates.publish(&opts.obs);
             // Not-worse guard: re-estimate both sides with whatever tier
             // the budget affords and keep the original on a regression.
             let params = PowerParams::default();
@@ -431,8 +439,14 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
                 (Err(e), _) | (_, Err(e)) => format!("power check skipped: {e}\n"),
             };
             save(chosen, out)?;
+            let exhausted = if report.budget_exhausted {
+                " (budget exhausted: last accepted netlist kept)"
+            } else {
+                ""
+            };
             Ok(format!(
-                "wrote {out}: {} nodes rewritten, estimated switched cap {:.1} -> {:.1} fF/cycle\n{verdict}",
+                "wrote {out}: {} nodes rewritten, estimated switched cap {:.1} -> {:.1} \
+                 fF/cycle{exhausted}\n{verdict}",
                 report.nodes_changed, report.cap_before, report.cap_after
             ))
         }

@@ -68,6 +68,34 @@ fn dontcare_pass_runs_on_small_circuit() {
 }
 
 #[test]
+fn dontcare_step_budget_only_drops_the_witness() {
+    let input = temp_path("cmp4_steps.blif");
+    let free = temp_path("cmp4_steps_free.blif");
+    let capped = temp_path("cmp4_steps_capped.blif");
+    assert!(lpopt(&["gen", "comparator", "4", &input]).0);
+    let (ok, _, err) = lpopt(&["dontcare", &input, &free]);
+    assert!(ok, "{err}");
+    // 2000 steps cannot afford the witness simulation, only the BDD pass.
+    let (ok, out, err) = lpopt(&["--budget-steps=2000", "dontcare", &input, &capped]);
+    assert!(ok, "{err}");
+    assert!(!out.contains("budget exhausted"), "{out}");
+    let read = |path: &str| std::fs::read_to_string(path).expect("dontcare wrote its output");
+    assert_eq!(read(&capped), read(&free));
+}
+
+#[test]
+fn dontcare_budget_too_small_for_the_first_build_fails_typed() {
+    let input = temp_path("cmp4_budget.blif");
+    let output = temp_path("cmp4_budget_dc.blif");
+    let _ = std::fs::remove_file(&output);
+    assert!(lpopt(&["gen", "comparator", "4", &input]).0);
+    let (ok, _, err) = lpopt(&["--budget-nodes=4", "dontcare", &input, &output]);
+    assert!(!ok);
+    assert!(err.contains("dontcare: budget exceeded: BDD nodes"), "{err}");
+    assert!(!std::path::Path::new(&output).exists(), "left {output}");
+}
+
+#[test]
 fn rewrite_search_runs_and_preserves_function() {
     let input = temp_path("wal4.blif");
     let output = temp_path("wal4_rw.blif");

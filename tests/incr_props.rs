@@ -131,6 +131,13 @@ fn random_delta(nl: &Netlist, base_len: usize, rng: &mut Rng64) -> Option<Delta>
     Some(delta)
 }
 
+/// Whether two netlists agree net for net and output for output.
+fn same_netlist(a: &Netlist, b: &Netlist) -> bool {
+    a.len() == b.len()
+        && a.outputs() == b.outputs()
+        && a.iter_nets().all(|n| a.kind(n) == b.kind(n) && a.fanins(n) == b.fanins(n))
+}
+
 /// Assert both engines match from-scratch simulation of `reference`.
 fn check_engines(
     engine: &IncrementalSim,
@@ -356,6 +363,90 @@ proptest! {
             prop_assert_eq!(bits(&a.functional), bits(&b.functional));
         }
         prop_assert_eq!(slow.stats().full_evals, slow.stats().deltas);
+    }
+
+    /// The observability query is exact and read-only. After a random
+    /// run of edits, rollbacks and commits (the last edit still
+    /// speculative above a live mark), the mask of a random live gate
+    /// equals the XOR of the primary outputs between `CombSim` on the
+    /// netlist and on a copy with that gate's output inverted, padding bits
+    /// stay clear, and the engine's words, activity, stats, journal and
+    /// netlist are untouched, also by a query the budget cuts short.
+    #[test]
+    fn observability_mask_matches_an_inverted_copy(
+        seed in 0u64..5000,
+        gates in 12usize..48,
+        cycles in 2usize..300,
+        steps in 0usize..5,
+        edit_seed in any::<u64>(),
+    ) {
+        let nl = comb_dag(seed, gates);
+        let patterns = Stimulus::uniform(8).patterns(cycles, seed ^ 0x0B5);
+        let packed = PackedPatterns::pack(&patterns);
+        let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
+        let mut rng = Rng64::new(edit_seed);
+        let base_len = nl.len();
+        let mut current = nl;
+        let mut mark = engine.checkpoint();
+        for step in 0..=steps {
+            let Some(delta) = random_delta(&current, base_len, &mut rng) else {
+                break;
+            };
+            engine.apply_delta(&delta);
+            if step == steps || rng.chance(0.6) {
+                delta.apply_to(&mut current);
+                if step < steps {
+                    prop_assert!(engine.commit(mark), "live mark must commit");
+                    mark = engine.checkpoint();
+                }
+            } else {
+                prop_assert!(engine.rollback_to(mark), "live mark must roll back");
+            }
+        }
+        let reference = CombSim::new(&current).eval_outputs(&patterns);
+        let live = current.live_mask();
+        let targets: Vec<NetId> = current
+            .iter_nets()
+            .filter(|&g| live[g.index()] && !current.kind(g).is_source())
+            .collect();
+        for _ in 0..4 {
+            if targets.is_empty() {
+                break;
+            }
+            let node = *rng.choose(&targets);
+            let state = |e: &IncrementalSim| {
+                let words: Vec<u64> =
+                    current.iter_nets().flat_map(|n| e.net_words(n).to_vec()).collect();
+                (words, bits(&e.activity()), e.stats(), e.pending_frames())
+            };
+            let before = state(&engine);
+            let mask = engine
+                .observability_mask(node, &ResourceBudget::unlimited())
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(state(&engine), before.clone());
+            prop_assert!(same_netlist(engine.netlist(), &current), "query edited the netlist");
+            // A query the budget cuts short restores the engine too.
+            let starved = ResourceBudget::unlimited().with_max_sim_steps(1);
+            if let Ok(partial) = engine.observability_mask(node, &starved) {
+                prop_assert_eq!(&partial, &mask, "only a query with no fanout fits one step");
+            }
+            prop_assert_eq!(state(&engine), before);
+
+            // The same gate, inverted: its function moves to a duplicate
+            // and the gate itself becomes the duplicate's inverter.
+            let mut inverted = current.clone();
+            let mut delta = Delta::for_netlist(&current);
+            let dup = delta.add_gate(current.kind(node), current.fanins(node));
+            delta.set_gate(node, GateKind::Not, &[dup]);
+            delta.apply_to(&mut inverted);
+            let flipped = CombSim::new(&inverted).eval_outputs(&patterns);
+            prop_assert_eq!(mask.len(), packed.num_blocks());
+            for k in 0..64 * mask.len() {
+                let observed = k < cycles && reference[k] != flipped[k];
+                let got = mask[k / 64] >> (k % 64) & 1 == 1;
+                prop_assert_eq!(got, observed, "{} cycle {}", node, k);
+            }
+        }
     }
 
     /// Budget exhaustion mid-search unwinds the rewriting pass to its
