@@ -28,10 +28,17 @@
 //! witnessed, or whose unwitnessed minterms cannot occur at all, is
 //! skipped; the analysis would have returned nothing for it. Reports count
 //! where the candidates went ([`CandidateCounts`]).
+//!
+//! The estimate-driven pass ([`optimize_dontcares`]), the
+//! simulation-driven pass ([`optimize_dontcares_sim`]) and the dontcare
+//! class of [`crate::rewrite`] run every candidate through one step:
+//! witness, analyze, count, and return a profitable table as a [`Delta`].
+//! The simulation-driven drivers apply that delta to their engine; the
+//! estimate-driven pass replays it onto a copy of the netlist.
 
 use bdd::{BudgetExceeded, Ref, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
-use power::exact::{try_circuit_bdds, CircuitBddCache, CircuitBdds};
+use power::exact::{try_circuit_bdds, try_gate_bdd, CircuitBddCache, CircuitBdds};
 use sim::incr::{Delta, IncrementalSim};
 use sim::stimulus::{PackedPatterns, Stimulus};
 
@@ -64,7 +71,7 @@ pub struct CandidateCounts {
 }
 
 impl CandidateCounts {
-    pub(crate) fn record(&mut self, analysis: &Analysis) {
+    fn record(&mut self, analysis: &Analysis) {
         match analysis {
             Analysis::Witnessed => self.witnessed += 1,
             Analysis::Unreachable => self.unreachable += 1,
@@ -102,10 +109,6 @@ pub struct DontCareReport {
 }
 
 /// Estimated switched capacitance from exact probabilities (fF/cycle).
-pub fn estimated_cap(nl: &Netlist, input_probs: &[f64]) -> f64 {
-    try_estimated_cap(nl, input_probs, &ResourceBudget::unlimited()).expect("unlimited budget")
-}
-
 fn try_estimated_cap(
     nl: &Netlist,
     input_probs: &[f64],
@@ -115,18 +118,9 @@ fn try_estimated_cap(
     Ok(bdds.activity(input_probs).switched_capacitance(nl))
 }
 
-/// [`estimated_cap`] through a caller-owned BDD cache: structurally
+/// [`try_estimated_cap`] through a caller-owned BDD cache: structurally
 /// repeated queries (the original netlist during a rewrite loop, the same
 /// circuit before and after an unrelated pass) reuse one build.
-pub fn estimated_cap_cached(
-    nl: &Netlist,
-    input_probs: &[f64],
-    cache: &mut CircuitBddCache,
-) -> f64 {
-    try_estimated_cap_cached(nl, input_probs, cache, &ResourceBudget::unlimited())
-        .expect("unlimited budget")
-}
-
 fn try_estimated_cap_cached(
     nl: &Netlist,
     input_probs: &[f64],
@@ -251,17 +245,11 @@ pub fn try_optimize_dontcares_cached(
             .collect();
         for node in candidates {
             let verdict = budget.check_deadline().and_then(|()| {
-                let known = match &mut witness {
-                    Some(engine) => care_witness(engine, node, budget),
-                    None => vec![false; 1 << current.fanins(node).len()],
-                };
-                let analysis = find_rewrite(&current, &bdds, node, input_probs, &known);
-                candidates_seen.record(&analysis);
-                match analysis {
-                    Analysis::Analyzed(Some(rewrite)) => {
-                        try_rewrite(&current, node, &rewrite, input_probs, mode, cache, budget)
-                    }
-                    _ => Ok(None),
+                let counts = &mut candidates_seen;
+                let engine = witness.as_mut();
+                match candidate_delta(&current, &bdds, node, input_probs, engine, budget, counts) {
+                    Some(delta) => try_rewrite(&current, &delta, input_probs, mode, cache, budget),
+                    None => Ok(None),
                 }
             });
             match verdict {
@@ -375,23 +363,25 @@ pub fn optimize_dontcares_sim_with(
             .get_or_build(&current, &unlimited)
             .expect("unlimited budget");
         // One live mark per pass: a rejected rewrite unwinds to it, an
-        // accepted one is committed and the next pass re-takes the mark.
+        // accepted one is sealed (which releases the mark) and the next
+        // pass re-takes it.
         let mark = engine.checkpoint();
         for node in sim_candidates(&current, max_fanin) {
-            let known = care_witness(engine, node, &unlimited);
-            let analysis = find_rewrite(&current, &bdds, node, input_probs, &known);
-            candidates_seen.record(&analysis);
-            let Analysis::Analyzed(Some(rewrite)) = analysis else {
+            let witness = Some(&mut *engine);
+            let counts = &mut candidates_seen;
+            let delta =
+                candidate_delta(&current, &bdds, node, input_probs, witness, &unlimited, counts);
+            let Some(delta) = delta else {
                 continue;
             };
             rewrites_tried += 1;
-            let mut delta = Delta::for_netlist(&current);
-            let new_root = synthesize_table_delta(&mut delta, &rewrite.fanins, &rewrite.table);
-            delta.replace_uses(node, new_root);
             engine.apply_delta(&delta);
             let cap_new = engine.switched_cap_live();
             if cap_new < cap_current - 1e-9 {
-                engine.commit(mark);
+                // Seal the apply itself, not just the pass mark below it,
+                // so no undo frame outlives the pass.
+                let sealed = engine.checkpoint();
+                engine.commit(sealed);
                 cap_current = cap_new;
                 nodes_changed += 1;
                 continue 'outer;
@@ -427,10 +417,38 @@ pub(crate) fn sim_candidates(nl: &Netlist, max_fanin: usize) -> Vec<NetId> {
         .collect()
 }
 
-/// [`synthesize_table`] recorded into a [`Delta`] instead of applied to a
-/// netlist (same gates in the same order, so replaying the delta matches
-/// the direct construction node for node).
-pub(crate) fn synthesize_table_delta(delta: &mut Delta, fanins: &[NetId], table: &[bool]) -> NetId {
+/// One don't-care candidate, the step all three drivers share: witness
+/// `node`'s care minterms on `witness` (when given, it must hold `nl`),
+/// run the analysis, tally where the candidate went in `counts`, and
+/// return a profitable rewrite as a [`Delta`] against `nl`: `node`'s users
+/// moved to the rebiased table's logic.
+pub(crate) fn candidate_delta(
+    nl: &Netlist,
+    bdds: &CircuitBdds,
+    node: NetId,
+    input_probs: &[f64],
+    witness: Option<&mut IncrementalSim>,
+    budget: &ResourceBudget,
+    counts: &mut CandidateCounts,
+) -> Option<Delta> {
+    let known = match witness {
+        Some(engine) => care_witness(engine, node, budget),
+        None => vec![false; 1 << nl.fanins(node).len()],
+    };
+    let analysis = find_rewrite(nl, bdds, node, input_probs, &known);
+    counts.record(&analysis);
+    let Analysis::Analyzed(Some(rewrite)) = analysis else {
+        return None;
+    };
+    let mut delta = Delta::for_netlist(nl);
+    let root = synthesize_table_delta(&mut delta, &rewrite.fanins, &rewrite.table);
+    delta.replace_uses(node, root);
+    Some(delta)
+}
+
+/// Synthesize a truth table over existing nets as two-level logic,
+/// recorded into `delta`; returns the net computing the table.
+fn synthesize_table_delta(delta: &mut Delta, fanins: &[NetId], table: &[bool]) -> NetId {
     let k = fanins.len();
     let ones = table.iter().filter(|&&b| b).count();
     if ones == 0 {
@@ -439,6 +457,7 @@ pub(crate) fn synthesize_table_delta(delta: &mut Delta, fanins: &[NetId], table:
     if ones == table.len() {
         return delta.add_gate(GateKind::Const(true), &[]);
     }
+    // Use the sparser phase; invert at the end if we covered the zeros.
     let cover_ones = ones <= table.len() / 2;
     let mut terms = Vec::new();
     let mut inverted: Vec<Option<NetId>> = vec![None; k];
@@ -481,22 +500,19 @@ pub(crate) fn synthesize_table_delta(delta: &mut Delta, fanins: &[NetId], table:
     }
 }
 
-/// Judge `rewrite` of `node` in `nl` by `mode`. On acceptance returns the
+/// Judge the rewrite `delta` of `nl` by `mode`. On acceptance returns the
 /// rewritten netlist, dead logic swept, with its estimated switched
 /// capacitance; the candidate's BDD build is the budgeted work.
 fn try_rewrite(
     nl: &Netlist,
-    node: NetId,
-    rewrite: &Rewrite,
+    delta: &Delta,
     input_probs: &[f64],
     mode: Mode,
     cache: &mut CircuitBddCache,
     budget: &ResourceBudget,
 ) -> Result<Option<(Netlist, f64)>, BudgetExceeded> {
-    // Build the rewritten netlist: node := SOP over its fanins.
     let mut rebuilt = nl.clone();
-    let new_root = synthesize_table(&mut rebuilt, &rewrite.fanins, &rewrite.table);
-    rebuilt.replace_uses(node, new_root);
+    delta.apply_to(&mut rebuilt);
     debug_assert!(rebuilt.validate().is_ok());
     rebuilt.sweep_dead();
 
@@ -519,13 +535,13 @@ fn try_rewrite(
 
 /// A profitable node rewrite found by the ODC analysis: replace `node`
 /// with the truth table `table` over `fanins`.
-pub(crate) struct Rewrite {
-    pub(crate) fanins: Vec<NetId>,
-    pub(crate) table: Vec<bool>,
+struct Rewrite {
+    fanins: Vec<NetId>,
+    table: Vec<bool>,
 }
 
 /// How [`find_rewrite`] settled one candidate.
-pub(crate) enum Analysis {
+enum Analysis {
     /// Every fanin minterm was witnessed care: no BDD work at all.
     Witnessed,
     /// Every unwitnessed minterm's fanin condition is `FALSE`: settled
@@ -544,7 +560,7 @@ pub(crate) enum Analysis {
 /// in full, as it would without a witness.
 ///
 /// `engine` must hold the netlist the candidate belongs to.
-pub(crate) fn care_witness(
+fn care_witness(
     engine: &mut IncrementalSim,
     node: NetId,
     budget: &ResourceBudget,
@@ -576,8 +592,7 @@ pub(crate) fn care_witness(
     known
 }
 
-/// The don't-care analysis shared by the estimate-driven pass, the
-/// simulation-driven pass and the rewrite search: compute `node`'s
+/// The don't-care analysis of [`candidate_delta`]: compute `node`'s
 /// observability don't-cares and, if its one-probability can be pushed
 /// further from 0.5 inside them, return the rebiased local truth table.
 ///
@@ -585,7 +600,7 @@ pub(crate) fn care_witness(
 /// a set flag asserts the minterm is care. When every minterm is known
 /// care, or every unknown one cannot occur, the analysis could only
 /// return nothing and stops early. Otherwise it runs in full.
-pub(crate) fn find_rewrite(
+fn find_rewrite(
     nl: &Netlist,
     bdds: &CircuitBdds,
     node: NetId,
@@ -701,6 +716,7 @@ pub(crate) fn find_rewrite(
 /// (the manager's next), rebuild every dependent net, and OR the Boolean
 /// difference of each dependent output with respect to `w`.
 fn observability(mgr: &mut bdd::Bdd, nl: &Netlist, funcs: &[Ref], node: NetId) -> Ref {
+    let unlimited = ResourceBudget::unlimited();
     let w = mgr.num_vars() as u32;
     let order = nl.topo_order().expect("acyclic");
     let mut subst: Vec<Ref> = funcs.to_vec();
@@ -720,7 +736,7 @@ fn observability(mgr: &mut bdd::Bdd, nl: &Netlist, funcs: &[Ref], node: NetId) -
         }
         dependent[net.index()] = true;
         let ins: Vec<Ref> = nl.fanins(net).iter().map(|f| subst[f.index()]).collect();
-        subst[net.index()] = build_gate(mgr, kind, &ins);
+        subst[net.index()] = try_gate_bdd(mgr, kind, &ins, &unlimited).expect("unlimited budget");
     }
     let mut sensitive = Ref::FALSE;
     for (out, _) in nl.outputs() {
@@ -731,84 +747,6 @@ fn observability(mgr: &mut bdd::Bdd, nl: &Netlist, funcs: &[Ref], node: NetId) -
         sensitive = mgr.or(sensitive, s);
     }
     sensitive
-}
-
-fn build_gate(mgr: &mut bdd::Bdd, kind: GateKind, ins: &[Ref]) -> Ref {
-    match kind {
-        GateKind::Const(v) => mgr.constant(v),
-        GateKind::Buf => ins[0],
-        GateKind::Not => mgr.not(ins[0]),
-        GateKind::And => mgr.and_all(ins.iter().copied()),
-        GateKind::Or => mgr.or_all(ins.iter().copied()),
-        GateKind::Nand => {
-            let a = mgr.and_all(ins.iter().copied());
-            mgr.not(a)
-        }
-        GateKind::Nor => {
-            let o = mgr.or_all(ins.iter().copied());
-            mgr.not(o)
-        }
-        GateKind::Xor => ins.iter().fold(Ref::FALSE, |acc, &f| mgr.xor(acc, f)),
-        GateKind::Xnor => {
-            let x = ins.iter().fold(Ref::FALSE, |acc, &f| mgr.xor(acc, f));
-            mgr.not(x)
-        }
-        GateKind::Mux => mgr.ite(ins[0], ins[2], ins[1]),
-        GateKind::Input | GateKind::Dff => unreachable!("sources are variables"),
-    }
-}
-
-/// Synthesize a truth table over existing nets as two-level logic.
-fn synthesize_table(nl: &mut Netlist, fanins: &[NetId], table: &[bool]) -> NetId {
-    let k = fanins.len();
-    let ones = table.iter().filter(|&&b| b).count();
-    if ones == 0 {
-        return nl.add_const(false);
-    }
-    if ones == table.len() {
-        return nl.add_const(true);
-    }
-    // Use the sparser phase; invert at the end if we covered the zeros.
-    let cover_ones = ones <= table.len() / 2;
-    let mut terms = Vec::new();
-    let mut inverted: Vec<Option<NetId>> = vec![None; k];
-    for (m, &bit) in table.iter().enumerate() {
-        if bit != cover_ones {
-            continue;
-        }
-        let mut literals = Vec::with_capacity(k);
-        for (i, &fi) in fanins.iter().enumerate() {
-            if m >> i & 1 == 1 {
-                literals.push(fi);
-            } else {
-                let inv = match inverted[i] {
-                    Some(x) => x,
-                    None => {
-                        let x = nl.add_gate(GateKind::Not, &[fi]);
-                        inverted[i] = Some(x);
-                        x
-                    }
-                };
-                literals.push(inv);
-            }
-        }
-        let term = if literals.len() == 1 {
-            literals[0]
-        } else {
-            nl.add_gate(GateKind::And, &literals)
-        };
-        terms.push(term);
-    }
-    let sum = if terms.len() == 1 {
-        terms[0]
-    } else {
-        nl.add_gate(GateKind::Or, &terms)
-    };
-    if cover_ones {
-        sum
-    } else {
-        nl.add_gate(GateKind::Not, &[sum])
-    }
 }
 
 #[cfg(test)]
@@ -890,22 +828,13 @@ mod tests {
     #[test]
     fn synthesize_table_covers_all_functions_of_two_vars() {
         for truth in 0u32..16 {
-            let mut base = Netlist::new("tt");
-            let a = base.add_input("a");
-            let b = base.add_input("b");
+            let mut nl = Netlist::new("tt");
+            let a = nl.add_input("a");
+            let b = nl.add_input("b");
             let table: Vec<bool> = (0..4).map(|m| truth >> m & 1 == 1).collect();
-            let mut nl = base.clone();
-            let root = synthesize_table(&mut nl, &[a, b], &table);
-            // The delta-recorded construction replays node for node.
-            let mut delta = Delta::for_netlist(&base);
-            let delta_root = synthesize_table_delta(&mut delta, &[a, b], &table);
-            delta.apply_to(&mut base);
-            assert_eq!(delta_root, root, "truth {truth:04b}");
-            assert_eq!(base.len(), nl.len());
-            for net in nl.iter_nets() {
-                assert_eq!(base.kind(net), nl.kind(net), "truth {truth:04b} {net}");
-                assert_eq!(base.fanins(net), nl.fanins(net), "truth {truth:04b} {net}");
-            }
+            let mut delta = Delta::for_netlist(&nl);
+            let root = synthesize_table_delta(&mut delta, &[a, b], &table);
+            delta.apply_to(&mut nl);
             nl.mark_output(root, "f");
             for m in 0..4usize {
                 let bits = vec![m & 1 == 1, m >> 1 & 1 == 1];
@@ -959,6 +888,26 @@ mod tests {
             assert_eq!(ri.cap_after.to_bits(), swept_cap(&incr, &packed).to_bits());
             assert!(equivalent_exhaustive(&nl, &incr), "seed {seed}");
             assert!(ri.cap_after <= ri.cap_before + 1e-9);
+        }
+    }
+
+    #[test]
+    fn sim_driven_pass_seals_an_accept_at_the_pass_limit() {
+        // On these seeds the eighth pass ends right after an accept.
+        let config = netlist::gen::RandomDagConfig {
+            inputs: 6,
+            gates: 40,
+            outputs: 3,
+            max_fanin: 3,
+            window: 10,
+        };
+        for seed in [21, 9] {
+            let nl = netlist::gen::random_dag(&config, seed);
+            let packed = Stimulus::uniform(6).packed(256, 42);
+            let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
+            let report = optimize_dontcares_sim_with(&mut engine, &[0.5; 6], 5);
+            assert_eq!(report.nodes_changed, 8, "seed {seed}");
+            assert_eq!(engine.pending_frames(), 0, "seed {seed}");
         }
     }
 

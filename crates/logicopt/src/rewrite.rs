@@ -16,20 +16,20 @@
 //!
 //! The driver is greedy with lookahead: each round it scores every legal
 //! move on the engine (apply, read the live cap, check the equal-delay
-//! guard, roll back), then probes the most promising heads one move deeper —
-//! an extraction that *adds* capacitance can still win the round when the
-//! sharing it creates unlocks a bigger second move. Chains are speculated
-//! under [`IncrementalSim::checkpoint`] marks and either committed or
-//! unwound; the engine guarantees every depth is bit-identical to
-//! from-scratch replay, so decisions (and the final netlist) are identical
-//! under `force_full`.
+//! guard, roll back), then probes the `LOOKAHEAD_WIDTH` most promising
+//! heads one move deeper — an extraction that *adds* capacitance can still
+//! win the round when the sharing it creates unlocks a bigger second move.
+//! Chains are speculated under [`IncrementalSim::checkpoint`] marks and
+//! either committed or unwound; the engine guarantees every depth is
+//! bit-identical to from-scratch replay, so decisions (and the final
+//! netlist) are identical under `force_full`.
 //!
 //! The delay guard compares unit-sized critical paths
 //! ([`SizedCircuit::critical_delay`]): a move is legal only while the swept
-//! candidate stays within `1 + delay_slack` of the input circuit's critical
-//! path. Sharing moves concentrate fanout load on the surviving net, so
-//! they trade a bounded unit-delay slip for capacitance; downstream gate
-//! sizing recovers the slip, which is how the `bench_incr` equal-delay
+//! candidate stays within `1 +` [`DELAY_SLACK`] of the input circuit's
+//! critical path. Sharing moves concentrate fanout load on the surviving
+//! net, so they trade a bounded unit-delay slip for capacitance; downstream
+//! gate sizing recovers the slip, which is how the `bench_incr` equal-delay
 //! comparison holds both flows to one timing constraint.
 //!
 //! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}`,
@@ -44,12 +44,10 @@ use bdd::{BudgetExceeded, Ref, ResourceBudget};
 use circuit::sizing::SizedCircuit;
 use netlist::{GateKind, NetId, Netlist};
 use power::exact::{CircuitBddCache, CircuitBdds};
-use sim::incr::{Delta, IncrementalSim};
+use sim::incr::{Delta, IncrementalSim, Mark};
 use sim::stimulus::PackedPatterns;
 
-use crate::dontcare::{
-    care_witness, find_rewrite, sim_candidates, synthesize_table_delta, Analysis, CandidateCounts,
-};
+use crate::dontcare::{candidate_delta, sim_candidates, CandidateCounts};
 use crate::factor::{Cube, Sop};
 
 /// One move class of the rewriting search.
@@ -116,32 +114,36 @@ impl MoveCounts {
     }
 }
 
-/// Tuning knobs for [`rewrite_sim`].
+/// Relative slack of the delay guard: a move is legal while the
+/// unit-sized critical path stays within `(1 + DELAY_SLACK)` of the input
+/// circuit's. Sharing moves (resub, extraction) add fanout load on the
+/// surviving net, so a zero slack would reject nearly all of them; the
+/// slack is what gate sizing recovers afterwards.
+pub const DELAY_SLACK: f64 = 0.2;
+
+/// How many of a round's best-scoring moves (heads) are probed one move
+/// deeper; a chain is at most a head and one follow-up move.
+const LOOKAHEAD_WIDTH: usize = 3;
+
+/// Enumeration cap per move class per round (a deterministic prefix in
+/// net-id order).
+const MOVES_PER_CLASS: usize = 48;
+
+/// Skip the don't-care move class while the circuit's shared BDD manager
+/// holds more than this many nodes. Don't-care extraction substitutes
+/// through every dependent cone per candidate, so its cost scales with
+/// candidates × manager size — prohibitive exactly on the BDD-heavy
+/// arithmetic circuits that carry no observability don't-cares in the
+/// first place.
+const DONTCARE_NODE_LIMIT: usize = 10_000;
+
+/// Settings of [`rewrite_sim`].
 #[derive(Debug, Clone)]
 pub struct RewriteConfig {
     /// Fanin bound for the don't-care table class (enumeration is `2^fanin`).
     pub max_fanin: usize,
-    /// Chain depth: 1 = plain greedy, 2 = probe one move past each head.
-    pub lookahead: usize,
-    /// How many of the best-scoring heads get the depth-2 probe.
-    pub lookahead_width: usize,
     /// Bound on accepted chains (each accepted chain starts a new round).
     pub max_rounds: usize,
-    /// Enumeration cap per move class per round (deterministic prefix).
-    pub moves_per_class: usize,
-    /// Relative slack of the delay guard: a move is legal while the
-    /// unit-sized critical path stays within `(1 + delay_slack)` of the
-    /// input circuit's. Sharing moves (resub, extraction) add fanout load
-    /// on the surviving net, so a zero slack would reject nearly all of
-    /// them; the slack is what gate sizing recovers afterwards.
-    pub delay_slack: f64,
-    /// Skip the don't-care move class while the circuit's shared BDD
-    /// manager holds more than this many nodes. Don't-care extraction
-    /// substitutes through every dependent cone per candidate, so its cost
-    /// scales with candidates × manager size — prohibitive exactly on the
-    /// BDD-heavy arithmetic circuits that carry no observability
-    /// don't-cares in the first place.
-    pub dontcare_node_limit: usize,
     /// Force full re-evaluation inside the engine (A/B twin: identical
     /// decisions, no incremental speedup).
     pub force_full: bool,
@@ -153,12 +155,7 @@ impl Default for RewriteConfig {
     fn default() -> RewriteConfig {
         RewriteConfig {
             max_fanin: 4,
-            lookahead: 2,
-            lookahead_width: 3,
             max_rounds: 32,
-            moves_per_class: 48,
-            delay_slack: 0.2,
-            dontcare_node_limit: 10_000,
             force_full: false,
             obs: obs::Obs::disabled(),
         }
@@ -175,7 +172,7 @@ pub struct RewriteReport {
     /// Unit-sized critical path before.
     pub crit_before: f64,
     /// Unit-sized critical path after (guarded: within
-    /// `(1 + delay_slack)` of `crit_before`).
+    /// `(1 +` [`DELAY_SLACK`]`)` of `crit_before`).
     pub crit_after: f64,
     /// Accepted move chains (rounds that improved the circuit).
     pub chains_accepted: usize,
@@ -249,124 +246,59 @@ pub fn try_rewrite_sim(
     }
     let cap_before = engine.switched_cap_live();
     let crit_before = unit_critical(nl);
-    let guard = crit_before * (1.0 + cfg.delay_slack) + 1e-9;
-    let mut cache = CircuitBddCache::new();
-    let mut report = RewriteReport {
-        cap_before,
-        cap_after: cap_before,
-        crit_before,
-        crit_after: crit_before,
-        chains_accepted: 0,
-        tried: MoveCounts::default(),
-        accepted: MoveCounts::default(),
-        nets_reevaluated: 0,
-        dontcare_candidates: CandidateCounts::default(),
-        budget_exhausted: false,
+    let mut search = Search {
+        engine,
+        cache: CircuitBddCache::new(),
+        input_probs,
+        budget,
+        guard: crit_before * (1.0 + DELAY_SLACK) + 1e-9,
+        cfg,
+        report: RewriteReport {
+            cap_before,
+            cap_after: cap_before,
+            crit_before,
+            crit_after: crit_before,
+            chains_accepted: 0,
+            tried: MoveCounts::default(),
+            accepted: MoveCounts::default(),
+            nets_reevaluated: 0,
+            dontcare_candidates: CandidateCounts::default(),
+            budget_exhausted: false,
+        },
     };
     let mut cap_current = cap_before;
-
-    'search: for _round in 0..cfg.max_rounds {
-        let base_mark = engine.checkpoint();
-        let base = engine.netlist().clone();
-        let counts = &mut report.dontcare_candidates;
-        let moves = enumerate_moves(&base, &mut engine, &mut cache, input_probs, cfg, counts);
-        let scored = match score_moves(&mut engine, &moves, budget, guard, cfg, &mut report) {
-            Ok(s) => s,
+    for _round in 0..cfg.max_rounds {
+        let base_mark = search.engine.checkpoint();
+        match search.round(base_mark, cap_current) {
+            Ok(Some((kinds, chain_cap))) => {
+                debug_assert!(
+                    (search.engine.switched_cap_live() - chain_cap).abs() < 1e-9,
+                    "replayed chain must reproduce its speculated score"
+                );
+                let sealed = search.engine.checkpoint();
+                search.engine.commit(sealed);
+                cap_current = chain_cap;
+                search.report.chains_accepted += 1;
+                for kind in kinds {
+                    search.report.accepted.bump(kind);
+                    if cfg.obs.is_enabled() {
+                        cfg.obs.add(kind.accepted_key(), 1);
+                    }
+                }
+            }
+            Ok(None) => break,
+            // The one exit on exhaustion: unwind to the last sealed chain.
             Err(_) => {
-                report.budget_exhausted = true;
-                engine.rollback_to(base_mark);
-                break 'search;
-            }
-        };
-        if scored.is_empty() {
-            break;
-        }
-
-        // Probe the most promising heads one move deeper: the chain score of
-        // a head is the best cap reachable in ≤ lookahead moves from it.
-        // (head index, optional follow-up move, chain cap)
-        type ChainChoice = (usize, Option<(Delta, MoveKind)>, f64);
-        let width = if cfg.lookahead >= 2 { cfg.lookahead_width } else { 1 };
-        let mut best: Option<ChainChoice> = None;
-        for &(head, cap_head) in scored.iter().take(width.max(1)) {
-            let mut chain_cap = cap_head;
-            let mut follow: Option<(Delta, MoveKind)> = None;
-            if cfg.lookahead >= 2 {
-                let head_mark = engine.checkpoint();
-                if engine.try_apply_delta(&moves[head].delta, budget).is_err() {
-                    report.budget_exhausted = true;
-                    engine.rollback_to(base_mark);
-                    break 'search;
-                }
-                let mid = engine.netlist().clone();
-                let counts = &mut report.dontcare_candidates;
-                let next_moves =
-                    enumerate_moves(&mid, &mut engine, &mut cache, input_probs, cfg, counts);
-                match score_moves(&mut engine, &next_moves, budget, guard, cfg, &mut report) {
-                    Ok(next_scored) => {
-                        if let Some(&(next, cap_next)) = next_scored.first() {
-                            if cap_next < chain_cap - 1e-9 {
-                                chain_cap = cap_next;
-                                follow =
-                                    Some((next_moves[next].delta.clone(), next_moves[next].kind));
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        report.budget_exhausted = true;
-                        engine.rollback_to(base_mark);
-                        break 'search;
-                    }
-                }
-                engine.rollback_to(head_mark);
-            }
-            let better = match best {
-                None => true,
-                Some((_, _, best_cap)) => chain_cap < best_cap - 1e-9,
-            };
-            if better {
-                best = Some((head, follow, chain_cap));
-            }
-        }
-
-        let Some((head, follow, chain_cap)) = best else {
-            break;
-        };
-        if chain_cap >= cap_current - 1e-9 {
-            // No chain improves on the current circuit: done.
-            engine.rollback_to(base_mark);
-            break;
-        }
-        // Re-apply the winning chain and seal it.
-        let mut kinds = vec![moves[head].kind];
-        let mut ok = engine.try_apply_delta(&moves[head].delta, budget).is_ok();
-        if ok {
-            if let Some((ref d, kind)) = follow {
-                ok = engine.try_apply_delta(d, budget).is_ok();
-                kinds.push(kind);
-            }
-        }
-        if !ok {
-            report.budget_exhausted = true;
-            engine.rollback_to(base_mark);
-            break 'search;
-        }
-        debug_assert!(
-            (engine.switched_cap_live() - chain_cap).abs() < 1e-9,
-            "replayed chain must reproduce its speculated score"
-        );
-        let sealed = engine.checkpoint();
-        engine.commit(sealed);
-        cap_current = chain_cap;
-        report.chains_accepted += 1;
-        for kind in kinds.drain(..) {
-            report.accepted.bump(kind);
-            if cfg.obs.is_enabled() {
-                cfg.obs.add(kind.accepted_key(), 1);
+                search.report.budget_exhausted = true;
+                search.engine.rollback_to(base_mark);
+                break;
             }
         }
     }
 
+    let Search {
+        engine, mut report, ..
+    } = search;
     // No accepted chain leaves the input untouched (net ids intact for
     // callers holding resident engines); otherwise return the live logic.
     let out = if report.chains_accepted == 0 {
@@ -390,74 +322,125 @@ fn unit_critical(nl: &Netlist) -> f64 {
     SizedCircuit::new(&swept, 1.0).critical_delay()
 }
 
-/// Score every move on the engine: apply, read the live cap, check the
-/// equal-delay guard, roll back. Returns the feasible moves sorted best cap
-/// first (ties broken by enumeration order, so the search is deterministic).
-fn score_moves(
-    engine: &mut IncrementalSim,
-    moves: &[Move],
-    budget: &ResourceBudget,
+/// One search's state across its rounds.
+struct Search<'a> {
+    engine: IncrementalSim,
+    cache: CircuitBddCache,
+    input_probs: &'a [f64],
+    budget: &'a ResourceBudget,
+    /// Largest legal unit-sized critical path.
     guard: f64,
-    cfg: &RewriteConfig,
-    report: &mut RewriteReport,
-) -> Result<Vec<(usize, f64)>, BudgetExceeded> {
-    let mut scored = Vec::new();
-    for (i, mv) in moves.iter().enumerate() {
-        report.tried.bump(mv.kind);
-        if cfg.obs.is_enabled() {
-            cfg.obs.add(mv.kind.tried_key(), 1);
-        }
-        let mark = engine.checkpoint();
-        if let Err(e) = engine.try_apply_delta(&mv.delta, budget) {
-            engine.rollback_to(mark);
-            return Err(e);
-        }
-        let cap = engine.switched_cap_live();
-        let crit = unit_critical(engine.netlist());
-        engine.rollback_to(mark);
-        if crit <= guard {
-            scored.push((i, cap));
-        }
-    }
-    scored.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    Ok(scored)
+    cfg: &'a RewriteConfig,
+    report: RewriteReport,
 }
 
-/// Enumerate all candidate moves against `nl`, per class, in deterministic
-/// net-id order, each class capped at `cfg.moves_per_class`. `engine`
-/// must hold `nl`: its resident words witness the dontcare class's care
-/// minterms, whose fate is tallied in `counts`.
-fn enumerate_moves(
-    nl: &Netlist,
-    engine: &mut IncrementalSim,
-    cache: &mut CircuitBddCache,
-    input_probs: &[f64],
-    cfg: &RewriteConfig,
-    counts: &mut CandidateCounts,
-) -> Vec<Move> {
-    let bdds = cache
-        .get_or_build(nl, &ResourceBudget::unlimited())
-        .expect("unlimited budget");
-    // Rewrites leave dead cones in place (net ids stay stable for the
-    // engine), so moves only target live logic.
-    let live = nl.live_mask();
-    let mut out = Vec::new();
-    resub_moves(nl, &bdds, &live, cfg.moves_per_class, &mut out);
-    pair_extract_moves(nl, &live, cfg.moves_per_class, &mut out);
-    kernel_moves(nl, &live, cfg.moves_per_class, &mut out);
-    // Don't-care extraction substitutes a fresh variable through every
-    // dependent cone per candidate — cost proportional to candidate count
-    // times global BDD size. On BDD-heavy circuits (arithmetic, which has
-    // no observability don't-cares anyway) that dwarfs the rest of the
-    // search, so the class only runs while the shared manager stays small.
-    if bdds.mgr.node_count() <= cfg.dontcare_node_limit {
-        dontcare_moves(nl, engine, &bdds, input_probs, cfg, counts, &mut out);
+impl Search<'_> {
+    /// One round from the engine's netlist, the state at `base_mark`:
+    /// score every move, probe the best heads one move deeper, and leave
+    /// the best chain applied when it beats `cap_current`. Returns the
+    /// chain's move classes and cap; `None` when no chain improves (the
+    /// engine is then back at `base_mark`).
+    fn round(
+        &mut self,
+        base_mark: Mark,
+        cap_current: f64,
+    ) -> Result<Option<(Vec<MoveKind>, f64)>, BudgetExceeded> {
+        let moves = self.enumerate_moves();
+        let scored = self.score_moves(&moves)?;
+        // The chain score of a head is the best cap reachable in at most
+        // two moves from it: (head index, follow-up move, chain cap).
+        let mut best: Option<(usize, Option<Move>, f64)> = None;
+        for &(head, cap_head) in scored.iter().take(LOOKAHEAD_WIDTH) {
+            let head_mark = self.engine.checkpoint();
+            let head_delta = &moves[head].delta;
+            self.engine.try_apply_delta(head_delta, self.budget)?;
+            let mut next_moves = self.enumerate_moves();
+            let next_scored = self.score_moves(&next_moves)?;
+            let mut chain = (head, None, cap_head);
+            if let Some(&(next, cap_next)) = next_scored.first() {
+                if cap_next < cap_head - 1e-9 {
+                    chain = (head, Some(next_moves.swap_remove(next)), cap_next);
+                }
+            }
+            self.engine.rollback_to(head_mark);
+            if best.as_ref().is_none_or(|b| chain.2 < b.2 - 1e-9) {
+                best = Some(chain);
+            }
+        }
+        let Some((head, follow, chain_cap)) = best else {
+            return Ok(None);
+        };
+        if chain_cap >= cap_current - 1e-9 {
+            self.engine.rollback_to(base_mark);
+            return Ok(None);
+        }
+        // Re-apply the winning chain; the caller seals it.
+        let mut kinds = vec![moves[head].kind];
+        let head_delta = &moves[head].delta;
+        self.engine.try_apply_delta(head_delta, self.budget)?;
+        if let Some(follow) = follow {
+            self.engine.try_apply_delta(&follow.delta, self.budget)?;
+            kinds.push(follow.kind);
+        }
+        Ok(Some((kinds, chain_cap)))
     }
-    out
+
+    /// Score every move on the engine: apply, read the live cap, check the
+    /// equal-delay guard, roll back. Returns the feasible moves sorted best
+    /// cap first (ties broken by enumeration order, so the search is
+    /// deterministic).
+    fn score_moves(&mut self, moves: &[Move]) -> Result<Vec<(usize, f64)>, BudgetExceeded> {
+        let engine = &mut self.engine;
+        let mut scored = Vec::new();
+        for (i, mv) in moves.iter().enumerate() {
+            self.report.tried.bump(mv.kind);
+            if self.cfg.obs.is_enabled() {
+                self.cfg.obs.add(mv.kind.tried_key(), 1);
+            }
+            let mark = engine.checkpoint();
+            if let Err(e) = engine.try_apply_delta(&mv.delta, self.budget) {
+                engine.rollback_to(mark);
+                return Err(e);
+            }
+            let cap = engine.switched_cap_live();
+            let crit = unit_critical(engine.netlist());
+            engine.rollback_to(mark);
+            if crit <= self.guard {
+                scored.push((i, cap));
+            }
+        }
+        scored.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        Ok(scored)
+    }
+
+    /// Enumerate all candidate moves against the engine's netlist, per
+    /// class, in deterministic net-id order, each class capped at
+    /// [`MOVES_PER_CLASS`]. The engine's resident words witness the
+    /// dontcare class's care minterms.
+    fn enumerate_moves(&mut self) -> Vec<Move> {
+        let nl = self.engine.netlist().clone();
+        let bdds = self
+            .cache
+            .get_or_build(&nl, &ResourceBudget::unlimited())
+            .expect("unlimited budget");
+        // Rewrites leave dead cones in place (net ids stay stable for the
+        // engine), so moves only target live logic.
+        let live = nl.live_mask();
+        let mut out = Vec::new();
+        resub_moves(&nl, &bdds, &live, MOVES_PER_CLASS, &mut out);
+        pair_extract_moves(&nl, &live, MOVES_PER_CLASS, &mut out);
+        kernel_moves(&nl, &live, MOVES_PER_CLASS, &mut out);
+        if bdds.mgr.node_count() <= DONTCARE_NODE_LIMIT {
+            let (engine, probs) = (&mut self.engine, self.input_probs);
+            let counts = &mut self.report.dontcare_candidates;
+            dontcare_moves(&nl, engine, &bdds, probs, self.cfg.max_fanin, counts, &mut out);
+        }
+        out
+    }
 }
 
 /// Resubstitution: redirect users of a net to a no-deeper net with the same
@@ -755,33 +738,28 @@ fn dontcare_moves(
     engine: &mut IncrementalSim,
     bdds: &CircuitBdds,
     input_probs: &[f64],
-    cfg: &RewriteConfig,
+    max_fanin: usize,
     counts: &mut CandidateCounts,
     out: &mut Vec<Move>,
 ) {
-    // The search enumerates while the engine sits on the round's base or
-    // on a lookahead head, so the engine holds `nl` itself.
+    // The search enumerates from the engine's own netlist, whether it sits
+    // on the round's base or on a lookahead head.
     assert_eq!(engine.netlist().len(), nl.len(), "witness engine holds another netlist");
     let unlimited = ResourceBudget::unlimited();
     let mut count = 0;
-    for node in sim_candidates(nl, cfg.max_fanin) {
-        if count >= cfg.moves_per_class {
+    for node in sim_candidates(nl, max_fanin) {
+        if count >= MOVES_PER_CLASS {
             break;
         }
-        let known = care_witness(engine, node, &unlimited);
-        let analysis = find_rewrite(nl, bdds, node, input_probs, &known);
-        counts.record(&analysis);
-        let Analysis::Analyzed(Some(rewrite)) = analysis else {
-            continue;
-        };
-        let mut delta = Delta::for_netlist(nl);
-        let root = synthesize_table_delta(&mut delta, &rewrite.fanins, &rewrite.table);
-        delta.replace_uses(node, root);
-        out.push(Move {
-            kind: MoveKind::DontCare,
-            delta,
-        });
-        count += 1;
+        let witness = Some(&mut *engine);
+        if let Some(delta) = candidate_delta(nl, bdds, node, input_probs, witness, &unlimited, counts)
+        {
+            out.push(Move {
+                kind: MoveKind::DontCare,
+                delta,
+            });
+            count += 1;
+        }
     }
 }
 
@@ -817,7 +795,7 @@ mod tests {
         assert!(equivalent_exhaustive(&nl, &optimized));
         assert!(report.accepted.resub >= 1, "{:?}", report.accepted);
         assert!(report.cap_after < report.cap_before);
-        assert!(report.crit_after <= report.crit_before * (1.0 + cfg.delay_slack) + 1e-9);
+        assert!(report.crit_after <= report.crit_before * (1.0 + DELAY_SLACK) + 1e-9);
     }
 
     #[test]
@@ -887,7 +865,7 @@ mod tests {
             assert!(equivalent_exhaustive(&nl, &optimized), "seed {seed}");
             assert!(report.cap_after <= report.cap_before + 1e-9, "seed {seed}");
             assert!(
-                report.crit_after <= report.crit_before * (1.0 + cfg.delay_slack) + 1e-9,
+                report.crit_after <= report.crit_before * (1.0 + DELAY_SLACK) + 1e-9,
                 "seed {seed}: delay guard violated ({} -> {})",
                 report.crit_before,
                 report.crit_after

@@ -113,10 +113,6 @@ pub struct ChainConfig {
     /// Tiers to try, in order. Defaults to all three; tests pin a single
     /// tier to compare it against its ground truth directly.
     pub tiers: Vec<Tier>,
-    /// Fixpoint sweep cap for the probabilistic tier.
-    pub max_sweeps: usize,
-    /// Fixpoint convergence tolerance for the probabilistic tier.
-    pub tolerance: f64,
     /// Variable-ordering policy for the exact tier: a static seed order
     /// plus a dynamic reorder schedule (see [`crate::order`]). The
     /// default (`natural+off`) is the fixed-order build, bit for bit.
@@ -137,8 +133,6 @@ impl Default for ChainConfig {
             seed: 42,
             jobs: 1,
             tiers: vec![Tier::ExactBdd, Tier::Probabilistic, Tier::SampledSim],
-            max_sweeps: 50,
-            tolerance: 1e-9,
             reorder: crate::order::ReorderConfig::default(),
             obs: obs::Obs::disabled(),
         }
@@ -339,9 +333,7 @@ pub fn estimate_activity_resident(
             Tier::ExactBdd => cache
                 .get_or_build_reorder(nl, budget, &cfg.reorder, obs)
                 .map(|b| b.activity(&probs)),
-            Tier::Probabilistic => {
-                prob::try_activity(nl, &probs, cfg.max_sweeps, cfg.tolerance, budget)
-            }
+            Tier::Probabilistic => prob::try_activity(nl, &probs, budget),
             Tier::SampledSim => sampled_activity(nl, budget, cfg, &probs, stim.as_deref_mut()),
         };
         let elapsed = obs.now().saturating_sub(t0);

@@ -66,35 +66,26 @@ pub fn try_circuit_bdds(
     nl: &Netlist,
     budget: &ResourceBudget,
 ) -> Result<CircuitBdds, BudgetExceeded> {
-    try_circuit_bdds_obs(nl, budget, &obs::Obs::disabled())
+    try_circuit_bdds_reorder(nl, budget, &ReorderConfig::default(), &obs::Obs::disabled())
 }
 
-/// [`try_circuit_bdds`] that also publishes the manager's operation
-/// counters (`bdd.ite_calls`, `bdd.cache_lookups`, `bdd.cache_hits`,
-/// `bdd.cache_evictions`, `bdd.unique_lookups`, `bdd.unique_hits`,
-/// `bdd.nodes_created`, `bdd.gc_runs`, `bdd.nodes_freed`) and the peak
-/// live node count (gauge `bdd.peak_nodes`) to `obs`.
-///
-/// Metrics publish on success **and** on budget exhaustion — an abandoned
-/// exact tier is precisely when "how far did the BDD get" matters — which
-/// is why this lives here and not in the obs-free `bdd` crate: the manager
-/// counts its own work as plain integers, and this caller flushes them at
-/// the run boundary.
-pub fn try_circuit_bdds_obs(
-    nl: &Netlist,
-    budget: &ResourceBudget,
-    obs: &obs::Obs,
-) -> Result<CircuitBdds, BudgetExceeded> {
-    try_circuit_bdds_reorder(nl, budget, &ReorderConfig::default(), obs)
-}
-
-/// [`try_circuit_bdds_obs`] under an explicit [`ReorderConfig`]: the
-/// manager is seeded with the config's static order (fanin-DFS or FORCE,
-/// computed from the netlist) and runs its dynamic schedule during the
-/// build, publishing the pass counters as `bdd.reorder.runs`,
-/// `bdd.reorder.swaps`, `bdd.reorder.nodes_before` and
-/// `bdd.reorder.nodes_after`. The default config reproduces the fixed
+/// [`try_circuit_bdds`] under an explicit [`ReorderConfig`], publishing to
+/// `obs`: the manager is seeded with the config's static order (fanin-DFS
+/// or FORCE, computed from the netlist) and runs its dynamic schedule
+/// during the build. The default config reproduces the fixed
 /// natural-order build bit for bit.
+///
+/// Published: the manager's operation counters (`bdd.ite_calls`,
+/// `bdd.cache_lookups`, `bdd.cache_hits`, `bdd.cache_evictions`,
+/// `bdd.unique_lookups`, `bdd.unique_hits`, `bdd.nodes_created`,
+/// `bdd.gc_runs`, `bdd.nodes_freed`), the reorder pass counters
+/// (`bdd.reorder.runs`, `bdd.reorder.swaps`, `bdd.reorder.nodes_before`,
+/// `bdd.reorder.nodes_after`) and the peak live node count (gauge
+/// `bdd.peak_nodes`). Metrics publish on success **and** on budget
+/// exhaustion — an abandoned exact tier is precisely when "how far did
+/// the BDD get" matters — which is why this lives here and not in the
+/// obs-free `bdd` crate: the manager counts its own work as plain
+/// integers, and this caller flushes them at the run boundary.
 pub fn try_circuit_bdds_reorder(
     nl: &Netlist,
     budget: &ResourceBudget,
@@ -176,34 +167,53 @@ fn build_funcs(
             continue;
         }
         let ins: Vec<Ref> = nl.fanins(net).iter().map(|x| funcs[x.index()]).collect();
-        let func = match kind {
-            GateKind::Const(v) => mgr.constant(v),
-            GateKind::Buf => ins[0],
-            GateKind::Not => mgr.try_not(ins[0], budget)?,
-            GateKind::And => mgr.try_and_all(ins, budget)?,
-            GateKind::Or => mgr.try_or_all(ins, budget)?,
-            GateKind::Nand => {
-                let a = mgr.try_and_all(ins, budget)?;
-                mgr.try_not(a, budget)?
-            }
-            GateKind::Nor => {
-                let o = mgr.try_or_all(ins, budget)?;
-                mgr.try_not(o, budget)?
-            }
-            GateKind::Xor => mgr.try_xor_all(ins, budget)?,
-            GateKind::Xnor => {
-                let x = mgr.try_xor_all(ins, budget)?;
-                mgr.try_not(x, budget)?
-            }
-            GateKind::Mux => mgr.try_ite(ins[0], ins[2], ins[1], budget)?,
-            GateKind::Input | GateKind::Dff => unreachable!(),
-        };
+        let func = try_gate_bdd(mgr, kind, &ins, budget)?;
         // Root the completed function so GC under budget pressure only
         // reclaims abandoned intermediates.
         mgr.protect(func);
         funcs[net.index()] = func;
     }
     Ok((funcs, input_vars))
+}
+
+/// The function of one gate of `kind` over its fanin functions `ins`, in
+/// `mgr`. Circuit builds and the don't-care pass's observability
+/// substitution both build gates here, so they apply the same operations
+/// in the same order.
+///
+/// # Panics
+///
+/// Panics on [`GateKind::Input`] and [`GateKind::Dff`]: sources are
+/// variables, not gates.
+pub fn try_gate_bdd(
+    mgr: &mut Bdd,
+    kind: GateKind,
+    ins: &[Ref],
+    budget: &ResourceBudget,
+) -> Result<Ref, BudgetExceeded> {
+    let all = ins.iter().copied();
+    Ok(match kind {
+        GateKind::Const(v) => mgr.constant(v),
+        GateKind::Buf => ins[0],
+        GateKind::Not => mgr.try_not(ins[0], budget)?,
+        GateKind::And => mgr.try_and_all(all, budget)?,
+        GateKind::Or => mgr.try_or_all(all, budget)?,
+        GateKind::Nand => {
+            let a = mgr.try_and_all(all, budget)?;
+            mgr.try_not(a, budget)?
+        }
+        GateKind::Nor => {
+            let o = mgr.try_or_all(all, budget)?;
+            mgr.try_not(o, budget)?
+        }
+        GateKind::Xor => mgr.try_xor_all(all, budget)?,
+        GateKind::Xnor => {
+            let x = mgr.try_xor_all(all, budget)?;
+            mgr.try_not(x, budget)?
+        }
+        GateKind::Mux => mgr.try_ite(ins[0], ins[2], ins[1], budget)?,
+        GateKind::Input | GateKind::Dff => unreachable!("sources are variables"),
+    })
 }
 
 impl CircuitBdds {
@@ -251,15 +261,10 @@ impl CircuitBdds {
     }
 }
 
-/// Structural fingerprint of a netlist: FNV-1a over everything that
-/// determines its circuit BDDs (gate kinds, fanin wiring, input/dff order).
-/// Names are deliberately excluded — renaming a net cannot change its BDD.
-/// Public because the serve layer keys snapshot entries and warm-start
-/// bookkeeping off the same value the cache uses internally.
-pub fn structural_fingerprint(nl: &Netlist) -> u64 {
-    fingerprint(nl)
-}
-
+/// Structural fingerprint of a netlist, the cache key: FNV-1a over
+/// everything that determines its circuit BDDs (gate kinds, fanin wiring,
+/// input/dff order). Names are deliberately excluded — renaming a net
+/// cannot change its BDD.
 fn fingerprint(nl: &Netlist) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -384,13 +389,14 @@ impl CircuitBddCache {
         nl: &Netlist,
         budget: &ResourceBudget,
     ) -> Result<Rc<CircuitBdds>, BudgetExceeded> {
-        self.get_or_build_obs(nl, budget, &obs::Obs::disabled())
+        self.get_or_build_reorder(nl, budget, &ReorderConfig::default(), &obs::Obs::disabled())
     }
 
-    /// [`CircuitBddCache::get_or_build`] publishing cache traffic as
+    /// [`CircuitBddCache::get_or_build`] under an explicit
+    /// [`ReorderConfig`], publishing cache traffic as
     /// `bdd.circuit_cache.hits` / `bdd.circuit_cache.misses` and, on a
     /// miss, the underlying build's kernel counters (via
-    /// [`try_circuit_bdds_obs`]). A hit publishes no kernel counters —
+    /// [`try_circuit_bdds_reorder`]). A hit publishes no kernel counters —
     /// they count actual work, and a hit does none.
     ///
     /// A hit still honors the caller's node budget: if the cached
@@ -399,23 +405,14 @@ impl CircuitBddCache {
     /// Without this check a warm cache would let a starved job succeed
     /// that a cold process rejects, and budget verdicts would depend on
     /// what ran before — the opposite of the fault-isolation contract.
-    pub fn get_or_build_obs(
-        &mut self,
-        nl: &Netlist,
-        budget: &ResourceBudget,
-        obs: &obs::Obs,
-    ) -> Result<Rc<CircuitBdds>, BudgetExceeded> {
-        self.get_or_build_reorder(nl, budget, &ReorderConfig::default(), obs)
-    }
-
-    /// [`CircuitBddCache::get_or_build_obs`] under an explicit
-    /// [`ReorderConfig`]. The config is mixed into the cache key, so the
-    /// same circuit built under different ordering policies occupies
-    /// distinct entries — a warm hit always replays the order it was
-    /// built (and snapshotted) with, and never serves a fixed-order build
-    /// to a reorder-enabled caller or vice versa. The default config's
-    /// key is the bare structural fingerprint, keeping snapshots from
-    /// order-unaware builds warm.
+    ///
+    /// The config is mixed into the cache key, so the same circuit built
+    /// under different ordering policies occupies distinct entries — a
+    /// warm hit always replays the order it was built (and snapshotted)
+    /// with, and never serves a fixed-order build to a reorder-enabled
+    /// caller or vice versa. The default config's key is the bare
+    /// structural fingerprint, keeping snapshots from order-unaware builds
+    /// warm.
     pub fn get_or_build_reorder(
         &mut self,
         nl: &Netlist,
@@ -436,6 +433,13 @@ impl CircuitBddCache {
         self.misses += 1;
         obs.add("bdd.circuit_cache.misses", 1);
         let built = Rc::new(try_circuit_bdds_reorder(nl, budget, reorder, obs)?);
+        self.insert(key, Rc::clone(&built));
+        Ok(built)
+    }
+
+    /// Hold `circuit` under `key`, evicting the oldest entries beyond
+    /// capacity.
+    fn insert(&mut self, key: u64, circuit: Rc<CircuitBdds>) {
         while self.entries.len() >= self.capacity {
             match self.order.pop_front() {
                 Some(old) => {
@@ -444,9 +448,8 @@ impl CircuitBddCache {
                 None => break,
             }
         }
-        self.entries.insert(key, Rc::clone(&built));
+        self.entries.insert(key, circuit);
         self.order.push_back(key);
-        Ok(built)
     }
 }
 
@@ -540,34 +543,9 @@ impl CircuitBddCache {
     /// circuits loaded; entries already present (by fingerprint) are
     /// skipped, and capacity eviction applies as usual.
     pub fn load_snapshot_text(&mut self, text: &str) -> Result<usize, bdd::store::StoreError> {
-        use bdd::store::StoreError;
-        let malformed = |w: &str| StoreError::Malformed(w.to_string());
-        let mut lines = text.lines();
-        let version_line = lines.next().ok_or_else(|| malformed("empty snapshot"))?;
-        let version = version_line
-            .strip_prefix(".lpsnap ")
-            .ok_or_else(|| StoreError::Version(version_line.to_string()))?;
-        if version.trim().parse::<u32>() != Ok(SNAPSHOT_VERSION) {
-            return Err(StoreError::Version(version.trim().to_string()));
-        }
-        let entries_line = lines.next().ok_or_else(|| malformed("missing .entries"))?;
-        let count: usize = entries_line
-            .strip_prefix(".entries ")
-            .and_then(|n| n.trim().parse().ok())
-            .ok_or_else(|| malformed("unreadable .entries line"))?;
+        let malformed = |w: &str| bdd::store::StoreError::Malformed(w.to_string());
         // Verify the envelope checksum before rebuilding anything.
-        let end_at = text
-            .rfind("\n.endsnap ")
-            .ok_or_else(|| malformed("missing .endsnap trailer"))?;
-        let trailer = text[end_at + 1..].trim_end();
-        let stored = trailer
-            .strip_prefix(".endsnap ")
-            .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
-            .ok_or_else(|| malformed("unreadable .endsnap trailer"))?;
-        let computed = bdd::store::fnv1a(&text.as_bytes()[..end_at + 1]);
-        if stored != computed {
-            return Err(StoreError::Checksum { stored, computed });
-        }
+        let Envelope { count, end_at } = parse_envelope(text)?;
         // Parse every entry before touching the cache (all-or-nothing).
         let mut cursor = text
             .find("\n.entry ")
@@ -590,16 +568,7 @@ impl CircuitBddCache {
             if self.entries.contains_key(&key) {
                 continue;
             }
-            while self.entries.len() >= self.capacity {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        self.entries.remove(&old);
-                    }
-                    None => break,
-                }
-            }
-            self.entries.insert(key, Rc::new(circuit));
-            self.order.push_back(key);
+            self.insert(key, Rc::new(circuit));
             loaded += 1;
         }
         Ok(loaded)
@@ -613,6 +582,21 @@ impl CircuitBddCache {
 /// truncation or version skew is caught here, and
 /// [`CircuitBddCache::load_snapshot_text`] re-verifies everything anyway.
 pub fn verify_snapshot_text(text: &str) -> Result<(), bdd::store::StoreError> {
+    parse_envelope(text).map(|_| ())
+}
+
+/// A snapshot's verified envelope.
+struct Envelope {
+    /// Entries the `.entries` header declares.
+    count: usize,
+    /// Byte offset of the newline before the `.endsnap` trailer; the
+    /// checksum covers everything up to and including it.
+    end_at: usize,
+}
+
+/// Parse and check a snapshot's version line, `.entries` header and
+/// `.endsnap` checksum.
+fn parse_envelope(text: &str) -> Result<Envelope, bdd::store::StoreError> {
     use bdd::store::StoreError;
     let malformed = |w: &str| StoreError::Malformed(w.to_string());
     let mut lines = text.lines();
@@ -624,7 +608,7 @@ pub fn verify_snapshot_text(text: &str) -> Result<(), bdd::store::StoreError> {
         return Err(StoreError::Version(version.trim().to_string()));
     }
     let entries_line = lines.next().ok_or_else(|| malformed("missing .entries"))?;
-    entries_line
+    let count = entries_line
         .strip_prefix(".entries ")
         .and_then(|n| n.trim().parse::<usize>().ok())
         .ok_or_else(|| malformed("unreadable .entries line"))?;
@@ -640,7 +624,7 @@ pub fn verify_snapshot_text(text: &str) -> Result<(), bdd::store::StoreError> {
     if stored != computed {
         return Err(StoreError::Checksum { stored, computed });
     }
-    Ok(())
+    Ok(Envelope { count, end_at })
 }
 
 #[cfg(test)]
@@ -733,7 +717,8 @@ mod tests {
     fn obs_metrics_publish_on_success_and_failure() {
         let (nl, _) = ripple_adder(4);
         let obs = obs::Obs::enabled();
-        try_circuit_bdds_obs(&nl, &ResourceBudget::unlimited(), &obs).unwrap();
+        let natural = ReorderConfig::default();
+        try_circuit_bdds_reorder(&nl, &ResourceBudget::unlimited(), &natural, &obs).unwrap();
         let snap = obs.snapshot();
         let lookups = snap.counter("bdd.cache_lookups").unwrap();
         let hits = snap.counter("bdd.cache_hits").unwrap();
@@ -750,7 +735,7 @@ mod tests {
         let (hostile, _) = netlist::gen::array_multiplier(6);
         let obs = obs::Obs::enabled();
         let tight = ResourceBudget::unlimited().with_max_bdd_nodes(64);
-        assert!(try_circuit_bdds_obs(&hostile, &tight, &obs).is_err());
+        assert!(try_circuit_bdds_reorder(&hostile, &tight, &natural, &obs).is_err());
         let snap = obs.snapshot();
         assert!(snap.counter("bdd.nodes_created").unwrap() > 0);
         assert!(snap.gauge("bdd.peak_nodes").unwrap() >= 64.0);

@@ -123,22 +123,25 @@ pub fn try_propagate(
     })
 }
 
+/// Fixpoint sweep cap of [`activity`] on a sequential netlist.
+const MAX_SWEEPS: usize = 50;
+/// Convergence tolerance of [`activity`]'s fixpoint on a sequential
+/// netlist: the largest flip-flop probability change of a sweep.
+const TOLERANCE: f64 = 1e-9;
+
 /// Estimate zero-delay switching activity under temporal independence:
 /// `toggles = 2·p·(1−p)` per net.
 pub fn activity(nl: &Netlist, input_probs: &[f64]) -> ActivityProfile {
-    let propagated = propagate(nl, input_probs, 50, 1e-9);
-    profile_from(propagated)
+    profile_from(propagate(nl, input_probs, MAX_SWEEPS, TOLERANCE))
 }
 
 /// [`activity`] under a [`ResourceBudget`].
 pub fn try_activity(
     nl: &Netlist,
     input_probs: &[f64],
-    max_sweeps: usize,
-    tolerance: f64,
     budget: &ResourceBudget,
 ) -> Result<ActivityProfile, BudgetExceeded> {
-    Ok(profile_from(try_propagate(nl, input_probs, max_sweeps, tolerance, budget)?))
+    Ok(profile_from(try_propagate(nl, input_probs, MAX_SWEEPS, TOLERANCE, budget)?))
 }
 
 fn profile_from(propagated: Propagated) -> ActivityProfile {

@@ -248,7 +248,7 @@ fn parsed_field<T: std::str::FromStr>(fields: &[&str], key: &str) -> io::Result<
 }
 
 /// Read one request. `Ok(None)` means clean EOF or idle shutdown (see
-/// [`read_line_with_stop`]).
+/// `read_line_with_stop`).
 pub fn read_request<R: Read>(r: &mut R, stop: &dyn Fn() -> bool) -> io::Result<Option<Request>> {
     let Some(line) = read_line_with_stop(r, stop)? else {
         return Ok(None);

@@ -10,7 +10,7 @@
 //! `64*(wb*LANES + l) .. +64`. Cross-lane concerns (toggles across block
 //! boundaries) stay with the per-lane `u64` bit tricks the engines
 //! already use, and a stream's ragged last group is evaluated whole and
-//! then cut to its valid cycles with a [`prefix_mask`]: every engine runs
+//! then cut to its valid cycles with a `prefix_mask`: every engine runs
 //! one kernel for every stream length.
 
 /// Lanes per wide word: 4 × 64 = 256 patterns per evaluation step.

@@ -89,6 +89,38 @@ const CASES: &[Case] = &[
         artifacts: &["dc.blif", "metrics.json"],
     },
     Case {
+        // `bench_incr`'s rand40 (`random_dag`, 40 gates, seed 21), a DAG
+        // with genuine observability don't-cares: all three move classes
+        // enumerate, and resub and dontcare moves win.
+        name: "rewrite-rand40",
+        args: &[
+            "--jobs",
+            "1",
+            "--report",
+            "--metrics-json",
+            "metrics.json",
+            "rewrite",
+            "{IN}/rand40.blif",
+            "rw.blif",
+        ],
+        artifacts: &["rw.blif", "metrics.json"],
+    },
+    Case {
+        // Unlike parity8, candidates here reach the full BDD analysis.
+        name: "dontcare-rand40",
+        args: &[
+            "--jobs",
+            "1",
+            "--report",
+            "--metrics-json",
+            "metrics.json",
+            "dontcare",
+            "{IN}/rand40.blif",
+            "dc.blif",
+        ],
+        artifacts: &["dc.blif", "metrics.json"],
+    },
+    Case {
         name: "fsm-counter4",
         args: &[
             "--jobs",

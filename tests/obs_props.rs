@@ -16,7 +16,8 @@ use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::Netlist;
 use lowpower::obs::Obs;
 use lowpower::power::chain::{estimate_activity, ChainConfig};
-use lowpower::power::exact::try_circuit_bdds_obs;
+use lowpower::power::exact::try_circuit_bdds_reorder;
+use lowpower::power::order::ReorderConfig;
 use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::stimulus::Stimulus;
 use proptest::prelude::*;
@@ -45,7 +46,7 @@ proptest! {
         let obs = Obs::enabled();
         let budget = ResourceBudget::unlimited().with_max_bdd_nodes(node_cap);
         // Counters must hold whether the build finished or was abandoned.
-        let _ = try_circuit_bdds_obs(&nl, &budget, &obs);
+        let _ = try_circuit_bdds_reorder(&nl, &budget, &ReorderConfig::default(), &obs);
         let snap = obs.snapshot();
         let hits = snap.counter("bdd.cache_hits").unwrap_or(0);
         let lookups = snap.counter("bdd.cache_lookups").unwrap_or(0);
