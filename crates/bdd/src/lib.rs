@@ -31,6 +31,8 @@
 //! assert!((p - 0.125).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod manager;
 pub mod store;
 

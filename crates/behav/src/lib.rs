@@ -18,6 +18,8 @@
 //!   accesses dominate; bigger memories switch more capacitance per
 //!   access.
 
+#![forbid(unsafe_code)]
+
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

@@ -4,6 +4,8 @@
 //! full suite, and `EXPERIMENTS.md` records the measured numbers against
 //! the paper's claims.
 
+#![forbid(unsafe_code)]
+
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

@@ -18,6 +18,8 @@
 //! and wall-clock checks are expected to be amortized by the caller (check
 //! every few thousand events, not every event).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

@@ -10,5 +10,7 @@
 //!   slack allows it until slack hits zero or the transistors reach minimum
 //!   size, trading delay margin for power (§II.B, refs \[42\]\[3\]).
 
+#![forbid(unsafe_code)]
+
 pub mod reorder;
 pub mod sizing;

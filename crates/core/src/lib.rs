@@ -28,6 +28,8 @@
 //! assert!(result.glitch_fraction_after < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bdd;
 pub use behav;
 pub use budget;

@@ -1,10 +1,11 @@
-//! Workspace-level parallel fan-out utilities.
+//! Workspace-level parallelism helpers.
 //!
-//! Re-exports the scoped-thread pool of [`sim::par`] and adds the small
-//! conveniences the experiment binaries use to spread independent circuits
-//! (or whole exhibits) across cores. Everything here preserves the
-//! determinism contract: results come back in item order, so a fanned-out
-//! experiment renders its report rows in exactly the serial order.
+//! Re-exports the fork-join primitives of [`sim::par`] (one scoped
+//! fork-join per call) that the experiment binaries use to spread
+//! independent circuits (or whole exhibits) across cores, plus the
+//! `LPOPT_JOBS` lookup. Everything here preserves the determinism
+//! contract: results come back in item order, so a parallel experiment
+//! renders its report rows in exactly the serial order.
 
 pub use sim::par::{num_threads, par_map, shard_ranges};
 
@@ -17,26 +18,9 @@ pub fn jobs_from_env() -> usize {
         .unwrap_or(0)
 }
 
-/// Run independent closures across the pool and return their results in
-/// order. The closure list form the experiment drivers prefer: each entry
-/// builds one circuit/report, the pool spreads them over `jobs` threads.
-pub fn fan_out<U, F>(tasks: Vec<F>, jobs: usize) -> Vec<U>
-where
-    U: Send,
-    F: Fn() -> U + Sync,
-{
-    par_map(&tasks, jobs, |_, task| task())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fan_out_preserves_order() {
-        let tasks: Vec<_> = (0..16).map(|i| move || i * 3).collect();
-        assert_eq!(fan_out(tasks, 4), (0..16).map(|i| i * 3).collect::<Vec<_>>());
-    }
 
     #[test]
     fn jobs_from_env_defaults_to_all_cores() {

@@ -12,6 +12,8 @@
 //! comparison; `crates/bench`'s `bench_json` binary is the persistent
 //! performance record for this repository.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Re-export so bench code can use `criterion::black_box` too.

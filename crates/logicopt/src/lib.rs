@@ -20,6 +20,8 @@
 //! * [`twolevel`] — espresso-lite two-level minimization with don't-cares,
 //!   the foundation the node-level passes and FSM synthesis build on.
 
+#![forbid(unsafe_code)]
+
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

@@ -26,6 +26,8 @@
 //! assert_eq!(nl.eval_comb(&[true, false, true])[0], true);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

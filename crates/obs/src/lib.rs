@@ -40,6 +40,8 @@
 //! assert_eq!(snap.spans.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 mod metrics;
 

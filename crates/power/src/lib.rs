@@ -40,6 +40,8 @@
 //! assert!(report.switching_fraction() > 0.9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod density;
 pub mod estimate;

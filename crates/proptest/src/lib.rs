@@ -19,6 +19,8 @@
 //! * Default case count is 64 (the real crate's 256), keeping the suite
 //!   fast on small CI machines; `ProptestConfig::with_cases` overrides.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

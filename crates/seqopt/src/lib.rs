@@ -18,6 +18,8 @@
 //! * [`buscode`] — bus-invert and limited-weight bus codes (\[39\]).
 //! * [`residue`] — one-hot residue arithmetic (\[11\]).
 
+#![forbid(unsafe_code)]
+
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

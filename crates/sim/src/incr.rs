@@ -26,8 +26,8 @@
 //! through the same code path — results are identical either way, the
 //! fallback merely skips pointless cone bookkeeping.
 //!
-//! Applied deltas are journaled on a multi-slot **undo stack** (each
-//! engine holds one [`Journal`], the type `circuit::sizing::StaCache` uses
+//! The functional engine journals applied deltas on a multi-slot **undo
+//! stack** (one [`Journal`], the type `circuit::sizing::StaCache` uses
 //! too): a search can take a [`Mark`] with [`IncrementalSim::checkpoint`],
 //! speculatively apply a chain of deltas, score each state on the resident
 //! engine, and either unwind to any live mark with
@@ -35,7 +35,8 @@
 //! the chain) or make the chain permanent with [`IncrementalSim::commit`].
 //! Only frames above the oldest outstanding mark are kept, so a caller
 //! that never checkpoints holds no journal at all and memory stays
-//! constant.
+//! constant. The event-driven engine has no undo stack: its callers only
+//! build, apply and read.
 //!
 //! [`IncrementalSim::observability_mask`] asks the resident words which
 //! patterns observe a node: it inverts the node's words in place,
@@ -367,12 +368,8 @@ struct Undo {
 /// counts, levels and fanout lists of the last evaluation, and keeps all of
 /// them consistent under [`IncrementalSim::apply_delta`] /
 /// [`IncrementalSim::rollback_to`].
-///
-/// `X` is extra per-apply state a wrapping engine journals beside each
-/// functional frame (the event engine's previous total profile); plain
-/// callers use the default `()`.
 #[derive(Debug)]
-pub struct IncrementalSim<X = ()> {
+pub struct IncrementalSim {
     nl: Netlist,
     cycles: usize,
     nblocks: usize,
@@ -390,7 +387,7 @@ pub struct IncrementalSim<X = ()> {
     force_full: bool,
     obs: obs::Obs,
     stats: IncrStats,
-    journal: Journal<(Undo, X)>,
+    journal: Journal<Undo>,
     // Per-apply scratch: the edited nets and their structural fanout cone.
     cone: Vec<NetId>,
     touched: Vec<NetId>,
@@ -489,27 +486,16 @@ impl IncrementalSim {
         budget: &ResourceBudget,
     ) -> Result<ApplyInfo, BudgetExceeded> {
         let (info, undo) = self.apply(delta, budget)?;
-        self.record(&info, undo, ());
+        self.record(&info, undo);
         Ok(info)
     }
 
-    /// Unwind every delta applied after `mark`, restoring the engine
-    /// bit-identically to its state when the checkpoint was taken.
-    ///
-    /// Returns false (and changes nothing) if the mark has been passed by
-    /// a [`IncrementalSim::commit`]; see [`Journal::rollback_to`].
-    pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        self.rollback_with(mark, |()| {})
-    }
-}
-
-impl<X> IncrementalSim<X> {
     fn build(
         nl: &Netlist,
         packed: &PackedPatterns,
         budget: &ResourceBudget,
         obs: obs::Obs,
-    ) -> Result<IncrementalSim<X>, BudgetExceeded> {
+    ) -> Result<IncrementalSim, BudgetExceeded> {
         assert!(nl.is_combinational(), "incremental engine requires combinational netlist");
         assert_eq!(packed.width(), nl.num_inputs(), "stimulus width");
         let order = nl.topo_order().expect("netlist must be acyclic");
@@ -618,17 +604,16 @@ impl<X> IncrementalSim<X> {
     }
 
     /// Attach an observability handle (counters flush per applied delta).
-    pub fn with_obs(mut self, obs: obs::Obs) -> IncrementalSim<X> {
+    pub fn with_obs(mut self, obs: obs::Obs) -> IncrementalSim {
         self.obs = obs;
         self
     }
 
-    /// Journal an accepted apply (with the wrapping engine's `extra`
-    /// state) and count it in `stats()` and the obs counters. Called only
-    /// once every layer has accepted the delta, so an apply undone on
-    /// budget exhaustion leaves no trace in either.
-    fn record(&mut self, info: &ApplyInfo, undo: Undo, extra: X) {
-        self.journal.push((undo, extra));
+    /// Journal an accepted apply and count it in `stats()` and the obs
+    /// counters. Called only once every layer has accepted the delta, so
+    /// an apply undone on budget exhaustion leaves no trace in either.
+    fn record(&mut self, info: &ApplyInfo, undo: Undo) {
+        self.journal.push(undo);
         self.stats.deltas += 1;
         self.stats.nets_dirtied += info.dirtied as u64;
         self.stats.nets_reevaluated += info.reevaluated as u64;
@@ -1037,14 +1022,14 @@ impl<X> IncrementalSim<X> {
         self.journal.checkpoint()
     }
 
-    /// Undo every frame above `mark`, handing each frame's extra state to
-    /// `restore` (newest first); see [`Journal::rollback_to`].
-    fn rollback_with(&mut self, mark: Mark, mut restore: impl FnMut(X)) -> bool {
+    /// Unwind every delta applied after `mark`, restoring the engine
+    /// bit-identically to its state when the checkpoint was taken.
+    ///
+    /// Returns false (and changes nothing) if the mark has been passed by
+    /// a [`IncrementalSim::commit`]; see [`Journal::rollback_to`].
+    pub fn rollback_to(&mut self, mark: Mark) -> bool {
         let mut journal = std::mem::take(&mut self.journal);
-        let live = journal.rollback_to(mark, |(undo, extra)| {
-            self.undo_frame(undo);
-            restore(extra);
-        });
+        let live = journal.rollback_to(mark, |undo| self.undo_frame(undo));
         self.journal = journal;
         if live {
             self.stats.rollbacks += 1;
@@ -1196,11 +1181,12 @@ fn count_words(words: &[u64], cycles: usize) -> (u64, u64) {
 /// An [`IncrementalSim`] carries the functional layer; the glitch-inclusive
 /// layer is one [`EventSim`] run over the edited netlist per applied delta,
 /// so [`IncrementalEventSim::activity`] is `EventSim`'s answer by
-/// construction. Each journal frame stores the total profile the apply
-/// replaced, so a rollback restores both layers.
+/// construction. It has no undo stack: its callers build, apply and read,
+/// and never take a mark, so an accepted apply replaces the total profile
+/// outright.
 #[derive(Debug)]
 pub struct IncrementalEventSim {
-    func: IncrementalSim<ActivityProfile>,
+    func: IncrementalSim,
     model: DelayModel,
     /// The resident stimulus, unpacked once for the event runs.
     patterns: PatternSet,
@@ -1238,7 +1224,7 @@ impl IncrementalEventSim {
         budget: &ResourceBudget,
         obs: obs::Obs,
     ) -> Result<IncrementalEventSim, BudgetExceeded> {
-        let func = IncrementalSim::<ActivityProfile>::build(nl, packed, budget, obs)?;
+        let func = IncrementalSim::build(nl, packed, budget, obs)?;
         let patterns: PatternSet = (0..packed.cycles())
             .map(|k| (0..packed.width()).map(|i| packed.bit(i, k)).collect())
             .collect();
@@ -1304,8 +1290,8 @@ impl IncrementalEventSim {
             .try_activity(&self.patterns, budget);
         match timing {
             Ok(timing) => {
-                let prev = std::mem::replace(&mut self.total, timing.total);
-                self.func.record(&info, undo, prev);
+                self.total = timing.total;
+                self.func.record(&info, undo);
                 Ok(info)
             }
             Err(e) => {
@@ -1313,25 +1299,6 @@ impl IncrementalEventSim {
                 Err(e)
             }
         }
-    }
-
-    /// Mark the current state for a later rollback or commit (see
-    /// [`IncrementalSim::checkpoint`]).
-    pub fn checkpoint(&mut self) -> Mark {
-        self.func.checkpoint()
-    }
-
-    /// Unwind both layers to `mark`, bit-identical to the state at the
-    /// checkpoint. Rejects (returns false, changes nothing) marks below
-    /// the committed floor; see [`IncrementalSim::rollback_to`].
-    pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        self.func.rollback_with(mark, |prev| self.total = prev)
-    }
-
-    /// Make every delta at or below `mark` permanent; see
-    /// [`IncrementalSim::commit`].
-    pub fn commit(&mut self, mark: Mark) -> bool {
-        self.func.commit(mark)
     }
 
     /// The timing activity, bit-identical to
@@ -1491,50 +1458,6 @@ mod tests {
     }
 
     #[test]
-    fn event_stack_matches_from_scratch_at_every_depth() {
-        let (nl, _) = ripple_adder(4);
-        let patterns = Stimulus::uniform(8).patterns(110, 23);
-        let packed = PackedPatterns::pack(&patterns);
-        let model = DelayModel::Analytic { resolution: 4 };
-        let mut engine = IncrementalEventSim::from_full_eval(&nl, &model, &packed);
-        let m0 = engine.checkpoint();
-        let base = bits(&engine.activity().total);
-        // Chain: rewire one gate, then buffer another's fanin.
-        let victim = nl
-            .iter_nets()
-            .find(|&g| nl.kind(g) == GateKind::And)
-            .expect("adder has AND gates");
-        let mut d1 = Delta::for_netlist(engine.netlist());
-        d1.set_gate(victim, GateKind::Or, nl.fanins(victim));
-        engine.apply_delta(&d1);
-        let m1 = engine.checkpoint();
-        let sink = iter_rev(&nl)
-            .find(|&g| !nl.kind(g).is_source() && nl.fanins(g).len() >= 2)
-            .expect("gate with fanins");
-        let mut d2 = Delta::for_netlist(engine.netlist());
-        let mut fanins = engine.netlist().fanins(sink).to_vec();
-        let buf = d2.add_gate(GateKind::Buf, &[fanins[0]]);
-        fanins[0] = buf;
-        d2.set_gate(sink, engine.netlist().kind(sink), &fanins);
-        engine.apply_delta(&d2);
-        // Depth 2 matches a from-scratch run on the doubly-edited netlist.
-        let mut edited = nl.clone();
-        d1.apply_to(&mut edited);
-        d2.apply_to(&mut edited);
-        let ref2 = EventSim::new(&edited, &model).activity(&patterns);
-        assert_eq!(bits(&engine.activity().total), bits(&ref2.total));
-        // Unwind one frame: matches depth 1; unwind home: matches base.
-        assert!(engine.rollback_to(m1));
-        let mut once = nl.clone();
-        d1.apply_to(&mut once);
-        let ref1 = EventSim::new(&once, &model).activity(&patterns);
-        assert_eq!(bits(&engine.activity().total), bits(&ref1.total));
-        assert!(engine.rollback_to(m0));
-        assert_eq!(bits(&engine.activity().total), base);
-        assert_eq!(engine.netlist().len(), nl.len());
-    }
-
-    #[test]
     fn buffer_insertion_cuts_off_immediately() {
         if stress_env() {
             // The assertions below pin the *fast path*; under forced full
@@ -1613,7 +1536,6 @@ mod tests {
             let b2 = delta.add_gate(GateKind::Buf, &[b1]);
             fanins[1] = b2;
             delta.set_gate(sink, nl.kind(sink), &fanins);
-            let mark = engine.checkpoint();
             engine.apply_delta(&delta);
             let mut edited = nl.clone();
             delta.apply_to(&mut edited);
@@ -1621,11 +1543,38 @@ mod tests {
             let got = engine.activity();
             assert_eq!(bits(&got.total), bits(&edited_ref.total), "{model:?}");
             assert_eq!(bits(&got.functional), bits(&edited_ref.functional));
-            // Rolling back restores the original timing activity.
-            assert!(engine.rollback_to(mark));
-            let back = engine.activity();
-            assert_eq!(bits(&back.total), bits(&reference.total));
         }
+
+        // A two-edit chain under analytic delays: rewire one gate, then
+        // buffer another's fanin. Each depth matches a from-scratch run.
+        let (nl, _) = ripple_adder(4);
+        let patterns = Stimulus::uniform(8).patterns(110, 23);
+        let packed = PackedPatterns::pack(&patterns);
+        let model = DelayModel::Analytic { resolution: 4 };
+        let mut engine = IncrementalEventSim::from_full_eval(&nl, &model, &packed);
+        let victim = nl
+            .iter_nets()
+            .find(|&g| nl.kind(g) == GateKind::And)
+            .expect("adder has AND gates");
+        let mut edited = nl.clone();
+        let mut d1 = Delta::for_netlist(&edited);
+        d1.set_gate(victim, GateKind::Or, nl.fanins(victim));
+        engine.apply_delta(&d1);
+        d1.apply_to(&mut edited);
+        let ref1 = EventSim::new(&edited, &model).activity(&patterns);
+        assert_eq!(bits(&engine.activity().total), bits(&ref1.total));
+        let sink = iter_rev(&nl)
+            .find(|&g| !nl.kind(g).is_source() && nl.fanins(g).len() >= 2)
+            .expect("gate with fanins");
+        let mut d2 = Delta::for_netlist(&edited);
+        let mut fanins = edited.fanins(sink).to_vec();
+        let buf = d2.add_gate(GateKind::Buf, &[fanins[0]]);
+        fanins[0] = buf;
+        d2.set_gate(sink, edited.kind(sink), &fanins);
+        engine.apply_delta(&d2);
+        d2.apply_to(&mut edited);
+        let ref2 = EventSim::new(&edited, &model).activity(&patterns);
+        assert_eq!(bits(&engine.activity().total), bits(&ref2.total));
     }
 
     #[test]
@@ -1678,8 +1627,7 @@ mod tests {
             obs.clone(),
         )
         .expect("unlimited budget");
-        // One accepted edit under a live mark, then a starved one.
-        let mark = engine.checkpoint();
+        // One accepted edit, then a starved one.
         let mut first = Delta::for_netlist(&nl);
         first.set_gate(y, GateKind::Or, &[x2, a]);
         engine.apply_delta(&first);
@@ -1700,13 +1648,6 @@ mod tests {
         assert_eq!(engine.stats(), before);
         assert_eq!(engine.stats().deltas, 1);
         assert_eq!(obs.snapshot().counter("sim.incr.deltas"), Some(1));
-        // The mark still unwinds both layers to the base netlist.
-        assert!(engine.rollback_to(mark));
-        let base = EventSim::new(&nl, &DelayModel::Unit).activity(&patterns);
-        let got = engine.activity();
-        assert_eq!(bits(&got.functional), bits(&base.functional));
-        assert_eq!(bits(&got.total), bits(&base.total));
-        assert_eq!(engine.stats().rollbacks, 1);
     }
 
     #[test]

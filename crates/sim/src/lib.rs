@@ -28,6 +28,8 @@
 //! assert!(activity.avg_toggles_per_cycle() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

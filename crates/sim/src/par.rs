@@ -1,27 +1,26 @@
-//! Persistent worker pool for the simulation engines.
+//! Fork-join parallelism for the simulation engines.
 //!
 //! The whole experiment suite funnels through the simulators, so they are
 //! the natural place to spend every core the host has. This module keeps
 //! the workspace's zero-runtime-dependency policy: all parallelism is
-//! `std::thread` plus mutex/condvar hand-offs.
+//! `std::thread`.
 //!
-//! Worker threads are spawned **once** per process (`cores - 1` of them,
-//! lazily, on the first multi-threaded call) and park on a condvar between
-//! calls. A parallel run broadcasts one type-erased job to the pool; the
-//! calling thread always participates in its own job, so a 1-core host —
-//! or a pool busy serving another caller, or a nested call from inside a
-//! pool job — degrades gracefully: busy/nested callers fall back to the
-//! old scoped-spawn path, and with no pool workers at all the caller just
-//! runs every shard itself. Repeated pass-loop measurements (balance and
-//! sizing sweeps, serve jobs) therefore amortize thread setup to zero
-//! instead of paying a spawn per call.
+//! Each parallel call is one fork-join: [`par_map_with`] starts up to
+//! `threads - 1` helper threads inside one `std::thread::scope`, works
+//! beside them on the calling thread, and returns once the scope has
+//! joined them all, so no thread outlives the call. A helper the host
+//! cannot start is skipped; the threads that did start drain the work
+//! between them. A process makes at most a few parallel calls (the
+//! optimization loops judge their candidates on incremental engines that
+//! never shard), so one thread spawn per helper per call is all the setup
+//! there is.
 //!
 //! Invariants every caller relies on:
 //!
 //! * **Determinism** — [`par_map`] returns results in item order, and the
 //!   simulators merge per-shard integer counts in fixed shard order, so an
 //!   [`crate::ActivityProfile`] is bit-identical for every thread count —
-//!   including whatever subset of the pool actually picks the job up.
+//!   including however many helpers actually started.
 //! * **Arena locality** — [`par_map_with`] gives each participant one
 //!   `init()`-built state reused across every item it steals, so the hot
 //!   loops allocate nothing per shard: simulation arenas and event queues
@@ -33,13 +32,13 @@
 //!   fault-injection experiment tripping an assert on one shard) costs a
 //!   retry instead of the whole run — and the fixed-order merge the
 //!   simulators rely on is unaffected because results still come back in
-//!   item order. A caught panic also never kills a pool worker: the pool
-//!   survives for the next call.
+//!   item order. A caught panic never ends a participant either: it
+//!   rebuilds its state and goes on to the next item.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::Mutex;
 
 /// Resolve a requested job count: `0` means "all available cores".
 pub fn num_threads(jobs: usize) -> usize {
@@ -85,184 +84,6 @@ pub fn record_shard_gauges(obs: &obs::Obs, engine: &str, shard_sizes: &[usize]) 
     let balance = total as f64 / (shards as f64 * max as f64);
     obs.gauge_max(&format!("sim.par.{engine}.shards"), shards as f64);
     obs.gauge_set(&format!("sim.par.{engine}.balance"), balance);
-}
-
-/// One broadcast job: a type-erased pointer to the caller's work closure,
-/// valid until the caller clears the slot and drains `running` to zero.
-struct JobSlot {
-    /// The work closure, lifetime-erased. Safety: the submitting call
-    /// clears this slot and then blocks until `PoolState::running == 0`
-    /// before returning, so no worker can observe it dangling.
-    work: *const (dyn Fn() + Sync),
-    /// Job sequence number; a worker claims each generation at most once.
-    generation: u64,
-    /// Remaining pool participants the caller asked for.
-    slots: usize,
-}
-
-// The raw closure pointer is only ever dereferenced under the claim
-// protocol above; the pointee is `Sync` by construction.
-unsafe impl Send for JobSlot {}
-
-struct PoolState {
-    job: Option<JobSlot>,
-    generation: u64,
-    /// Workers currently inside a claimed job.
-    running: usize,
-    /// A call currently owns the job slot (set until its drain completes).
-    busy: bool,
-}
-
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Wakes parked workers when a job lands.
-    work_cv: Condvar,
-    /// Wakes the submitting caller when the last claimed worker finishes.
-    done_cv: Condvar,
-    /// Worker threads actually spawned (0 on a 1-core host).
-    workers: AtomicUsize,
-}
-
-thread_local! {
-    /// Set on pool worker threads so nested parallel calls from inside a
-    /// job never touch the (necessarily busy) pool.
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn lock_state(pool: &Pool) -> MutexGuard<'_, PoolState> {
-    pool.state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn worker_loop(pool: &'static Pool) {
-    IN_POOL_WORKER.with(|w| w.set(true));
-    let mut last_generation = 0u64;
-    let mut st = lock_state(pool);
-    loop {
-        let claimed = match st.job.as_mut() {
-            Some(job) if job.generation != last_generation && job.slots > 0 => {
-                job.slots -= 1;
-                last_generation = job.generation;
-                Some(job.work)
-            }
-            _ => None,
-        };
-        match claimed {
-            Some(work) => {
-                st.running += 1;
-                drop(st);
-                // Keep the worker alive whatever the job does; per-item
-                // panic handling lives inside the closure.
-                let _ = catch_unwind(AssertUnwindSafe(|| unsafe { (*work)() }));
-                st = lock_state(pool);
-                st.running -= 1;
-                if st.running == 0 {
-                    pool.done_cv.notify_all();
-                }
-            }
-            None => st = pool.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<&'static Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        // `LPOPT_POOL_WORKERS` overrides the pool size (0 disables the
-        // pool entirely, forcing the scoped fallback).
-        let mut target = std::env::var("LPOPT_POOL_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .saturating_sub(1)
-            });
-        // Under test, keep at least two workers alive even on a 1-core
-        // host so the claim/drain protocol itself is exercised; results
-        // are partition-agnostic, so this cannot change any outcome.
-        if cfg!(test) && std::env::var_os("LPOPT_POOL_WORKERS").is_none() {
-            target = target.max(2);
-        }
-        let pool: &'static Pool = Box::leak(Box::new(Pool {
-            state: Mutex::new(PoolState {
-                job: None,
-                generation: 0,
-                running: 0,
-                busy: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            workers: AtomicUsize::new(0),
-        }));
-        let mut spawned = 0;
-        for _ in 0..target {
-            if std::thread::Builder::new()
-                .name("lpopt-par".into())
-                .spawn(move || worker_loop(pool))
-                .is_ok()
-            {
-                spawned += 1;
-            }
-        }
-        pool.workers.store(spawned, Ordering::Release);
-        pool
-    })
-}
-
-/// Run `work` once on this thread and on up to `helpers` additional
-/// threads, returning only when every participant has finished.
-///
-/// Prefers the persistent pool; falls back to scoped spawning when the
-/// pool is busy with another caller, when called from inside a pool job,
-/// or when the host has no spare cores to park workers on.
-fn run_participants(helpers: usize, work: &(dyn Fn() + Sync)) {
-    if helpers == 0 {
-        work();
-        return;
-    }
-    if IN_POOL_WORKER.with(|w| w.get()) {
-        return run_scoped(helpers, work);
-    }
-    let pool = pool();
-    if pool.workers.load(Ordering::Acquire) == 0 {
-        return run_scoped(helpers, work);
-    }
-    {
-        let mut st = lock_state(pool);
-        if st.busy {
-            drop(st);
-            return run_scoped(helpers, work);
-        }
-        st.busy = true;
-        st.generation += 1;
-        // Safety: cleared below before this frame can unwind or return,
-        // with a drain of `running` after it.
-        let erased: *const (dyn Fn() + Sync) =
-            unsafe { std::mem::transmute(work as *const (dyn Fn() + Sync)) };
-        st.job = Some(JobSlot {
-            work: erased,
-            generation: st.generation,
-            slots: helpers,
-        });
-        pool.work_cv.notify_all();
-    }
-    work();
-    let mut st = lock_state(pool);
-    st.job = None;
-    while st.running > 0 {
-        st = pool.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-    }
-    st.busy = false;
-}
-
-fn run_scoped(helpers: usize, work: &(dyn Fn() + Sync)) {
-    std::thread::scope(|scope| {
-        for _ in 0..helpers {
-            scope.spawn(work);
-        }
-        work();
-    });
 }
 
 /// Map `f` over `items` on up to `jobs` worker threads
@@ -342,7 +163,14 @@ where
             }
         }
     };
-    run_participants(threads - 1, &work);
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            // A helper that cannot start is skipped, not fatal: the caller
+            // and the helpers that did start drain the work index.
+            let _ = std::thread::Builder::new().spawn_scoped(scope, work);
+        }
+        work();
+    });
     let (mut results, mut failed) = sink.into_inner().unwrap_or_else(|e| e.into_inner());
     // Retry panicked items serially, in index order, on this thread with a
     // fresh state. A second panic is deterministic and propagates.
@@ -511,8 +339,8 @@ mod tests {
 
     #[test]
     fn nested_par_map_does_not_deadlock() {
-        // A shard that itself fans out must not wait on the pool it is
-        // running inside of (it falls back to scoped threads).
+        // A shard that itself fans out opens a fork-join of its own inside
+        // the outer one and waits only on its own helpers.
         let items: Vec<usize> = (0..8).collect();
         let out = par_map(&items, 4, |_, &x| {
             let inner: Vec<usize> = (0..8).collect();
@@ -523,9 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_callers_share_the_pool_safely() {
-        // Several threads race whole par_map calls; whoever loses the
-        // pool lease must still finish correctly on scoped threads.
+    fn concurrent_callers_get_their_own_results() {
+        // Several threads race whole par_map calls; each call's helpers
+        // share only that call's work index and result sink.
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -538,17 +366,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn pool_survives_repeated_calls() {
-        // Exercise lease/drain cycling on one thread: any leak of the
-        // job slot or running count would wedge a later call.
-        let items: Vec<usize> = (0..50).collect();
-        for round in 0..25 {
-            let out = par_map(&items, 4, |_, &x| x + round);
-            assert_eq!(out[49], 49 + round);
-        }
     }
 
     #[test]

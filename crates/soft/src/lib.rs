@@ -21,6 +21,8 @@
 //!   register-allocated (Sethi–Ullman).
 //! * [`schedule`] — low-power instruction scheduling and DSP pairing.
 
+#![forbid(unsafe_code)]
+
 pub mod codegen;
 pub mod energy;
 pub mod isa;

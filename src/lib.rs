@@ -8,4 +8,6 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every exhibit.
 
+#![forbid(unsafe_code)]
+
 pub use lowpower::*;

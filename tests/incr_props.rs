@@ -1,15 +1,16 @@
 //! Workspace property tests of the incremental evaluation engines and the
-//! undo stacks they carry: for random netlists and random edit sequences
-//! (one live mark per pass, as the optimization loops hold it) and random
-//! interleavings of apply / checkpoint / rollback_to / commit,
-//! [`IncrementalSim`] and [`IncrementalEventSim`] must stay
-//! **bit-identical** to a from-scratch `CombSim` / `EventSim` run on the
-//! matching netlist snapshot after every single step. This is the contract that lets the optimization passes
-//! judge candidate edits on the resident engine instead of re-simulating:
-//! incrementality can never change a reported number. Rolling back past a
-//! commit must be rejected without touching the engine, and a starved
-//! budget must unwind the rewriting search to its last committed state,
-//! never a torn one.
+//! undo stack of the functional one: for random netlists and random edit
+//! sequences (one live mark per pass, as the optimization loops hold it)
+//! and random interleavings of apply / checkpoint / rollback_to / commit,
+//! [`IncrementalSim`] must stay **bit-identical** to a from-scratch
+//! `CombSim` run on the matching netlist snapshot after every single step,
+//! and [`IncrementalEventSim`], which only applies, to an `EventSim` run
+//! after every accepted edit. This is the contract that lets the
+//! optimization passes judge candidate edits on the resident engine
+//! instead of re-simulating: incrementality can never change a reported
+//! number. Rolling back past a commit must be rejected without touching
+//! the engine, and a starved budget must unwind the rewriting search to
+//! its last committed state, never a torn one.
 //!
 //! Edits are generated acyclic **by construction**: rewires only draw
 //! fanins from strictly lower indices, inserted buffer chains feed
@@ -138,10 +139,10 @@ fn same_netlist(a: &Netlist, b: &Netlist) -> bool {
         && a.iter_nets().all(|n| a.kind(n) == b.kind(n) && a.fanins(n) == b.fanins(n))
 }
 
-/// Assert both engines match from-scratch simulation of `reference`.
-fn check_engines(
+/// Assert the functional engine matches from-scratch simulation of
+/// `reference`.
+fn check_engine(
     engine: &IncrementalSim,
-    event: &IncrementalEventSim,
     reference: &Netlist,
     patterns: &PatternSet,
 ) -> Result<(), TestCaseError> {
@@ -158,6 +159,16 @@ fn check_engines(
         engine.switched_cap_live().to_bits(),
         live.switched_capacitance(&swept).to_bits()
     );
+    Ok(())
+}
+
+/// Assert the event engine matches a from-scratch `EventSim` run of
+/// `reference`.
+fn check_event(
+    event: &IncrementalEventSim,
+    reference: &Netlist,
+    patterns: &PatternSet,
+) -> Result<(), TestCaseError> {
     let timing = EventSim::new(reference, &DelayModel::Unit).activity(patterns);
     let got = event.activity();
     prop_assert_eq!(bits(&got.total), bits(&timing.total));
@@ -169,11 +180,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The core contract: a random sequence of edits, some rolled back and
-    /// some committed, leaves both engines bit-identical to from-scratch
-    /// simulation after **every** step. The engines hold one live mark
-    /// the way the optimization loops do: a rejected edit rolls back to
-    /// it and the mark stays live for the next speculation; an accepted
-    /// edit commits it and a fresh mark is taken.
+    /// some committed, leaves the functional engine bit-identical to
+    /// from-scratch simulation after **every** step. It holds one live
+    /// mark the way the optimization loops do: a rejected edit rolls back
+    /// to it and the mark stays live for the next speculation; an accepted
+    /// edit commits it and a fresh mark is taken. The event engine applies
+    /// only the accepted edits, as its callers do, and matches `EventSim`
+    /// after each one.
     #[test]
     fn edit_sequences_are_bit_identical_to_from_scratch(
         seed in 0u64..5000,
@@ -187,12 +200,14 @@ proptest! {
         let packed = PackedPatterns::pack(&patterns);
         let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
         let mut event = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
-        check_engines(&engine, &event, &nl, &patterns)?;
+        check_engine(&engine, &nl, &patterns)?;
+        check_event(&event, &nl, &patterns)?;
 
         let mut rng = Rng64::new(edit_seed);
         let base_len = nl.len();
         let mut current = nl;
-        let mut mark = (engine.checkpoint(), event.checkpoint());
+        let mut mark = engine.checkpoint();
+        let mut accepted = 0;
         for _ in 0..steps {
             let Some(delta) = random_delta(&current, base_len, &mut rng) else {
                 break;
@@ -202,28 +217,28 @@ proptest! {
             prop_assert!(edited.topo_order().is_ok(), "generator produced a cycle");
 
             engine.apply_delta(&delta);
-            event.apply_delta(&delta);
-            check_engines(&engine, &event, &edited, &patterns)?;
+            check_engine(&engine, &edited, &patterns)?;
 
             if rng.chance(0.4) {
                 // Roll back and verify the pre-edit bits are restored.
-                prop_assert!(engine.rollback_to(mark.0), "live mark must roll back");
-                prop_assert!(event.rollback_to(mark.1), "live mark must roll back");
-                check_engines(&engine, &event, &current, &patterns)?;
+                prop_assert!(engine.rollback_to(mark), "live mark must roll back");
+                check_engine(&engine, &current, &patterns)?;
             } else {
-                prop_assert!(engine.commit(mark.0), "live mark must commit");
-                prop_assert!(event.commit(mark.1), "live mark must commit");
+                prop_assert!(engine.commit(mark), "live mark must commit");
+                event.apply_delta(&delta);
+                check_event(&event, &edited, &patterns)?;
+                accepted += 1;
                 current = edited;
-                mark = (engine.checkpoint(), event.checkpoint());
+                mark = engine.checkpoint();
             }
         }
-        prop_assert_eq!(engine.stats().deltas, event.stats().deltas);
+        prop_assert_eq!(event.stats().deltas, accepted);
     }
 
     /// The undo-stack contract under arbitrary interleavings: after every
-    /// apply, rollback_to and commit, both engines are bit-identical to
-    /// from-scratch simulation of the netlist snapshot the surviving
-    /// marks describe. Marks invalidated by a commit are rejected and the
+    /// apply, rollback_to and commit, the functional engine is
+    /// bit-identical to from-scratch simulation of the netlist snapshot
+    /// the surviving marks describe. Marks invalidated by a commit are rejected and the
     /// failed call leaves the engine untouched.
     #[test]
     fn checkpoint_interleavings_are_bit_identical_to_from_scratch(
@@ -237,15 +252,14 @@ proptest! {
         let patterns = Stimulus::uniform(8).patterns(cycles, seed ^ 0x5EED);
         let packed = PackedPatterns::pack(&patterns);
         let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
-        let mut event = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
 
         let mut rng = Rng64::new(op_seed);
         let base_len = nl.len();
         // Live checkpoints, innermost last: the netlist snapshot each
         // mark must restore. Marks below `dead` (committed away) must be
         // rejected by rollback_to.
-        let mut stack: Vec<(Mark, Mark, Netlist)> = Vec::new();
-        let mut dead: Vec<(Mark, Mark)> = Vec::new();
+        let mut stack: Vec<(Mark, Netlist)> = Vec::new();
+        let mut dead: Vec<Mark> = Vec::new();
         let mut current = nl;
         for _ in 0..ops {
             match rng.range(0, 5) {
@@ -258,13 +272,12 @@ proptest! {
                     delta.apply_to(&mut edited);
                     prop_assert!(edited.topo_order().is_ok(), "generator produced a cycle");
                     engine.apply_delta(&delta);
-                    event.apply_delta(&delta);
                     current = edited;
-                    check_engines(&engine, &event, &current, &patterns)?;
+                    check_engine(&engine, &current, &patterns)?;
                 }
                 // Push a checkpoint.
                 2 => {
-                    stack.push((engine.checkpoint(), event.checkpoint(), current.clone()));
+                    stack.push((engine.checkpoint(), current.clone()));
                 }
                 // Roll back to a random live mark; it stays live.
                 3 => {
@@ -273,11 +286,10 @@ proptest! {
                     }
                     let pick = rng.range(0, stack.len());
                     stack.truncate(pick + 1);
-                    let (m, em, snapshot) = stack.last().expect("picked live mark");
+                    let (m, snapshot) = stack.last().expect("picked live mark");
                     prop_assert!(engine.rollback_to(*m), "live mark must roll back");
-                    prop_assert!(event.rollback_to(*em), "live mark must roll back");
                     current = snapshot.clone();
-                    check_engines(&engine, &event, &current, &patterns)?;
+                    check_engine(&engine, &current, &patterns)?;
                 }
                 // Commit a random live mark: everything at or below it
                 // becomes permanent and those marks die.
@@ -286,11 +298,9 @@ proptest! {
                         continue;
                     }
                     let pick = rng.range(0, stack.len());
-                    let committed: Vec<(Mark, Mark, Netlist)> =
-                        stack.drain(..=pick).collect();
-                    let (m, em, _) = committed.last().expect("picked live mark");
+                    let committed: Vec<(Mark, Netlist)> = stack.drain(..=pick).collect();
+                    let (m, _) = committed.last().expect("picked live mark");
                     prop_assert!(engine.commit(*m), "live mark must commit");
-                    prop_assert!(event.commit(*em), "live mark must commit");
                     // The commit floor is `m` itself; only marks strictly
                     // below it are invalidated. Marks minted at the same
                     // depth as `m` are released too: the next apply may
@@ -298,20 +308,19 @@ proptest! {
                     dead.extend(
                         committed[..committed.len() - 1]
                             .iter()
-                            .filter(|(a, _, _)| a < m)
-                            .map(|(a, b, _)| (*a, *b)),
+                            .map(|(a, _)| *a)
+                            .filter(|a| a < m),
                     );
-                    stack.retain(|(a, _, _)| a > m);
+                    stack.retain(|(a, _)| a > m);
                     // Committing never moves the evaluated state.
-                    check_engines(&engine, &event, &current, &patterns)?;
+                    check_engine(&engine, &current, &patterns)?;
                 }
             }
             // Rolling back past the committed floor is rejected and the
             // rejected call changes nothing.
-            if let Some(&(m, em)) = dead.last() {
+            if let Some(&m) = dead.last() {
                 prop_assert!(!engine.rollback_to(m), "committed-away mark must be rejected");
-                prop_assert!(!event.rollback_to(em), "committed-away mark must be rejected");
-                check_engines(&engine, &event, &current, &patterns)?;
+                check_engine(&engine, &current, &patterns)?;
             }
         }
     }

@@ -3,14 +3,17 @@
 //! produce an activity profile **bit-identical** to its serial run — not
 //! merely equal to within floating-point tolerance. This is the
 //! determinism contract the experiment harness and the power estimators
-//! rely on: `--jobs N` can never change a reported number.
+//! rely on: `--jobs N` can never change a reported number. One further
+//! test holds every sharded engine to it on circuits of 6k–10k nets.
 
+use lowpower::budget::ResourceBudget;
 use lowpower::netlist::gen::{self, random_dag, RandomDagConfig};
 use lowpower::power::estimate::{measure_sequence, measure_sequence_jobs};
 use lowpower::power::model::PowerParams;
 use lowpower::sim::comb::CombSim;
 use lowpower::sim::event::{DelayModel, EventSim};
-use lowpower::sim::seq::SeqSim;
+use lowpower::sim::fault::{all_stuck_at_faults, FaultSim};
+use lowpower::sim::seq::{SeqActivity, SeqSim};
 use lowpower::sim::stimulus::Stimulus;
 use lowpower::sim::ActivityProfile;
 use proptest::prelude::*;
@@ -21,6 +24,22 @@ fn bits(p: &ActivityProfile) -> (Vec<u64>, Vec<u64>, usize) {
         p.toggles.iter().map(|x| x.to_bits()).collect(),
         p.probability.iter().map(|x| x.to_bits()).collect(),
         p.cycles,
+    )
+}
+
+type SeqBits = ((Vec<u64>, Vec<u64>, usize), [Vec<u64>; 3]);
+
+/// Exact bit pattern of a sequential activity: the profile, then the
+/// per-flip-flop output toggles, input toggles and load fractions.
+fn seq_bits(a: &SeqActivity) -> SeqBits {
+    let fbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (
+        bits(&a.profile),
+        [
+            fbits(&a.ff_output_toggles),
+            fbits(&a.ff_input_toggles),
+            fbits(&a.ff_load_fraction),
+        ],
     )
 }
 
@@ -110,11 +129,7 @@ proptest! {
         let sim = SeqSim::new(&nl);
         let serial = sim.activity(&patterns);
         let par = sim.activity_jobs(&patterns, jobs);
-        let fbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&par.profile), bits(&serial.profile));
-        prop_assert_eq!(fbits(&par.ff_output_toggles), fbits(&serial.ff_output_toggles));
-        prop_assert_eq!(fbits(&par.ff_input_toggles), fbits(&serial.ff_input_toggles));
-        prop_assert_eq!(fbits(&par.ff_load_fraction), fbits(&serial.ff_load_fraction));
+        prop_assert_eq!(seq_bits(&par), seq_bits(&serial));
     }
 
     #[test]
@@ -130,5 +145,67 @@ proptest! {
         let serial = measure_sequence(&nl, &patterns, &params);
         let par = measure_sequence_jobs(&nl, &patterns, &params, jobs);
         prop_assert_eq!(par.total().to_bits(), serial.total().to_bits());
+    }
+}
+
+/// `--jobs` invariance at realistic size: jobs 2, 3 and 8 give results
+/// bit-identical to jobs 1 for the combinational and unit-delay event
+/// engines on a 32-bit Wallace multiplier and a 10,000-gate random DAG,
+/// for the sequential engine on a pipelined 8-bit multiplier, and for a
+/// stuck-at campaign over an 8-bit array multiplier.
+#[test]
+fn realistic_circuits_are_jobs_invariant() {
+    let (wallace, _) = gen::wallace_multiplier(32);
+    assert_eq!(wallace.len(), 6_350);
+    let dag_config = RandomDagConfig {
+        inputs: 64,
+        gates: 10_000,
+        outputs: 32,
+        max_fanin: 3,
+        window: 64,
+    };
+    let dag = random_dag(&dag_config, 7);
+    assert_eq!(dag.len(), 10_064);
+    for (nl, comb_cycles, event_cycles) in [(&wallace, 1024, 128), (&dag, 1024, 256)] {
+        let stimulus = Stimulus::uniform(nl.num_inputs());
+        let comb = CombSim::new(nl);
+        let patterns = stimulus.patterns(comb_cycles, 0xC0);
+        let serial = comb.activity_jobs(&patterns, 1);
+        let event = EventSim::new(nl, &DelayModel::Unit);
+        let timed = stimulus.patterns(event_cycles, 0xE0);
+        let timed_serial = event.activity_jobs(&timed, 1);
+        for jobs in [2, 3, 8] {
+            let name = nl.name();
+            let par = comb.activity_jobs(&patterns, jobs);
+            assert_eq!(bits(&par), bits(&serial), "comb {name} jobs={jobs}");
+            let par = event.activity_jobs(&timed, jobs);
+            assert_eq!(bits(&par.total), bits(&timed_serial.total), "event {name} jobs={jobs}");
+            assert_eq!(bits(&par.functional), bits(&timed_serial.functional));
+        }
+    }
+
+    let pipe = gen::pipelined_multiplier(8);
+    let seq = SeqSim::new(&pipe);
+    let patterns = Stimulus::uniform(pipe.num_inputs()).patterns(1024, 0x5E);
+    let serial = seq_bits(&seq.activity_jobs(&patterns, 1));
+    for jobs in [2, 3, 8] {
+        assert_eq!(seq_bits(&seq.activity_jobs(&patterns, jobs)), serial, "seq jobs={jobs}");
+    }
+
+    let (mult, _) = gen::array_multiplier(8);
+    let faults = all_stuck_at_faults(&mult);
+    assert_eq!(faults.len(), 728);
+    let patterns = Stimulus::uniform(mult.num_inputs()).patterns(256, 0xFA);
+    let fsim = FaultSim::new(&mult);
+    let unlimited = ResourceBudget::unlimited();
+    let campaign = |jobs| {
+        let report = fsim
+            .campaign(&patterns, &faults, jobs, &unlimited)
+            .expect("unlimited budget");
+        (report.reports, report.cycles)
+    };
+    let serial = campaign(1);
+    for jobs in [2, 3, 8] {
+        assert_eq!(campaign(jobs), serial, "fault campaign jobs={jobs}");
     }
 }
