@@ -26,14 +26,13 @@
 //! sifted build's pass count, swap count or peak drifts from the committed
 //! values: sifting is deterministic, so any drift means the reorderer now
 //! decides differently. The exhibit also records the sifted build's
-//! collections and freed nodes, and its best-of-3 wall-clock time.
+//! collections and freed nodes, and its wall-clock time per build
+//! ([`harness::per_call`]: best of 5 timed builds after one probe build).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use bench::harness;
 use budget::ResourceBudget;
-use netlist::blif::parse_text;
-use netlist::Netlist;
 use power::exact::{try_circuit_bdds, try_circuit_bdds_reorder};
 use power::order::ReorderConfig;
 
@@ -79,48 +78,15 @@ struct Measured {
     speedup: f64,
 }
 
-fn golden(name: &str) -> Netlist {
-    let path = format!(
-        "{}/../../tests/golden/{name}.blif",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-    parse_text(&text).expect("golden BLIF parses")
-}
-
-/// Best-of-5 seconds per build; each rep batches enough builds for ~50ms
-/// so the tiny circuits don't time the clock instead of the kernel.
-fn time_build(nl: &Netlist) -> f64 {
-    let budget = ResourceBudget::unlimited();
-    let mut builds = 1usize;
-    loop {
-        let start = Instant::now();
-        for _ in 0..builds {
-            let _ = try_circuit_bdds(nl, &budget).expect("unlimited build");
-        }
-        if start.elapsed().as_secs_f64() > 0.05 {
-            break;
-        }
-        builds *= 2;
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..builds {
-            let _ = try_circuit_bdds(nl, &budget).expect("unlimited build");
-        }
-        best = best.min(start.elapsed().as_secs_f64() / builds as f64);
-    }
-    best
-}
-
 fn measure(base: &Baseline) -> Measured {
-    let nl = golden(base.name);
-    let bdds = try_circuit_bdds(&nl, &ResourceBudget::unlimited()).expect("unlimited build");
+    let nl = harness::golden(base.name);
+    let unlimited = ResourceBudget::unlimited();
+    let bdds = try_circuit_bdds(&nl, &unlimited).expect("unlimited build");
     let counts = bdds.mgr.op_counts();
     let misses = counts.cache_lookups - counts.cache_hits;
-    let seconds = time_build(&nl);
+    let seconds = harness::per_call(|| {
+        let _ = try_circuit_bdds(&nl, &unlimited).expect("unlimited build");
+    });
     Measured {
         name: base.name,
         ite_calls: counts.ite_calls,
@@ -153,7 +119,7 @@ struct ReorderMeasured {
     reorder_swaps: u64,
     gc_runs: u64,
     nodes_freed: u64,
-    /// Best of 3 sifted builds.
+    /// Seconds per sifted build.
     seconds: f64,
     /// The natural order must blow the committed budget…
     fixed_exhausts_budget: bool,
@@ -167,16 +133,12 @@ fn measure_reorder() -> ReorderMeasured {
     let nobs = lowpower::obs::Obs::disabled();
     let cfg = ReorderConfig::parse(REORDER_SPEC).expect("committed reorder spec parses");
     let fixed = try_circuit_bdds(&nl, &unlimited).expect("unlimited fixed-order build");
-    let mut seconds = f64::INFINITY;
-    let mut reordered = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let build =
-            try_circuit_bdds_reorder(&nl, &unlimited, &cfg, &nobs).expect("unlimited sifted build");
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-        reordered = Some(build);
-    }
-    let reordered = reordered.expect("three sifted builds ran");
+    let sifted_build =
+        || try_circuit_bdds_reorder(&nl, &unlimited, &cfg, &nobs).expect("unlimited sifted build");
+    let reordered = sifted_build();
+    let seconds = harness::per_call(|| {
+        let _ = sifted_build();
+    });
     let counts = reordered.mgr.op_counts();
     let budget = ResourceBudget::unlimited().with_max_bdd_nodes(REORDER_NODE_BUDGET);
     ReorderMeasured {
@@ -250,15 +212,7 @@ fn to_json(results: &[Measured], reorder: &ReorderMeasured) -> String {
 }
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_bdd.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (out_path, check) = harness::args("BENCH_bdd.json");
 
     let results: Vec<Measured> = BASELINES.iter().map(measure).collect();
     let reorder = measure_reorder();
@@ -273,7 +227,7 @@ fn main() {
     }
     println!(
         "  mult8    peak {} -> {} under {REORDER_SPEC} ({} runs, {} swaps, {} collections, \
-         {:.3e} s best of 3); budget {REORDER_NODE_BUDGET}: fixed {}, reordered {}",
+         {:.3e} s/build, best of 5); budget {REORDER_NODE_BUDGET}: fixed {}, reordered {}",
         reorder.fixed_peak,
         reorder.reordered_peak,
         reorder.reorder_runs,

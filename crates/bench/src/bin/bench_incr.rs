@@ -51,13 +51,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use bench::harness;
 use circuit::sizing::{SizedCircuit, StaCache};
 use logicopt::balance::{balance_delta, balance_paths_with_threshold, tighten_balance_delta};
 use logicopt::dontcare::{
     optimize_dontcares_sim, optimize_dontcares_sim_with, CandidateCounts, DontCareSimReport,
 };
 use logicopt::rewrite::{rewrite_sim, RewriteConfig};
-use netlist::blif::parse_text;
 use netlist::Netlist;
 use sim::event::{DelayModel, EventSim};
 use sim::incr::{IncrementalEventSim, IncrementalSim};
@@ -78,40 +78,6 @@ struct Section {
     /// What the work ratio counts.
     work_unit: &'static str,
     identical: bool,
-}
-
-fn golden(name: &str) -> Netlist {
-    let path = format!(
-        "{}/../../tests/golden/{name}.blif",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    parse_text(&text).expect("golden BLIF parses")
-}
-
-/// Best-of-5 seconds per run; each rep batches enough runs for ~50ms so
-/// the small circuits don't time the clock instead of the loop.
-fn time_it(mut f: impl FnMut()) -> f64 {
-    let mut runs = 1usize;
-    loop {
-        let start = Instant::now();
-        for _ in 0..runs {
-            f();
-        }
-        if start.elapsed().as_secs_f64() > 0.05 {
-            break;
-        }
-        runs *= 2;
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..runs {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / runs as f64);
-    }
-    best
 }
 
 /// From-scratch balance sweep: rebalance and fully re-simulate per
@@ -158,7 +124,7 @@ fn balance_incr(nl: &Netlist, packed: &PackedPatterns, sweep: &[usize]) -> (Vec<
 }
 
 fn bench_balance() -> Section {
-    let nl = golden("mult4");
+    let nl = harness::golden("mult4");
     let patterns = Stimulus::uniform(nl.num_inputs()).patterns(CYCLES, SEED);
     let packed = PackedPatterns::pack(&patterns);
     let sweep: Vec<usize> = (0..=nl.depth()).rev().collect();
@@ -175,10 +141,10 @@ fn bench_balance() -> Section {
     // From-scratch evaluates every net at every threshold (plus buffers,
     // uncounted — the ratio is conservative).
     let scratch_evals = (sweep.len() * nl.len()) as u64;
-    let scratch_seconds = time_it(|| {
+    let scratch_seconds = harness::per_call(|| {
         std::hint::black_box(balance_scratch(&nl, &patterns, &sweep));
     });
-    let incr_seconds = time_it(|| {
+    let incr_seconds = harness::per_call(|| {
         std::hint::black_box(balance_incr(&nl, &packed, &sweep));
     });
     Section {
@@ -204,7 +170,7 @@ fn downsize(nl: &Netlist, constraint: f64, force_full: bool) -> (Vec<f64>, StaCa
 }
 
 fn bench_sizing() -> Section {
-    let nl = golden("mult4");
+    let nl = harness::golden("mult4");
     let fastest = SizedCircuit::new(&nl, 4.0).timing(1e9).critical;
     let constraint = fastest * 1.15;
 
@@ -217,10 +183,10 @@ fn bench_sizing() -> Section {
 
     // The twin re-times every gate per shrink trial; the cache only
     // touches the resized gate's fanout cone.
-    let scratch_seconds = time_it(|| {
+    let scratch_seconds = harness::per_call(|| {
         std::hint::black_box(downsize(&nl, constraint, true));
     });
-    let incr_seconds = time_it(|| {
+    let incr_seconds = harness::per_call(|| {
         std::hint::black_box(downsize(&nl, constraint, false));
     });
     Section {
@@ -275,10 +241,10 @@ fn bench_dontcare() -> Section {
 
     // Each candidate rewrite costs the twin a whole-netlist
     // re-evaluation; the engine replays the rewrite's fanout cone.
-    let scratch_seconds = time_it(|| {
+    let scratch_seconds = harness::per_call(|| {
         std::hint::black_box(dontcare(&nl, &probs, &packed, true));
     });
-    let incr_seconds = time_it(|| {
+    let incr_seconds = harness::per_call(|| {
         std::hint::black_box(dontcare(&nl, &probs, &packed, false));
     });
     Section {
@@ -336,10 +302,10 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
             .iter_nets()
             .all(|n| incr_nl.kind(n) == full_nl.kind(n) && incr_nl.fanins(n) == full_nl.fanins(n));
 
-    let scratch_seconds = time_it(|| {
+    let scratch_seconds = harness::per_call(|| {
         std::hint::black_box(rewrite_sim(nl, &probs, &packed, &full_cfg));
     });
-    let incr_seconds = time_it(|| {
+    let incr_seconds = harness::per_call(|| {
         std::hint::black_box(rewrite_sim(nl, &probs, &packed, &cfg));
     });
     Section {
@@ -477,15 +443,7 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
 }
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_incr.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (out_path, check) = harness::args("BENCH_incr.json");
 
     let rand = rand200();
     let (wallace, _) = netlist::gen::wallace_multiplier(8);

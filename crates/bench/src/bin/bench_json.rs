@@ -36,8 +36,8 @@
 //! itself (`oversubscribed: false`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use bench::harness;
 use lowpower::netlist::gen;
 use lowpower::obs::Obs;
 use lowpower::sim::comb::CombSim;
@@ -49,9 +49,6 @@ use lowpower::sim::ActivityProfile;
 /// Thread counts swept per workload (independent of the host core count:
 /// oversubscribed runs still complete and stay bit-identical).
 const JOBS: [usize; 4] = [1, 2, 4, 8];
-
-/// Timed repetitions per point; the minimum is reported.
-const REPS: usize = 3;
 
 /// `--check`: highest acceptable event work ratio. Measured ~0.59 on the
 /// glitch workload and ~0.57 on the balanced adder (the calendar queue's
@@ -133,16 +130,14 @@ fn profile_bits(p: &ActivityProfile) -> Vec<u64> {
         .collect()
 }
 
-/// Warm up once, then report (best-of-REPS seconds, last profile).
+/// One untimed call for the profile, then [`harness::per_call`]'s seconds
+/// per call.
 fn time(f: impl Fn() -> ActivityProfile) -> (f64, ActivityProfile) {
-    let mut profile = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        profile = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, profile)
+    let profile = f();
+    let seconds = harness::per_call(|| {
+        std::hint::black_box(f());
+    });
+    (seconds, profile)
 }
 
 fn measure(
@@ -238,10 +233,10 @@ fn workloads(host_cores: usize) -> Vec<Workload> {
     }
     // Serial wide-vs-one-lane ratio on the comb workloads: same netlist,
     // same stream, same kernel at `L = LANES` and at `L = 1`. The two
-    // sides are timed interleaved, back to back, best-of-many — a comb
-    // rep is sub-millisecond, so measuring the sides minutes apart (as
-    // reusing the main sweep's serial time would) lets box-level drift
-    // pollute the ratio the gate rides on.
+    // sides are timed interleaved by `harness::paired` — a comb rep is
+    // sub-millisecond, so measuring the sides minutes apart (as reusing
+    // the main sweep's serial time would) lets box-level drift pollute
+    // the ratio the gate rides on.
     for (name, sim, pat) in [
         ("comb/wallace_multiplier_8", &comb_wallace, &wallace_pat),
         ("comb/kogge_stone_adder_16", &comb_ks, &ks_pat),
@@ -249,16 +244,14 @@ fn workloads(host_cores: usize) -> Vec<Workload> {
         // Pre-pack once: pattern packing costs the same on both sides and
         // would only dilute the evaluation ratio the gate is about.
         let packed = lowpower::sim::stimulus::PackedPatterns::pack(pat);
-        let _ = (sim.activity_packed_one_lane(&packed), sim.activity_packed(&packed));
-        let (mut wide_secs, mut one_lane_secs) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..4 * REPS {
-            let start = Instant::now();
-            let _ = sim.activity_packed(&packed);
-            wide_secs = wide_secs.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let _ = sim.activity_packed_one_lane(&packed);
-            one_lane_secs = one_lane_secs.min(start.elapsed().as_secs_f64());
-        }
+        let (wide_secs, one_lane_secs) = harness::paired(
+            || {
+                let _ = sim.activity_packed(&packed);
+            },
+            || {
+                let _ = sim.activity_packed_one_lane(&packed);
+            },
+        );
         if let Some(wl) = loads.iter_mut().find(|wl| wl.name == name) {
             wl.wide = Some(WideStats {
                 one_lane_patterns_per_sec: pat.len() as f64 / one_lane_secs,
@@ -322,15 +315,7 @@ fn to_json(host_cores: usize, loads: &[Workload]) -> String {
 }
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_sim.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (out_path, check) = harness::args("BENCH_sim.json");
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let loads = workloads(host_cores);
     let json = to_json(host_cores, &loads);

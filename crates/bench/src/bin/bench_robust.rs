@@ -1,6 +1,6 @@
 //! `bench_robust` — cost of the resource-budget machinery.
 //!
-//! Emits `BENCH_robust.json` (override with the first argument) with two
+//! Emits `BENCH_robust.json` (override with the first argument) with three
 //! sections:
 //!
 //! * **overhead** — each hot simulation path timed twice over the same
@@ -16,13 +16,19 @@
 //!   and shard gauges. The obs contract targets < 2%: instrumentation
 //!   only ever runs at shard-merge boundaries, never per event.
 //!
+//! Both overhead sections time their two sides with
+//! [`harness::paired`]; each tier latency is [`harness::per_call`].
+//!
 //! ```text
 //! cargo run --release -p bench --bin bench_robust [out.json]
 //! ```
+//!
+//! There is no check mode: `ci/check_obs_overhead.sh` gates the obs
+//! overhead from the JSON, and `--check` is rejected.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use bench::harness::{self, paired};
 use lowpower::budget::ResourceBudget;
 use lowpower::netlist::gen;
 use lowpower::obs::Obs;
@@ -32,57 +38,6 @@ use lowpower::sim::comb::CombSim;
 use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::seq::SeqSim;
 use lowpower::sim::stimulus::Stimulus;
-
-/// Timed repetitions per point; the median is reported.
-const REPS: usize = 9;
-/// Untimed runs before measuring, so caches/allocators settle first.
-const WARMUPS: usize = 2;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Median-of-N timing. The earlier min-of-5 scheme reported whichever run
-/// caught the quietest scheduler moment, which made paired measurements
-/// (guarded vs unguarded) non-comparable and produced nonsense negative
-/// overhead percentages; the median is stable against both tail stalls and
-/// lucky floors.
-fn best(f: impl Fn()) -> f64 {
-    for _ in 0..WARMUPS {
-        f();
-    }
-    let mut samples = [0.0f64; REPS];
-    for s in &mut samples {
-        let start = Instant::now();
-        f();
-        *s = start.elapsed().as_secs_f64();
-    }
-    median(&mut samples)
-}
-
-/// Interleaved median-of-N for an overhead comparison: reps of `a` and `b`
-/// alternate so clock ramps, cache state, and background load drift hit
-/// both sides equally. Timing the two sides in separate back-to-back
-/// blocks systematically favors whichever ran second (warmer), which is
-/// where the old negative "overhead" numbers came from.
-fn paired(a: impl Fn(), b: impl Fn()) -> (f64, f64) {
-    for _ in 0..WARMUPS {
-        a();
-        b();
-    }
-    let mut sa = [0.0f64; REPS];
-    let mut sb = [0.0f64; REPS];
-    for i in 0..REPS {
-        let start = Instant::now();
-        a();
-        sa[i] = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        b();
-        sb[i] = start.elapsed().as_secs_f64();
-    }
-    (median(&mut sa), median(&mut sb))
-}
 
 /// Every limit set, none reachable: the checks run, the branches never
 /// take, which is exactly the hot-path configuration the overhead target
@@ -271,16 +226,16 @@ fn tier_latency(circuit: &'static str, nl: &Netlist) -> TierLatency {
     .unwrap_or("exhausted");
     TierLatency {
         circuit,
-        exact_secs: best(|| {
+        exact_secs: harness::per_call(|| {
             let _ = estimate_activity(nl, &unlimited, &tier_cfg(vec![Tier::ExactBdd]));
         }),
-        prob_secs: best(|| {
+        prob_secs: harness::per_call(|| {
             let _ = estimate_activity(nl, &unlimited, &tier_cfg(vec![Tier::Probabilistic]));
         }),
-        sampled_secs: best(|| {
+        sampled_secs: harness::per_call(|| {
             let _ = estimate_activity(nl, &unlimited, &tier_cfg(vec![Tier::SampledSim]));
         }),
-        degraded_secs: best(|| {
+        degraded_secs: harness::per_call(|| {
             let _ = estimate_activity(nl, &capped, &tier_cfg(vec![
                 Tier::ExactBdd,
                 Tier::Probabilistic,
@@ -343,9 +298,11 @@ fn to_json(loads: &[Overhead], obs_loads: &[ObsOverhead], lats: &[TierLatency]) 
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_robust.json".into());
+    let (out_path, check) = harness::args("BENCH_robust.json");
+    if check {
+        eprintln!("error: bench_robust has no --check mode\nusage: bench_robust [out.json]");
+        std::process::exit(1);
+    }
     let loads = overheads();
     let obs_loads = obs_overheads();
     let lats = tiers();

@@ -199,15 +199,7 @@ fn corrupt_one_snapshot(dir: &Path) -> PathBuf {
 }
 
 fn main() {
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let (out_path, check) = bench::harness::args("BENCH_serve.json");
 
     let snapshot_dir = std::env::temp_dir().join(format!("bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&snapshot_dir);

@@ -2,7 +2,8 @@
 //! the survey reproduction. Each experiment is a pure function returning
 //! its report as text; the `exp_*` binaries print them, `exp_all` runs the
 //! full suite, and `EXPERIMENTS.md` records the measured numbers against
-//! the paper's claims.
+//! the paper's claims. [`harness`] holds the timers and plumbing the
+//! `BENCH_*` regression binaries share.
 
 #![forbid(unsafe_code)]
 
@@ -11,6 +12,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod exps;
+pub mod harness;
 pub mod table;
 
 /// One registered experiment: `(id, title, runner)`.

@@ -16,8 +16,8 @@
 //!   legitimately depend on the environment (shard counts, utilization,
 //!   peak table sizes). Golden tests normalize these away; counters they
 //!   compare exactly.
-//! * **Sinks** (feature `sink`, default on) — render a [`Snapshot`] as a
-//!   human-readable tree, a JSONL trace, or an aggregate `metrics.json`.
+//! * **Sinks** — render a [`Snapshot`] as a human-readable tree, a JSONL
+//!   trace, or an aggregate `metrics.json`.
 //!
 //! The whole crate follows one overhead rule, mirroring the budget crate's
 //! amortization contract: a **disabled** handle ([`Obs::disabled`]) costs
@@ -43,11 +43,8 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
-mod metrics;
-
-#[cfg(feature = "sink")]
 pub mod json;
-#[cfg(feature = "sink")]
+mod metrics;
 pub mod sink;
 
 pub use metrics::{Counter, Gauge, Obs, Snapshot, SpanGuard, SpanRecord};

@@ -27,6 +27,9 @@ use crate::queue::{JobQueue, PushError};
 use crate::snapshot::{self, SnapshotScan};
 use crate::worker::{self, ExecPolicy, WorkerState};
 
+/// Circuits each worker's BDD cache holds.
+const WORKER_CACHE_CAPACITY: usize = 16;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -34,8 +37,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Pending jobs admitted before backpressure kicks in.
     pub queue_capacity: usize,
-    /// Circuits each worker's BDD cache holds.
-    pub cache_capacity: usize,
     /// Where checkpoints live; `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
     /// Checkpoint each worker after this many of its jobs (`0` = only at
@@ -57,7 +58,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_capacity: 64,
-            cache_capacity: 16,
             snapshot_dir: None,
             checkpoint_every: 32,
             fault_injection: false,
@@ -261,7 +261,6 @@ impl Server {
                 let texts = Arc::clone(&texts);
                 let policy = policy.clone();
                 let snapshot_dir = cfg.snapshot_dir.clone();
-                let cache_capacity = cfg.cache_capacity;
                 let checkpoint_every = cfg.checkpoint_every;
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
@@ -272,7 +271,6 @@ impl Server {
                             &texts,
                             &policy,
                             snapshot_dir.as_deref(),
-                            cache_capacity,
                             checkpoint_every,
                         )
                     })
@@ -431,17 +429,15 @@ fn record_class(shared: &Shared, class: &'static str) {
     shared.obs.add(&format!("serve.jobs.failed.{class}"), 1);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     index: usize,
     shared: &Shared,
     texts: &[String],
     policy: &ExecPolicy,
     snapshot_dir: Option<&std::path::Path>,
-    cache_capacity: usize,
     checkpoint_every: u64,
 ) {
-    let mut state = WorkerState::new(cache_capacity);
+    let mut state = WorkerState::new(WORKER_CACHE_CAPACITY);
     let warmed = snapshot::load_texts(texts, &mut state.cache);
     shared
         .obs
