@@ -1,8 +1,9 @@
 #!/bin/sh
-# Gate against new panic paths in the substrate crates.
+# Gate against new panic paths in the substrate and optimization crates.
 #
-# The robustness contract is that crates/netlist, crates/sim and
-# crates/power fail with typed errors, not panics. This script counts
+# The robustness contract is that crates/netlist, crates/sim,
+# crates/power and the passes in crates/logicopt and crates/circuit fail
+# with typed errors, not panics. This script counts
 # `.unwrap()` / `.expect(` occurrences in their non-test code (everything
 # above the first `#[cfg(test)]` in each file) and fails if any crate
 # exceeds its frozen baseline. Baselines are the audited survivors —
@@ -37,5 +38,11 @@ check netlist 0 8
 # build each undo frame as a local, so their bookkeeping needs no guard.
 check sim 0 9
 check power 0 3
+# logicopt's 4 unwraps are doc examples in twolevel.rs; its 16 expects
+# are acyclicity/topo-order and mapping-cover invariants plus two
+# unlimited-budget BDD builds in dontcare.rs.
+check logicopt 4 16
+# circuit's 5: acyclicity and finite arrival/slack/probability orderings.
+check circuit 0 5
 
 exit "$fail"

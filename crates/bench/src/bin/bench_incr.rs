@@ -52,12 +52,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bench::harness;
+use budget::ResourceBudget;
 use circuit::sizing::{SizedCircuit, StaCache};
-use logicopt::balance::{balance_delta, balance_paths_with_threshold, tighten_balance_delta};
+use logicopt::balance::{balance_delta, balance_paths, tighten_balance_delta};
 use logicopt::dontcare::{
     optimize_dontcares_sim, optimize_dontcares_sim_with, CandidateCounts, DontCareSimReport,
 };
-use logicopt::rewrite::{rewrite_sim, RewriteConfig};
+use logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use netlist::Netlist;
 use sim::event::{DelayModel, EventSim};
 use sim::incr::{IncrementalEventSim, IncrementalSim};
@@ -86,7 +87,7 @@ fn balance_scratch(nl: &Netlist, patterns: &sim::stimulus::PatternSet, sweep: &[
     sweep
         .iter()
         .map(|&t| {
-            let (balanced, _) = balance_paths_with_threshold(nl, t);
+            let (balanced, _) = balance_paths(nl, t);
             EventSim::new(&balanced, &DelayModel::Unit)
                 .activity(patterns)
                 .total_glitches_per_cycle()
@@ -293,8 +294,11 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
         ..cfg.clone()
     };
 
-    let (incr_nl, incr_report) = rewrite_sim(nl, &probs, &packed, &cfg);
-    let (full_nl, full_report) = rewrite_sim(nl, &probs, &packed, &full_cfg);
+    let unlimited = ResourceBudget::unlimited();
+    let search =
+        |cfg| try_rewrite_sim(nl, &probs, &packed, &unlimited, cfg).expect("unlimited budget");
+    let (incr_nl, incr_report) = search(&cfg);
+    let (full_nl, full_report) = search(&full_cfg);
     let identical = incr_report.cap_after.to_bits() == full_report.cap_after.to_bits()
         && incr_report.chains_accepted == full_report.chains_accepted
         && incr_nl.len() == full_nl.len()
@@ -303,10 +307,10 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
             .all(|n| incr_nl.kind(n) == full_nl.kind(n) && incr_nl.fanins(n) == full_nl.fanins(n));
 
     let scratch_seconds = harness::per_call(|| {
-        std::hint::black_box(rewrite_sim(nl, &probs, &packed, &full_cfg));
+        std::hint::black_box(search(&full_cfg));
     });
     let incr_seconds = harness::per_call(|| {
-        std::hint::black_box(rewrite_sim(nl, &probs, &packed, &cfg));
+        std::hint::black_box(search(&cfg));
     });
     Section {
         name: "rewrite-search",
@@ -365,13 +369,15 @@ fn bench_rewrite_flow(
     let packed = PackedPatterns::pack(&patterns);
 
     let start = Instant::now();
-    let (balanced, _) = balance_paths_with_threshold(nl, 0);
+    let (balanced, _) = balance_paths(nl, 0);
     let (seq_nl, seq_report) = optimize_dontcares_sim(&balanced, &probs, 5, &packed);
     let sequential_seconds = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let (rewritten, _) = rewrite_sim(nl, &probs, &packed, &search_config());
-    let (comb_nl, _) = balance_paths_with_threshold(&rewritten, 0);
+    let unlimited = ResourceBudget::unlimited();
+    let (rewritten, _) = try_rewrite_sim(nl, &probs, &packed, &unlimited, &search_config())
+        .expect("unlimited budget");
+    let (comb_nl, _) = balance_paths(&rewritten, 0);
     let combined_seconds = start.elapsed().as_secs_f64();
 
     // Equal delay: one constraint, derived from whichever variant is

@@ -1,13 +1,15 @@
 //! E3, E4, E7, E8, E9: combinational logic-level experiments.
 
 use crate::table::{f, pct, Table};
-use logicopt::balance::balance_paths_with_threshold;
-use logicopt::dontcare::{optimize_dontcares, Mode};
+use budget::ResourceBudget;
+use logicopt::balance::balance_paths;
+use logicopt::dontcare::{try_optimize_dontcares, Mode};
 use logicopt::factor::{CostFn, Cube, Sop, SopNetwork};
 use logicopt::mapping::{map, standard_library, MapObjective};
 use lowpower::par;
 use netlist::gen;
 use netlist::Rng64;
+use power::exact::CircuitBddCache;
 use sim::event::{DelayModel, EventSim};
 use sim::stimulus::Stimulus;
 
@@ -96,7 +98,7 @@ pub fn path_balance() -> String {
     // The sweep points are independent balance+simulate runs; fan them out.
     let thresholds = [usize::MAX / 2, 8, 4, 2, 1, 0];
     let sweep = par::par_map(&thresholds, par::jobs_from_env(), |_, &threshold| {
-        let (balanced, report) = balance_paths_with_threshold(&nl, threshold);
+        let (balanced, report) = balance_paths(&nl, threshold);
         let timing = EventSim::new(&balanced, &DelayModel::Unit).activity(&patterns);
         let cap = timing.total.switched_capacitance(&balanced);
         (report.buffers_added, timing.glitch_fraction(), cap, balanced.depth())
@@ -156,7 +158,10 @@ pub fn dontcare() -> String {
         let nl = gen::random_dag(&config, 100 + seed * 17 + rng.next_below(5));
         let probs = vec![0.5; 7];
         for (mode, label) in [(Mode::NodeLocal, "node-local [38]"), (Mode::FanoutAware, "fanout-aware [19]")] {
-            let (_, report) = optimize_dontcares(&nl, &probs, mode, 5);
+            let mut cache = CircuitBddCache::new();
+            let unlimited = ResourceBudget::unlimited();
+            let (_, report) = try_optimize_dontcares(&nl, &probs, mode, 5, &mut cache, &unlimited)
+                .expect("unlimited budget");
             t.row(&[
                 nl.name().to_string(),
                 label.to_string(),

@@ -1,17 +1,20 @@
 //! Combinational low-power flow: optional activity-driven rewriting
 //! search, don't-care optimization, then path balancing, with power
 //! measured by event-driven (glitch-aware) timing simulation before and
-//! after.
+//! after. Each pass runs through its one driver under an unlimited budget,
+//! and each side is measured with one `EventSim` run over the same
+//! stimulus.
 
-use logicopt::balance::{balance_delta, balance_paths_with_threshold};
-use logicopt::dontcare::{optimize_dontcares, Mode};
-use logicopt::rewrite::{rewrite_sim, RewriteConfig};
+use budget::ResourceBudget;
+use logicopt::balance::balance_paths;
+use logicopt::dontcare::{try_optimize_dontcares, Mode};
+use logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use netlist::Netlist;
+use power::exact::CircuitBddCache;
 use power::model::{PowerParams, PowerReport};
 use sim::comb::CombSim;
-use sim::event::DelayModel;
-use sim::incr::IncrementalEventSim;
-use sim::stimulus::Stimulus;
+use sim::event::{DelayModel, EventSim};
+use sim::stimulus::{PackedPatterns, PatternSet, Stimulus};
 
 /// Configuration of the combinational flow.
 #[derive(Debug, Clone)]
@@ -73,16 +76,24 @@ pub struct CombFlowResult {
     pub rewrite_chains: usize,
 }
 
-fn measure(engine: &IncrementalEventSim, config: &CombFlowConfig) -> (PowerReport, f64) {
-    let timing = engine.activity();
-    let report = PowerReport::from_activity(engine.netlist(), &timing.total, &config.params);
+/// Power and glitch fraction of `nl` from one unit-delay `EventSim` run
+/// over `patterns`.
+fn measure(nl: &Netlist, patterns: &PatternSet, config: &CombFlowConfig) -> (PowerReport, f64) {
+    let timing = EventSim::new(nl, &DelayModel::Unit)
+        .with_obs(config.obs.clone())
+        .activity(patterns);
+    let report = PowerReport::from_activity(nl, &timing.total, &config.params);
     (report, timing.glitch_fraction())
 }
 
 /// Run the flow on a combinational netlist.
 ///
-/// The result is functionally equivalent to the input (verified internally
-/// on the measurement stimulus).
+/// The passes run in order: the rewriting search when
+/// [`CombFlowConfig::rewrite`] is set, the don't-care pass when
+/// [`CombFlowConfig::dontcares`] is set, then path balancing at
+/// [`CombFlowConfig::balance_threshold`]. The result is functionally
+/// equivalent to the input (verified internally on a prefix of the
+/// measurement stimulus).
 ///
 /// # Panics
 ///
@@ -92,20 +103,13 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
     assert!(nl.is_combinational(), "combinational flow");
     let obs = &config.obs;
     let flow_span = obs.span("flow.comb");
+    let unlimited = ResourceBudget::unlimited();
 
-    // One stimulus, packed once, shared by every measurement in the flow.
-    let packed = Stimulus::uniform(nl.num_inputs()).packed(config.cycles, config.seed);
+    // One stimulus for both measurements and the rewrite search.
+    let patterns = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles, config.seed);
 
     let span = obs.span("pass.measure-baseline");
-    let mut engine = IncrementalEventSim::try_from_full_eval(
-        nl,
-        &DelayModel::Unit,
-        &packed,
-        &budget::ResourceBudget::unlimited(),
-        obs.clone(),
-    )
-    .expect("unlimited budget");
-    let (baseline_power, glitch_before) = measure(&engine, config);
+    let (baseline_power, glitch_before) = measure(nl, &patterns, config);
     span.close();
 
     let span = obs.span("pass.rewrite");
@@ -116,7 +120,9 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
             obs: obs.clone(),
             ..RewriteConfig::default()
         };
-        let (opt, report) = rewrite_sim(nl, &probs, &packed, &rw_cfg);
+        let packed = PackedPatterns::pack(&patterns);
+        let (opt, report) = try_rewrite_sim(nl, &probs, &packed, &unlimited, &rw_cfg)
+            .expect("unlimited budget");
         (opt, report.chains_accepted)
     } else {
         (nl.clone(), 0)
@@ -127,56 +133,40 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
     let span = obs.span("pass.dontcare");
     let (after_dc, dc_rewrites) = if config.dontcares {
         let probs = vec![0.5; nl.num_inputs()];
-        let (opt, report) =
-            optimize_dontcares(&after_rw, &probs, Mode::FanoutAware, config.dontcare_max_fanin);
+        let mut cache = CircuitBddCache::new();
+        let (opt, report) = try_optimize_dontcares(
+            &after_rw,
+            &probs,
+            Mode::FanoutAware,
+            config.dontcare_max_fanin,
+            &mut cache,
+            &unlimited,
+        )
+        .expect("unlimited budget");
         (opt, report.nodes_changed)
     } else {
-        (after_rw.clone(), 0)
+        (after_rw, 0)
     };
     span.close();
     obs.add("flow.comb.dontcare_rewrites", dc_rewrites as u64);
 
     let span = obs.span("pass.balance");
-    let (balanced, buffers_added) = if dc_rewrites == 0 && rewrite_chains == 0 {
-        // Netlist unchanged since the baseline measurement: balance as a
-        // delta against the resident engine, so the optimized measurement
-        // below needs no fresh engine build.
-        let levels = nl.levels().expect("acyclic");
-        let (delta, buffers) = balance_delta(nl, &levels, config.balance_threshold);
-        if !delta.is_empty() {
-            engine.apply_delta(&delta);
-        }
-        (engine.netlist().clone(), buffers)
-    } else {
-        // A rewriting pass rebuilt and swept the netlist — net ids moved,
-        // which no delta can express. Full-eval fallback: fresh engine.
-        let (balanced, report) =
-            balance_paths_with_threshold(&after_dc, config.balance_threshold);
-        engine = IncrementalEventSim::try_from_full_eval(
-            &balanced,
-            &DelayModel::Unit,
-            &packed,
-            &budget::ResourceBudget::unlimited(),
-            obs.clone(),
-        )
-        .expect("unlimited budget");
-        (balanced, report.buffers_added)
-    };
+    let (balanced, balance) = balance_paths(&after_dc, config.balance_threshold);
     span.close();
-    obs.add("flow.comb.buffers_added", buffers_added as u64);
+    obs.add("flow.comb.buffers_added", balance.buffers_added as u64);
 
     // Safety net: the flow must preserve function.
     let span = obs.span("pass.equiv-check");
-    let patterns = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles.min(256), config.seed);
+    let check = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles.min(256), config.seed);
     assert_eq!(
-        CombSim::new(nl).equivalent_on(&balanced, &patterns),
+        CombSim::new(nl).equivalent_on(&balanced, &check),
         None,
         "flow broke functional equivalence"
     );
     span.close();
 
     let span = obs.span("pass.measure-optimized");
-    let (optimized_power, glitch_after) = measure(&engine, config);
+    let (optimized_power, glitch_after) = measure(&balanced, &patterns, config);
     span.close();
 
     obs.gauge_set("flow.comb.power.before", baseline_power.total());
@@ -190,7 +180,7 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
         optimized_power,
         glitch_fraction_before: glitch_before,
         glitch_fraction_after: glitch_after,
-        buffers_added,
+        buffers_added: balance.buffers_added,
         dontcare_rewrites: dc_rewrites,
         rewrite_chains,
     }

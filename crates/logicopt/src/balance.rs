@@ -5,8 +5,8 @@
 //! every pair of converging paths equal in length, which eliminates
 //! spurious transitions entirely — at the cost of the buffers' own
 //! capacitance, which is why the survey notes the buffer count must be kept
-//! minimal. [`balance_paths`] balances completely; the `threshold` variant
-//! only fixes skews above a bound, trading residual glitches for fewer
+//! minimal. [`balance_paths`] at threshold 0 balances completely; a larger
+//! threshold only fixes skews above it, trading residual glitches for fewer
 //! buffers (the "reduce rather than completely eliminate" approach).
 
 use netlist::{GateKind, NetId, Netlist};
@@ -23,14 +23,17 @@ pub struct BalanceReport {
     pub depth_after: usize,
 }
 
-/// Fully balance all converging paths (unit-delay model).
+/// Balance the edges whose skew exceeds `threshold` levels (unit-delay
+/// model). `threshold = 0` balances every converging path; larger
+/// thresholds insert fewer buffers and leave proportionally more glitching
+/// behind.
 ///
 /// ```
 /// use logicopt::balance::balance_paths;
 /// use netlist::gen::array_multiplier;
 ///
 /// let (mult, _) = array_multiplier(4);
-/// let (balanced, report) = balance_paths(&mult);
+/// let (balanced, report) = balance_paths(&mult, 0);
 /// assert!(report.buffers_added > 0);
 /// assert_eq!(report.depth_before, report.depth_after); // critical path intact
 /// # assert!(sim::comb::equivalent_exhaustive(&mult, &balanced));
@@ -41,19 +44,7 @@ pub struct BalanceReport {
 /// # Panics
 ///
 /// Panics if the netlist is sequential or cyclic.
-pub fn balance_paths(nl: &Netlist) -> (Netlist, BalanceReport) {
-    balance_paths_with_threshold(nl, 0)
-}
-
-/// Balance only edges whose skew exceeds `threshold` levels.
-///
-/// `threshold = 0` restores full balancing; larger thresholds insert fewer
-/// buffers and leave proportionally more glitching behind.
-///
-/// # Panics
-///
-/// Panics if the netlist is sequential or cyclic.
-pub fn balance_paths_with_threshold(nl: &Netlist, threshold: usize) -> (Netlist, BalanceReport) {
+pub fn balance_paths(nl: &Netlist, threshold: usize) -> (Netlist, BalanceReport) {
     let levels = nl.levels().expect("acyclic");
     let depth_before = levels.iter().copied().max().unwrap_or(0);
     let (delta, buffers_added) = balance_delta(nl, &levels, threshold);
@@ -76,7 +67,7 @@ pub fn balance_paths_with_threshold(nl: &Netlist, threshold: usize) -> (Netlist,
 /// before the engine re-times the edited netlist.
 ///
 /// `levels` must be `nl.levels()`. Replaying the delta on a clone of `nl`
-/// produces exactly the netlist [`balance_paths_with_threshold`] returns
+/// produces exactly the netlist [`balance_paths`] returns
 /// (same node ids, same order). Returns the delta and the buffer count.
 ///
 /// # Panics
@@ -129,7 +120,7 @@ pub fn balance_delta(nl: &Netlist, levels: &[usize], threshold: usize) -> (Delta
 /// delta for each step instead of re-balancing from scratch.
 ///
 /// Returns the delta and the number of buffers it adds. The resulting
-/// netlist is isomorphic to `balance_paths_with_threshold(nl, to)` (same
+/// netlist is isomorphic to `balance_paths(nl, to)` (same
 /// gates and connectivity; buffer ids are appended in sweep order rather
 /// than one-shot order).
 pub fn tighten_balance_delta(
@@ -195,7 +186,7 @@ mod tests {
     #[test]
     fn balancing_preserves_function() {
         let (nl, _) = ripple_adder(4);
-        let (balanced, report) = balance_paths(&nl);
+        let (balanced, report) = balance_paths(&nl, 0);
         assert!(report.buffers_added > 0);
         assert!(equivalent_exhaustive(&nl, &balanced));
     }
@@ -203,7 +194,7 @@ mod tests {
     #[test]
     fn balanced_circuit_has_no_glitches_under_unit_delay() {
         let (nl, _) = array_multiplier(4);
-        let (balanced, _) = balance_paths(&nl);
+        let (balanced, _) = balance_paths(&nl, 0);
         let patterns = Stimulus::uniform(8).patterns(200, 3);
         let before = EventSim::new(&nl, &DelayModel::Unit).activity(&patterns);
         let after = EventSim::new(&balanced, &DelayModel::Unit).activity(&patterns);
@@ -218,7 +209,7 @@ mod tests {
     #[test]
     fn depth_never_increases() {
         let (nl, _) = array_multiplier(4);
-        let (balanced, report) = balance_paths(&nl);
+        let (balanced, report) = balance_paths(&nl, 0);
         assert_eq!(report.depth_before, report.depth_after);
         assert_eq!(balanced.depth(), report.depth_before);
     }
@@ -230,7 +221,7 @@ mod tests {
         let mut buffer_counts = Vec::new();
         let mut glitch_fractions = Vec::new();
         for threshold in [0usize, 2, 5, usize::MAX / 2] {
-            let (balanced, report) = balance_paths_with_threshold(&nl, threshold);
+            let (balanced, report) = balance_paths(&nl, threshold);
             buffer_counts.push(report.buffers_added);
             let t = EventSim::new(&balanced, &DelayModel::Unit).activity(&patterns);
             glitch_fractions.push(t.glitch_fraction());
@@ -261,7 +252,7 @@ mod tests {
             };
             delta.apply_to(&mut cur);
             from = t;
-            let (one_shot, report) = balance_paths_with_threshold(&nl, t);
+            let (one_shot, report) = balance_paths(&nl, t);
             // The swept netlist is isomorphic to the one-shot result: same
             // node count, same function, same glitch behaviour.
             assert_eq!(cur.len(), one_shot.len(), "threshold {t}");
@@ -287,7 +278,7 @@ mod tests {
             let (delta, added) = balance_delta(&nl, &levels, t);
             let mut replayed = nl.clone();
             delta.apply_to(&mut replayed);
-            let (one_shot, report) = balance_paths_with_threshold(&nl, t);
+            let (one_shot, report) = balance_paths(&nl, t);
             assert_eq!(added, report.buffers_added);
             assert_eq!(replayed.len(), one_shot.len(), "threshold {t}");
             for net in replayed.iter_nets() {
@@ -300,7 +291,7 @@ mod tests {
     #[test]
     fn already_balanced_untouched() {
         let nl = netlist::gen::parity_tree(8);
-        let (_, report) = balance_paths(&nl);
+        let (_, report) = balance_paths(&nl, 0);
         assert_eq!(report.buffers_added, 0);
     }
 
@@ -313,7 +304,7 @@ mod tests {
         // capacitance-weighted total can go either way — which is exactly
         // why the threshold variant exists (E4 sweeps it).
         let (nl, _) = array_multiplier(4);
-        let (balanced, report) = balance_paths(&nl);
+        let (balanced, report) = balance_paths(&nl, 0);
         let stats_before = netlist::NetlistStats::of(&nl);
         let stats_after = netlist::NetlistStats::of(&balanced);
         assert!(stats_after.total_cap > stats_before.total_cap);

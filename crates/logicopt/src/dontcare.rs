@@ -29,9 +29,11 @@
 //! skipped; the analysis would have returned nothing for it. Reports count
 //! where the candidates went ([`CandidateCounts`]).
 //!
-//! The estimate-driven pass ([`optimize_dontcares`]), the
-//! simulation-driven pass ([`optimize_dontcares_sim`]) and the dontcare
-//! class of [`crate::rewrite`] run every candidate through one step:
+//! The estimate-driven pass ([`try_optimize_dontcares`], under the
+//! caller's budget and BDD cache), the simulation-driven pass
+//! ([`optimize_dontcares_sim`], or [`optimize_dontcares_sim_with`] on the
+//! caller's engine) and the dontcare class of [`crate::rewrite`] run every
+//! candidate through one step:
 //! witness, analyze, count, and return a profitable table as a [`Delta`].
 //! The simulation-driven drivers apply that delta to their engine; the
 //! estimate-driven pass replays it onto a copy of the netlist.
@@ -131,67 +133,40 @@ fn try_estimated_cap_cached(
     Ok(bdds.activity(input_probs).switched_capacitance(nl))
 }
 
-/// Run don't-care node optimization.
-///
-/// Only nodes with `fanin ≤ max_fanin` are considered (the local truth
-/// table enumeration is `2^fanin`). The result is functionally equivalent
-/// to the input on every primary output.
-///
-/// # Panics
-///
-/// Panics if the netlist is sequential, cyclic, or `input_probs` has the
-/// wrong width.
-pub fn optimize_dontcares(
-    nl: &Netlist,
-    input_probs: &[f64],
-    mode: Mode,
-    max_fanin: usize,
-) -> (Netlist, DontCareReport) {
-    let mut cache = CircuitBddCache::new();
-    optimize_dontcares_cached(nl, input_probs, mode, max_fanin, &mut cache)
-}
-
-/// [`optimize_dontcares`] with a caller-owned [`CircuitBddCache`]. The
-/// pass reads the original circuit's BDDs through the cache — so a caller
-/// that already estimated power on the same netlist (or will afterwards)
-/// pays for that build once — and every fixpoint iteration's rebuild also
-/// lands in the cache for any later structurally identical query.
-/// One-off candidate evaluations inside the rewrite search stay uncached:
-/// they are unique structures that would only evict useful entries.
-pub fn optimize_dontcares_cached(
-    nl: &Netlist,
-    input_probs: &[f64],
-    mode: Mode,
-    max_fanin: usize,
-    cache: &mut CircuitBddCache,
-) -> (Netlist, DontCareReport) {
-    let unlimited = ResourceBudget::unlimited();
-    match try_optimize_dontcares_cached(nl, input_probs, mode, max_fanin, cache, &unlimited) {
-        Ok(result) => result,
-        Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-    }
-}
-
 /// Patterns in the witness stimulus of the estimate-driven driver.
 const WITNESS_CYCLES: usize = 4096;
 /// Seed of the witness stimulus (any input vector is a legal witness).
 const WITNESS_SEED: u64 = 0x0DC5;
 
-/// [`optimize_dontcares_cached`] under a budget. The budget bounds the
-/// circuit-BDD builds (through [`CircuitBddCache::get_or_build`]), the
-/// deadline (checked once per candidate) and the witness simulation (each
-/// engine build, and each candidate's re-evaluated nets as `cycles` steps
-/// apiece). The witness only skips analyses, so a witness the budget
-/// cannot afford is dropped and the analyses run in full: it never fails
-/// or shortens a pass. `Err` is returned only when the first pass's
-/// circuit-BDD build exhausts; exhaustion later keeps the last accepted
-/// netlist and sets [`DontCareReport::budget_exhausted`].
+/// Run don't-care node optimization under a budget.
+///
+/// Only nodes with `fanin ≤ max_fanin` are considered (the local truth
+/// table enumeration is `2^fanin`). The result is functionally equivalent
+/// to the input on every primary output.
+///
+/// The pass reads the original circuit's BDDs through the caller's
+/// `cache`, so a caller that estimates power on the same netlist before
+/// or after pays for that build once, and every fixpoint iteration's
+/// rebuild also lands in the cache. One-off candidate evaluations stay
+/// uncached: they are unique structures that would only evict useful
+/// entries.
+///
+/// The budget bounds the circuit-BDD builds (through
+/// [`CircuitBddCache::get_or_build`]), the deadline (checked once per
+/// candidate) and the witness simulation (each engine build, and each
+/// candidate's re-evaluated nets as `cycles` steps apiece). The witness
+/// only skips analyses, so a witness the budget cannot afford is dropped
+/// and the analyses run in full: it never fails or shortens a pass. `Err`
+/// is returned only when the first pass's circuit-BDD build exhausts;
+/// exhaustion later keeps the last accepted netlist and sets
+/// [`DontCareReport::budget_exhausted`]. Under
+/// [`ResourceBudget::unlimited`] the pass cannot fail.
 ///
 /// # Panics
 ///
 /// Panics if the netlist is sequential, cyclic, or `input_probs` has the
 /// wrong width.
-pub fn try_optimize_dontcares_cached(
+pub fn try_optimize_dontcares(
     nl: &Netlist,
     input_probs: &[f64],
     mode: Mode,
@@ -757,6 +732,19 @@ mod tests {
     use proptest::prelude::*;
     use sim::comb::{equivalent_exhaustive, CombSim};
 
+    /// The estimate-driven pass with no limit and a fresh cache.
+    fn optimize(
+        nl: &Netlist,
+        probs: &[f64],
+        mode: Mode,
+        max_fanin: usize,
+    ) -> (Netlist, DontCareReport) {
+        let mut cache = CircuitBddCache::new();
+        let unlimited = ResourceBudget::unlimited();
+        try_optimize_dontcares(nl, probs, mode, max_fanin, &mut cache, &unlimited)
+            .expect("unlimited budget")
+    }
+
     /// out = (a & b) | a — the AND is unobservable when a = 1, so it can be
     /// rewritten to constant 0 (probability pushed to an extreme).
     fn redundant_and() -> (Netlist, NetId) {
@@ -773,7 +761,7 @@ mod tests {
     fn rewrites_redundant_node() {
         let (nl, _) = redundant_and();
         let (optimized, report) =
-            optimize_dontcares(&nl, &[0.5, 0.5], Mode::FanoutAware, 6);
+            optimize(&nl, &[0.5, 0.5], Mode::FanoutAware, 6);
         assert!(report.nodes_changed >= 1, "should find the redundancy");
         assert!(equivalent_exhaustive(&nl, &optimized));
         assert!(
@@ -787,7 +775,7 @@ mod tests {
     #[test]
     fn node_local_mode_also_preserves_function() {
         let (nl, _) = redundant_and();
-        let (optimized, _) = optimize_dontcares(&nl, &[0.5, 0.5], Mode::NodeLocal, 6);
+        let (optimized, _) = optimize(&nl, &[0.5, 0.5], Mode::NodeLocal, 6);
         assert!(equivalent_exhaustive(&nl, &optimized));
     }
 
@@ -796,7 +784,7 @@ mod tests {
         // XOR tree: every node fully observable, no don't-cares.
         let nl = netlist::gen::parity_tree(4);
         let (optimized, report) =
-            optimize_dontcares(&nl, &[0.5; 4], Mode::FanoutAware, 6);
+            optimize(&nl, &[0.5; 4], Mode::FanoutAware, 6);
         assert_eq!(report.nodes_changed, 0);
         assert!(equivalent_exhaustive(&nl, &optimized));
         assert!((report.cap_after - report.cap_before).abs() < 1e-9);
@@ -814,14 +802,14 @@ mod tests {
         let or = nl.add_gate(GateKind::Or, &[a, b]);
         let out = nl.add_gate(GateKind::Mux, &[s, and, or]);
         nl.mark_output(out, "f");
-        let (optimized, _) = optimize_dontcares(&nl, &[0.9, 0.5, 0.5], Mode::FanoutAware, 6);
+        let (optimized, _) = optimize(&nl, &[0.9, 0.5, 0.5], Mode::FanoutAware, 6);
         assert!(equivalent_exhaustive(&nl, &optimized));
     }
 
     #[test]
     fn comparator_is_preserved() {
         let (nl, _) = netlist::gen::comparator_gt(3);
-        let (optimized, _) = optimize_dontcares(&nl, &[0.5; 6], Mode::FanoutAware, 6);
+        let (optimized, _) = optimize(&nl, &[0.5; 6], Mode::FanoutAware, 6);
         assert!(equivalent_exhaustive(&nl, &optimized));
     }
 
@@ -936,7 +924,7 @@ mod tests {
         for seed in [1, 2, 3] {
             let nl = netlist::gen::random_dag(&config, seed);
             let (optimized, report) =
-                optimize_dontcares(&nl, &[0.5; 6], Mode::FanoutAware, 5);
+                optimize(&nl, &[0.5; 6], Mode::FanoutAware, 5);
             assert!(equivalent_exhaustive(&nl, &optimized));
             assert!(
                 report.cap_after <= report.cap_before + 1e-9,
@@ -1051,7 +1039,7 @@ mod tests {
         // Every XOR node of a parity tree is fully observable, and 256
         // uniform patterns show every fanin minterm of each.
         let nl = netlist::gen::parity_tree(8);
-        let (_, report) = optimize_dontcares(&nl, &[0.5; 8], Mode::FanoutAware, 6);
+        let (_, report) = optimize(&nl, &[0.5; 8], Mode::FanoutAware, 6);
         let c = report.candidates;
         assert!(c.witnessed > 0);
         assert_eq!((c.unreachable, c.analyzed, c.rewritten), (0, 0, 0));
@@ -1067,7 +1055,7 @@ mod tests {
             window: 10,
         };
         let nl = netlist::gen::random_dag(&config, 4);
-        let (_, report) = optimize_dontcares(&nl, &[0.5; 6], Mode::FanoutAware, 5);
+        let (_, report) = optimize(&nl, &[0.5; 6], Mode::FanoutAware, 5);
         let c = report.candidates;
         assert!(c.rewritten <= c.analyzed);
         assert!(c.rewritten as usize >= report.nodes_changed);
@@ -1112,14 +1100,14 @@ mod tests {
         for seed in [12u64, 16, 19] {
             let nl = netlist::gen::random_dag(&config, seed);
             let probs = [0.5; 7];
-            let (reference, _) = optimize_dontcares(&nl, &probs, mode, 5);
+            let (reference, _) = optimize(&nl, &probs, mode, 5);
             let least = least_node_budget(&nl);
             for extra in [0u64, 1, 2, 4, 8, 16, 32, 64] {
                 let budget = ResourceBudget::unlimited().with_max_bdd_nodes(least + extra);
                 // A rung too tight for the first build fails typed; only
                 // an answer carries obligations.
                 let mut cache = CircuitBddCache::new();
-                let run = try_optimize_dontcares_cached(&nl, &probs, mode, 5, &mut cache, &budget);
+                let run = try_optimize_dontcares(&nl, &probs, mode, 5, &mut cache, &budget);
                 if let Ok((out, report)) = run {
                     assert!(equivalent_exhaustive(&nl, &out), "seed {seed} +{extra}");
                     if report.budget_exhausted {
@@ -1133,7 +1121,7 @@ mod tests {
             let no_witness = ResourceBudget::unlimited().with_max_sim_steps(2000);
             let mut cache = CircuitBddCache::new();
             let (out, report) =
-                try_optimize_dontcares_cached(&nl, &probs, mode, 5, &mut cache, &no_witness)
+                try_optimize_dontcares(&nl, &probs, mode, 5, &mut cache, &no_witness)
                     .expect("steps meter only the witness");
             assert!(!report.budget_exhausted, "seed {seed}");
             assert_eq!(report.candidates.witnessed, 0, "seed {seed}");
@@ -1141,7 +1129,7 @@ mod tests {
             // A budget too small for the first build fails typed.
             let starved = ResourceBudget::unlimited().with_max_bdd_nodes(4);
             let mut cache = CircuitBddCache::new();
-            let run = try_optimize_dontcares_cached(&nl, &probs, mode, 5, &mut cache, &starved);
+            let run = try_optimize_dontcares(&nl, &probs, mode, 5, &mut cache, &starved);
             assert!(run.is_err());
         }
         assert!(exhausted > 0, "no rung ran out mid-pass");

@@ -472,6 +472,75 @@ pub fn map(nl: &Netlist, library: &[Cell], objective: MapObjective, input_probs:
     }
 }
 
+impl Mapping {
+    /// Materialize the cover as a gate-level netlist (each cell expanded to
+    /// its NAND2/INV pattern structure over the visible nets).
+    ///
+    /// Useful for equivalence checking the cover and for feeding the mapped
+    /// design to downstream passes.
+    pub fn to_netlist(&self, library: &[Cell]) -> Netlist {
+        let mut out = Netlist::new(format!("{}_mapped", self.subject.name()));
+        let mut net_of: Vec<Option<NetId>> = vec![None; self.subject.len()];
+        for &pi in self.subject.inputs() {
+            let name = self.subject.net_name(pi).unwrap_or("pi").to_string();
+            net_of[pi.index()] = Some(out.add_input(name));
+        }
+        for net in self.subject.iter_nets() {
+            if let GateKind::Const(v) = self.subject.kind(net) {
+                net_of[net.index()] = Some(out.add_const(v));
+            }
+        }
+        // Matches keyed by root, instantiated in subject topological order.
+        let mut match_of: Vec<Option<&Match>> = vec![None; self.subject.len()];
+        for m in &self.cover {
+            match_of[m.root.index()] = Some(m);
+        }
+        let order = self.subject.topo_order().expect("acyclic");
+        for net in order {
+            let Some(m) = match_of[net.index()] else {
+                continue;
+            };
+            let leaf_nets: Vec<NetId> = m
+                .leaves
+                .iter()
+                .map(|l| net_of[l.index()].expect("leaves precede roots in topo order"))
+                .collect();
+            let mut iter = leaf_nets.iter().copied();
+            let root_net =
+                instantiate_pattern(&mut out, &library[m.cell].pattern, &mut iter);
+            assert!(iter.next().is_none(), "all leaves consumed");
+            net_of[net.index()] = Some(root_net);
+        }
+        for (net, name) in self.subject.outputs() {
+            out.mark_output(
+                net_of[net.index()].expect("output covered"),
+                name.clone(),
+            );
+        }
+        out
+    }
+}
+
+/// Expand a pattern over leaf nets, consuming leaves in match order.
+fn instantiate_pattern(
+    nl: &mut Netlist,
+    pattern: &Pattern,
+    leaves: &mut impl Iterator<Item = NetId>,
+) -> NetId {
+    match pattern {
+        Pattern::Leaf => leaves.next().expect("leaf available"),
+        Pattern::Inv(sub) => {
+            let inner = instantiate_pattern(nl, sub, leaves);
+            nl.add_gate(GateKind::Not, &[inner])
+        }
+        Pattern::Nand(a, b) => {
+            let na = instantiate_pattern(nl, a, leaves);
+            let nb = instantiate_pattern(nl, b, leaves);
+            nl.add_gate(GateKind::Nand, &[na, nb])
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,75 +661,6 @@ mod tests {
         for m in &mapping.cover {
             assert!(m.cell < library.len());
             assert!(!m.leaves.is_empty() || library[m.cell].name == "const");
-        }
-    }
-}
-
-impl Mapping {
-    /// Materialize the cover as a gate-level netlist (each cell expanded to
-    /// its NAND2/INV pattern structure over the visible nets).
-    ///
-    /// Useful for equivalence checking the cover and for feeding the mapped
-    /// design to downstream passes.
-    pub fn to_netlist(&self, library: &[Cell]) -> Netlist {
-        let mut out = Netlist::new(format!("{}_mapped", self.subject.name()));
-        let mut net_of: Vec<Option<NetId>> = vec![None; self.subject.len()];
-        for &pi in self.subject.inputs() {
-            let name = self.subject.net_name(pi).unwrap_or("pi").to_string();
-            net_of[pi.index()] = Some(out.add_input(name));
-        }
-        for net in self.subject.iter_nets() {
-            if let GateKind::Const(v) = self.subject.kind(net) {
-                net_of[net.index()] = Some(out.add_const(v));
-            }
-        }
-        // Matches keyed by root, instantiated in subject topological order.
-        let mut match_of: Vec<Option<&Match>> = vec![None; self.subject.len()];
-        for m in &self.cover {
-            match_of[m.root.index()] = Some(m);
-        }
-        let order = self.subject.topo_order().expect("acyclic");
-        for net in order {
-            let Some(m) = match_of[net.index()] else {
-                continue;
-            };
-            let leaf_nets: Vec<NetId> = m
-                .leaves
-                .iter()
-                .map(|l| net_of[l.index()].expect("leaves precede roots in topo order"))
-                .collect();
-            let mut iter = leaf_nets.iter().copied();
-            let root_net =
-                instantiate_pattern(&mut out, &library[m.cell].pattern, &mut iter);
-            assert!(iter.next().is_none(), "all leaves consumed");
-            net_of[net.index()] = Some(root_net);
-        }
-        for (net, name) in self.subject.outputs() {
-            out.mark_output(
-                net_of[net.index()].expect("output covered"),
-                name.clone(),
-            );
-        }
-        out
-    }
-}
-
-/// Expand a pattern over leaf nets, consuming leaves in match order.
-fn instantiate_pattern(
-    nl: &mut Netlist,
-    pattern: &Pattern,
-    leaves: &mut impl Iterator<Item = NetId>,
-) -> NetId {
-    match pattern {
-        Pattern::Leaf => leaves.next().expect("leaf available"),
-        Pattern::Inv(sub) => {
-            let inner = instantiate_pattern(nl, sub, leaves);
-            nl.add_gate(GateKind::Not, &[inner])
-        }
-        Pattern::Nand(a, b) => {
-            let na = instantiate_pattern(nl, a, leaves);
-            let nb = instantiate_pattern(nl, b, leaves);
-            nl.add_gate(GateKind::Nand, &[na, nb])
         }
     }
 }

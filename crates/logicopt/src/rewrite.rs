@@ -137,7 +137,7 @@ const MOVES_PER_CLASS: usize = 48;
 /// first place.
 const DONTCARE_NODE_LIMIT: usize = 10_000;
 
-/// Settings of [`rewrite_sim`].
+/// Settings of [`try_rewrite_sim`].
 #[derive(Debug, Clone)]
 pub struct RewriteConfig {
     /// Fanin bound for the don't-care table class (enumeration is `2^fanin`).
@@ -197,35 +197,17 @@ struct Move {
     delta: Delta,
 }
 
-/// Run the rewriting search with an unlimited budget.
-///
-/// See [`try_rewrite_sim`]; this wrapper cannot exhaust and never reports
-/// `budget_exhausted`.
-///
-/// # Panics
-///
-/// Panics if the netlist is sequential/cyclic or `input_probs` /
-/// `packed` have the wrong width.
-pub fn rewrite_sim(
-    nl: &Netlist,
-    input_probs: &[f64],
-    packed: &PackedPatterns,
-    cfg: &RewriteConfig,
-) -> (Netlist, RewriteReport) {
-    match try_rewrite_sim(nl, input_probs, packed, &ResourceBudget::unlimited(), cfg) {
-        Ok(result) => result,
-        Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-    }
-}
-
 /// Run the activity-driven rewriting search under a budget.
 ///
 /// Returns the optimized netlist (dead cones swept) and a report. The
 /// result is functionally equivalent to the input on every primary output
-/// and no slower at unit sizing. `Err` is only returned when the *initial*
-/// engine build exhausts the budget; exhaustion mid-search unwinds to the
-/// last committed mark and returns that state with
-/// [`RewriteReport::budget_exhausted`] set.
+/// and no slower at unit sizing. The budget bounds the engine build, every
+/// speculative apply and each round's circuit-BDD builds for move
+/// enumeration. `Err` is only returned when the *initial* engine build
+/// exhausts the budget; exhaustion mid-search unwinds to the last
+/// committed mark and returns that state with
+/// [`RewriteReport::budget_exhausted`] set. Under
+/// [`ResourceBudget::unlimited`] the search cannot fail.
 ///
 /// # Panics
 ///
@@ -345,7 +327,7 @@ impl Search<'_> {
         base_mark: Mark,
         cap_current: f64,
     ) -> Result<Option<(Vec<MoveKind>, f64)>, BudgetExceeded> {
-        let moves = self.enumerate_moves();
+        let moves = self.enumerate_moves()?;
         let scored = self.score_moves(&moves)?;
         // The chain score of a head is the best cap reachable in at most
         // two moves from it: (head index, follow-up move, chain cap).
@@ -354,7 +336,7 @@ impl Search<'_> {
             let head_mark = self.engine.checkpoint();
             let head_delta = &moves[head].delta;
             self.engine.try_apply_delta(head_delta, self.budget)?;
-            let mut next_moves = self.enumerate_moves();
+            let mut next_moves = self.enumerate_moves()?;
             let next_scored = self.score_moves(&next_moves)?;
             let mut chain = (head, None, cap_head);
             if let Some(&(next, cap_next)) = next_scored.first() {
@@ -420,13 +402,11 @@ impl Search<'_> {
     /// Enumerate all candidate moves against the engine's netlist, per
     /// class, in deterministic net-id order, each class capped at
     /// [`MOVES_PER_CLASS`]. The engine's resident words witness the
-    /// dontcare class's care minterms.
-    fn enumerate_moves(&mut self) -> Vec<Move> {
+    /// dontcare class's care minterms. The circuit BDDs are built under
+    /// the search's budget.
+    fn enumerate_moves(&mut self) -> Result<Vec<Move>, BudgetExceeded> {
         let nl = self.engine.netlist().clone();
-        let bdds = self
-            .cache
-            .get_or_build(&nl, &ResourceBudget::unlimited())
-            .expect("unlimited budget");
+        let bdds = self.cache.get_or_build(&nl, self.budget)?;
         // Rewrites leave dead cones in place (net ids stay stable for the
         // engine), so moves only target live logic.
         let live = nl.live_mask();
@@ -439,7 +419,7 @@ impl Search<'_> {
             let counts = &mut self.report.dontcare_candidates;
             dontcare_moves(&nl, engine, &bdds, probs, self.cfg.max_fanin, counts, &mut out);
         }
-        out
+        Ok(out)
     }
 }
 
@@ -791,7 +771,9 @@ mod tests {
         let nl = duplicated_cones();
         let packed = Stimulus::uniform(3).packed(256, 7);
         let cfg = RewriteConfig::default();
-        let (optimized, report) = rewrite_sim(&nl, &[0.5; 3], &packed, &cfg);
+        let unlimited = ResourceBudget::unlimited();
+        let (optimized, report) =
+            try_rewrite_sim(&nl, &[0.5; 3], &packed, &unlimited, &cfg).expect("unlimited budget");
         assert!(equivalent_exhaustive(&nl, &optimized));
         assert!(report.accepted.resub >= 1, "{:?}", report.accepted);
         assert!(report.cap_after < report.cap_before);
@@ -861,7 +843,9 @@ mod tests {
             let nl = netlist::gen::random_dag(&config, seed);
             let packed = Stimulus::uniform(6).packed(256, seed);
             let cfg = RewriteConfig::default();
-            let (optimized, report) = rewrite_sim(&nl, &[0.5; 6], &packed, &cfg);
+            let unlimited = ResourceBudget::unlimited();
+            let (optimized, report) = try_rewrite_sim(&nl, &[0.5; 6], &packed, &unlimited, &cfg)
+                .expect("unlimited budget");
             assert!(equivalent_exhaustive(&nl, &optimized), "seed {seed}");
             assert!(report.cap_after <= report.cap_before + 1e-9, "seed {seed}");
             assert!(
@@ -890,8 +874,10 @@ mod tests {
             force_full: true,
             ..RewriteConfig::default()
         };
-        let (a, ra) = rewrite_sim(&nl, &[0.5; 5], &packed, &incr_cfg);
-        let (b, rb) = rewrite_sim(&nl, &[0.5; 5], &packed, &full_cfg);
+        let unlimited = ResourceBudget::unlimited();
+        let run = |cfg| try_rewrite_sim(&nl, &[0.5; 5], &packed, &unlimited, cfg);
+        let (a, ra) = run(&incr_cfg).expect("unlimited budget");
+        let (b, rb) = run(&full_cfg).expect("unlimited budget");
         assert_eq!(ra.cap_after.to_bits(), rb.cap_after.to_bits());
         assert_eq!(ra.chains_accepted, rb.chains_accepted);
         assert_eq!(ra.tried, rb.tried);
@@ -917,7 +903,9 @@ mod tests {
         let cfg = RewriteConfig::default();
         // Unlimited reference tells us the total step cost; any smaller
         // budget must exhaust mid-search yet still return a valid circuit.
-        let (reference, ref_report) = rewrite_sim(&nl, &[0.5; 6], &packed, &cfg);
+        let unlimited = ResourceBudget::unlimited();
+        let (reference, ref_report) =
+            try_rewrite_sim(&nl, &[0.5; 6], &packed, &unlimited, &cfg).expect("unlimited budget");
         for divisor in [2u64, 5, 20] {
             let steps = (256 * nl.len() as u64) + ref_report.nets_reevaluated / divisor;
             let budget = ResourceBudget::unlimited().with_max_sim_steps(steps.max(1));
@@ -940,5 +928,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn enumeration_builds_its_bdds_under_the_search_budget() {
+        // The engine build meters no BDD nodes, so a node budget too small
+        // for the circuit BDDs runs out in the first enumeration and the
+        // search returns its input.
+        let nl = duplicated_cones();
+        let packed = Stimulus::uniform(3).packed(256, 7);
+        let budget = ResourceBudget::unlimited().with_max_bdd_nodes(2);
+        let cfg = RewriteConfig::default();
+        let (out, report) = try_rewrite_sim(&nl, &[0.5; 3], &packed, &budget, &cfg)
+            .expect("the engine build fits");
+        assert!(report.budget_exhausted);
+        assert_eq!(report.chains_accepted, 0);
+        assert_eq!(report.tried.total(), 0);
+        assert_eq!(netlist::blif::write_text(&out), netlist::blif::write_text(&nl));
     }
 }

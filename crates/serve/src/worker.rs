@@ -197,7 +197,7 @@ fn run_kind(
     match spec.kind {
         JobKind::Power => run_power(spec, budget, state, skip_exact, policy),
         JobKind::Stats => run_stats(spec),
-        JobKind::Dontcare => run_dontcare(spec, state),
+        JobKind::Dontcare => run_dontcare(spec, budget, state),
         JobKind::Fsm => run_fsm(spec),
         JobKind::InjectPanic => {
             if !policy.fault_injection {
@@ -283,8 +283,15 @@ fn run_stats(spec: &JobSpec) -> Result<JobOutput, RunError> {
     })
 }
 
-fn run_dontcare(spec: &JobSpec, state: &mut WorkerState) -> Result<JobOutput, RunError> {
-    use logicopt::dontcare::{optimize_dontcares_cached, Mode};
+/// The don't-care pass under the job budget. A budget too small for the
+/// first circuit-BDD build fails the job as exhausted; one that runs out
+/// later keeps the last accepted netlist and says so.
+fn run_dontcare(
+    spec: &JobSpec,
+    budget: &ResourceBudget,
+    state: &mut WorkerState,
+) -> Result<JobOutput, RunError> {
+    use logicopt::dontcare::{try_optimize_dontcares, Mode};
     let nl = parse_text(&spec.payload)
         .map_err(|e| RunError::Job(JobError::Parse(e.to_string())))?;
     if !nl.is_combinational() {
@@ -300,10 +307,16 @@ fn run_dontcare(spec: &JobSpec, state: &mut WorkerState) -> Result<JobOutput, Ru
     }
     let probs = vec![0.5; nl.num_inputs()];
     let (_, report) =
-        optimize_dontcares_cached(&nl, &probs, Mode::FanoutAware, 6, &mut state.cache);
+        try_optimize_dontcares(&nl, &probs, Mode::FanoutAware, 6, &mut state.cache, budget)
+            .map_err(|e| RunError::Job(JobError::Exhausted(e.to_string())))?;
+    let exhausted = if report.budget_exhausted {
+        " (budget exhausted: last accepted netlist kept)"
+    } else {
+        ""
+    };
     Ok(JobOutput {
         text: format!(
-            "{} nodes rewritten, switched cap {:.1} -> {:.1} fF/cycle\n",
+            "{} nodes rewritten, switched cap {:.1} -> {:.1} fF/cycle{exhausted}\n",
             report.nodes_changed, report.cap_before, report.cap_after
         ),
         tier: None,
@@ -499,6 +512,27 @@ mod tests {
         let (r, attempts) = execute(&spec, None, &mut state, &policy);
         assert!(matches!(r, Err(JobError::Exhausted(_))), "{r:?}");
         assert_eq!(attempts, 1, "deterministic failures are not retried");
+    }
+
+    #[test]
+    fn dontcare_job_runs_under_its_budget() {
+        let policy = ExecPolicy::default();
+        let generous = JobSpec::new(JobKind::Dontcare, adder_blif());
+        let mut starved = generous.clone();
+        // Too few nodes for the first circuit-BDD build.
+        starved.max_bdd_nodes = Some(4);
+        let mut state = WorkerState::new(2);
+        let (r, attempts) = execute(&starved, None, &mut state, &policy);
+        assert!(matches!(r, Err(JobError::Exhausted(_))), "{r:?}");
+        assert_eq!(attempts, 1, "deterministic failures are not retried");
+        assert_eq!(cold_run(&starved, &policy), (r, 1));
+        // Once the cache holds the adder's BDDs the starved job still
+        // fails: a hit is charged the cached build's peak.
+        let (answer, _) = execute(&generous, None, &mut state, &policy);
+        assert!(answer.is_ok(), "{answer:?}");
+        let (warm, attempts) = execute(&starved, None, &mut state, &policy);
+        assert!(matches!(warm, Err(JobError::Exhausted(_))), "{warm:?}");
+        assert_eq!(attempts, 1);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! mapping for power (§III.B, reported at cell level, where internal nets
 //! are hidden inside cells) → glitch-aware power sign-off.
 
-use lowpower::logicopt::balance::balance_paths_with_threshold;
-use lowpower::logicopt::dontcare::{optimize_dontcares, Mode};
+use lowpower::budget::ResourceBudget;
+use lowpower::logicopt::balance::balance_paths;
+use lowpower::logicopt::dontcare::{try_optimize_dontcares, Mode};
 use lowpower::logicopt::mapping::{map, standard_library, MapObjective};
 use lowpower::netlist::gen::{array_multiplier, comparator_gt, wallace_multiplier};
 use lowpower::netlist::{Netlist, NetlistStats};
+use lowpower::power::exact::CircuitBddCache;
 use lowpower::power::model::{PowerParams, PowerReport};
 use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::stimulus::Stimulus;
@@ -56,7 +58,11 @@ fn main() {
 
     // 1. Don't-care optimization.
     let probs = vec![0.5; rtl.num_inputs()];
-    let (after_dc, dc_report) = optimize_dontcares(&rtl, &probs, Mode::FanoutAware, 6);
+    let mut cache = CircuitBddCache::new();
+    let unlimited = ResourceBudget::unlimited();
+    let (after_dc, dc_report) =
+        try_optimize_dontcares(&rtl, &probs, Mode::FanoutAware, 6, &mut cache, &unlimited)
+            .expect("unlimited budget");
     println!(
         "  1 dontcare:  {} nodes rewritten, est. cap {:.1} -> {:.1} fF/cycle",
         dc_report.nodes_changed, dc_report.cap_before, dc_report.cap_after
@@ -67,7 +73,7 @@ fn main() {
     //    buffers" point).
     let mut best: Option<(usize, Netlist, f64, usize)> = None;
     for threshold in [usize::MAX / 2, 6, 3, 1, 0] {
-        let (candidate, report) = balance_paths_with_threshold(&after_dc, threshold);
+        let (candidate, report) = balance_paths(&after_dc, threshold);
         let (_, _, cap) = measure(&candidate, &params);
         if best.as_ref().map(|&(_, _, c, _)| cap < c).unwrap_or(true) {
             best = Some((threshold, candidate, cap, report.buffers_added));

@@ -38,8 +38,8 @@ use std::process::ExitCode;
 
 use lowpower::budget::ResourceBudget;
 use lowpower::obs;
-use lowpower::logicopt::balance::balance_delta;
-use lowpower::logicopt::dontcare::{try_optimize_dontcares_cached, Mode};
+use lowpower::logicopt::balance::balance_paths;
+use lowpower::logicopt::dontcare::{try_optimize_dontcares, Mode};
 use lowpower::logicopt::mapping::{map, standard_library, MapObjective};
 use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use lowpower::netlist::blif::{parse_text, write_text};
@@ -49,7 +49,6 @@ use lowpower::power::exact::CircuitBddCache;
 use lowpower::power::model::{PowerParams, PowerReport};
 use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::fault::{all_stuck_at_faults, CampaignReport, FaultSim};
-use lowpower::sim::incr::IncrementalEventSim;
 use lowpower::sim::stimulus::Stimulus;
 
 fn main() -> ExitCode {
@@ -318,7 +317,8 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             Ok(format!("{report}\n{}{abandoned}", describe_estimate(&est)))
         }
         "balance" => {
-            let nl = load(args.get(1).ok_or_else(|| usage("balance: missing input"))?)?;
+            let input = args.get(1).ok_or_else(|| usage("balance: missing input"))?;
+            let nl = load_combinational("balance", input)?;
             let out = args.get(2).ok_or_else(|| usage("balance: missing output path"))?;
             let threshold: usize = args
                 .get(3)
@@ -328,44 +328,23 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
                 })
                 .transpose()?
                 .unwrap_or(0);
-            let levels = {
-                assert!(nl.is_combinational(), "balancing operates on combinational logic");
-                nl.levels().expect("acyclic")
-            };
-            let (delta, buffers_added) = balance_delta(&nl, &levels, threshold);
-            let depth_before = levels.iter().copied().max().unwrap_or(0);
-            let mut balanced = nl.clone();
-            delta.apply_to(&mut balanced);
-            let depth_after = balanced.depth();
+            let (balanced, report) = balance_paths(&nl, threshold);
             // Not-worse guard: path balancing trades buffer capacitance for
             // glitch power, so check the trade under the timing engine and
-            // keep the original if it lost. One incremental engine measures
-            // both sides, the balance edit applied to it as one delta.
+            // keep the original if it lost. One `EventSim` run times each
+            // side on the same patterns.
             let mut chosen = &balanced;
             let mut verdict = String::new();
-            if buffers_added > 0 {
-                let packed = Stimulus::uniform(nl.num_inputs()).packed(256, 42);
+            if report.buffers_added > 0 {
+                let patterns = Stimulus::uniform(nl.num_inputs()).patterns(256, 42);
                 let params = PowerParams::default();
-                let check = IncrementalEventSim::try_from_full_eval(
-                    &nl,
-                    &DelayModel::Unit,
-                    &packed,
-                    &opts.budget,
-                    opts.obs.clone(),
-                )
-                .and_then(|mut engine| {
-                    let before =
-                        PowerReport::from_activity(&nl, &engine.activity().total, &params)
-                            .total();
-                    engine.try_apply_delta(&delta, &opts.budget)?;
-                    let after = PowerReport::from_activity(
-                        engine.netlist(),
-                        &engine.activity().total,
-                        &params,
-                    )
-                    .total();
-                    Ok((before, after))
-                });
+                let power = |n: &Netlist| {
+                    EventSim::new(n, &DelayModel::Unit)
+                        .with_obs(opts.obs.clone())
+                        .try_activity(&patterns, &opts.budget)
+                        .map(|timing| PowerReport::from_activity(n, &timing.total, &params).total())
+                };
+                let check = power(&nl).and_then(|before| Ok((before, power(&balanced)?)));
                 match check {
                     Ok((before, after)) if after > before => {
                         chosen = &nl;
@@ -383,11 +362,13 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             }
             save(chosen, out)?;
             Ok(format!(
-                "wrote {out}: {buffers_added} buffers added, depth {depth_before} -> {depth_after}\n{verdict}"
+                "wrote {out}: {} buffers added, depth {} -> {}\n{verdict}",
+                report.buffers_added, report.depth_before, report.depth_after
             ))
         }
         "dontcare" => {
-            let nl = load(args.get(1).ok_or_else(|| usage("dontcare: missing input"))?)?;
+            let input = args.get(1).ok_or_else(|| usage("dontcare: missing input"))?;
+            let nl = load_combinational("dontcare", input)?;
             let out = args.get(2).ok_or_else(|| usage("dontcare: missing output path"))?;
             if nl.num_inputs() > 18 {
                 return Err(fail("dontcare: BDD pass limited to 18 inputs"));
@@ -397,7 +378,7 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             // pass seeds it with the original and final netlists, so the
             // not-worse guard below re-reads both builds for free.
             let mut bdd_cache = CircuitBddCache::new();
-            let (optimized, report) = try_optimize_dontcares_cached(
+            let (optimized, report) = try_optimize_dontcares(
                 &nl,
                 &probs,
                 Mode::FanoutAware,
@@ -451,7 +432,8 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             ))
         }
         "rewrite" => {
-            let nl = load(args.get(1).ok_or_else(|| usage("rewrite: missing input"))?)?;
+            let input = args.get(1).ok_or_else(|| usage("rewrite: missing input"))?;
+            let nl = load_combinational("rewrite", input)?;
             let out = args.get(2).ok_or_else(|| usage("rewrite: missing output path"))?;
             let cycles = match args.get(3) {
                 Some(c) => c
@@ -491,7 +473,8 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             ))
         }
         "map" => {
-            let nl = load(args.get(1).ok_or_else(|| usage("map: missing input"))?)?;
+            let input = args.get(1).ok_or_else(|| usage("map: missing input"))?;
+            let nl = load_combinational("map", input)?;
             let objective = match args.get(2).map(String::as_str) {
                 Some("area") => MapObjective::Area,
                 Some("delay") => MapObjective::Delay,
@@ -802,6 +785,16 @@ fn load(path: &str) -> Result<Netlist, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
     parse_text(&text).map_err(|e| fail(format!("cannot parse {path}: {e}")))
+}
+
+/// [`load`] for the commands whose passes take combinational logic only:
+/// a sequential netlist fails with one line, before any work or output.
+fn load_combinational(command: &str, path: &str) -> Result<Netlist, CliError> {
+    let nl = load(path)?;
+    if !nl.is_combinational() {
+        return Err(fail(format!("{command}: needs a combinational netlist")));
+    }
+    Ok(nl)
 }
 
 /// Write atomically: temp file in the target directory, then rename. A

@@ -247,6 +247,72 @@ fn stuck_at_everything_still_yields_typed_results() {
 }
 
 // ----------------------------------------------------------------------
+// Optimization passes under short deadlines.
+// ----------------------------------------------------------------------
+
+use std::time::{Duration, Instant};
+
+use lowpower::logicopt::dontcare::{try_optimize_dontcares, Mode};
+use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
+use lowpower::power::exact::CircuitBddCache;
+
+/// The rewrite search and the don't-care pass under 1, 10 and 100 ms
+/// deadlines, on circuits whose circuit BDDs a short deadline cannot
+/// afford (ks32, cmp32), on multipliers and on lpbench's rand200. Each
+/// call fails typed or returns a netlist equivalent to its input. In
+/// release builds each call also returns within its deadline plus 1 s;
+/// debug builds and BDD GC stress run the unbudgeted work between polls
+/// too slowly for that bound, so there only the verdicts are checked.
+#[test]
+fn optimization_passes_return_within_short_deadlines() {
+    let rand200 = gen::RandomDagConfig {
+        inputs: 16,
+        gates: 200,
+        outputs: 8,
+        max_fanin: 3,
+        window: 24,
+    };
+    let circuits = [
+        ("ks32", gen::kogge_stone_adder(32).0),
+        ("cmp32", gen::comparator_gt(32).0),
+        ("mult6", gen::array_multiplier(6).0),
+        ("wallace8", gen::wallace_multiplier(8).0),
+        ("rand200", gen::random_dag(&rand200, 7)),
+    ];
+    let gc_stress = std::env::var_os("LPOPT_BDD_GC_STRESS").is_some_and(|v| v != "0");
+    let check_clock = !cfg!(debug_assertions) && !gc_stress;
+    for (name, nl) in &circuits {
+        let probs = vec![0.5; nl.num_inputs()];
+        let packed = Stimulus::uniform(nl.num_inputs()).packed(512, 42);
+        let check = Stimulus::uniform(nl.num_inputs()).patterns(1024, 7);
+        let reference = CombSim::new(nl);
+        for deadline_ms in [1u64, 10, 100] {
+            for pass in ["rewrite", "dontcare"] {
+                let budget = ResourceBudget::unlimited().with_deadline_ms(deadline_ms);
+                let start = Instant::now();
+                let result = if pass == "rewrite" {
+                    let cfg = RewriteConfig::default();
+                    try_rewrite_sim(nl, &probs, &packed, &budget, &cfg).map(|(out, _)| out)
+                } else {
+                    let mut cache = CircuitBddCache::new();
+                    try_optimize_dontcares(nl, &probs, Mode::FanoutAware, 6, &mut cache, &budget)
+                        .map(|(out, _)| out)
+                };
+                let elapsed = start.elapsed();
+                let case = format!("{pass} on {name} at {deadline_ms} ms");
+                if let Ok(out) = &result {
+                    assert_eq!(reference.equivalent_on(out, &check), None, "{case}");
+                }
+                if check_clock {
+                    let bound = Duration::from_millis(deadline_ms + 1000);
+                    assert!(elapsed <= bound, "{case} took {elapsed:?}");
+                }
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Serve-loop chaos: the same hostility, aimed at the resident daemon.
 // ----------------------------------------------------------------------
 

@@ -237,6 +237,34 @@ fn failed_commands_leave_no_partial_output_file() {
 }
 
 #[test]
+fn combinational_only_commands_reject_sequential_input() {
+    // A one-latch toggle: the balance, don't-care, rewrite and mapping
+    // passes take combinational logic only.
+    let seq = temp_path("toggle.blif");
+    std::fs::write(
+        &seq,
+        ".model toggle\n.inputs en\n.outputs q\n.latch q d 0\n.gate xor d q en\n.end\n",
+    )
+    .unwrap();
+    for cmd in ["balance", "dontcare", "rewrite", "map"] {
+        let out = temp_path(&format!("toggle_{cmd}.blif"));
+        let _ = std::fs::remove_file(&out);
+        let last = if cmd == "map" { "area" } else { out.as_str() };
+        let output = Command::new(env!("CARGO_BIN_EXE_lpopt"))
+            .args([cmd, &seq, last])
+            .output()
+            .expect("lpopt runs");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{cmd}: {err}");
+        assert!(output.stdout.is_empty(), "{cmd} wrote to stdout");
+        assert_eq!(err.trim_end().lines().count(), 1, "{cmd}: {err}");
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+        assert!(err.contains("needs a combinational netlist"), "{cmd}: {err}");
+        assert!(!std::path::Path::new(&out).exists(), "{cmd} left {out}");
+    }
+}
+
+#[test]
 fn budget_flags_degrade_power_estimation() {
     let file = temp_path("budget_mult.blif");
     assert!(lpopt(&["gen", "multiplier", "5", &file]).0);

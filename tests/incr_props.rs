@@ -21,7 +21,7 @@
 
 use lowpower::bdd::ResourceBudget;
 use lowpower::circuit::sizing::SizedCircuit;
-use lowpower::logicopt::rewrite::{rewrite_sim, try_rewrite_sim, RewriteConfig};
+use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::{GateKind, NetId, Netlist, Rng64};
 use lowpower::sim::comb::{equivalent_exhaustive, CombSim};
@@ -476,7 +476,9 @@ proptest! {
         // Scale the starvation off the unlimited run's true appetite:
         // enough for the initial build plus a shrinking slice of the
         // search, so large divisors exhaust genuinely mid-search.
-        let (_, reference) = rewrite_sim(&nl, &probs, &packed, &cfg);
+        let unlimited = ResourceBudget::unlimited();
+        let (_, reference) =
+            try_rewrite_sim(&nl, &probs, &packed, &unlimited, &cfg).expect("unlimited budget");
         let steps = (64 * nl.len() as u64 + reference.nets_reevaluated / divisor).max(1);
         let budget = ResourceBudget::unlimited().with_max_sim_steps(steps);
         // The initial full build alone can exceed a starved budget; a

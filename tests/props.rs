@@ -2,7 +2,7 @@
 //! on random circuits, codecs round-trip arbitrary streams, retimings stay
 //! legal.
 
-use lowpower::logicopt::balance::balance_paths_with_threshold;
+use lowpower::logicopt::balance::balance_paths;
 use lowpower::logicopt::mapping::decompose;
 use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::seqopt::buscode::{BusCodec, BusInvert, GrayCode, LimitedWeightCode};
@@ -32,7 +32,7 @@ proptest! {
         threshold in 0usize..4,
     ) {
         let nl = small_dag(seed, gates);
-        let (balanced, _) = balance_paths_with_threshold(&nl, threshold);
+        let (balanced, _) = balance_paths(&nl, threshold);
         let patterns = Stimulus::uniform(8).patterns(128, seed ^ 0xABCD);
         prop_assert_eq!(CombSim::new(&nl).equivalent_on(&balanced, &patterns), None);
     }
