@@ -21,7 +21,9 @@
 //!   `wallace8`, the 8-bit Wallace-tree multiplier): the activity-driven
 //!   rewriting search on its resident incremental engine vs its
 //!   `force_full` twin that makes identical decisions while re-evaluating
-//!   the whole netlist per speculative move.
+//!   and re-timing the whole netlist per speculative move. Besides the
+//!   work ratio these sections record a timing ratio: unit-size arrival
+//!   times the engine recomputed per arrival the twin recomputed.
 //! * **rewrite-flow** (same circuits): the combined rewriting pass
 //!   (rewrite → balance → size) against the sequential pipeline
 //!   (balance → don't-cares → size), both sized to one shared delay
@@ -37,16 +39,17 @@
 //! ```
 //!
 //! With `--check` the harness exits nonzero unless every section holds
-//! its headline win: work ratio (incremental evaluations per from-scratch
-//! evaluation) at most 1/3, or wall-clock at least 3x faster. The work
-//! ratios are the primary criterion — they are deterministic, so the
-//! check is meaningful on a noisy CI box where timings are not. Result
-//! identity (bitwise sizes, bitwise capacitance, glitch totals to 1e-9,
-//! node-for-node netlists from the rewrite twins) is always enforced, as
-//! are the rewrite-flow criteria: combined switched capacitance no worse
-//! than the sequential pipeline's at the shared delay constraint, and on
-//! wallace8 at most 150 full BDD don't-care analyses in the sequential
-//! pipeline (a deterministic count).
+//! its headline win: a work ratio (incremental evaluations per
+//! from-scratch evaluation) of at most 1/3, and on the rewrite-search
+//! sections a timing ratio of at most 1/2. Both ratios are deterministic
+//! counts, so the check means the same on a noisy CI box; wall-clock
+//! times are reported, never gated. Result identity (bitwise sizes,
+//! bitwise capacitance, glitch totals to 1e-9, node-for-node netlists
+//! from the rewrite twins) is always enforced, as are the rewrite-flow
+//! criteria: combined switched capacitance no worse than the sequential
+//! pipeline's at the shared delay constraint, and on wallace8 at most 150
+//! full BDD don't-care analyses in the sequential pipeline (a
+//! deterministic count).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -78,6 +81,9 @@ struct Section {
     work_ratio: f64,
     /// What the work ratio counts.
     work_unit: &'static str,
+    /// Arrival times recomputed per arrival the force-full twin
+    /// recomputed (rewrite-search only; deterministic).
+    timing_ratio: Option<f64>,
     identical: bool,
 }
 
@@ -156,6 +162,7 @@ fn bench_balance() -> Section {
         speedup: scratch_seconds / incr_seconds,
         work_ratio: reevaluated as f64 / scratch_evals as f64,
         work_unit: "net evaluations",
+        timing_ratio: None,
         identical,
     }
 }
@@ -198,6 +205,7 @@ fn bench_sizing() -> Section {
         speedup: scratch_seconds / incr_seconds,
         work_ratio: sta.arrival_evals as f64 / full_sta.arrival_evals.max(1) as f64,
         work_unit: "arrival-time evaluations",
+        timing_ratio: None,
         identical,
     }
 }
@@ -257,6 +265,7 @@ fn bench_dontcare() -> Section {
         work_ratio: incr_report.nets_reevaluated as f64
             / full_report.nets_reevaluated.max(1) as f64,
         work_unit: "net evaluations",
+        timing_ratio: None,
         identical,
     }
 }
@@ -284,7 +293,7 @@ fn search_config() -> RewriteConfig {
 
 /// Rewriting search on the resident incremental engine vs the
 /// `force_full` twin: same moves, same decisions, whole-netlist
-/// re-evaluation per speculative apply.
+/// re-evaluation and re-timing per speculative apply.
 fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
     let probs = vec![0.5; nl.num_inputs()];
     let packed = Stimulus::uniform(nl.num_inputs()).packed(CYCLES, SEED);
@@ -320,6 +329,9 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
         speedup: scratch_seconds / incr_seconds,
         work_ratio: incr_report.nets_reevaluated as f64 / full_report.nets_reevaluated.max(1) as f64,
         work_unit: "net evaluations",
+        timing_ratio: Some(
+            incr_report.arrivals_retimed as f64 / full_report.arrivals_retimed.max(1) as f64,
+        ),
         identical,
     }
 }
@@ -416,6 +428,9 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
         let _ = writeln!(out, "      \"speedup\": {:.3},", s.speedup);
         let _ = writeln!(out, "      \"work_ratio\": {:.4},", s.work_ratio);
         let _ = writeln!(out, "      \"work_unit\": \"{}\",", s.work_unit);
+        if let Some(t) = s.timing_ratio {
+            let _ = writeln!(out, "      \"timing_ratio\": {t:.4},");
+        }
         let _ = writeln!(out, "      \"identical\": {}", s.identical);
         out.push_str(if i + 1 < sections.len() { "    },\n" } else { "    }\n" });
     }
@@ -468,9 +483,13 @@ fn main() {
 
     println!("wrote {out_path}");
     for s in &sections {
+        let timing = s
+            .timing_ratio
+            .map(|t| format!("timing {:.1}% of scratch  ", t * 100.0))
+            .unwrap_or_default();
         println!(
             "  {:<14} {:<8} scratch {:>9.3e} s  incr {:>9.3e} s ({:.2}x faster)  \
-             work {:.1}% of scratch  identical: {}",
+             work {:.1}% of scratch  {timing}identical: {}",
             s.name,
             s.circuit,
             s.scratch_seconds,
@@ -517,12 +536,19 @@ fn main() {
             }
         }
         for s in &sections {
-            // Deterministic work ratio is primary; wall clock rescues a
-            // run on a machine with different constant factors.
-            if s.work_ratio > 1.0 / 3.0 && s.speedup < 3.0 {
+            // The deterministic ratios decide alone; wall clock varies
+            // with the host and is only reported.
+            if s.work_ratio > 1.0 / 3.0 {
                 eprintln!(
-                    "check FAILED: {} ({}) work ratio {:.3} > 0.333 and speedup {:.2}x < 3.0x",
-                    s.name, s.circuit, s.work_ratio, s.speedup
+                    "check FAILED: {} ({}) work ratio {:.3} > 0.333",
+                    s.name, s.circuit, s.work_ratio
+                );
+                ok = false;
+            }
+            if let Some(t) = s.timing_ratio.filter(|&t| t > 0.5) {
+                eprintln!(
+                    "check FAILED: {} ({}) timing ratio {t:.3} > 0.5",
+                    s.name, s.circuit
                 );
                 ok = false;
             }

@@ -5,7 +5,8 @@
 //! to their fanins and switch more capacitance themselves:
 //!
 //! * gate delay: `d = d0 · (1 + γ · load / s)` where
-//!   `load = Σ sink pin caps (scaled by sink size) + wire`,
+//!   `load = Σ sink pin caps (scaled by sink size) + wire`, the one delay
+//!   model of [`sim::sta`] (which the incremental engine times with too),
 //! * switched capacitance: `(intrinsic·s + load)` per toggle.
 //!
 //! The survey's recipe (\[42\]\[3\]): compute slack at every gate; while some
@@ -14,12 +15,10 @@
 //! an all-large start; TILOS-style upsizing of critical gates under a
 //! violated constraint is not implemented.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use netlist::{NetId, Netlist};
 use power::model::{PowerParams, PowerReport};
 use sim::incr::{Journal, Mark};
+use sim::sta::{self, Retimer};
 use sim::ActivityProfile;
 
 /// A netlist with per-gate continuous size factors and timing/power views.
@@ -30,7 +29,6 @@ pub struct SizedCircuit<'a> {
     fanouts: Vec<Vec<NetId>>,
     /// Size factor per net (1.0 = minimum size; sources stay 1.0).
     pub sizes: Vec<f64>,
-    gamma: f64,
 }
 
 /// Timing snapshot of a sized circuit.
@@ -71,39 +69,29 @@ impl<'a> SizedCircuit<'a> {
             order,
             fanouts,
             sizes,
-            gamma: 0.3,
         }
     }
 
-    fn load(&self, net: NetId) -> f64 {
-        let wire = 1.0 + 0.5 * self.fanouts[net.index()].len() as f64;
-        wire
-            + self.fanouts[net.index()]
-                .iter()
-                .map(|&sink| self.nl.kind(sink).input_cap() * self.sizes[sink.index()])
-                .sum::<f64>()
+    /// Summed input-pin capacitance of `net`'s sinks, each scaled by the
+    /// sink's size.
+    fn pin_cap(&self, net: NetId) -> f64 {
+        self.fanouts[net.index()]
+            .iter()
+            .map(|&sink| self.nl.kind(sink).input_cap() * self.sizes[sink.index()])
+            .sum::<f64>()
     }
 
     fn gate_delay(&self, net: NetId) -> f64 {
-        let kind = self.nl.kind(net);
-        if kind.is_source() {
-            return 0.0;
-        }
-        let d0 = kind.base_delay(self.nl.fanins(net).len());
-        d0 * (1.0 + self.gamma * self.load(net) / self.sizes[net.index()])
+        let sinks = self.fanouts[net.index()].len();
+        let (kind, size) = (self.nl.kind(net), self.sizes[net.index()]);
+        sta::gate_delay(kind, self.nl.fanins(net).len(), size, sinks, self.pin_cap(net))
     }
 
     /// `net`'s arrival time given its fanins' arrivals. Every timing view
     /// (full or incremental) uses this one expression — same fanin order,
     /// same `max` fold — so they agree bit for bit.
     fn arrival_at(&self, net: NetId, arrival: &[f64]) -> f64 {
-        let input_arrival = self
-            .nl
-            .fanins(net)
-            .iter()
-            .map(|x| arrival[x.index()])
-            .fold(0.0f64, f64::max);
-        input_arrival + self.gate_delay(net)
+        sta::arrival_at(self.nl.fanins(net), arrival, self.gate_delay(net))
     }
 
     /// Arrival time of every net (sources arrive at 0), in one
@@ -120,17 +108,7 @@ impl<'a> SizedCircuit<'a> {
 
     /// Worst arrival over primary outputs.
     fn worst_output(&self, arrival: &[f64]) -> f64 {
-        self.nl
-            .outputs()
-            .iter()
-            .map(|(net, _)| arrival[net.index()])
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Critical delay at the current sizes: `timing(..).critical` without
-    /// the required-time and slack passes.
-    pub fn critical_delay(&self) -> f64 {
-        self.worst_output(&self.arrivals())
+        sta::worst_arrival(self.nl, arrival)
     }
 
     /// Static timing analysis against a required time `constraint` at every
@@ -175,7 +153,8 @@ impl<'a> SizedCircuit<'a> {
         for net in self.nl.iter_nets() {
             let kind = self.nl.kind(net);
             let intrinsic = kind.intrinsic_cap(self.nl.fanins(net).len());
-            let cap = intrinsic * self.sizes[net.index()] + self.load(net);
+            let load = sta::load(self.fanouts[net.index()].len(), self.pin_cap(net));
+            let cap = intrinsic * self.sizes[net.index()] + load;
             total += cap * activity.toggles[net.index()];
         }
         total
@@ -262,9 +241,7 @@ impl<'a> SizedCircuit<'a> {
         StaCache {
             arrival: self.arrivals(),
             levels,
-            heap: BinaryHeap::new(),
-            queued: vec![0; self.nl.len()],
-            epoch: 0,
+            retimer: Retimer::default(),
             journal: Journal::default(),
             force_full: sim::incr::stress_env(),
             trials: 0,
@@ -283,9 +260,10 @@ impl<'a> SizedCircuit<'a> {
 /// Resizing one gate changes its own delay and (through the load term) its
 /// fanins' delays; everything else moves only via arrival propagation. The
 /// cache keeps the last arrival times resident, re-evaluates the affected
-/// cone in level order, and stops wherever a recomputed arrival is
-/// bit-identical to the stored one — so a shrink trial on a gate with small
-/// downstream cone touches a handful of nets instead of the whole netlist.
+/// cone in level order through [`sim::sta::Retimer`], and stops wherever a
+/// recomputed arrival is bit-identical to the stored one — so a shrink
+/// trial on a gate with small downstream cone touches a handful of nets
+/// instead of the whole netlist.
 ///
 /// Arrivals are computed with the same expression [`SizedCircuit::timing`]
 /// uses, so the returned critical delay is bit-identical to a from-scratch
@@ -306,9 +284,7 @@ impl<'a> SizedCircuit<'a> {
 pub struct StaCache {
     arrival: Vec<f64>,
     levels: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    queued: Vec<u64>,
-    epoch: u64,
+    retimer: Retimer,
     journal: Journal<StaFrame>,
     /// Re-time every gate per trial instead of the resized gate's cone.
     force_full: bool,
@@ -340,54 +316,39 @@ impl StaCache {
     pub fn resize(&mut self, c: &mut SizedCircuit<'_>, net: NetId, new_size: f64) -> f64 {
         assert!(!c.nl.kind(net).is_source(), "sources are never sized");
         self.trials += 1;
-        self.epoch += 1;
         let mut frame = StaFrame {
             size: (net.index(), c.sizes[net.index()]),
             arrivals: Vec::new(),
         };
         c.sizes[net.index()] = new_size;
-        self.heap.clear();
+        let levels = &self.levels;
+        self.retimer.start(c.nl.len());
         // The resized gate's delay changed; so did its fanins' (their load
         // includes the resized gate's input capacitance).
-        self.enqueue(net);
+        self.retimer.enqueue(net.index(), levels[net.index()]);
         for &f in c.nl.fanins(net) {
             if !c.nl.kind(f).is_source() {
-                self.enqueue(f);
+                self.retimer.enqueue(f.index(), levels[f.index()]);
             }
         }
         // The force-full twin re-times every gate instead.
         if self.force_full {
             for &g in &c.order {
                 if !c.nl.kind(g).is_source() {
-                    self.enqueue(g);
+                    self.retimer.enqueue(g.index(), levels[g.index()]);
                 }
             }
         }
-        while let Some(Reverse((_, raw))) = self.heap.pop() {
-            let idx = raw as usize;
-            let nid = NetId::from_index(idx);
-            self.arrival_evals += 1;
-            let a = c.arrival_at(nid, &self.arrival);
-            if a.to_bits() == self.arrival[idx].to_bits() {
-                continue; // early cut-off: nothing downstream can move
-            }
-            frame.arrivals.push((idx, self.arrival[idx]));
-            self.arrival[idx] = a;
-            for fi in 0..c.fanouts[idx].len() {
-                let sink = c.fanouts[idx][fi];
-                self.enqueue(sink);
-            }
-        }
+        let circuit = &*c;
+        self.arrival_evals += self.retimer.run(
+            &mut self.arrival,
+            levels,
+            &circuit.fanouts,
+            |idx, arrival| circuit.arrival_at(NetId::from_index(idx), arrival),
+            |idx, old| frame.arrivals.push((idx, old)),
+        );
         self.journal.push(frame);
         self.critical(c)
-    }
-
-    fn enqueue(&mut self, net: NetId) {
-        let idx = net.index();
-        if self.queued[idx] != self.epoch {
-            self.queued[idx] = self.epoch;
-            self.heap.push(Reverse((self.levels[idx], idx as u32)));
-        }
     }
 
     /// Re-time every gate on every trial (also the default under

@@ -24,12 +24,16 @@
 //! bit-identical to from-scratch replay, so decisions (and the final
 //! netlist) are identical under `force_full`.
 //!
-//! The delay guard compares unit-sized critical paths
-//! ([`SizedCircuit::critical_delay`]): a move is legal only while the swept
+//! The delay guard compares unit-sized critical paths of the live logic
+//! ([`IncrementalSim::critical_delay`]): a move is legal only while the
 //! candidate stays within `1 +` [`DELAY_SLACK`] of the input circuit's
-//! critical path. Sharing moves concentrate fanout load on the surviving
-//! net, so they trade a bounded unit-delay slip for capacitance; downstream
-//! gate sizing recovers the slip, which is how the `bench_incr` equal-delay
+//! critical path. The engine keeps live loads and arrival times resident
+//! and re-times only the nets an apply moves, so scoring a move reads the
+//! guard and the live cap without cloning, sweeping or re-timing the
+//! circuit; both equal a from-scratch analysis of the swept candidate bit
+//! for bit. Sharing moves concentrate fanout load on the surviving net, so
+//! they trade a bounded unit-delay slip for capacitance; downstream gate
+//! sizing recovers the slip, which is how the `bench_incr` equal-delay
 //! comparison holds both flows to one timing constraint.
 //!
 //! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}`,
@@ -41,7 +45,6 @@
 use std::collections::HashMap;
 
 use bdd::{BudgetExceeded, Ref, ResourceBudget};
-use circuit::sizing::SizedCircuit;
 use netlist::{GateKind, NetId, Netlist};
 use power::exact::{CircuitBddCache, CircuitBdds};
 use sim::incr::{Delta, IncrementalSim, Mark};
@@ -184,6 +187,9 @@ pub struct RewriteReport {
     /// deterministic work metric `bench_incr` compares against the
     /// force-full twin.
     pub nets_reevaluated: u64,
+    /// Unit-size arrival times the engine recomputed across the search
+    /// (its timing work, compared the same way).
+    pub arrivals_retimed: u64,
     /// Where the dontcare class's candidates went, over every enumeration.
     pub dontcare_candidates: CandidateCounts,
     /// The budget ran out mid-search; the result is the last committed
@@ -227,7 +233,7 @@ pub fn try_rewrite_sim(
         engine.set_force_full(true);
     }
     let cap_before = engine.switched_cap_live();
-    let crit_before = unit_critical(nl);
+    let crit_before = engine.critical_delay();
     let mut search = Search {
         engine,
         cache: CircuitBddCache::new(),
@@ -244,6 +250,7 @@ pub fn try_rewrite_sim(
             tried: MoveCounts::default(),
             accepted: MoveCounts::default(),
             nets_reevaluated: 0,
+            arrivals_retimed: 0,
             dontcare_candidates: CandidateCounts::default(),
             budget_exhausted: false,
         },
@@ -253,8 +260,9 @@ pub fn try_rewrite_sim(
         let base_mark = search.engine.checkpoint();
         match search.round(base_mark, cap_current) {
             Ok(Some((kinds, chain_cap))) => {
-                debug_assert!(
-                    (search.engine.switched_cap_live() - chain_cap).abs() < 1e-9,
+                debug_assert_eq!(
+                    search.engine.switched_cap_live().to_bits(),
+                    chain_cap.to_bits(),
                     "replayed chain must reproduce its speculated score"
                 );
                 let sealed = search.engine.checkpoint();
@@ -291,17 +299,11 @@ pub fn try_rewrite_sim(
         swept
     };
     report.cap_after = cap_current;
-    report.crit_after = unit_critical(&out);
+    report.crit_after = engine.critical_delay();
     report.nets_reevaluated = engine.stats().nets_reevaluated;
+    report.arrivals_retimed = engine.stats().arrivals_retimed;
     report.dontcare_candidates.publish(&cfg.obs);
     Ok((out, report))
-}
-
-/// Unit-sized critical path of the live logic — the equal-delay guard metric.
-fn unit_critical(nl: &Netlist) -> f64 {
-    let mut swept = nl.clone();
-    swept.sweep_dead();
-    SizedCircuit::new(&swept, 1.0).critical_delay()
 }
 
 /// One search's state across its rounds.
@@ -385,7 +387,7 @@ impl Search<'_> {
                 return Err(e);
             }
             let cap = engine.switched_cap_live();
-            let crit = unit_critical(engine.netlist());
+            let crit = engine.critical_delay();
             engine.rollback_to(mark);
             if crit <= self.guard {
                 scored.push((i, cap));

@@ -26,6 +26,23 @@
 //! through the same code path — results are identical either way, the
 //! fallback merely skips pointless cone bookkeeping.
 //!
+//! [`IncrementalSim`] also keeps three values per net resident for the
+//! live logic (the nets [`Netlist::sweep_dead`] keeps): how many live
+//! sinks the net drives, their summed input-pin capacitance, and the
+//! net's unit-size arrival time under the [`crate::sta`] delay model.
+//! Reference counts keep the first two exact as edits kill and revive
+//! cones: a net lives while it is a primary input, a primary output or a
+//! fanin of a live net, and one that dies or comes alive moves one edge
+//! off or onto each of its fanins. An apply then re-times only the nets
+//! whose load or fanins moved, plus their fanout, in level order with a
+//! bitwise-equal cut-off (the [`crate::sta::Retimer`] that
+//! `circuit::sizing::StaCache` uses). Loads are sums of multiples of
+//! 0.5 fF, exact in any order, and arrivals are a max plus an add, so
+//! [`IncrementalSim::switched_cap_live`] and
+//! [`IncrementalSim::critical_delay`] equal a from-scratch analysis of the
+//! swept netlist bit for bit. Under `force_full` every net is re-timed.
+//! Timing is not metered: the step budget charges re-evaluated words only.
+//!
 //! The functional engine journals applied deltas on a multi-slot **undo
 //! stack** (one [`Journal`], the type `circuit::sizing::StaCache` uses
 //! too): a search can take a [`Mark`] with [`IncrementalSim::checkpoint`],
@@ -33,10 +50,12 @@
 //! engine, and either unwind to any live mark with
 //! [`IncrementalSim::rollback_to`] (bit-identical to never having applied
 //! the chain) or make the chain permanent with [`IncrementalSim::commit`].
-//! Only frames above the oldest outstanding mark are kept, so a caller
-//! that never checkpoints holds no journal at all and memory stays
-//! constant. The event-driven engine has no undo stack: its callers only
-//! build, apply and read.
+//! An apply's frame holds the old value of every entry it changed: gate
+//! structure, output slots, levels, words and counts, live references and
+//! arrival times. Only frames above the oldest outstanding mark are kept,
+//! so a caller that never checkpoints holds no journal at all and memory
+//! stays constant. The event-driven engine has no undo stack: its callers
+//! only build, apply and read.
 //!
 //! [`IncrementalSim::observability_mask`] asks the resident words which
 //! patterns observe a node: it inverts the node's words in place,
@@ -61,6 +80,7 @@ use netlist::{GateKind, NetId, Netlist};
 
 use crate::event::{DelayModel, EventSim, TimingActivity};
 use crate::profile::ActivityProfile;
+use crate::sta::{self, Retimer};
 use crate::stimulus::{PackedPatterns, PatternSet};
 use crate::wide::{prefix_mask, LANES};
 
@@ -214,6 +234,8 @@ pub struct ApplyInfo {
     pub cutoffs: usize,
     /// Whether the full-eval fallback path ran.
     pub full_eval: bool,
+    /// Unit-size arrival times recomputed.
+    pub retimed: usize,
 }
 
 /// Cumulative counters mirroring the `sim.incr.*` obs counters.
@@ -235,6 +257,9 @@ pub struct IncrStats {
     pub rollbacks: u64,
     /// Commits performed (`commit` calls that raised the floor).
     pub commits: u64,
+    /// Unit-size arrival times recomputed across all deltas (kept out of
+    /// the obs counters, which the golden transcripts pin).
+    pub arrivals_retimed: u64,
 }
 
 /// A position in an engine's undo stack, minted by `checkpoint()`.
@@ -360,14 +385,51 @@ struct Undo {
     levels: Vec<(NetId, u32)>,
     /// `(net, old words, old toggles, old ones)` for re-counted nets.
     words: Vec<(NetId, Vec<u64>, u64, u64)>,
+    /// `(net, old references)` per change, oldest first (a net may repeat).
+    refs: Vec<(NetId, Refs)>,
+    /// `(net, old arrival)` for every re-timed arrival that moved.
+    arrivals: Vec<(NetId, f64)>,
+}
+
+/// What keeps a net live and the load its live sinks put on it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Refs {
+    /// Fanin edges from live nets (one per edge, so a sink reading the net
+    /// twice counts twice).
+    sinks: u32,
+    /// Primary-output slots reading the net.
+    outs: u32,
+    /// Summed input-pin capacitance of the `sinks` edges.
+    pins: f64,
+}
+
+impl Refs {
+    /// One fanin edge into a live sink of `kind`.
+    fn edge(kind: GateKind) -> Refs {
+        Refs {
+            sinks: 1,
+            outs: 0,
+            pins: kind.input_cap(),
+        }
+    }
+}
+
+/// Unit-size arrival of net `idx` from its fanins' `arrival`s and its live
+/// load in `refs`.
+fn unit_arrival(nl: &Netlist, refs: &[Refs], idx: usize, arrival: &[f64]) -> f64 {
+    let net = NetId::from_index(idx);
+    let fanins = nl.fanins(net);
+    let Refs { sinks, pins, .. } = refs[idx];
+    let delay = sta::gate_delay(nl.kind(net), fanins.len(), 1.0, sinks as usize, pins);
+    sta::arrival_at(fanins, arrival, delay)
 }
 
 /// Incremental zero-delay (functional) engine.
 ///
 /// Owns a netlist clone plus the packed per-net words, integer toggle/one
-/// counts, levels and fanout lists of the last evaluation, and keeps all of
-/// them consistent under [`IncrementalSim::apply_delta`] /
-/// [`IncrementalSim::rollback_to`].
+/// counts, levels, fanout lists, live loads and unit-size arrival times of
+/// the last evaluation, and keeps all of them consistent under
+/// [`IncrementalSim::apply_delta`] / [`IncrementalSim::rollback_to`].
 #[derive(Debug)]
 pub struct IncrementalSim {
     nl: Netlist,
@@ -384,6 +446,9 @@ pub struct IncrementalSim {
     ones: Vec<u64>,
     levels: Vec<u32>,
     fanouts: Vec<Vec<NetId>>,
+    refs: Vec<Refs>,
+    /// Unit-size arrival time per net.
+    arrival: Vec<f64>,
     force_full: bool,
     obs: obs::Obs,
     stats: IncrStats,
@@ -401,6 +466,8 @@ pub struct IncrementalSim {
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     ins: Vec<u64>,
     new_words: Vec<u64>,
+    retimer: Retimer,
+    ref_stack: Vec<(NetId, Refs)>,
 }
 
 /// Whether `LPOPT_INCR_STRESS` is set (to anything but `0`): the default
@@ -542,8 +609,26 @@ impl IncrementalSim {
             .into_iter()
             .map(|l| l as u32)
             .collect();
+        let live = nl.live_mask();
+        let mut refs = vec![Refs::default(); n];
+        for (net, _) in nl.outputs() {
+            refs[net.index()].outs += 1;
+        }
+        for net in nl.iter_nets().filter(|net| live[net.index()]) {
+            let pin = nl.kind(net).input_cap();
+            for &f in nl.fanins(net) {
+                refs[f.index()].sinks += 1;
+                refs[f.index()].pins += pin;
+            }
+        }
+        let mut arrival = vec![0.0; n];
+        for &net in &order {
+            arrival[net.index()] = unit_arrival(nl, &refs, net.index(), &arrival);
+        }
         Ok(IncrementalSim {
             fanouts: nl.fanouts(),
+            refs,
+            arrival,
             nl: nl.clone(),
             cycles,
             nblocks,
@@ -567,6 +652,8 @@ impl IncrementalSim {
             heap: BinaryHeap::new(),
             ins: Vec::new(),
             new_words: vec![0; stride],
+            retimer: Retimer::default(),
+            ref_stack: Vec::new(),
         })
     }
 
@@ -619,6 +706,7 @@ impl IncrementalSim {
         self.stats.nets_reevaluated += info.reevaluated as u64;
         self.stats.cutoffs += info.cutoffs as u64;
         self.stats.full_evals += info.full_eval as u64;
+        self.stats.arrivals_retimed += info.retimed as u64;
         if self.obs.is_enabled() {
             self.obs.add("sim.incr.deltas", 1);
             self.obs.add("sim.incr.nets_dirtied", info.dirtied as u64);
@@ -663,6 +751,8 @@ impl IncrementalSim {
                         self.fanouts[f.index()].push(id);
                     }
                     self.levels.push(0);
+                    self.refs.push(Refs::default());
+                    self.arrival.push(0.0);
                     self.words.extend(std::iter::repeat_n(0, self.stride));
                     self.toggles.push(0);
                     self.ones.push(0);
@@ -674,12 +764,24 @@ impl IncrementalSim {
                         "cannot rewrite primary input {net}"
                     );
                     self.journal_structure(&mut undo, *net);
-                    for &f in self.nl.fanins(*net).to_vec().iter() {
+                    let old_kind = self.nl.kind(*net);
+                    let old_fanins = self.nl.fanins(*net).to_vec();
+                    for &f in &old_fanins {
                         remove_one(&mut self.fanouts[f.index()], *net);
                     }
                     set_gate_in(&mut self.nl, *net, *kind, fanins);
                     for &f in fanins {
                         self.fanouts[f.index()].push(*net);
+                    }
+                    // A live gate's fanin edges are live. The new edges go
+                    // on first, so a fanin it keeps never dies in between.
+                    if self.is_live(*net) {
+                        for &f in fanins {
+                            self.shift_refs(&mut undo, f, Refs::edge(*kind), true);
+                        }
+                        for &f in &old_fanins {
+                            self.shift_refs(&mut undo, f, Refs::edge(old_kind), false);
+                        }
                     }
                     self.touched.push(*net);
                 }
@@ -704,6 +806,10 @@ impl IncrementalSim {
                     }
                     self.fanouts[new.index()].extend(users);
                     self.nl.replace_uses(*old, *new);
+                    // Every live reference to `old` now reads `new`.
+                    let moved = self.refs[old.index()];
+                    self.shift_refs(&mut undo, *new, moved, true);
+                    self.shift_refs(&mut undo, *old, moved, false);
                 }
             }
         }
@@ -796,6 +902,7 @@ impl IncrementalSim {
             }
         };
 
+        let retimed = self.retime(&mut undo);
         let dirtied = if full {
             self.nl.len() - self.nl.num_inputs()
         } else {
@@ -806,8 +913,88 @@ impl IncrementalSim {
             reevaluated,
             cutoffs,
             full_eval: full,
+            retimed,
         };
         Ok((info, undo))
+    }
+
+    /// Phase 5 of an apply: re-time the nets whose fanins moved (the
+    /// touched nets) or whose load moved (the nets `undo` journaled
+    /// references for), then their fanout while arrivals keep moving, in
+    /// level order; every net under `force_full`. Journals each moved
+    /// arrival of an existing net and returns the arrivals recomputed.
+    fn retime(&mut self, undo: &mut Undo) -> usize {
+        let IncrementalSim {
+            nl,
+            levels,
+            fanouts,
+            refs,
+            arrival,
+            touched,
+            retimer,
+            ..
+        } = self;
+        retimer.start(nl.len());
+        let mut seed = |net: NetId| {
+            if !nl.kind(net).is_source() {
+                retimer.enqueue(net.index(), levels[net.index()]);
+            }
+        };
+        if self.force_full {
+            nl.iter_nets().for_each(&mut seed);
+        } else {
+            touched.iter().copied().for_each(&mut seed);
+            undo.refs.iter().for_each(|&(net, _)| seed(net));
+        }
+        let prev_len = undo.prev_len;
+        let retimed = retimer.run(
+            arrival,
+            levels,
+            fanouts,
+            |idx, arrival| unit_arrival(nl, refs, idx, arrival),
+            |idx, old| {
+                if idx < prev_len {
+                    undo.arrivals.push((NetId::from_index(idx), old));
+                }
+            },
+        );
+        retimed as usize
+    }
+
+    /// Whether a sweep keeps `net`: a primary input, a primary output, or
+    /// a fanin of a live net.
+    fn is_live(&self, net: NetId) -> bool {
+        let r = self.refs[net.index()];
+        r.sinks > 0 || r.outs > 0 || self.nl.kind(net) == GateKind::Input
+    }
+
+    /// Add `by` to `net`'s references (take it off when `add` is false),
+    /// journaling each old entry. A net that comes alive or dies puts one
+    /// edge onto or takes one off each of its fanins in turn.
+    fn shift_refs(&mut self, undo: &mut Undo, net: NetId, by: Refs, add: bool) {
+        let mut stack = std::mem::take(&mut self.ref_stack);
+        stack.push((net, by));
+        while let Some((net, by)) = stack.pop() {
+            let was_live = self.is_live(net);
+            let r = &mut self.refs[net.index()];
+            if net.index() < undo.prev_len {
+                undo.refs.push((net, *r));
+            }
+            if add {
+                r.sinks += by.sinks;
+                r.outs += by.outs;
+                r.pins += by.pins;
+            } else {
+                r.sinks -= by.sinks;
+                r.outs -= by.outs;
+                r.pins -= by.pins;
+            }
+            if self.is_live(net) != was_live {
+                let edge = Refs::edge(self.nl.kind(net));
+                stack.extend(self.nl.fanins(net).iter().map(|&f| (f, edge)));
+            }
+        }
+        self.ref_stack = stack;
     }
 
     /// Levelized evaluation with early cut-off, shared by an apply's phase
@@ -1086,6 +1273,12 @@ impl IncrementalSim {
         for (net, lvl) in undo.levels {
             self.levels[net.index()] = lvl;
         }
+        for (net, refs) in undo.refs.into_iter().rev() {
+            self.refs[net.index()] = refs;
+        }
+        for (net, a) in undo.arrivals {
+            self.arrival[net.index()] = a;
+        }
         // Drop appended nets: first detach their fanin edges, then truncate
         // every parallel array back to the journal point.
         for idx in prev_len..self.nl.len() {
@@ -1099,6 +1292,8 @@ impl IncrementalSim {
         self.nl.truncate(prev_len);
         self.fanouts.truncate(prev_len);
         self.levels.truncate(prev_len);
+        self.refs.truncate(prev_len);
+        self.arrival.truncate(prev_len);
         self.toggles.truncate(prev_len);
         self.ones.truncate(prev_len);
         self.words.truncate(prev_len * self.stride);
@@ -1127,31 +1322,32 @@ impl IncrementalSim {
 
     /// [`IncrementalSim::switched_cap`] restricted to the nets and sinks
     /// [`Netlist::live_mask`] marks (those a [`Netlist::sweep_dead`]
-    /// keeps).
+    /// keeps), read from the resident live loads in one pass.
     ///
     /// Bit-identical to calling `switched_capacitance` on the swept clone:
     /// sweeping preserves the relative order of live nodes, so both sums
-    /// visit the same loads and toggle rates in the same order.
+    /// visit the same toggle rates in the same order, and each load is an
+    /// exact sum of multiples of 0.5 fF.
     pub fn switched_cap_live(&self) -> f64 {
-        let live = self.nl.live_mask();
-        let fanouts = self.nl.fanouts();
         let denom = (self.cycles.saturating_sub(1)).max(1) as f64;
         let mut total = 0.0;
         for net in self.nl.iter_nets() {
-            if !live[net.index()] {
+            if !self.is_live(net) {
                 continue;
             }
-            let kind = self.nl.kind(net);
             let fanin = self.nl.fanins(net).len();
-            let mut load = kind.intrinsic_cap(fanin);
-            for &sink in &fanouts[net.index()] {
-                if live[sink.index()] {
-                    load += self.nl.kind(sink).input_cap();
-                }
-            }
+            let load = self.nl.kind(net).intrinsic_cap(fanin) + self.refs[net.index()].pins;
             total += load * (self.toggles[net.index()] as f64 / denom);
         }
         total
+    }
+
+    /// Unit-size critical delay of the live logic: the worst resident
+    /// arrival over the primary outputs. Bit-identical to the critical
+    /// delay `circuit::sizing::SizedCircuit` computes at size 1 on the
+    /// swept clone.
+    pub fn critical_delay(&self) -> f64 {
+        sta::worst_arrival(&self.nl, &self.arrival)
     }
 }
 
@@ -1509,8 +1705,10 @@ mod tests {
         let ia = a.apply_delta(&delta);
         let ib = b.apply_delta(&delta);
         assert!(!ia.full_eval && ib.full_eval);
+        assert!(ia.retimed < ib.retimed, "the twin re-times every net");
         assert_eq!(bits(&a.activity()), bits(&b.activity()));
         assert_eq!(a.switched_cap().to_bits(), b.switched_cap().to_bits());
+        assert_eq!(a.critical_delay().to_bits(), b.critical_delay().to_bits());
     }
 
     #[test]
@@ -1681,10 +1879,19 @@ mod tests {
         let swept_cap = swept_profile.switched_capacitance(&swept);
         assert_eq!(engine.switched_cap_live().to_bits(), swept_cap.to_bits());
         assert!(map[victim.index()].is_none(), "victim actually went dead");
+        // So does the resident timing: a build on the swept netlist times
+        // it from scratch.
+        let swept_engine = IncrementalSim::from_full_eval(&swept, &packed);
+        assert_eq!(
+            engine.critical_delay().to_bits(),
+            swept_engine.critical_delay().to_bits()
+        );
         // Rolling back restores everything, including the netlist length.
+        let crit_before = IncrementalSim::from_full_eval(&nl, &packed).critical_delay();
         assert!(engine.rollback_to(mark));
         assert_eq!(engine.netlist().len(), nl.len());
         let original = CombSim::new(&nl).activity(&patterns);
         assert_eq!(bits(&engine.activity()), bits(&original));
+        assert_eq!(engine.critical_delay().to_bits(), crit_before.to_bits());
     }
 }

@@ -14,7 +14,9 @@
 //!   and outputs separately (the observation behind low-power retiming).
 //!
 //! [`stimulus`] provides the input-pattern sources: uniform, biased,
-//! temporally correlated and counting streams.
+//! temporally correlated and counting streams. [`sta`] is the static-timing
+//! model (gate delay and cone re-timer) that transistor sizing and the
+//! incremental engine of [`incr`] share.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@ pub mod incr;
 pub mod par;
 pub mod queue;
 pub mod seq;
+pub mod sta;
 pub mod stimulus;
 pub mod wide;
 

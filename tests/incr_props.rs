@@ -3,7 +3,9 @@
 //! sequences (one live mark per pass, as the optimization loops hold it)
 //! and random interleavings of apply / checkpoint / rollback_to / commit,
 //! [`IncrementalSim`] must stay **bit-identical** to a from-scratch
-//! `CombSim` run on the matching netlist snapshot after every single step,
+//! `CombSim` run on the matching netlist snapshot after every single step
+//! (and its live cap and unit-size critical delay to a from-scratch
+//! analysis of the swept snapshot),
 //! and [`IncrementalEventSim`], which only applies, to an `EventSim` run
 //! after every accepted edit. This is the contract that lets the
 //! optimization passes judge candidate edits on the resident engine
@@ -140,7 +142,8 @@ fn same_netlist(a: &Netlist, b: &Netlist) -> bool {
 }
 
 /// Assert the functional engine matches from-scratch simulation of
-/// `reference`.
+/// `reference`, and its live cap and unit-size critical delay match a
+/// from-scratch analysis of the swept netlist.
 fn check_engine(
     engine: &IncrementalSim,
     reference: &Netlist,
@@ -159,6 +162,8 @@ fn check_engine(
         engine.switched_cap_live().to_bits(),
         live.switched_capacitance(&swept).to_bits()
     );
+    let critical = SizedCircuit::new(&swept, 1.0).timing(1e9).critical;
+    prop_assert_eq!(engine.critical_delay().to_bits(), critical.to_bits());
     Ok(())
 }
 
@@ -367,6 +372,7 @@ proptest! {
                 slow.switched_cap_live().to_bits(),
                 fast.switched_cap_live().to_bits()
             );
+            prop_assert_eq!(slow.critical_delay().to_bits(), fast.critical_delay().to_bits());
             let (a, b) = (slow_ev.activity(), fast_ev.activity());
             prop_assert_eq!(bits(&a.total), bits(&b.total));
             prop_assert_eq!(bits(&a.functional), bits(&b.functional));
