@@ -1166,12 +1166,23 @@ impl Bdd {
 
     /// Total node count of a set of roots (shared nodes counted once).
     pub fn size_many(&self, roots: &[Ref]) -> usize {
+        self.size_many_capped(roots, usize::MAX)
+    }
+
+    /// [`Bdd::size_many`], with the traversal stopped once the count
+    /// passes `cap`: exact when the total is at most `cap`, `cap + 1`
+    /// otherwise. A bound check on a large graph then costs what the bound
+    /// costs, not what the graph does.
+    pub fn size_many_capped(&self, roots: &[Ref], cap: usize) -> usize {
         let mut visited = vec![false; self.nodes.len()];
         let mut stack: Vec<usize> = roots.iter().map(|r| r.index()).collect();
         let mut count = 0;
         while let Some(i) = stack.pop() {
             if i == 0 || visited[i] {
                 continue;
+            }
+            if count == cap {
+                return count + 1;
             }
             visited[i] = true;
             count += 1;

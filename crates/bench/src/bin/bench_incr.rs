@@ -21,9 +21,12 @@
 //!   `wallace8`, the 8-bit Wallace-tree multiplier): the activity-driven
 //!   rewriting search on its resident incremental engine vs its
 //!   `force_full` twin that makes identical decisions while re-evaluating
-//!   and re-timing the whole netlist per speculative move. Besides the
-//!   work ratio these sections record a timing ratio: unit-size arrival
-//!   times the engine recomputed per arrival the twin recomputed.
+//!   and re-timing the whole netlist per speculative move, and rebuilding
+//!   every gate's circuit BDD per changed enumeration. Besides the work
+//!   ratio these sections record a timing ratio (unit-size arrival times
+//!   the engine recomputed per arrival the twin recomputed) and a BDD
+//!   ratio (gates the search's resident circuit BDDs built per gate the
+//!   twin built).
 //! * **rewrite-flow** (same circuits): the combined rewriting pass
 //!   (rewrite → balance → size) against the sequential pipeline
 //!   (balance → don't-cares → size), both sized to one shared delay
@@ -41,11 +44,12 @@
 //! With `--check` the harness exits nonzero unless every section holds
 //! its headline win: a work ratio (incremental evaluations per
 //! from-scratch evaluation) of at most 1/3, and on the rewrite-search
-//! sections a timing ratio of at most 1/2. Both ratios are deterministic
-//! counts, so the check means the same on a noisy CI box; wall-clock
-//! times are reported, never gated. Result identity (bitwise sizes,
-//! bitwise capacitance, glitch totals to 1e-9, node-for-node netlists
-//! from the rewrite twins) is always enforced, as are the rewrite-flow
+//! sections timing and BDD ratios of at most 1/2. All three ratios are
+//! deterministic counts, so the check means the same on a noisy CI box;
+//! wall-clock times are reported, never gated. Result identity (bitwise
+//! sizes, bitwise capacitance, glitch totals to 1e-9, node-for-node
+//! netlists and equal move and don't-care candidate counts from the
+//! rewrite twins) is always enforced, as are the rewrite-flow
 //! criteria: combined switched capacitance no worse than the sequential
 //! pipeline's at the shared delay constraint, and on wallace8 at most 150
 //! full BDD don't-care analyses in the sequential pipeline (a
@@ -84,6 +88,9 @@ struct Section {
     /// Arrival times recomputed per arrival the force-full twin
     /// recomputed (rewrite-search only; deterministic).
     timing_ratio: Option<f64>,
+    /// Circuit-BDD gates built per gate the force-full twin built
+    /// (rewrite-search only; deterministic).
+    bdd_ratio: Option<f64>,
     identical: bool,
 }
 
@@ -163,6 +170,7 @@ fn bench_balance() -> Section {
         work_ratio: reevaluated as f64 / scratch_evals as f64,
         work_unit: "net evaluations",
         timing_ratio: None,
+        bdd_ratio: None,
         identical,
     }
 }
@@ -206,6 +214,7 @@ fn bench_sizing() -> Section {
         work_ratio: sta.arrival_evals as f64 / full_sta.arrival_evals.max(1) as f64,
         work_unit: "arrival-time evaluations",
         timing_ratio: None,
+        bdd_ratio: None,
         identical,
     }
 }
@@ -266,6 +275,7 @@ fn bench_dontcare() -> Section {
             / full_report.nets_reevaluated.max(1) as f64,
         work_unit: "net evaluations",
         timing_ratio: None,
+        bdd_ratio: None,
         identical,
     }
 }
@@ -293,7 +303,8 @@ fn search_config() -> RewriteConfig {
 
 /// Rewriting search on the resident incremental engine vs the
 /// `force_full` twin: same moves, same decisions, whole-netlist
-/// re-evaluation and re-timing per speculative apply.
+/// re-evaluation and re-timing per speculative apply and a fresh
+/// circuit-BDD build per changed enumeration.
 fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
     let probs = vec![0.5; nl.num_inputs()];
     let packed = Stimulus::uniform(nl.num_inputs()).packed(CYCLES, SEED);
@@ -310,6 +321,9 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
     let (full_nl, full_report) = search(&full_cfg);
     let identical = incr_report.cap_after.to_bits() == full_report.cap_after.to_bits()
         && incr_report.chains_accepted == full_report.chains_accepted
+        && incr_report.tried == full_report.tried
+        && incr_report.accepted == full_report.accepted
+        && incr_report.dontcare_candidates == full_report.dontcare_candidates
         && incr_nl.len() == full_nl.len()
         && incr_nl
             .iter_nets()
@@ -331,6 +345,9 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
         work_unit: "net evaluations",
         timing_ratio: Some(
             incr_report.arrivals_retimed as f64 / full_report.arrivals_retimed.max(1) as f64,
+        ),
+        bdd_ratio: Some(
+            incr_report.bdd_gates_built as f64 / full_report.bdd_gates_built.max(1) as f64,
         ),
         identical,
     }
@@ -431,6 +448,9 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
         if let Some(t) = s.timing_ratio {
             let _ = writeln!(out, "      \"timing_ratio\": {t:.4},");
         }
+        if let Some(b) = s.bdd_ratio {
+            let _ = writeln!(out, "      \"bdd_ratio\": {b:.4},");
+        }
         let _ = writeln!(out, "      \"identical\": {}", s.identical);
         out.push_str(if i + 1 < sections.len() { "    },\n" } else { "    }\n" });
     }
@@ -487,9 +507,13 @@ fn main() {
             .timing_ratio
             .map(|t| format!("timing {:.1}% of scratch  ", t * 100.0))
             .unwrap_or_default();
+        let bdd = s
+            .bdd_ratio
+            .map(|b| format!("bdd {:.1}% of scratch  ", b * 100.0))
+            .unwrap_or_default();
         println!(
             "  {:<14} {:<8} scratch {:>9.3e} s  incr {:>9.3e} s ({:.2}x faster)  \
-             work {:.1}% of scratch  {timing}identical: {}",
+             work {:.1}% of scratch  {timing}{bdd}identical: {}",
             s.name,
             s.circuit,
             s.scratch_seconds,
@@ -548,6 +572,13 @@ fn main() {
             if let Some(t) = s.timing_ratio.filter(|&t| t > 0.5) {
                 eprintln!(
                     "check FAILED: {} ({}) timing ratio {t:.3} > 0.5",
+                    s.name, s.circuit
+                );
+                ok = false;
+            }
+            if let Some(b) = s.bdd_ratio.filter(|&b| b > 0.5) {
+                eprintln!(
+                    "check FAILED: {} ({}) BDD ratio {b:.3} > 0.5",
                     s.name, s.circuit
                 );
                 ok = false;

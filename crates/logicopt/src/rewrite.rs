@@ -36,6 +36,15 @@
 //! sizing recovers the slip, which is how the `bench_incr` equal-delay
 //! comparison holds both flows to one timing constraint.
 //!
+//! The circuit BDDs the resub and dontcare classes read stay resident too:
+//! the search owns one [`ResidentBdds`], built fresh by the first
+//! enumeration and synced to the engine's netlist by every later one.
+//! Resub and extraction keep every existing net's function, so a sync
+//! rebuilds the gates a move added or re-gated and stops wherever a
+//! rebuilt function equals the old one. Under `force_full` every changed
+//! enumeration rebuilds every gate in a fresh manager instead; the
+//! functions, and so the decisions, are the same either way.
+//!
 //! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}`,
 //! `rewrite.moves.accepted.{resub,extract,dontcare}`, and where the
 //! dontcare class's candidates went,
@@ -46,7 +55,7 @@ use std::collections::HashMap;
 
 use bdd::{BudgetExceeded, Ref, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
-use power::exact::{CircuitBddCache, CircuitBdds};
+use power::exact::{CircuitBdds, ResidentBdds};
 use sim::incr::{Delta, IncrementalSim, Mark};
 use sim::stimulus::PackedPatterns;
 
@@ -132,13 +141,27 @@ const LOOKAHEAD_WIDTH: usize = 3;
 /// net-id order).
 const MOVES_PER_CLASS: usize = 48;
 
-/// Skip the don't-care move class while the circuit's shared BDD manager
-/// holds more than this many nodes. Don't-care extraction substitutes
-/// through every dependent cone per candidate, so its cost scales with
-/// candidates × manager size — prohibitive exactly on the BDD-heavy
-/// arithmetic circuits that carry no observability don't-cares in the
-/// first place.
+/// Skip the don't-care move class while the circuit BDDs hold more than
+/// this many nodes. The count is [`CircuitBdds::reachable_nodes`]: the
+/// nodes reachable from the net functions, terminal included, which is
+/// what a fresh build of the netlist holds once collected. It counts
+/// neither a build's n-ary fold intermediates nor the functions a sync
+/// replaced, so the class switches on and off with the netlist alone,
+/// whatever the manager's GC mode or history. Don't-care extraction
+/// substitutes through every dependent cone per candidate, so its cost
+/// scales with candidates × manager size — prohibitive exactly on the
+/// BDD-heavy arithmetic circuits that carry no observability don't-cares
+/// in the first place.
 const DONTCARE_NODE_LIMIT: usize = 10_000;
+
+/// Whether the don't-care class runs on `bdds` ([`DONTCARE_NODE_LIMIT`]).
+/// The manager's live count bounds the reachable count from above, so a
+/// manager already within the limit skips the traversal, and the
+/// traversal stops past the limit.
+fn dontcare_class_fits(bdds: &CircuitBdds) -> bool {
+    bdds.mgr.node_count() <= DONTCARE_NODE_LIMIT
+        || bdds.reachable_nodes(DONTCARE_NODE_LIMIT) <= DONTCARE_NODE_LIMIT
+}
 
 /// Settings of [`try_rewrite_sim`].
 #[derive(Debug, Clone)]
@@ -192,6 +215,11 @@ pub struct RewriteReport {
     pub arrivals_retimed: u64,
     /// Where the dontcare class's candidates went, over every enumeration.
     pub dontcare_candidates: CandidateCounts,
+    /// Gates the search's circuit BDDs were built for: every gate of the
+    /// first enumeration's build plus the gates each later enumeration's
+    /// sync rebuilt (every gate per changed netlist under `force_full`).
+    /// The search's BDD work, compared the same way.
+    pub bdd_gates_built: u64,
     /// The budget ran out mid-search; the result is the last committed
     /// (safe) state, still functionally equivalent to the input.
     pub budget_exhausted: bool,
@@ -208,10 +236,10 @@ struct Move {
 /// Returns the optimized netlist (dead cones swept) and a report. The
 /// result is functionally equivalent to the input on every primary output
 /// and no slower at unit sizing. The budget bounds the engine build, every
-/// speculative apply and each round's circuit-BDD builds for move
-/// enumeration. `Err` is only returned when the *initial* engine build
-/// exhausts the budget; exhaustion mid-search unwinds to the last
-/// committed mark and returns that state with
+/// speculative apply, and the first move enumeration's circuit-BDD build
+/// and each later one's sync. `Err` is only returned when the *initial*
+/// engine build exhausts the budget; exhaustion mid-search unwinds to the
+/// last committed mark and returns that state with
 /// [`RewriteReport::budget_exhausted`] set. Under
 /// [`ResourceBudget::unlimited`] the search cannot fail.
 ///
@@ -236,7 +264,7 @@ pub fn try_rewrite_sim(
     let crit_before = engine.critical_delay();
     let mut search = Search {
         engine,
-        cache: CircuitBddCache::new(),
+        store: None,
         input_probs,
         budget,
         guard: crit_before * (1.0 + DELAY_SLACK) + 1e-9,
@@ -252,6 +280,7 @@ pub fn try_rewrite_sim(
             nets_reevaluated: 0,
             arrivals_retimed: 0,
             dontcare_candidates: CandidateCounts::default(),
+            bdd_gates_built: 0,
             budget_exhausted: false,
         },
     };
@@ -309,7 +338,9 @@ pub fn try_rewrite_sim(
 /// One search's state across its rounds.
 struct Search<'a> {
     engine: IncrementalSim,
-    cache: CircuitBddCache,
+    /// The circuit BDDs of the last enumeration's netlist; `None` before
+    /// the first enumeration builds them and after a sync ran out.
+    store: Option<ResidentBdds>,
     input_probs: &'a [f64],
     budget: &'a ResourceBudget,
     /// Largest legal unit-sized critical path.
@@ -404,22 +435,35 @@ impl Search<'_> {
     /// Enumerate all candidate moves against the engine's netlist, per
     /// class, in deterministic net-id order, each class capped at
     /// [`MOVES_PER_CLASS`]. The engine's resident words witness the
-    /// dontcare class's care minterms. The circuit BDDs are built under
-    /// the search's budget.
+    /// dontcare class's care minterms.
+    ///
+    /// The resub and dontcare classes read the search's one
+    /// [`ResidentBdds`]: the first enumeration builds it fresh, and every
+    /// later one syncs it to the engine's netlist, rebuilding only the
+    /// gates that the moves applied or rolled back since the last
+    /// enumeration changed (and every gate under `force_full`, the
+    /// from-scratch twin). Both run under the search's budget; a sync that
+    /// runs out drops the store.
     fn enumerate_moves(&mut self) -> Result<Vec<Move>, BudgetExceeded> {
-        let nl = self.engine.netlist().clone();
-        let bdds = self.cache.get_or_build(&nl, self.budget)?;
+        let nl = self.engine.netlist();
+        let store = match self.store.take() {
+            None => ResidentBdds::try_build(nl, self.engine.force_full(), self.budget)?,
+            Some(store) => store.try_sync(nl, self.budget)?,
+        };
+        self.report.bdd_gates_built = store.gates_built();
+        let store = self.store.insert(store);
+        let (nl, bdds) = (store.netlist(), store.bdds());
         // Rewrites leave dead cones in place (net ids stay stable for the
         // engine), so moves only target live logic.
         let live = nl.live_mask();
         let mut out = Vec::new();
-        resub_moves(&nl, &bdds, &live, MOVES_PER_CLASS, &mut out);
-        pair_extract_moves(&nl, &live, MOVES_PER_CLASS, &mut out);
-        kernel_moves(&nl, &live, MOVES_PER_CLASS, &mut out);
-        if bdds.mgr.node_count() <= DONTCARE_NODE_LIMIT {
+        resub_moves(nl, bdds, &live, MOVES_PER_CLASS, &mut out);
+        pair_extract_moves(nl, &live, MOVES_PER_CLASS, &mut out);
+        kernel_moves(nl, &live, MOVES_PER_CLASS, &mut out);
+        if dontcare_class_fits(bdds) {
             let (engine, probs) = (&mut self.engine, self.input_probs);
             let counts = &mut self.report.dontcare_candidates;
-            dontcare_moves(&nl, engine, &bdds, probs, self.cfg.max_fanin, counts, &mut out);
+            dontcare_moves(nl, engine, bdds, probs, self.cfg.max_fanin, counts, &mut out);
         }
         Ok(out)
     }
@@ -713,8 +757,9 @@ fn emit_sop(
 }
 
 /// The don't-care table rewrites of [`crate::dontcare`] as one move class,
-/// witnessed on `engine`'s resident words. Like the BDD build it reads,
-/// enumeration runs unbudgeted; the search's budget meters the scoring.
+/// witnessed on `engine`'s resident words. The analyses run unbudgeted on
+/// clones of the circuit BDDs the search built under its budget; the
+/// budget also meters the scoring.
 fn dontcare_moves(
     nl: &Netlist,
     engine: &mut IncrementalSim,
@@ -884,6 +929,7 @@ mod tests {
         assert_eq!(ra.chains_accepted, rb.chains_accepted);
         assert_eq!(ra.tried, rb.tried);
         assert_eq!(ra.accepted, rb.accepted);
+        assert_eq!(ra.dontcare_candidates, rb.dontcare_candidates);
         assert_eq!(a.len(), b.len());
         for net in a.iter_nets() {
             assert_eq!(a.kind(net), b.kind(net), "{net}");
@@ -929,6 +975,112 @@ mod tests {
                     assert!(divisor >= 20, "divisor {divisor} should build");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_sync_that_runs_out_unwinds_to_the_last_sealed_chain() {
+        let config = netlist::gen::RandomDagConfig {
+            inputs: 6,
+            gates: 30,
+            outputs: 3,
+            max_fanin: 3,
+            window: 10,
+        };
+        let nl = netlist::gen::random_dag(&config, 2);
+        let packed = Stimulus::uniform(6).packed(256, 2);
+        let unlimited = ResourceBudget::unlimited();
+        let nodes = |n| ResourceBudget::unlimited().with_max_bdd_nodes(n);
+        let cfg = RewriteConfig::default();
+        // From the least node budget the first enumeration's fresh build
+        // fits, the first one a later sync runs out of (syncs add the
+        // functions the moves create) once a chain has sealed. Which one
+        // that is depends on the GC mode and on `force_full`.
+        let least = (1..)
+            .find(|&n| power::exact::try_circuit_bdds(&nl, &nodes(n)).is_ok())
+            .expect("some budget fits");
+        let (out, report) = (least..least + 64)
+            .map(|n| {
+                try_rewrite_sim(&nl, &[0.5; 6], &packed, &nodes(n), &cfg)
+                    .expect("the engine build meters no BDD nodes")
+            })
+            .find(|(_, r)| r.budget_exhausted && r.chains_accepted > 0)
+            .expect("a budget that runs out after a sealed chain");
+        assert!(equivalent_exhaustive(&nl, &out));
+        // The output is the last sealed chain: what an unlimited search
+        // stopped after as many rounds returns.
+        let sealed_cfg = RewriteConfig {
+            max_rounds: report.chains_accepted,
+            ..RewriteConfig::default()
+        };
+        let (sealed, sealed_report) =
+            try_rewrite_sim(&nl, &[0.5; 6], &packed, &unlimited, &sealed_cfg)
+                .expect("unlimited budget");
+        assert!(!sealed_report.budget_exhausted);
+        assert_eq!(
+            netlist::blif::write_text(&out),
+            netlist::blif::write_text(&sealed)
+        );
+        assert_eq!(
+            report.cap_after.to_bits(),
+            sealed_report.cap_after.to_bits()
+        );
+    }
+
+    #[test]
+    fn dontcare_gate_counts_what_a_collected_fresh_build_holds() {
+        // Fanin-4 gates leave fold intermediates in a fresh build, and the
+        // syncs below leave replaced functions behind; the gate counts
+        // neither, whatever the GC mode.
+        let config = netlist::gen::RandomDagConfig {
+            inputs: 8,
+            gates: 60,
+            outputs: 4,
+            max_fanin: 4,
+            window: 12,
+        };
+        let nl = netlist::gen::random_dag(&config, 9);
+        let packed = Stimulus::uniform(8).packed(64, 9);
+        let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
+        let unlimited = ResourceBudget::unlimited();
+        let mut store = ResidentBdds::try_build(&nl, false, &unlimited).expect("unlimited budget");
+        let base = engine.checkpoint();
+        for step in 0..8 {
+            let current = engine.netlist().clone();
+            let mut delta = Delta::for_netlist(&current);
+            if step % 2 == 0 {
+                // One of the search's own moves.
+                let live = current.live_mask();
+                let mut moves = Vec::new();
+                resub_moves(&current, store.bdds(), &live, MOVES_PER_CLASS, &mut moves);
+                pair_extract_moves(&current, &live, MOVES_PER_CLASS, &mut moves);
+                kernel_moves(&current, &live, MOVES_PER_CLASS, &mut moves);
+                delta = moves.swap_remove(step % moves.len()).delta;
+            } else {
+                // A function change: flip an AND-family gate to OR.
+                let gate = current
+                    .iter_nets()
+                    .filter(|&n| matches!(current.kind(n), GateKind::And | GateKind::Nand))
+                    .nth(step)
+                    .expect("an AND-family gate");
+                delta.set_gate(gate, GateKind::Or, current.fanins(gate));
+            }
+            engine.apply_delta(&delta);
+            if step % 3 == 2 {
+                engine.rollback_to(base);
+            }
+            store = store
+                .try_sync(engine.netlist(), &unlimited)
+                .expect("unlimited budget");
+            let mut fresh = power::exact::try_circuit_bdds(engine.netlist(), &unlimited)
+                .expect("unlimited budget");
+            fresh.mgr.gc();
+            let want = fresh.mgr.node_count();
+            let bdds = store.bdds();
+            assert_eq!(bdds.reachable_nodes(usize::MAX), want, "step {step}");
+            assert_eq!(bdds.reachable_nodes(want), want, "step {step}");
+            assert!(bdds.reachable_nodes(want - 1) > want - 1, "step {step}");
+            assert_eq!(dontcare_class_fits(bdds), want <= DONTCARE_NODE_LIMIT);
         }
     }
 

@@ -152,28 +152,57 @@ fn build_funcs(
         funcs[dff.index()] = v;
         next_var += 1;
     }
-    let order = nl.topo_order().expect("acyclic");
-    for (done, net) in order.into_iter().enumerate() {
-        // The ITE guard amortizes its deadline poll per *call* and each
-        // gate is a fresh call, so a netlist of small gates could otherwise
-        // run arbitrarily long past an expired deadline. One clock read per
-        // 8 gates keeps the guard off the hot path while still bounding
-        // the overrun.
-        if done & 0x7 == 0 {
-            budget.check_deadline()?;
-        }
-        let kind = nl.kind(net);
-        if kind == GateKind::Input || kind == GateKind::Dff {
+    for (done, net) in topo_order(nl).into_iter().enumerate() {
+        poll_deadline(done, budget)?;
+        if is_variable(nl.kind(net)) {
             continue;
         }
-        let ins: Vec<Ref> = nl.fanins(net).iter().map(|x| funcs[x.index()]).collect();
-        let func = try_gate_bdd(mgr, kind, &ins, budget)?;
+        let func = try_net_bdd(mgr, nl, net, &funcs, budget)?;
         // Root the completed function so GC under budget pressure only
         // reclaims abandoned intermediates.
         mgr.protect(func);
         funcs[net.index()] = func;
     }
     Ok((funcs, input_vars))
+}
+
+/// `nl`'s nets in topological order.
+///
+/// # Panics
+///
+/// Panics if the combinational part is cyclic.
+fn topo_order(nl: &Netlist) -> Vec<NetId> {
+    nl.topo_order().expect("acyclic")
+}
+
+/// Whether nets of `kind` are BDD variables (primary inputs and flip-flop
+/// outputs) rather than gates.
+fn is_variable(kind: GateKind) -> bool {
+    kind == GateKind::Input || kind == GateKind::Dff
+}
+
+/// The deadline poll of a gate-by-gate build, before its `done`-th net.
+/// The ITE guard amortizes its deadline poll per *call* and each gate is a
+/// fresh call, so a netlist of small gates could otherwise run arbitrarily
+/// long past an expired deadline. One clock read per 8 gates keeps the
+/// guard off the hot path while still bounding the overrun.
+fn poll_deadline(done: usize, budget: &ResourceBudget) -> Result<(), BudgetExceeded> {
+    if done & 0x7 == 0 {
+        budget.check_deadline()?;
+    }
+    Ok(())
+}
+
+/// The function of gate `net` over its fanins' functions in `funcs`.
+fn try_net_bdd(
+    mgr: &mut Bdd,
+    nl: &Netlist,
+    net: NetId,
+    funcs: &[Ref],
+    budget: &ResourceBudget,
+) -> Result<Ref, BudgetExceeded> {
+    let ins: Vec<Ref> = nl.fanins(net).iter().map(|x| funcs[x.index()]).collect();
+    try_gate_bdd(mgr, nl.kind(net), &ins, budget)
 }
 
 /// The function of one gate of `kind` over its fanin functions `ins`, in
@@ -258,6 +287,203 @@ impl CircuitBdds {
     /// warm start replays under the same order this build ended with.
     pub fn variable_order(&self) -> Vec<u32> {
         self.mgr.var_order()
+    }
+
+    /// Nodes reachable from the net functions, the terminal included:
+    /// what [`Bdd::gc`] then [`Bdd::node_count`] reads. Unlike the
+    /// manager's live count it leaves out garbage (the n-ary folds'
+    /// intermediates, functions a sync replaced), so it depends on the
+    /// netlist alone, not on when or whether the manager collected.
+    ///
+    /// Counting stops past `cap` (see [`Bdd::size_many_capped`]): the
+    /// result is exact when it is at most `cap` and above `cap` otherwise.
+    pub fn reachable_nodes(&self, cap: usize) -> usize {
+        // The terminal is the one node `size_many` leaves out.
+        self.mgr
+            .size_many_capped(&self.funcs, cap.saturating_sub(1))
+            + 1
+    }
+}
+
+/// The store collects once its live node count reaches this multiple of
+/// what its last collection (or its first build) left.
+const COLLECT_GROWTH: usize = 2;
+
+/// Circuit BDDs kept resident across the edits of one netlist.
+///
+/// The store holds the [`CircuitBdds`] of the netlist it mirrors. A sync
+/// to an edited netlist — nets appended by an apply, truncated by a
+/// rollback, or re-gated in place — rebuilds only the gates whose kind or
+/// fanins changed, plus the fanout of every gate whose function moved.
+/// BDDs are canonical, so a rebuilt gate whose [`Ref`] did not move cuts
+/// its fanout off exactly, and every net function afterwards is the one a
+/// fresh [`try_circuit_bdds`] of the edited netlist computes (in another
+/// manager, so node indices differ; functions, probabilities and
+/// [`CircuitBdds::reachable_nodes`] do not).
+///
+/// A replaced function is unrooted at once, so auto-GC under a node
+/// budget reclaims it as it would a fresh build's intermediates, and the
+/// store collects whenever its live node count has doubled since its last
+/// collection.
+///
+/// ```
+/// use budget::ResourceBudget;
+/// use netlist::{gen::parity_tree, GateKind};
+/// use power::exact::ResidentBdds;
+///
+/// let nl = parity_tree(4);
+/// let unlimited = ResourceBudget::unlimited();
+/// let store = ResidentBdds::try_build(&nl, false, &unlimited)?;
+/// let first = store.gates_built();
+/// let mut edited = nl.clone();
+/// let out = edited.outputs()[0].0;
+/// let inv = edited.add_gate(GateKind::Not, &[out]);
+/// let store = store.try_sync(&edited, &unlimited)?;
+/// // Only the appended gate was built.
+/// assert_eq!(store.gates_built(), first + 1);
+/// let bdds = store.bdds();
+/// assert_eq!(bdds.func(inv), bdds.mgr.not(bdds.func(out)));
+/// # Ok::<(), budget::BudgetExceeded>(())
+/// ```
+#[derive(Debug)]
+pub struct ResidentBdds {
+    bdds: CircuitBdds,
+    /// The netlist `bdds` holds the functions of.
+    mirror: Netlist,
+    /// Rebuild every gate in a fresh manager on any change.
+    from_scratch: bool,
+    /// Gates built over the store's life, its first build included.
+    gates_built: u64,
+    /// Live node count after the last collection (or the first build).
+    collected_at: usize,
+}
+
+impl ResidentBdds {
+    /// The fresh natural-order build of `nl` ([`try_circuit_bdds`]).
+    ///
+    /// With `from_scratch`, every later sync that sees a changed gate
+    /// rebuilds every gate in a fresh manager instead: the store's A/B
+    /// twin, with the same functions and more work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the combinational part of `nl` is cyclic.
+    pub fn try_build(
+        nl: &Netlist,
+        from_scratch: bool,
+        budget: &ResourceBudget,
+    ) -> Result<ResidentBdds, BudgetExceeded> {
+        let bdds = try_circuit_bdds(nl, budget)?;
+        let gates = nl.iter_nets().filter(|&n| !is_variable(nl.kind(n))).count();
+        Ok(ResidentBdds {
+            collected_at: bdds.mgr.node_count(),
+            bdds,
+            mirror: nl.clone(),
+            from_scratch,
+            gates_built: gates as u64,
+        })
+    }
+
+    /// The circuit BDDs of [`ResidentBdds::netlist`].
+    pub fn bdds(&self) -> &CircuitBdds {
+        &self.bdds
+    }
+
+    /// The netlist the store mirrors: the last one built or synced to.
+    pub fn netlist(&self) -> &Netlist {
+        &self.mirror
+    }
+
+    /// Gates built over the store's life: every gate of the first build
+    /// plus each sync's rebuilt gates — the store's deterministic work.
+    pub fn gates_built(&self) -> u64 {
+        self.gates_built
+    }
+
+    /// Sync the store to `nl`, an edit of the mirrored netlist: compare
+    /// each net's kind and fanins with the mirror (outputs do not matter),
+    /// then rebuild the changed gates in topological order, and a gate's
+    /// fanout only where its function moved. The rebuilt gates run under
+    /// `budget` like a fresh build's, with the deadline polled every 8
+    /// gates. A change to the primary inputs or flip-flops, or any change
+    /// under `from_scratch`, rebuilds every gate in a fresh manager.
+    ///
+    /// On exhaustion a sync may leave some functions rebuilt and others
+    /// not, so it consumes the store: the error drops it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the combinational part of `nl` is cyclic.
+    pub fn try_sync(
+        mut self,
+        nl: &Netlist,
+        budget: &ResourceBudget,
+    ) -> Result<ResidentBdds, BudgetExceeded> {
+        let mirror = &self.mirror;
+        let changed: Vec<bool> = nl
+            .iter_nets()
+            .map(|n| {
+                n.index() >= mirror.len()
+                    || nl.kind(n) != mirror.kind(n)
+                    || nl.fanins(n) != mirror.fanins(n)
+            })
+            .collect();
+        if nl.len() != mirror.len() || changed.contains(&true) {
+            if self.from_scratch || nl.inputs() != mirror.inputs() || nl.dffs() != mirror.dffs() {
+                let fresh = ResidentBdds::try_build(nl, self.from_scratch, budget)?;
+                let gates_built = self.gates_built + fresh.gates_built;
+                return Ok(ResidentBdds {
+                    gates_built,
+                    ..fresh
+                });
+            }
+            self.rebuild(nl, &changed, budget)?;
+        }
+        self.mirror.clone_from(nl);
+        Ok(self)
+    }
+
+    /// Rebuild the `changed` gates of `nl` and the fanout of every gate
+    /// whose function moved, then collect if the live count has grown by
+    /// [`COLLECT_GROWTH`].
+    fn rebuild(
+        &mut self,
+        nl: &Netlist,
+        changed: &[bool],
+        budget: &ResourceBudget,
+    ) -> Result<(), BudgetExceeded> {
+        let CircuitBdds { mgr, funcs, .. } = &mut self.bdds;
+        // Nets a rollback truncated take their functions with them.
+        for &f in funcs.iter().skip(nl.len()) {
+            mgr.unprotect(f);
+        }
+        let kept = funcs.len().min(nl.len());
+        funcs.resize(nl.len(), Ref::FALSE);
+        let mut moved = vec![false; nl.len()];
+        let mut built = 0;
+        for net in topo_order(nl) {
+            let i = net.index();
+            let stale = changed[i] || nl.fanins(net).iter().any(|f| moved[f.index()]);
+            if !stale || is_variable(nl.kind(net)) {
+                continue;
+            }
+            poll_deadline(built, budget)?;
+            let func = try_net_bdd(mgr, nl, net, funcs, budget)?;
+            mgr.protect(func);
+            built += 1;
+            // An appended net has no earlier function to compare with.
+            moved[i] = i >= kept || func != funcs[i];
+            if i < kept {
+                mgr.unprotect(funcs[i]);
+            }
+            funcs[i] = func;
+        }
+        self.gates_built += built as u64;
+        if mgr.node_count() >= COLLECT_GROWTH * self.collected_at {
+            mgr.gc();
+            self.collected_at = mgr.node_count();
+        }
+        Ok(())
     }
 }
 

@@ -690,6 +690,12 @@ impl IncrementalSim {
         self.force_full = on;
     }
 
+    /// Whether every delta takes the full re-evaluation fallback (see
+    /// [`IncrementalSim::set_force_full`]).
+    pub fn force_full(&self) -> bool {
+        self.force_full
+    }
+
     /// Attach an observability handle (counters flush per applied delta).
     pub fn with_obs(mut self, obs: obs::Obs) -> IncrementalSim {
         self.obs = obs;

@@ -14,6 +14,11 @@
 //! the engine, and a starved budget must unwind the rewriting search to
 //! its last committed state, never a torn one.
 //!
+//! The rewriting search's resident circuit BDDs ride on the same edits:
+//! synced to the engine's netlist after every apply, rollback and commit,
+//! a [`ResidentBdds`] must hold exactly the functions a fresh build of
+//! that netlist computes.
+//!
 //! Edits are generated acyclic **by construction**: rewires only draw
 //! fanins from strictly lower indices, inserted buffer chains feed
 //! forward from an existing edge, and `replace_uses` replacements read
@@ -24,8 +29,9 @@
 use lowpower::bdd::ResourceBudget;
 use lowpower::circuit::sizing::SizedCircuit;
 use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
-use lowpower::netlist::gen::{random_dag, RandomDagConfig};
+use lowpower::netlist::gen::{array_multiplier, random_dag, wallace_multiplier, RandomDagConfig};
 use lowpower::netlist::{GateKind, NetId, Netlist, Rng64};
+use lowpower::power::exact::{try_circuit_bdds, ResidentBdds};
 use lowpower::sim::comb::{equivalent_exhaustive, CombSim};
 use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::incr::{Delta, IncrementalEventSim, IncrementalSim, Mark};
@@ -181,8 +187,111 @@ fn check_event(
     Ok(())
 }
 
+/// Assert the store mirrors `nl` and holds a fresh build's functions:
+/// every net's exact probability under the (non-dyadic) `probs` bit for
+/// bit, and as many nodes reachable from the net functions.
+fn check_store(store: &ResidentBdds, nl: &Netlist, probs: &[f64]) -> Result<(), TestCaseError> {
+    prop_assert!(
+        same_netlist(store.netlist(), nl),
+        "store mirrors another netlist"
+    );
+    let fresh = try_circuit_bdds(nl, &ResourceBudget::unlimited())
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let to_bits = |p: Vec<f64>| -> Vec<u64> { p.iter().map(|x| x.to_bits()).collect() };
+    prop_assert_eq!(
+        to_bits(store.bdds().probabilities(probs)),
+        to_bits(fresh.probabilities(probs))
+    );
+    prop_assert_eq!(
+        store.bdds().reachable_nodes(usize::MAX),
+        fresh.reachable_nodes(usize::MAX)
+    );
+    Ok(())
+}
+
+/// Random applies, checkpoints, rollbacks and commits on an engine over
+/// `nl`, with a [`ResidentBdds`] synced to the engine's netlist and
+/// checked against a fresh build after every step.
+fn resident_bdds_follow_the_engine(
+    nl: &Netlist,
+    ops: usize,
+    op_seed: u64,
+) -> Result<(), TestCaseError> {
+    let unlimited = ResourceBudget::unlimited();
+    let packed = Stimulus::uniform(nl.num_inputs()).packed(16, op_seed);
+    let mut engine = IncrementalSim::from_full_eval(nl, &packed);
+    let mut rng = Rng64::new(op_seed);
+    // Biases off every dyadic rational, so nets whose functions differ
+    // almost surely differ in probability too.
+    let probs: Vec<f64> = (0..nl.num_inputs())
+        .map(|_| 0.05 + 0.9 * rng.next_f64())
+        .collect();
+    let fail = |e: lowpower::bdd::BudgetExceeded| TestCaseError::fail(e.to_string());
+    let mut store = ResidentBdds::try_build(nl, false, &unlimited).map_err(fail)?;
+    check_store(&store, nl, &probs)?;
+    let base_len = nl.len();
+    let mut marks: Vec<Mark> = Vec::new();
+    for _ in 0..ops {
+        match rng.range(0, 5) {
+            0 | 1 => {
+                let Some(delta) = random_delta(engine.netlist(), base_len, &mut rng) else {
+                    continue;
+                };
+                engine.apply_delta(&delta);
+            }
+            2 => marks.push(engine.checkpoint()),
+            3 => {
+                if marks.is_empty() {
+                    continue;
+                }
+                marks.truncate(rng.range(0, marks.len()) + 1);
+                let m = *marks.last().expect("picked live mark");
+                prop_assert!(engine.rollback_to(m), "live mark must roll back");
+            }
+            _ => {
+                if marks.is_empty() {
+                    continue;
+                }
+                let pick = rng.range(0, marks.len());
+                let m = marks[pick];
+                prop_assert!(engine.commit(m), "live mark must commit");
+                marks.retain(|&a| a > m);
+            }
+        }
+        store = store.try_sync(engine.netlist(), &unlimited).map_err(fail)?;
+        check_store(&store, engine.netlist(), &probs)?;
+    }
+    Ok(())
+}
+
+/// The resident store against a fresh build on the arithmetic circuits,
+/// where one edit moves the functions of long reconvergent XOR cones.
+#[test]
+fn resident_bdds_match_a_fresh_build_on_multipliers() {
+    for nl in [array_multiplier(4).0, wallace_multiplier(4).0] {
+        for op_seed in 0..6 {
+            if let Err(e) = resident_bdds_follow_the_engine(&nl, 16, op_seed) {
+                panic!("{} op seed {op_seed}: {e}", nl.name());
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The resident store of the rewriting search: synced after every
+    /// apply, rollback and commit on random DAGs, it holds exactly a fresh
+    /// build's functions (see [`check_store`]).
+    #[test]
+    fn resident_bdds_match_a_fresh_build_after_every_step(
+        seed in 0u64..5000,
+        gates in 12usize..48,
+        ops in 3usize..16,
+        op_seed in any::<u64>(),
+    ) {
+        resident_bdds_follow_the_engine(&comb_dag(seed, gates), ops, op_seed)?;
+    }
 
     /// The core contract: a random sequence of edits, some rolled back and
     /// some committed, leaves the functional engine bit-identical to
