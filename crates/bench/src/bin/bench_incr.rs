@@ -24,16 +24,16 @@
 //!   and re-timing the whole netlist per speculative move, and rebuilding
 //!   every gate's circuit BDD per changed enumeration. Besides the work
 //!   ratio these sections record a timing ratio (unit-size arrival times
-//!   the engine recomputed per arrival the twin recomputed) and a BDD
-//!   ratio (gates the search's resident circuit BDDs built per gate the
-//!   twin built).
+//!   the engine recomputed per arrival the twin recomputed), a BDD ratio
+//!   (gates the search's resident circuit BDDs built per gate the twin
+//!   built) and where the search's don't-care candidates went.
 //! * **rewrite-flow** (same circuits): the combined rewriting pass
 //!   (rewrite → balance → size) against the sequential pipeline
 //!   (balance → don't-cares → size), both sized to one shared delay
 //!   constraint, compared on glitch-aware switched capacitance. Each flow
 //!   also records where the sequential pipeline's don't-care candidates
-//!   went: settled by the simulation witness, unreachable, or through the
-//!   full BDD analysis.
+//!   went: settled by the simulation witness, unreachable, settled by the
+//!   probability bound, or through the full BDD analysis.
 //!
 //! Emits `BENCH_incr.json` (override with the first non-flag argument).
 //!
@@ -44,7 +44,8 @@
 //! With `--check` the harness exits nonzero unless every section holds
 //! its headline win: a work ratio (incremental evaluations per
 //! from-scratch evaluation) of at most 1/3, and on the rewrite-search
-//! sections timing and BDD ratios of at most 1/2. All three ratios are
+//! sections timing and BDD ratios of at most 1/2 and at most two full
+//! don't-care analyses per rewrite they found. All of these are
 //! deterministic counts, so the check means the same on a noisy CI box;
 //! wall-clock times are reported, never gated. Result identity (bitwise
 //! sizes, bitwise capacitance, glitch totals to 1e-9, node-for-node
@@ -91,7 +92,19 @@ struct Section {
     /// Circuit-BDD gates built per gate the force-full twin built
     /// (rewrite-search only; deterministic).
     bdd_ratio: Option<f64>,
+    /// Where the search's don't-care candidates went (rewrite-search
+    /// only; deterministic).
+    dontcare_candidates: Option<CandidateCounts>,
     identical: bool,
+}
+
+/// `counts` as one JSON object.
+fn candidates_json(c: &CandidateCounts) -> String {
+    format!(
+        "{{\"witnessed\": {}, \"unreachable\": {}, \"unprofitable\": {}, \"analyzed\": {}, \
+         \"rewritten\": {}}}",
+        c.witnessed, c.unreachable, c.unprofitable, c.analyzed, c.rewritten
+    )
 }
 
 /// From-scratch balance sweep: rebalance and fully re-simulate per
@@ -171,6 +184,7 @@ fn bench_balance() -> Section {
         work_unit: "net evaluations",
         timing_ratio: None,
         bdd_ratio: None,
+        dontcare_candidates: None,
         identical,
     }
 }
@@ -215,6 +229,7 @@ fn bench_sizing() -> Section {
         work_unit: "arrival-time evaluations",
         timing_ratio: None,
         bdd_ratio: None,
+        dontcare_candidates: None,
         identical,
     }
 }
@@ -276,6 +291,7 @@ fn bench_dontcare() -> Section {
         work_unit: "net evaluations",
         timing_ratio: None,
         bdd_ratio: None,
+        dontcare_candidates: None,
         identical,
     }
 }
@@ -349,6 +365,7 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
         bdd_ratio: Some(
             incr_report.bdd_gates_built as f64 / full_report.bdd_gates_built.max(1) as f64,
         ),
+        dontcare_candidates: Some(incr_report.dontcare_candidates),
         identical,
     }
 }
@@ -451,6 +468,10 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
         if let Some(b) = s.bdd_ratio {
             let _ = writeln!(out, "      \"bdd_ratio\": {b:.4},");
         }
+        if let Some(c) = &s.dontcare_candidates {
+            let c = candidates_json(c);
+            let _ = writeln!(out, "      \"dontcare_candidates\": {c},");
+        }
         let _ = writeln!(out, "      \"identical\": {}", s.identical);
         out.push_str(if i + 1 < sections.len() { "    },\n" } else { "    }\n" });
     }
@@ -469,13 +490,8 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
             f.sequential_seconds
         );
         let _ = writeln!(out, "      \"combined_seconds\": {:.3e},", f.combined_seconds);
-        let c = f.sequential_candidates;
-        let _ = writeln!(
-            out,
-            "      \"sequential_candidates\": {{\"witnessed\": {}, \"unreachable\": {}, \
-             \"analyzed\": {}, \"rewritten\": {}}},",
-            c.witnessed, c.unreachable, c.analyzed, c.rewritten
-        );
+        let c = candidates_json(&f.sequential_candidates);
+        let _ = writeln!(out, "      \"sequential_candidates\": {c},");
         let _ = writeln!(out, "      \"meets_constraint\": {}", f.meets_constraint);
         out.push_str(if i + 1 < flows.len() { "    },\n" } else { "    }\n" });
     }
@@ -511,9 +527,18 @@ fn main() {
             .bdd_ratio
             .map(|b| format!("bdd {:.1}% of scratch  ", b * 100.0))
             .unwrap_or_default();
+        let dontcare = s
+            .dontcare_candidates
+            .map(|c| {
+                format!(
+                    "{} don't-care analyses for {} rewrites  ",
+                    c.analyzed, c.rewritten
+                )
+            })
+            .unwrap_or_default();
         println!(
             "  {:<14} {:<8} scratch {:>9.3e} s  incr {:>9.3e} s ({:.2}x faster)  \
-             work {:.1}% of scratch  {timing}{bdd}identical: {}",
+             work {:.1}% of scratch  {timing}{bdd}{dontcare}identical: {}",
             s.name,
             s.circuit,
             s.scratch_seconds,
@@ -538,11 +563,12 @@ fn main() {
         let c = f.sequential_candidates;
         println!(
             "  {:<14} {:<8} sequential don't-care candidates: {} witnessed, {} unreachable, \
-             {} analyzed ({} rewritten)",
+             {} unprofitable, {} analyzed ({} rewritten)",
             "",
             f.circuit,
             c.witnessed,
             c.unreachable,
+            c.unprofitable,
             c.analyzed,
             c.rewritten,
         );
@@ -580,6 +606,19 @@ fn main() {
                 eprintln!(
                     "check FAILED: {} ({}) BDD ratio {b:.3} > 0.5",
                     s.name, s.circuit
+                );
+                ok = false;
+            }
+            // The witness and the probability bound settle every
+            // candidate the analysis cannot pay for but a few.
+            if let Some(c) = s
+                .dontcare_candidates
+                .filter(|c| c.analyzed > 2 * c.rewritten)
+            {
+                eprintln!(
+                    "check FAILED: {} ({}) ran {} full don't-care analyses for {} rewrites \
+                     (more than two per rewrite)",
+                    s.name, s.circuit, c.analyzed, c.rewritten
                 );
                 ok = false;
             }

@@ -19,28 +19,36 @@
 //! probabilities and accepts only if the *whole network's* estimated
 //! switched capacitance drops (\[19\]).
 //!
-//! Most candidates have no don't-cares at all, and simulation proves it
-//! cheaply. Before any BDD work each candidate asks an [`IncrementalSim`]
-//! which fanin minterms it has *seen* as care: a pattern that drives the
+//! Most candidates never need the BDD analysis, and two cheap steps settle
+//! them first. The **witness**: each candidate asks an [`IncrementalSim`]
+//! which fanin minterms it has *seen* as care. A pattern that drives the
 //! fanins to the minterm while inverting the node flips an output is a
 //! point of the minterm's condition and the node's observability, so the
 //! analysis would mark it care too. A candidate whose minterms are all
 //! witnessed, or whose unwitnessed minterms cannot occur at all, is
-//! skipped; the analysis would have returned nothing for it. Reports count
-//! where the candidates went ([`CandidateCounts`]).
+//! skipped. The **bound**: a witnessed minterm is care whatever the
+//! analysis finds and an unreachable one is don't-care; the rest are
+//! *open*. The analysis can only settle on one split of the open minterms
+//! into care and don't-care, so when no split lets the table step push the
+//! node's one-probability further from 0.5 profitably, the candidate is
+//! settled as unprofitable from the fanin-minterm probabilities alone.
+//! Only what survives both steps pays for the global observability
+//! substitution. Reports count where the candidates went
+//! ([`CandidateCounts`]).
 //!
 //! The estimate-driven pass ([`try_optimize_dontcares`], under the
 //! caller's budget and BDD cache), the simulation-driven pass
 //! ([`optimize_dontcares_sim`], or [`optimize_dontcares_sim_with`] on the
 //! caller's engine) and the dontcare class of [`crate::rewrite`] run every
-//! candidate through one step:
-//! witness, analyze, count, and return a profitable table as a [`Delta`].
-//! The simulation-driven drivers apply that delta to their engine; the
-//! estimate-driven pass replays it onto a copy of the netlist.
+//! candidate through one step: witness, bound, analyze, count, and return
+//! a profitable table as a [`Delta`]. Each driver builds one `Analyzer`
+//! per netlist it enumerates, whose one scratch manager every candidate's
+//! BDD work shares. The simulation-driven drivers apply the delta to their
+//! engine; the estimate-driven pass replays it onto a copy of the netlist.
 
-use bdd::{BudgetExceeded, Ref, ResourceBudget};
+use bdd::{Bdd, BudgetExceeded, Ref, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
-use power::exact::{try_circuit_bdds, try_gate_bdd, CircuitBddCache, CircuitBdds};
+use power::exact::{try_circuit_bdds, try_gate_bdd, CircuitBddCache, CircuitBdds, ResidentBdds};
 use sim::incr::{Delta, IncrementalSim};
 use sim::stimulus::{PackedPatterns, Stimulus};
 
@@ -55,9 +63,11 @@ pub enum Mode {
     FanoutAware,
 }
 
-/// Where the don't-care candidates of one driver run went. Each candidate
-/// lands in exactly one of `witnessed`, `unreachable` and `analyzed`;
-/// `rewritten` counts the analyzed ones that yielded a table.
+/// Where the don't-care candidates of one driver run went, in the order
+/// the steps settle them: the simulation witness, the fanin-condition
+/// check, the probability bound, the full BDD analysis. Each candidate
+/// lands in exactly one of `witnessed`, `unreachable`, `unprofitable` and
+/// `analyzed`; `rewritten` counts the analyzed ones that yielded a table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateCounts {
     /// Skipped on the simulation witness alone: every fanin minterm seen
@@ -66,6 +76,9 @@ pub struct CandidateCounts {
     /// Skipped after the fanin-condition check: every minterm the witness
     /// missed cannot occur.
     pub unreachable: u64,
+    /// Skipped on the probability bound: no split of the open minterms
+    /// into care and don't-care yields a profitable table.
+    pub unprofitable: u64,
     /// The full BDD observability analysis ran.
     pub analyzed: u64,
     /// The analysis returned a rebiased truth table.
@@ -77,6 +90,7 @@ impl CandidateCounts {
         match analysis {
             Analysis::Witnessed => self.witnessed += 1,
             Analysis::Unreachable => self.unreachable += 1,
+            Analysis::Unprofitable => self.unprofitable += 1,
             Analysis::Analyzed(rewrite) => {
                 self.analyzed += 1;
                 self.rewritten += rewrite.is_some() as u64;
@@ -85,10 +99,11 @@ impl CandidateCounts {
     }
 
     /// Publish as the `dontcare.candidates.{witnessed,unreachable,
-    /// analyzed,rewritten}` counters.
+    /// unprofitable,analyzed,rewritten}` counters.
     pub fn publish(&self, obs: &obs::Obs) {
         obs.add("dontcare.candidates.witnessed", self.witnessed);
         obs.add("dontcare.candidates.unreachable", self.unreachable);
+        obs.add("dontcare.candidates.unprofitable", self.unprofitable);
         obs.add("dontcare.candidates.analyzed", self.analyzed);
         obs.add("dontcare.candidates.rewritten", self.rewritten);
     }
@@ -156,7 +171,9 @@ const WITNESS_SEED: u64 = 0x0DC5;
 /// candidate) and the witness simulation (each engine build, and each
 /// candidate's re-evaluated nets as `cycles` steps apiece). The witness
 /// only skips analyses, so a witness the budget cannot afford is dropped
-/// and the analyses run in full: it never fails or shortens a pass. `Err`
+/// and the bound and the analyses run without it: it never fails or
+/// shortens a pass. The analyses of one fixpoint pass share one
+/// unbudgeted scratch clone of that pass's circuit manager. `Err`
 /// is returned only when the first pass's circuit-BDD build exhausts;
 /// exhaustion later keeps the last accepted netlist and sets
 /// [`DontCareReport::budget_exhausted`]. Under
@@ -218,11 +235,12 @@ pub fn try_optimize_dontcares(
                     && fanout_counts[net.index()] > 0
             })
             .collect();
+        let mut analyzer = Analyzer::new(&current, &bdds, input_probs);
         for node in candidates {
             let verdict = budget.check_deadline().and_then(|()| {
                 let counts = &mut candidates_seen;
                 let engine = witness.as_mut();
-                match candidate_delta(&current, &bdds, node, input_probs, engine, budget, counts) {
+                match candidate_delta(&mut analyzer, node, engine, budget, counts) {
                     Some(delta) => try_rewrite(&current, &delta, input_probs, mode, cache, budget),
                     None => Ok(None),
                 }
@@ -304,9 +322,12 @@ pub fn optimize_dontcares_sim(
 
 /// [`optimize_dontcares_sim`] on a caller-owned engine, which holds the
 /// optimized netlist afterwards and whose resident words are the witness.
-/// On an engine with [`IncrementalSim::set_force_full`] every candidate
-/// re-evaluates the whole netlist: the pass's A/B twin, identical in
-/// decisions and result.
+/// The circuit BDDs stay resident too: one [`ResidentBdds`], built by the
+/// first pass and synced to the engine's netlist by every later one, so an
+/// accepted rewrite costs a rebuild of the cones it changed. On an engine
+/// with [`IncrementalSim::set_force_full`] every candidate re-evaluates the
+/// whole netlist and every changed pass rebuilds the circuit BDDs fresh:
+/// the pass's A/B twin, identical in decisions and result.
 ///
 /// # Panics
 ///
@@ -321,7 +342,7 @@ pub fn optimize_dontcares_sim_with(
     let nets_before = engine.stats().nets_reevaluated;
     let cap_before = engine.switched_cap_live();
     let mut cap_current = cap_before;
-    let mut cache = CircuitBddCache::new();
+    let mut store: Option<ResidentBdds> = None;
     let mut candidates_seen = CandidateCounts::default();
     let mut nodes_changed = 0;
     let mut rewrites_tried = 0;
@@ -331,22 +352,26 @@ pub fn optimize_dontcares_sim_with(
         if pass > 8 {
             break;
         }
-        // Rewrites leave their victim's dead cone in place (net ids stay
-        // stable for the engine), so candidates are filtered to live nets.
-        let current = engine.netlist().clone();
-        let bdds = cache
-            .get_or_build(&current, &unlimited)
-            .expect("unlimited budget");
+        let synced = match store.take() {
+            None => ResidentBdds::try_build(engine.netlist(), engine.force_full(), &unlimited),
+            Some(resident) => resident.try_sync(engine.netlist(), &unlimited),
+        };
+        let resident = store.insert(synced.expect("unlimited budget"));
+        // The store mirrors the engine's netlist at the pass mark, which
+        // every rejected rewrite unwinds to. Rewrites leave their victim's
+        // dead cone in place (net ids stay stable for the engine), so
+        // candidates are filtered to live nets.
+        let current = resident.netlist();
+        let mut analyzer = Analyzer::new(current, resident.bdds(), input_probs);
         // One live mark per pass: a rejected rewrite unwinds to it, an
         // accepted one is sealed (which releases the mark) and the next
         // pass re-takes it.
         let mark = engine.checkpoint();
-        for node in sim_candidates(&current, max_fanin) {
+        for node in sim_candidates(current, max_fanin) {
             let witness = Some(&mut *engine);
             let counts = &mut candidates_seen;
-            let delta =
-                candidate_delta(&current, &bdds, node, input_probs, witness, &unlimited, counts);
-            let Some(delta) = delta else {
+            let Some(delta) = candidate_delta(&mut analyzer, node, witness, &unlimited, counts)
+            else {
                 continue;
             };
             rewrites_tried += 1;
@@ -393,24 +418,24 @@ pub(crate) fn sim_candidates(nl: &Netlist, max_fanin: usize) -> Vec<NetId> {
 }
 
 /// One don't-care candidate, the step all three drivers share: witness
-/// `node`'s care minterms on `witness` (when given, it must hold `nl`),
-/// run the analysis, tally where the candidate went in `counts`, and
-/// return a profitable rewrite as a [`Delta`] against `nl`: `node`'s users
-/// moved to the rebiased table's logic.
+/// `node`'s care minterms on `witness` (when given, it must hold the
+/// analyzer's netlist), run the bound and the analysis, tally where the
+/// candidate went in `counts`, and return a profitable rewrite as a
+/// [`Delta`] against that netlist: `node`'s users moved to the rebiased
+/// table's logic.
 pub(crate) fn candidate_delta(
-    nl: &Netlist,
-    bdds: &CircuitBdds,
+    analyzer: &mut Analyzer,
     node: NetId,
-    input_probs: &[f64],
     witness: Option<&mut IncrementalSim>,
     budget: &ResourceBudget,
     counts: &mut CandidateCounts,
 ) -> Option<Delta> {
+    let nl = analyzer.netlist();
     let known = match witness {
         Some(engine) => care_witness(engine, node, budget),
         None => vec![false; 1 << nl.fanins(node).len()],
     };
-    let analysis = find_rewrite(nl, bdds, node, input_probs, &known);
+    let analysis = find_rewrite(analyzer, node, &known);
     counts.record(&analysis);
     let Analysis::Analyzed(Some(rewrite)) = analysis else {
         return None;
@@ -522,6 +547,9 @@ enum Analysis {
     /// Every unwitnessed minterm's fanin condition is `FALSE`: settled
     /// before the substitution.
     Unreachable,
+    /// No split of the open minterms into care and don't-care yields a
+    /// table: settled by the probability bound, before the substitution.
+    Unprofitable,
     /// The full analysis ran; `Some` when it found a profitable table.
     Analyzed(Option<Rewrite>),
 }
@@ -567,6 +595,141 @@ fn care_witness(
     known
 }
 
+/// Open minterms above which [`find_rewrite`] skips the bound: it tries
+/// `2^open` splits, so the cap holds it to 256 table steps per candidate.
+const BOUND_OPEN_CAP: usize = 8;
+
+/// The scratch manager collects once its live node count reaches this
+/// multiple of what its last collection (or the clone) left.
+const SCRATCH_GROWTH: usize = 2;
+
+/// The BDD state every don't-care candidate of one netlist shares: the
+/// netlist, its circuit BDDs, the per-variable probabilities, one scratch
+/// manager and the topological order. Build one per netlist a driver
+/// enumerates (a rewrite enumeration, a pass of either don't-care pass);
+/// its candidates then share one clone of the circuit manager instead of
+/// cloning it each.
+///
+/// The scratch manager never collects on its own: an analysis holds refs
+/// no root protects (the minterm conditions, the substituted cones, the
+/// observability union). It collects between candidates instead, once
+/// its live count has doubled; the circuit functions are its roots, and
+/// BDDs are canonical, so the analyses find the same functions either way.
+pub(crate) struct Analyzer<'a> {
+    nl: &'a Netlist,
+    bdds: &'a CircuitBdds,
+    /// A non-collecting clone of `bdds.mgr` the analyses build in.
+    scratch: Bdd,
+    /// Live node count after the scratch manager's last collection.
+    collected_at: usize,
+    /// The observability's fresh variable: the first one past the
+    /// circuit's variables.
+    w: u32,
+    /// One-probability of each variable, `w` included (0.5 outside the
+    /// primary inputs).
+    var_probs: Vec<f64>,
+    /// `nl`'s nets in topological order.
+    order: Vec<NetId>,
+}
+
+impl<'a> Analyzer<'a> {
+    /// The analyzer of `nl`, whose circuit BDDs are `bdds`, under the
+    /// primary-input one-probabilities `input_probs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nl` is cyclic.
+    pub(crate) fn new(nl: &'a Netlist, bdds: &'a CircuitBdds, input_probs: &[f64]) -> Analyzer<'a> {
+        let mut scratch = bdds.mgr.clone();
+        scratch.set_auto_gc(false);
+        let w = bdds.mgr.num_vars() as u32;
+        let mut var_probs = vec![0.5; w as usize + 1];
+        for (i, &var) in bdds.input_vars.iter().enumerate() {
+            if i < input_probs.len() {
+                var_probs[var as usize] = input_probs[i];
+            }
+        }
+        Analyzer {
+            nl,
+            bdds,
+            collected_at: scratch.node_count(),
+            scratch,
+            w,
+            var_probs,
+            order: nl.topo_order().expect("acyclic"),
+        }
+    }
+
+    /// The netlist the candidates belong to.
+    pub(crate) fn netlist(&self) -> &'a Netlist {
+        self.nl
+    }
+
+    /// Collect the scratch manager if it has doubled since its last
+    /// collection. Only between candidates: no analysis holds a ref then.
+    fn collect_if_grown(&mut self) {
+        if self.scratch.node_count() >= SCRATCH_GROWTH * self.collected_at {
+            self.scratch.gc();
+            self.collected_at = self.scratch.node_count();
+        }
+    }
+
+    /// The fanin condition of each local minterm of `node` (fanin `i` is
+    /// bit `i` of the minterm), in the scratch manager.
+    fn minterm_conditions(&mut self, node: NetId) -> Vec<Ref> {
+        let (fanins, funcs) = (self.nl.fanins(node), &self.bdds.funcs);
+        let mgr = &mut self.scratch;
+        (0..1usize << fanins.len())
+            .map(|m| {
+                let mut cond = Ref::TRUE;
+                for (i, &fi) in fanins.iter().enumerate() {
+                    let f = funcs[fi.index()];
+                    let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
+                    cond = mgr.and(cond, lit);
+                }
+                cond
+            })
+            .collect()
+    }
+
+    /// The global observability of `node`: replace it by the fresh
+    /// variable `w`, rebuild every dependent net, and OR the Boolean
+    /// difference of each dependent output with respect to `w`.
+    fn observability(&mut self, node: NetId) -> Ref {
+        let unlimited = ResourceBudget::unlimited();
+        let (nl, w, mgr) = (self.nl, self.w, &mut self.scratch);
+        let mut subst: Vec<Ref> = self.bdds.funcs.to_vec();
+        subst[node.index()] = mgr.var(w);
+        let mut dependent = vec![false; nl.len()];
+        dependent[node.index()] = true;
+        for &net in &self.order {
+            if net == node {
+                continue;
+            }
+            let kind = nl.kind(net);
+            if kind.is_source() || kind == GateKind::Dff {
+                continue;
+            }
+            if !nl.fanins(net).iter().any(|f| dependent[f.index()]) {
+                continue;
+            }
+            dependent[net.index()] = true;
+            let ins: Vec<Ref> = nl.fanins(net).iter().map(|f| subst[f.index()]).collect();
+            subst[net.index()] =
+                try_gate_bdd(mgr, kind, &ins, &unlimited).expect("unlimited budget");
+        }
+        let mut sensitive = Ref::FALSE;
+        for (out, _) in nl.outputs() {
+            if !dependent[out.index()] {
+                continue;
+            }
+            let s = mgr.boolean_difference(subst[out.index()], w);
+            sensitive = mgr.or(sensitive, s);
+        }
+        sensitive
+    }
+}
+
 /// The don't-care analysis of [`candidate_delta`]: compute `node`'s
 /// observability don't-cares and, if its one-probability can be pushed
 /// further from 0.5 inside them, return the rebiased local truth table.
@@ -574,42 +737,25 @@ fn care_witness(
 /// `known_care` holds one flag per fanin minterm (from [`care_witness`]);
 /// a set flag asserts the minterm is care. When every minterm is known
 /// care, or every unknown one cannot occur, the analysis could only
-/// return nothing and stops early. Otherwise it runs in full.
-fn find_rewrite(
-    nl: &Netlist,
-    bdds: &CircuitBdds,
-    node: NetId,
-    input_probs: &[f64],
-    known_care: &[bool],
-) -> Analysis {
+/// return nothing and stops early. Otherwise the bound runs before the
+/// substitution: the analysis's care flags are known care on witnessed
+/// minterms and don't-care on unreachable ones, so they are one split of
+/// the open rest, and when [`rebias`] yields no table on any split of at
+/// most [`BOUND_OPEN_CAP`] open minterms the analysis could not either.
+/// Otherwise it runs in full.
+fn find_rewrite(analyzer: &mut Analyzer, node: NetId, known_care: &[bool]) -> Analysis {
+    let nl = analyzer.netlist();
     let fanins = nl.fanins(node).to_vec();
     let k = fanins.len();
     assert_eq!(known_care.len(), 1 << k, "one witness flag per fanin minterm");
     if known_care.iter().all(|&c| c) {
         return Analysis::Witnessed;
     }
-    let mut mgr = bdds.mgr.clone();
-    // The scratch manager holds plenty of refs no root protects (the
-    // substituted cones, the observability union); collection would free
-    // them out from under us, so make sure the clone never collects.
-    mgr.set_auto_gc(false);
-    let funcs = &bdds.funcs;
-    let nvars = mgr.num_vars() as u32;
-
-    // Fanin condition of each local minterm. An unwitnessed minterm that
-    // cannot occur is a don't-care of probability exactly 0.0: rebiasing
-    // it moves neither the table's probability nor its activity.
-    let conds: Vec<Ref> = (0..1usize << k)
-        .map(|m| {
-            let mut cond = Ref::TRUE;
-            for (i, &fi) in fanins.iter().enumerate() {
-                let f = funcs[fi.index()];
-                let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
-                cond = mgr.and(cond, lit);
-            }
-            cond
-        })
-        .collect();
+    analyzer.collect_if_grown();
+    // An unwitnessed minterm that cannot occur is a don't-care of
+    // probability exactly 0.0: rebiasing it moves neither the table's
+    // probability nor its activity.
+    let conds = analyzer.minterm_conditions(node);
     if known_care
         .iter()
         .zip(&conds)
@@ -618,110 +764,83 @@ fn find_rewrite(
         return Analysis::Unreachable;
     }
 
-    let sensitive = observability(&mut mgr, nl, funcs, node);
-    if sensitive == Ref::TRUE {
-        return Analysis::Analyzed(None); // fully observable: no freedom
-    }
-
-    // Local care analysis over the node's fanin minterms.
+    let probs = analyzer
+        .scratch
+        .probability_many(&conds, &analyzer.var_probs);
     let kind = nl.kind(node);
-    let mut care_probs = Vec::with_capacity(1 << k);
-    let mut table = Vec::with_capacity(1 << k);
-    let mut care = Vec::with_capacity(1 << k);
-    let var_probs: Vec<f64> = {
-        let mut v = vec![0.5; nvars as usize + 1];
-        for (i, &var) in bdds.input_vars.iter().enumerate() {
-            if i < input_probs.len() {
-                v[var as usize] = input_probs[i];
-            }
-        }
-        v
-    };
-    for (m, &cond) in conds.iter().enumerate() {
-        let observable = mgr.and(cond, sensitive);
-        care.push(observable != Ref::FALSE);
-        care_probs.push(mgr.probability(cond, &var_probs));
-        let bits: Vec<bool> = (0..k).map(|i| m >> i & 1 == 1).collect();
-        table.push(kind.eval(&bits));
-    }
-    if care.iter().all(|&c| c) {
-        return Analysis::Analyzed(None);
+    let table: Vec<bool> = (0..1usize << k)
+        .map(|m| {
+            let bits: Vec<bool> = (0..k).map(|i| m >> i & 1 == 1).collect();
+            kind.eval(&bits)
+        })
+        .collect();
+    let open: Vec<usize> = (0..1usize << k)
+        .filter(|&m| !known_care[m] && conds[m] != Ref::FALSE)
+        .collect();
+    if open.len() <= BOUND_OPEN_CAP && !some_split_pays(&table, known_care, &open, &probs) {
+        return Analysis::Unprofitable;
     }
 
-    // Candidate tables: don't-cares all 0 or all 1.
-    let p_of = |t: &[bool]| -> f64 {
-        t.iter()
-            .zip(care_probs.iter())
-            .filter(|&(&on, _)| on)
+    let sensitive = analyzer.observability(node);
+    let mgr = &mut analyzer.scratch;
+    let care: Vec<bool> = conds
+        .iter()
+        .map(|&cond| mgr.and(cond, sensitive) != Ref::FALSE)
+        .collect();
+    Analysis::Analyzed(rebias(&table, &care, &probs).map(|table| Rewrite { fanins, table }))
+}
+
+/// Whether [`rebias`] yields a table on some split of the `open` minterms
+/// into care and don't-care, every other minterm care exactly where
+/// `fixed_care` says.
+fn some_split_pays(table: &[bool], fixed_care: &[bool], open: &[usize], probs: &[f64]) -> bool {
+    let mut care = fixed_care.to_vec();
+    (0..1u64 << open.len()).any(|split| {
+        for (bit, &m) in open.iter().enumerate() {
+            care[m] = split >> bit & 1 == 1;
+        }
+        rebias(table, &care, probs).is_some()
+    })
+}
+
+/// The table step of the analysis. `table` is a node's local truth table,
+/// `care` flags its care minterms and `probs` holds each minterm's
+/// probability. Set the don't-care minterms all to 0 or all to 1,
+/// whichever moves the node's one-probability further from 0.5 (ties to
+/// 0), and return the new table when it lowers the node's activity
+/// `2p(1−p)`, which is maximal at 0.5.
+fn rebias(table: &[bool], care: &[bool], probs: &[f64]) -> Option<Vec<bool>> {
+    // The one-probability of the table that is 1 on the minterms `on`
+    // accepts, summed in minterm order.
+    let p_of = |on: &dyn Fn(usize) -> bool| -> f64 {
+        probs
+            .iter()
+            .enumerate()
+            .filter(|&(m, _)| on(m))
             .map(|(_, &p)| p)
             .sum()
     };
-    let p_orig = p_of(&table);
-    let low: Vec<bool> = table
-        .iter()
-        .zip(care.iter())
-        .map(|(&t, &c)| if c { t } else { false })
-        .collect();
-    let high: Vec<bool> = table
-        .iter()
-        .zip(care.iter())
-        .map(|(&t, &c)| if c { t } else { true })
-        .collect();
-    let p_low = p_of(&low);
-    let p_high = p_of(&high);
-    let (new_table, p_new) = if (p_low - 0.5).abs() >= (p_high - 0.5).abs() {
-        (low, p_low)
+    let p_orig = p_of(&|m| table[m]);
+    let p_low = p_of(&|m| care[m] && table[m]);
+    let p_high = p_of(&|m| !care[m] || table[m]);
+    let (fill, p_new) = if (p_low - 0.5).abs() >= (p_high - 0.5).abs() {
+        (false, p_low)
     } else {
-        (high, p_high)
+        (true, p_high)
     };
-    if new_table == table {
-        return Analysis::Analyzed(None);
+    // Every don't-care already reads `fill`: the table would not change.
+    if (0..table.len()).all(|m| care[m] || table[m] == fill) {
+        return None;
     }
     let activity = |p: f64| 2.0 * p * (1.0 - p);
     if activity(p_new) >= activity(p_orig) - 1e-12 {
-        return Analysis::Analyzed(None);
+        return None;
     }
-    Analysis::Analyzed(Some(Rewrite {
-        fanins,
-        table: new_table,
-    }))
-}
-
-/// The global observability of `node`: replace it by a fresh variable `w`
-/// (the manager's next), rebuild every dependent net, and OR the Boolean
-/// difference of each dependent output with respect to `w`.
-fn observability(mgr: &mut bdd::Bdd, nl: &Netlist, funcs: &[Ref], node: NetId) -> Ref {
-    let unlimited = ResourceBudget::unlimited();
-    let w = mgr.num_vars() as u32;
-    let order = nl.topo_order().expect("acyclic");
-    let mut subst: Vec<Ref> = funcs.to_vec();
-    subst[node.index()] = mgr.var(w);
-    let mut dependent = vec![false; nl.len()];
-    dependent[node.index()] = true;
-    for &net in &order {
-        if net == node {
-            continue;
-        }
-        let kind = nl.kind(net);
-        if kind.is_source() || kind == GateKind::Dff {
-            continue;
-        }
-        if !nl.fanins(net).iter().any(|f| dependent[f.index()]) {
-            continue;
-        }
-        dependent[net.index()] = true;
-        let ins: Vec<Ref> = nl.fanins(net).iter().map(|f| subst[f.index()]).collect();
-        subst[net.index()] = try_gate_bdd(mgr, kind, &ins, &unlimited).expect("unlimited budget");
-    }
-    let mut sensitive = Ref::FALSE;
-    for (out, _) in nl.outputs() {
-        if !dependent[out.index()] {
-            continue;
-        }
-        let s = mgr.boolean_difference(subst[out.index()], w);
-        sensitive = mgr.or(sensitive, s);
-    }
-    sensitive
+    Some(
+        (0..table.len())
+            .map(|m| if care[m] { table[m] } else { fill })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -936,23 +1055,39 @@ mod tests {
     }
 
     /// The BDD analysis's care flag of every fanin minterm of `node`: the
-    /// minterm's condition meets the node's observability.
+    /// minterm's condition meets the node's observability. Computed in a
+    /// fresh analyzer, apart from any under test.
     fn bdd_care(nl: &Netlist, bdds: &CircuitBdds, node: NetId) -> Vec<bool> {
-        let mut mgr = bdds.mgr.clone();
-        mgr.set_auto_gc(false);
-        let sensitive = observability(&mut mgr, nl, &bdds.funcs, node);
-        let fanins = nl.fanins(node);
-        (0..1usize << fanins.len())
-            .map(|m| {
-                let mut cond = Ref::TRUE;
-                for (i, &fi) in fanins.iter().enumerate() {
-                    let f = bdds.funcs[fi.index()];
-                    let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
-                    cond = mgr.and(cond, lit);
-                }
-                mgr.and(cond, sensitive) != Ref::FALSE
-            })
+        let mut fresh = Analyzer::new(nl, bdds, &[]);
+        let sensitive = fresh.observability(node);
+        let conds = fresh.minterm_conditions(node);
+        conds
+            .iter()
+            .map(|&cond| fresh.scratch.and(cond, sensitive) != Ref::FALSE)
             .collect()
+    }
+
+    /// Each fanin minterm of `node`, in a fresh analyzer: whether its
+    /// condition can hold, its probability under `probs`, and the node's
+    /// value on it.
+    fn minterms(
+        nl: &Netlist,
+        bdds: &CircuitBdds,
+        node: NetId,
+        probs: &[f64],
+    ) -> (Vec<bool>, Vec<f64>, Vec<bool>) {
+        let mut fresh = Analyzer::new(nl, bdds, probs);
+        let conds = fresh.minterm_conditions(node);
+        let minterm_probs = fresh.scratch.probability_many(&conds, &fresh.var_probs);
+        let k = nl.fanins(node).len();
+        let table = (0..1usize << k)
+            .map(|m| {
+                let bits: Vec<bool> = (0..k).map(|i| m >> i & 1 == 1).collect();
+                nl.kind(node).eval(&bits)
+            })
+            .collect();
+        let reachable = conds.iter().map(|&cond| cond != Ref::FALSE).collect();
+        (reachable, minterm_probs, table)
     }
 
     fn found(analysis: Analysis) -> Option<(Vec<NetId>, Vec<bool>)> {
@@ -970,9 +1105,8 @@ mod tests {
         let bdds = circuit_bdds(nl);
         let packed = Stimulus::uniform(nl.num_inputs()).packed(cycles, seed);
         let mut engine = IncrementalSim::from_full_eval(nl, &packed);
-        let probs: Vec<f64> = (0..nl.num_inputs())
-            .map(|i| if seed >> (i % 64) & 1 == 1 { 0.8 } else { 0.3 })
-            .collect();
+        let probs = biased_probs(nl, seed);
+        let mut analyzer = Analyzer::new(nl, &bdds, &probs);
         let mut witnessed = 0;
         for node in sim_candidates(nl, 6) {
             let known = care_witness(&mut engine, node, &ResourceBudget::unlimited());
@@ -983,14 +1117,79 @@ mod tests {
             witnessed += known.iter().filter(|&&k| k).count();
             let blind = vec![false; known.len()];
             prop_assert_eq!(
-                found(find_rewrite(nl, &bdds, node, &probs, &known)),
-                found(find_rewrite(nl, &bdds, node, &probs, &blind)),
+                found(find_rewrite(&mut analyzer, node, &known)),
+                found(find_rewrite(&mut analyzer, node, &blind)),
                 "{} at {} cycles",
                 node,
                 cycles
             );
         }
         Ok(witnessed)
+    }
+
+    /// Input one-probabilities away from 0.5, drawn from `seed`.
+    fn biased_probs(nl: &Netlist, seed: u64) -> Vec<f64> {
+        (0..nl.num_inputs())
+            .map(|i| if seed >> (i % 64) & 1 == 1 { 0.8 } else { 0.3 })
+            .collect()
+    }
+
+    /// Run every candidate of `nl` (fanin up to `max_fanin`) through
+    /// `find_rewrite` on the witness of a `cycles`-long stimulus, against
+    /// `rebias` on the full analysis's care flags: an unprofitable verdict
+    /// needs it to find nothing, and any other verdict must return what it
+    /// finds. With at most `BOUND_OPEN_CAP` open minterms (unwitnessed and
+    /// reachable), the bound must settle exactly the candidates on which
+    /// no care set between the witnessed and the reachable minterms pays.
+    /// Returns how many candidates the bound settled and how many had too
+    /// many open minterms for it.
+    fn check_bound(
+        nl: &Netlist,
+        max_fanin: usize,
+        cycles: usize,
+        seed: u64,
+    ) -> Result<(usize, usize), TestCaseError> {
+        let bdds = circuit_bdds(nl);
+        let packed = Stimulus::uniform(nl.num_inputs()).packed(cycles, seed);
+        let mut engine = IncrementalSim::from_full_eval(nl, &packed);
+        let probs = biased_probs(nl, seed);
+        let mut analyzer = Analyzer::new(nl, &bdds, &probs);
+        let (mut settled, mut past_cap) = (0, 0);
+        for node in sim_candidates(nl, max_fanin) {
+            let known = care_witness(&mut engine, node, &ResourceBudget::unlimited());
+            let (reachable, minterm_probs, table) = minterms(nl, &bdds, node, &probs);
+            let want = rebias(&table, &bdd_care(nl, &bdds, node), &minterm_probs);
+            let verdict = find_rewrite(&mut analyzer, node, &known);
+            let unprofitable = matches!(verdict, Analysis::Unprofitable);
+            if unprofitable {
+                prop_assert!(
+                    want.is_none(),
+                    "{node}: settled unprofitable, but the analysis pays"
+                );
+                settled += 1;
+            } else {
+                prop_assert_eq!(found(verdict).map(|(_, table)| table), want, "{}", node);
+            }
+            let open: Vec<usize> = (0..known.len())
+                .filter(|&m| !known[m] && reachable[m])
+                .collect();
+            if open.len() > BOUND_OPEN_CAP {
+                prop_assert!(!unprofitable, "{node}: bound ran past its cap");
+                past_cap += 1;
+            } else if !open.is_empty() {
+                let pays = (0..1u64 << open.len()).any(|split| {
+                    let care: Vec<bool> = (0..known.len())
+                        .map(|m| match open.iter().position(|&o| o == m) {
+                            Some(bit) => split >> bit & 1 == 1,
+                            None => known[m],
+                        })
+                        .collect();
+                    rebias(&table, &care, &minterm_probs).is_some()
+                });
+                prop_assert_eq!(unprofitable, !pays, "{}: open minterms {:?}", node, open);
+            }
+        }
+        Ok((settled, past_cap))
     }
 
     proptest! {
@@ -1034,6 +1233,58 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bound is exact: on random DAGs with fanin-4 and fanin-5
+        /// gates (whose open minterms can pass the cap) and ragged stimulus
+        /// lengths, it settles only candidates the full analysis rejects,
+        /// and every other verdict is the analysis's own.
+        #[test]
+        fn bound_only_settles_what_the_analysis_rejects(
+            seed in 0u64..10_000,
+            inputs in 6usize..11,
+            gates in 30usize..81,
+            len in 0usize..3,
+        ) {
+            let config = netlist::gen::RandomDagConfig {
+                inputs,
+                gates,
+                outputs: 4,
+                max_fanin: 5,
+                window: 12,
+            };
+            let nl = netlist::gen::random_dag(&config, seed);
+            check_bound(&nl, 5, [100, 512, 1000][len], seed)?;
+        }
+    }
+
+    #[test]
+    fn bound_only_settles_what_the_analysis_rejects_on_multipliers() {
+        let circuits = [
+            netlist::gen::array_multiplier(4).0,
+            netlist::gen::wallace_multiplier(4).0,
+        ];
+        for nl in &circuits {
+            for cycles in [100, 512, 1000] {
+                check_bound(nl, 6, cycles, 7).unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
+        // A fixed fanin-5 DAG where the bound settles candidates and some
+        // candidates carry more open minterms than it takes.
+        let config = netlist::gen::RandomDagConfig {
+            inputs: 8,
+            gates: 60,
+            outputs: 4,
+            max_fanin: 5,
+            window: 12,
+        };
+        let nl = netlist::gen::random_dag(&config, 2);
+        let (settled, past_cap) = check_bound(&nl, 5, 100, 2).unwrap_or_else(|e| panic!("{e}"));
+        assert!(settled > 0, "the bound settled nothing");
+        assert!(past_cap > 0, "no candidate passed the cap");
+    }
+
     #[test]
     fn witness_settles_parity_without_bdd_work() {
         // Every XOR node of a parity tree is fully observable, and 256
@@ -1042,7 +1293,10 @@ mod tests {
         let (_, report) = optimize(&nl, &[0.5; 8], Mode::FanoutAware, 6);
         let c = report.candidates;
         assert!(c.witnessed > 0);
-        assert_eq!((c.unreachable, c.analyzed, c.rewritten), (0, 0, 0));
+        assert_eq!(
+            (c.unreachable, c.unprofitable, c.analyzed, c.rewritten),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]

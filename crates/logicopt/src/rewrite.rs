@@ -12,7 +12,10 @@
 //!   AND/NAND (or OR/NOR) gates into one shared subgate, and re-factor
 //!   OR-of-AND cones through [`crate::factor`] kernels (`f = q·k + r`);
 //! * **dontcare** — the observability-don't-care table rewrites of
-//!   [`crate::dontcare`], reused verbatim as one move class.
+//!   [`crate::dontcare`], reused verbatim as one move class: the engine's
+//!   words witness each candidate, the probability bound settles the ones
+//!   no don't-care set could pay for, and the rest share one scratch
+//!   manager per enumeration for their BDD analysis.
 //!
 //! The driver is greedy with lookahead: each round it scores every legal
 //! move on the engine (apply, read the live cap, check the equal-delay
@@ -43,13 +46,17 @@
 //! rebuilds the gates a move added or re-gated and stops wherever a
 //! rebuilt function equals the old one. Under `force_full` every changed
 //! enumeration rebuilds every gate in a fresh manager instead; the
-//! functions, and so the decisions, are the same either way.
+//! functions, and so the decisions, are the same either way. The
+//! don't-care class's node count is redone only after a sync moved a
+//! function, and pair extraction finds the gate pairs that share two
+//! fanins through a fanin index instead of testing every pair.
 //!
 //! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}`,
 //! `rewrite.moves.accepted.{resub,extract,dontcare}`, and where the
 //! dontcare class's candidates went,
-//! `dontcare.candidates.{witnessed,unreachable,analyzed,rewritten}`; the
-//! engine itself publishes `sim.incr.checkpoints/rollbacks/commits`.
+//! `dontcare.candidates.{witnessed,unreachable,unprofitable,analyzed,
+//! rewritten}`; the engine itself publishes
+//! `sim.incr.checkpoints/rollbacks/commits`.
 
 use std::collections::HashMap;
 
@@ -59,7 +66,7 @@ use power::exact::{CircuitBdds, ResidentBdds};
 use sim::incr::{Delta, IncrementalSim, Mark};
 use sim::stimulus::PackedPatterns;
 
-use crate::dontcare::{candidate_delta, sim_candidates, CandidateCounts};
+use crate::dontcare::{candidate_delta, sim_candidates, Analyzer, CandidateCounts};
 use crate::factor::{Cube, Sop};
 
 /// One move class of the rewriting search.
@@ -147,17 +154,20 @@ const MOVES_PER_CLASS: usize = 48;
 /// what a fresh build of the netlist holds once collected. It counts
 /// neither a build's n-ary fold intermediates nor the functions a sync
 /// replaced, so the class switches on and off with the netlist alone,
-/// whatever the manager's GC mode or history. Don't-care extraction
-/// substitutes through every dependent cone per candidate, so its cost
-/// scales with candidates × manager size — prohibitive exactly on the
-/// BDD-heavy arithmetic circuits that carry no observability don't-cares
-/// in the first place.
+/// whatever the manager's GC mode or history. The witness and the
+/// probability bound settle most candidates without BDD work, but each
+/// one left to the analysis substitutes through every dependent cone, so
+/// the class's cost still scales with those candidates × manager size —
+/// prohibitive exactly on the BDD-heavy arithmetic circuits that carry no
+/// observability don't-cares in the first place.
 const DONTCARE_NODE_LIMIT: usize = 10_000;
 
 /// Whether the don't-care class runs on `bdds` ([`DONTCARE_NODE_LIMIT`]).
 /// The manager's live count bounds the reachable count from above, so a
 /// manager already within the limit skips the traversal, and the
-/// traversal stops past the limit.
+/// traversal stops past the limit. The answer depends on the net
+/// functions alone, so the search asks again only after a build or a sync
+/// that moved one of them ([`ResidentBdds::functions_moved`]).
 fn dontcare_class_fits(bdds: &CircuitBdds) -> bool {
     bdds.mgr.node_count() <= DONTCARE_NODE_LIMIT
         || bdds.reachable_nodes(DONTCARE_NODE_LIMIT) <= DONTCARE_NODE_LIMIT
@@ -265,6 +275,7 @@ pub fn try_rewrite_sim(
     let mut search = Search {
         engine,
         store: None,
+        dontcare_fits: false,
         input_probs,
         budget,
         guard: crit_before * (1.0 + DELAY_SLACK) + 1e-9,
@@ -341,6 +352,9 @@ struct Search<'a> {
     /// The circuit BDDs of the last enumeration's netlist; `None` before
     /// the first enumeration builds them and after a sync ran out.
     store: Option<ResidentBdds>,
+    /// Whether `store` fits [`DONTCARE_NODE_LIMIT`], recounted only when
+    /// a build or sync moved a function or the net count.
+    dontcare_fits: bool,
     input_probs: &'a [f64],
     budget: &'a ResourceBudget,
     /// Largest legal unit-sized critical path.
@@ -443,7 +457,9 @@ impl Search<'_> {
     /// gates that the moves applied or rolled back since the last
     /// enumeration changed (and every gate under `force_full`, the
     /// from-scratch twin). Both run under the search's budget; a sync that
-    /// runs out drops the store.
+    /// runs out drops the store. The [`DONTCARE_NODE_LIMIT`] count depends
+    /// on the net functions alone, so it is redone only after a build or a
+    /// sync that moved one of them or the net count.
     fn enumerate_moves(&mut self) -> Result<Vec<Move>, BudgetExceeded> {
         let nl = self.engine.netlist();
         let store = match self.store.take() {
@@ -451,6 +467,9 @@ impl Search<'_> {
             Some(store) => store.try_sync(nl, self.budget)?,
         };
         self.report.bdd_gates_built = store.gates_built();
+        if store.functions_moved() {
+            self.dontcare_fits = dontcare_class_fits(store.bdds());
+        }
         let store = self.store.insert(store);
         let (nl, bdds) = (store.netlist(), store.bdds());
         // Rewrites leave dead cones in place (net ids stay stable for the
@@ -460,10 +479,11 @@ impl Search<'_> {
         resub_moves(nl, bdds, &live, MOVES_PER_CLASS, &mut out);
         pair_extract_moves(nl, &live, MOVES_PER_CLASS, &mut out);
         kernel_moves(nl, &live, MOVES_PER_CLASS, &mut out);
-        if dontcare_class_fits(bdds) {
-            let (engine, probs) = (&mut self.engine, self.input_probs);
+        if self.dontcare_fits {
+            let mut analyzer = Analyzer::new(nl, bdds, self.input_probs);
             let counts = &mut self.report.dontcare_candidates;
-            dontcare_moves(nl, engine, bdds, probs, self.cfg.max_fanin, counts, &mut out);
+            let max_fanin = self.cfg.max_fanin;
+            dontcare_moves(&mut analyzer, &mut self.engine, max_fanin, counts, &mut out);
         }
         Ok(out)
     }
@@ -536,6 +556,10 @@ fn resub_moves(nl: &Netlist, bdds: &CircuitBdds, live: &[bool], cap: usize, out:
 /// ≥ 2 fanins get the shared set pulled into one subgate. Sound because the
 /// families are associative/idempotent over fanin *sets*:
 /// `NAND(a,b,c) = NAND(AND(a,b), c)`, likewise OR/NOR over OR.
+///
+/// Pairs come in all-pairs order (`a` ascending, then `b > a` ascending),
+/// but only the pairs that share two fanins are visited: a fanin→gates
+/// index finds each gate's later partners.
 fn pair_extract_moves(nl: &Netlist, live: &[bool], cap: usize, out: &mut Vec<Move>) {
     let mut count = 0;
     for (sub_kind, members) in [
@@ -552,18 +576,38 @@ fn pair_extract_moves(nl: &Netlist, live: &[bool], cap: usize, out: &mut Vec<Mov
                 (n, fan)
             })
             .collect();
-        for a in 0..gates.len() {
-            for b in a + 1..gates.len() {
+        // The family's gates reading each net, in ascending order.
+        let mut users: Vec<Vec<usize>> = vec![Vec::new(); nl.len()];
+        for (g, (_, fan)) in gates.iter().enumerate() {
+            for x in fan {
+                users[x.index()].push(g);
+            }
+        }
+        // Per later gate, how many of gate `a`'s fanins it reads.
+        let mut hits = vec![0usize; gates.len()];
+        let mut partners = Vec::new();
+        for (a, (ga, fa)) in gates.iter().enumerate() {
+            let later = |x: &NetId| {
+                let readers = &users[x.index()];
+                &readers[readers.partition_point(|&b| b <= a)..]
+            };
+            for b in fa.iter().flat_map(later) {
+                hits[*b] += 1;
+                if hits[*b] == 2 {
+                    partners.push(*b);
+                }
+            }
+            for b in fa.iter().flat_map(later) {
+                hits[*b] = 0;
+            }
+            partners.sort_unstable();
+            for b in partners.drain(..) {
                 if count >= cap {
                     return;
                 }
-                let (ga, fa) = &gates[a];
                 let (gb, fb) = &gates[b];
                 let shared: Vec<NetId> =
                     fa.iter().copied().filter(|x| fb.binary_search(x).is_ok()).collect();
-                if shared.len() < 2 {
-                    continue;
-                }
                 let rest_a: Vec<NetId> =
                     fa.iter().copied().filter(|x| shared.binary_search(x).is_err()).collect();
                 let rest_b: Vec<NetId> =
@@ -757,18 +801,17 @@ fn emit_sop(
 }
 
 /// The don't-care table rewrites of [`crate::dontcare`] as one move class,
-/// witnessed on `engine`'s resident words. The analyses run unbudgeted on
-/// clones of the circuit BDDs the search built under its budget; the
-/// budget also meters the scoring.
+/// witnessed on `engine`'s resident words. The analyses run unbudgeted in
+/// the analyzer's one scratch manager, a clone of the circuit BDDs the
+/// search built under its budget; the budget also meters the scoring.
 fn dontcare_moves(
-    nl: &Netlist,
+    analyzer: &mut Analyzer,
     engine: &mut IncrementalSim,
-    bdds: &CircuitBdds,
-    input_probs: &[f64],
     max_fanin: usize,
     counts: &mut CandidateCounts,
     out: &mut Vec<Move>,
 ) {
+    let nl = analyzer.netlist();
     // The search enumerates from the engine's own netlist, whether it sits
     // on the round's base or on a lookahead head.
     assert_eq!(engine.netlist().len(), nl.len(), "witness engine holds another netlist");
@@ -779,8 +822,7 @@ fn dontcare_moves(
             break;
         }
         let witness = Some(&mut *engine);
-        if let Some(delta) = candidate_delta(nl, bdds, node, input_probs, witness, &unlimited, counts)
-        {
+        if let Some(delta) = candidate_delta(analyzer, node, witness, &unlimited, counts) {
             out.push(Move {
                 kind: MoveKind::DontCare,
                 delta,
@@ -847,6 +889,116 @@ mod tests {
             let mut rebuilt = nl.clone();
             mv.delta.apply_to(&mut rebuilt);
             assert!(equivalent_exhaustive(&nl, &rebuilt));
+        }
+    }
+
+    /// The all-pairs scan the indexed one replaced: every pair `(a, b)`,
+    /// `a < b`, of a family's gates, in order, capped across families.
+    fn all_pairs_extract_moves(nl: &Netlist, live: &[bool], cap: usize, out: &mut Vec<Move>) {
+        let mut count = 0;
+        for (sub_kind, members) in [
+            (GateKind::And, [GateKind::And, GateKind::Nand]),
+            (GateKind::Or, [GateKind::Or, GateKind::Nor]),
+        ] {
+            let gates: Vec<(NetId, Vec<NetId>)> = nl
+                .iter_nets()
+                .filter(|&n| {
+                    live[n.index()] && members.contains(&nl.kind(n)) && nl.fanins(n).len() >= 2
+                })
+                .map(|n| {
+                    let mut fan = nl.fanins(n).to_vec();
+                    fan.sort_unstable();
+                    fan.dedup();
+                    (n, fan)
+                })
+                .collect();
+            for a in 0..gates.len() {
+                for b in a + 1..gates.len() {
+                    if count >= cap {
+                        return;
+                    }
+                    let ((ga, fa), (gb, fb)) = (&gates[a], &gates[b]);
+                    let shared: Vec<NetId> =
+                        fa.iter().copied().filter(|x| fb.binary_search(x).is_ok()).collect();
+                    if shared.len() < 2 {
+                        continue;
+                    }
+                    let rest = |f: &[NetId]| -> Vec<NetId> {
+                        f.iter().copied().filter(|x| shared.binary_search(x).is_err()).collect()
+                    };
+                    let (rest_a, rest_b) = (rest(fa), rest(fb));
+                    if rest_a.is_empty() && rest_b.is_empty() {
+                        continue;
+                    }
+                    let mut delta = Delta::for_netlist(nl);
+                    let sub = delta.add_gate(sub_kind, &shared);
+                    refanin_through(&mut delta, nl, *ga, sub, &rest_a);
+                    refanin_through(&mut delta, nl, *gb, sub, &rest_b);
+                    out.push(Move {
+                        kind: MoveKind::Extract,
+                        delta,
+                    });
+                    count += 1;
+                }
+            }
+        }
+    }
+
+    /// The indexed pair scan against the all-pairs oracle on `nl`, under
+    /// every cap from 0 to one past its move count and uncapped: the same
+    /// deltas in the same order. Returns the uncapped moves' shared
+    /// subgate kinds, in order.
+    fn check_pair_scan(nl: &Netlist) -> Vec<GateKind> {
+        let live = nl.live_mask();
+        let scan = |extract: fn(&Netlist, &[bool], usize, &mut Vec<Move>), cap| {
+            let mut moves = Vec::new();
+            extract(nl, &live, cap, &mut moves);
+            moves.iter().map(|mv| format!("{:?}", mv.delta)).collect::<Vec<_>>()
+        };
+        let all = scan(all_pairs_extract_moves, usize::MAX);
+        for cap in (0..=all.len() + 1).chain([usize::MAX]) {
+            assert_eq!(
+                scan(pair_extract_moves, cap),
+                scan(all_pairs_extract_moves, cap),
+                "{} at cap {cap}",
+                nl.name()
+            );
+        }
+        let mut moves = Vec::new();
+        pair_extract_moves(nl, &live, usize::MAX, &mut moves);
+        moves
+            .iter()
+            .map(|mv| match mv.delta.ops().first() {
+                Some(sim::incr::DeltaOp::AddGate { kind, .. }) => *kind,
+                op => panic!("an extraction starts with its subgate, not {op:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_pair_scan_matches_all_pairs() {
+        // Narrow windows and wide gates make shared fanin pairs common.
+        let mut and_then_or = false;
+        for seed in 0..24u64 {
+            let config = netlist::gen::RandomDagConfig {
+                inputs: 6 + seed as usize % 5,
+                gates: 40 + 10 * (seed as usize % 7),
+                outputs: 4,
+                max_fanin: 2 + seed as usize % 4,
+                window: 4 + seed as usize % 9,
+            };
+            let kinds = check_pair_scan(&netlist::gen::random_dag(&config, seed));
+            // Both families found moves, the AND family at least two, so
+            // some cap binds inside each family.
+            let ands = kinds.iter().filter(|&&k| k == GateKind::And).count();
+            and_then_or |= ands >= 2 && kinds.len() > ands;
+        }
+        assert!(and_then_or, "no DAG had a cap bind inside each family");
+        for nl in [
+            netlist::gen::array_multiplier(6).0,
+            netlist::gen::wallace_multiplier(8).0,
+        ] {
+            check_pair_scan(&nl);
         }
     }
 

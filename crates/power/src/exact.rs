@@ -326,6 +326,10 @@ const COLLECT_GROWTH: usize = 2;
 /// store collects whenever its live node count has doubled since its last
 /// collection.
 ///
+/// [`ResidentBdds::functions_moved`] tells whether the last build or sync
+/// changed any net function or the net count, so a caller can keep what
+/// it derived from the functions alone across a sync that moved none.
+///
 /// ```
 /// use budget::ResourceBudget;
 /// use netlist::{gen::parity_tree, GateKind};
@@ -356,6 +360,8 @@ pub struct ResidentBdds {
     gates_built: u64,
     /// Live node count after the last collection (or the first build).
     collected_at: usize,
+    /// The last build or sync changed a net function or the net count.
+    functions_moved: bool,
 }
 
 impl ResidentBdds {
@@ -381,6 +387,7 @@ impl ResidentBdds {
             mirror: nl.clone(),
             from_scratch,
             gates_built: gates as u64,
+            functions_moved: true,
         })
     }
 
@@ -398,6 +405,15 @@ impl ResidentBdds {
     /// plus each sync's rebuilt gates — the store's deterministic work.
     pub fn gates_built(&self) -> u64 {
         self.gates_built
+    }
+
+    /// Whether the last build or sync changed the net count or some net's
+    /// function: true after a build, false after a sync whose rebuilt
+    /// gates (if any) all kept their functions. A sync under
+    /// `from_scratch` cannot compare functions across managers, so every
+    /// such sync that saw a change reports true.
+    pub fn functions_moved(&self) -> bool {
+        self.functions_moved
     }
 
     /// Sync the store to `nl`, an edit of the mirrored netlist: compare
@@ -438,13 +454,16 @@ impl ResidentBdds {
                 });
             }
             self.rebuild(nl, &changed, budget)?;
+        } else {
+            self.functions_moved = false;
         }
         self.mirror.clone_from(nl);
         Ok(self)
     }
 
     /// Rebuild the `changed` gates of `nl` and the fanout of every gate
-    /// whose function moved, then collect if the live count has grown by
+    /// whose function moved, note whether any function or the net count
+    /// moved, then collect if the live count has grown by
     /// [`COLLECT_GROWTH`].
     fn rebuild(
         &mut self,
@@ -458,6 +477,7 @@ impl ResidentBdds {
             mgr.unprotect(f);
         }
         let kept = funcs.len().min(nl.len());
+        let resized = funcs.len() != nl.len();
         funcs.resize(nl.len(), Ref::FALSE);
         let mut moved = vec![false; nl.len()];
         let mut built = 0;
@@ -479,6 +499,7 @@ impl ResidentBdds {
             funcs[i] = func;
         }
         self.gates_built += built as u64;
+        self.functions_moved = resized || moved.contains(&true);
         if mgr.node_count() >= COLLECT_GROWTH * self.collected_at {
             mgr.gc();
             self.collected_at = mgr.node_count();
@@ -1173,6 +1194,50 @@ mod tests {
         warm.get_or_build_reorder(&nl, &unlimited, &ReorderConfig::default(), o)
             .unwrap();
         assert_eq!(warm.misses(), 1);
+    }
+
+    #[test]
+    fn functions_moved_tracks_function_and_net_count_changes() {
+        let mut nl = netlist::Netlist::new("moves");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let x = nl.add_gate(GateKind::And, &[a, b]);
+        let y = nl.add_gate(GateKind::Or, &[x, c]);
+        nl.mark_output(y, "y");
+        let unlimited = ResourceBudget::unlimited();
+        let sync = |store: ResidentBdds, nl: &netlist::Netlist| {
+            store.try_sync(nl, &unlimited).expect("unlimited budget")
+        };
+        let store = ResidentBdds::try_build(&nl, false, &unlimited).expect("unlimited budget");
+        assert!(store.functions_moved(), "a build moves every function");
+        let store = sync(store, &nl);
+        assert!(!store.functions_moved(), "an unchanged netlist");
+        // Re-gated with its fanins swapped: rebuilt, same function.
+        let mut swapped = nl.clone();
+        swapped.set_fanins(x, &[b, a]);
+        let built = store.gates_built();
+        let store = sync(store, &swapped);
+        assert_eq!(store.gates_built(), built + 1);
+        assert!(
+            !store.functions_moved(),
+            "the rebuilt gate kept its function"
+        );
+        let mut flipped = swapped.clone();
+        flipped.set_kind(x, GateKind::Or);
+        let store = sync(store, &flipped);
+        assert!(store.functions_moved(), "a function change");
+        let mut grown = flipped.clone();
+        grown.add_gate(GateKind::Not, &[y]);
+        let store = sync(store, &grown);
+        assert!(store.functions_moved(), "an appended net");
+        let store = sync(store, &flipped);
+        assert!(store.functions_moved(), "a truncation");
+        let store = sync(store, &flipped);
+        assert!(!store.functions_moved());
+        // The from-scratch twin cannot compare functions across managers.
+        let twin = ResidentBdds::try_build(&nl, true, &unlimited).expect("unlimited budget");
+        assert!(sync(twin, &swapped).functions_moved());
     }
 
     #[test]
