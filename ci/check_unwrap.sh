@@ -34,15 +34,16 @@ check() {
 }
 
 check netlist 0 8
-# sim's 9: topo_order/fanout/shard invariants. The incremental engines
-# build each undo frame as a local, so their bookkeeping needs no guard.
-check sim 0 9
+# sim's 8: acyclicity, fanout-edge and shard invariants. The incremental
+# engines build each undo frame as a local, so their bookkeeping needs
+# no guard.
+check sim 0 8
 check power 0 3
 # logicopt's 4 unwraps are doc examples in twolevel.rs; its 16 expects
 # are acyclicity/topo-order and mapping-cover invariants plus two
 # unlimited-budget BDD builds in dontcare.rs.
 check logicopt 4 16
-# circuit's 5: acyclicity and finite arrival/slack/probability orderings.
-check circuit 0 5
+# circuit's 4: acyclicity and finite arrival/slack/probability orderings.
+check circuit 0 4
 
 exit "$fail"

@@ -15,7 +15,7 @@
 //! an all-large start; TILOS-style upsizing of critical gates under a
 //! violated constraint is not implemented.
 
-use netlist::{NetId, Netlist};
+use netlist::{NetId, Netlist, Topology};
 use power::model::{PowerParams, PowerReport};
 use sim::incr::{Journal, Mark};
 use sim::sta::{self, Retimer};
@@ -25,8 +25,8 @@ use sim::ActivityProfile;
 #[derive(Debug)]
 pub struct SizedCircuit<'a> {
     nl: &'a Netlist,
-    order: Vec<NetId>,
-    fanouts: Vec<Vec<NetId>>,
+    /// Order, levels and fanouts from one [`Netlist::topology`] pass.
+    topo: Topology,
     /// Size factor per net (1.0 = minimum size; sources stay 1.0).
     pub sizes: Vec<f64>,
 }
@@ -52,8 +52,7 @@ impl<'a> SizedCircuit<'a> {
     /// Panics if the netlist is sequential or cyclic.
     pub fn new(nl: &'a Netlist, initial_size: f64) -> SizedCircuit<'a> {
         assert!(nl.is_combinational(), "sizing operates on combinational logic");
-        let order = nl.topo_order().expect("acyclic");
-        let fanouts = nl.fanouts();
+        let topo = nl.topology().expect("acyclic");
         let sizes = nl
             .iter_nets()
             .map(|net| {
@@ -64,25 +63,21 @@ impl<'a> SizedCircuit<'a> {
                 }
             })
             .collect();
-        SizedCircuit {
-            nl,
-            order,
-            fanouts,
-            sizes,
-        }
+        SizedCircuit { nl, topo, sizes }
     }
 
     /// Summed input-pin capacitance of `net`'s sinks, each scaled by the
     /// sink's size.
     fn pin_cap(&self, net: NetId) -> f64 {
-        self.fanouts[net.index()]
+        self.topo
+            .fanouts(net)
             .iter()
             .map(|&sink| self.nl.kind(sink).input_cap() * self.sizes[sink.index()])
             .sum::<f64>()
     }
 
     fn gate_delay(&self, net: NetId) -> f64 {
-        let sinks = self.fanouts[net.index()].len();
+        let sinks = self.topo.fanouts(net).len();
         let (kind, size) = (self.nl.kind(net), self.sizes[net.index()]);
         sta::gate_delay(kind, self.nl.fanins(net).len(), size, sinks, self.pin_cap(net))
     }
@@ -98,7 +93,7 @@ impl<'a> SizedCircuit<'a> {
     /// topological pass.
     fn arrivals(&self) -> Vec<f64> {
         let mut arrival = vec![0.0f64; self.nl.len()];
-        for &net in &self.order {
+        for &net in self.topo.order() {
             if !self.nl.kind(net).is_source() {
                 arrival[net.index()] = self.arrival_at(net, &arrival);
             }
@@ -122,7 +117,7 @@ impl<'a> SizedCircuit<'a> {
         for (net, _) in self.nl.outputs() {
             required[net.index()] = constraint;
         }
-        for &net in self.order.iter().rev() {
+        for &net in self.topo.order().iter().rev() {
             let r = required[net.index()];
             if r.is_finite() {
                 let own = self.gate_delay(net);
@@ -153,7 +148,7 @@ impl<'a> SizedCircuit<'a> {
         for net in self.nl.iter_nets() {
             let kind = self.nl.kind(net);
             let intrinsic = kind.intrinsic_cap(self.nl.fanins(net).len());
-            let load = sta::load(self.fanouts[net.index()].len(), self.pin_cap(net));
+            let load = sta::load(self.topo.fanouts(net).len(), self.pin_cap(net));
             let cap = intrinsic * self.sizes[net.index()] + load;
             total += cap * activity.toggles[net.index()];
         }
@@ -231,16 +226,9 @@ impl<'a> SizedCircuit<'a> {
     /// It starts in force-full mode when `LPOPT_INCR_STRESS` is set (see
     /// [`StaCache::set_force_full`]).
     pub fn sta_cache(&self) -> StaCache {
-        let levels = self
-            .nl
-            .levels()
-            .expect("acyclic")
-            .into_iter()
-            .map(|l| l as u32)
-            .collect();
         StaCache {
             arrival: self.arrivals(),
-            levels,
+            levels: self.topo.levels().to_vec(),
             retimer: Retimer::default(),
             journal: Journal::default(),
             force_full: sim::incr::stress_env(),
@@ -333,7 +321,7 @@ impl StaCache {
         }
         // The force-full twin re-times every gate instead.
         if self.force_full {
-            for &g in &c.order {
+            for &g in c.topo.order() {
                 if !c.nl.kind(g).is_source() {
                     self.retimer.enqueue(g.index(), levels[g.index()]);
                 }
@@ -343,7 +331,7 @@ impl StaCache {
         self.arrival_evals += self.retimer.run(
             &mut self.arrival,
             levels,
-            &circuit.fanouts,
+            |idx| circuit.topo.fanouts(NetId::from_index(idx)),
             |idx, arrival| circuit.arrival_at(NetId::from_index(idx), arrival),
             |idx, old| frame.arrivals.push((idx, old)),
         );

@@ -32,6 +32,41 @@ impl fmt::Display for NetId {
     }
 }
 
+/// The combinational structure of a [`Netlist`], from one pass over its
+/// edges ([`Netlist::topology`]): a topological order, the logic level of
+/// every net, and the fanout lists in CSR layout (one offsets array plus
+/// one flat array of sinks). Flip-flops' fanin edges are cut.
+#[derive(Debug, Clone)]
+pub struct Topology {
+    order: Vec<NetId>,
+    levels: Vec<u32>,
+    fanout_off: Vec<u32>,
+    fanout_idx: Vec<NetId>,
+}
+
+impl Topology {
+    /// Every net, each after all of its combinational fanins.
+    #[inline]
+    pub fn order(&self) -> &[NetId] {
+        &self.order
+    }
+
+    /// Logic level per net, indexed by raw net id (sources and flip-flops
+    /// at 0, a gate one above its deepest fanin).
+    #[inline]
+    pub fn levels(&self) -> &[u32] {
+        &self.levels
+    }
+
+    /// The combinational sinks of `net` in ascending order, one entry per
+    /// fanin pin: a gate that reads `net` twice appears twice.
+    #[inline]
+    pub fn fanouts(&self, net: NetId) -> &[NetId] {
+        let i = net.index();
+        &self.fanout_idx[self.fanout_off[i] as usize..self.fanout_off[i + 1] as usize]
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     kind: GateKind,
@@ -365,7 +400,84 @@ impl Netlist {
         fo
     }
 
-    /// Topological order of the combinational graph.
+    /// The combinational structure in one pass over the edges: topological
+    /// order, logic levels and fanout lists (see [`Topology`]).
+    ///
+    /// Flip-flops are sources: their fanin edges are cut, so they appear in
+    /// no fanout list and sit at level 0. The order is Kahn's, with the
+    /// zero-indegree nets seeded in index order and each popped net's sinks
+    /// visited in ascending order; a gate listing a fanin twice appears
+    /// twice in that fanin's list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`], naming the lowest net
+    /// left unordered, if a cycle exists that does not pass through a
+    /// flip-flop.
+    pub fn topology(&self) -> Result<Topology, NetlistError> {
+        let n = self.nodes.len();
+        // Counting sort of the combinational edges by source: count, take
+        // inclusive prefix sums (each net's end offset), then fill back to
+        // front so every list ends up in ascending sink order and every
+        // offset at its list's start.
+        let mut fanout_off = vec![0u32; n + 1];
+        let mut indegree = vec![0u32; n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.kind == GateKind::Dff {
+                continue; // sequential edges are cut
+            }
+            indegree[i] = node.inputs.len() as u32;
+            for &input in &node.inputs {
+                fanout_off[input.index()] += 1;
+            }
+        }
+        for i in 1..=n {
+            fanout_off[i] += fanout_off[i - 1];
+        }
+        let mut fanout_idx = vec![NetId(0); fanout_off[n] as usize];
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if node.kind == GateKind::Dff {
+                continue;
+            }
+            for &input in &node.inputs {
+                let slot = &mut fanout_off[input.index()];
+                *slot -= 1;
+                fanout_idx[*slot as usize] = NetId(i as u32);
+            }
+        }
+        // Kahn's pass, with `order` doubling as its queue. A sink is queued
+        // only after its last fanin pops, so its level is final by then.
+        let mut order: Vec<NetId> = Vec::with_capacity(n);
+        order.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0).map(NetId));
+        let mut levels = vec![0u32; n];
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head].index();
+            head += 1;
+            let next = levels[v] + 1;
+            for &w in &fanout_idx[fanout_off[v] as usize..fanout_off[v + 1] as usize] {
+                let w_i = w.index();
+                levels[w_i] = levels[w_i].max(next);
+                indegree[w_i] -= 1;
+                if indegree[w_i] == 0 {
+                    order.push(w);
+                }
+            }
+        }
+        if order.len() != n {
+            let net = (0..n).find(|&i| indegree[i] > 0).unwrap_or(0);
+            return Err(NetlistError::CombinationalCycle { net });
+        }
+        Ok(Topology {
+            order,
+            levels,
+            fanout_off,
+            fanout_idx,
+        })
+    }
+
+    /// Topological order of the combinational graph: the order of
+    /// [`Netlist::topology`].
     ///
     /// Flip-flop outputs are treated as sources (their fanin edges are cut),
     /// so the order is valid for single-cycle evaluation. Sources (inputs,
@@ -376,65 +488,17 @@ impl Netlist {
     /// Returns [`NetlistError::CombinationalCycle`] if a cycle exists that
     /// does not pass through a flip-flop.
     pub fn topo_order(&self) -> Result<Vec<NetId>, NetlistError> {
-        let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.kind == GateKind::Dff {
-                continue; // sequential edges are cut
-            }
-            indegree[i] = node.inputs.len();
-        }
-        let mut fanouts: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.kind == GateKind::Dff {
-                continue;
-            }
-            for &input in &node.inputs {
-                fanouts[input.index()].push(i as u32);
-            }
-        }
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&i| indegree[i as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            order.push(NetId(v));
-            for &w in &fanouts[v as usize] {
-                indegree[w as usize] -= 1;
-                if indegree[w as usize] == 0 {
-                    queue.push(w);
-                }
-            }
-        }
-        if order.len() != n {
-            let net = (0..n).find(|&i| indegree[i] > 0).unwrap_or(0);
-            return Err(NetlistError::CombinationalCycle { net });
-        }
-        Ok(order)
+        Ok(self.topology()?.order)
     }
 
-    /// Combinational logic level of every net (sources at level 0).
+    /// Combinational logic level of every net (sources and flip-flops at
+    /// level 0): the levels of [`Netlist::topology`].
     ///
     /// # Errors
     ///
-    /// Propagates cycle errors from [`Netlist::topo_order`].
+    /// Propagates cycle errors from [`Netlist::topology`].
     pub fn levels(&self) -> Result<Vec<usize>, NetlistError> {
-        let order = self.topo_order()?;
-        let mut level = vec![0usize; self.nodes.len()];
-        for net in order {
-            let node = &self.nodes[net.index()];
-            if node.kind == GateKind::Dff || node.kind.is_source() {
-                continue;
-            }
-            level[net.index()] = node
-                .inputs
-                .iter()
-                .map(|i| level[i.index()] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        Ok(level)
+        Ok(self.topology()?.levels.into_iter().map(|l| l as usize).collect())
     }
 
     /// Maximum combinational logic level.
@@ -695,6 +759,8 @@ impl fmt::Display for Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
+    use proptest::prelude::*;
 
     fn majority3() -> Netlist {
         let mut nl = Netlist::new("maj3");
@@ -875,6 +941,175 @@ mod tests {
         // b feeds two AND gates.
         let b = nl.inputs()[1];
         assert_eq!(counts[b.index()], 2);
+    }
+
+    /// The per-net `Vec` Kahn pass that [`Netlist::topology`] replaced,
+    /// kept as its oracle: the order, the levels (the old second pass over
+    /// the order) and the fanout lists with flip-flop fanin edges cut.
+    #[allow(clippy::type_complexity)]
+    fn kahn_oracle(
+        nl: &Netlist,
+    ) -> Result<(Vec<NetId>, Vec<usize>, Vec<Vec<NetId>>), NetlistError> {
+        let n = nl.len();
+        let mut indegree = vec![0usize; n];
+        let mut fanouts: Vec<Vec<NetId>> = vec![Vec::new(); n];
+        for net in nl.iter_nets() {
+            if nl.kind(net) == GateKind::Dff {
+                continue;
+            }
+            indegree[net.index()] = nl.fanins(net).len();
+            for &input in nl.fanins(net) {
+                fanouts[input.index()].push(net);
+            }
+        }
+        let mut order: Vec<NetId> = nl.iter_nets().filter(|v| indegree[v.index()] == 0).collect();
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for &w in &fanouts[v.index()] {
+                indegree[w.index()] -= 1;
+                if indegree[w.index()] == 0 {
+                    order.push(w);
+                }
+            }
+        }
+        if order.len() != n {
+            let net = (0..n).find(|&i| indegree[i] > 0).unwrap_or(0);
+            return Err(NetlistError::CombinationalCycle { net });
+        }
+        let mut level = vec![0usize; n];
+        for &net in &order {
+            let kind = nl.kind(net);
+            if kind == GateKind::Dff || kind.is_source() {
+                continue;
+            }
+            level[net.index()] = nl
+                .fanins(net)
+                .iter()
+                .map(|i| level[i.index()] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        Ok((order, level, fanouts))
+    }
+
+    fn check_topology(nl: &Netlist) -> Result<(), TestCaseError> {
+        let got = nl.topology();
+        match kahn_oracle(nl) {
+            Ok((order, levels, fanouts)) => {
+                let Ok(topo) = got else {
+                    return Err(TestCaseError::fail(format!("spurious cycle: {got:?}")));
+                };
+                prop_assert_eq!(topo.order(), &order[..]);
+                prop_assert_eq!(nl.topo_order(), Ok(order));
+                prop_assert_eq!(nl.levels(), Ok(levels));
+                for net in nl.iter_nets() {
+                    let sinks = topo.fanouts(net);
+                    prop_assert_eq!(sinks, &fanouts[net.index()][..], "fanouts of {}", net);
+                    prop_assert!(sinks.windows(2).all(|w| w[0] <= w[1]));
+                }
+            }
+            Err(cycle) => {
+                prop_assert_eq!(got.map(|_| ()), Err(cycle.clone()));
+                prop_assert_eq!(nl.topo_order(), Err(cycle));
+            }
+        }
+        Ok(())
+    }
+
+    /// A random graph for the oracle: gates whose fanins are drawn with
+    /// replacement from every earlier net (so duplicate fanins are common),
+    /// flip-flops fed from anywhere (feedback through them is legal), and,
+    /// when `rewire` is set, one gate made to read itself or a later net,
+    /// which closes a combinational cycle whenever that net depends on it.
+    fn random_graph(seed: u64, gates: usize, rewire: bool) -> Netlist {
+        let mut rng = Rng64::new(seed);
+        let mut nl = Netlist::new("topo");
+        for i in 0..rng.range(1, 5) {
+            nl.add_input(format!("x{i}"));
+        }
+        if rng.flip() {
+            nl.add_const(rng.flip());
+        }
+        let kinds = [GateKind::And, GateKind::Xor, GateKind::Nor, GateKind::Not, GateKind::Mux];
+        let mut dffs = Vec::new();
+        let mut combinational = Vec::new();
+        for _ in 0..gates {
+            if rng.chance(0.1) {
+                dffs.push(nl.add_dff_placeholder(rng.flip()));
+                continue;
+            }
+            let kind = *rng.choose(&kinds);
+            let arity = match kind {
+                GateKind::Not => 1,
+                GateKind::Mux => 3,
+                _ => rng.range(1, 5),
+            };
+            let fanins: Vec<NetId> = (0..arity)
+                .map(|_| NetId::from_index(rng.range(0, nl.len())))
+                .collect();
+            combinational.push(nl.add_gate(kind, &fanins));
+        }
+        for d in dffs {
+            nl.set_dff_data(d, NetId::from_index(rng.range(0, nl.len())));
+            if rng.flip() {
+                nl.set_dff_enable(d, NetId::from_index(rng.range(0, nl.len())));
+            }
+        }
+        if rewire && !combinational.is_empty() {
+            let g = *rng.choose(&combinational);
+            let mut fanins = nl.fanins(g).to_vec();
+            let pin = rng.range(0, fanins.len());
+            fanins[pin] = NetId::from_index(rng.range(g.index(), nl.len()));
+            nl.set_fanins(g, &fanins);
+        }
+        nl
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn topology_matches_the_vec_kahn_pass(
+            seed in any::<u64>(),
+            gates in 0usize..80,
+            rewire in any::<bool>(),
+        ) {
+            check_topology(&random_graph(seed, gates, rewire))?;
+        }
+    }
+
+    #[test]
+    fn topology_matches_the_vec_kahn_pass_on_generated_circuits() {
+        use crate::gen::{pipelined_multiplier, random_dag, wallace_multiplier, RandomDagConfig};
+        let big_dag = RandomDagConfig {
+            inputs: 64,
+            gates: 10_000,
+            outputs: 32,
+            max_fanin: 4,
+            window: 96,
+        };
+        let circuits = [
+            pipelined_multiplier(4),
+            pipelined_multiplier(8),
+            wallace_multiplier(32).0,
+            random_dag(&big_dag, 10),
+        ];
+        for nl in &circuits {
+            if let Err(e) = check_topology(nl) {
+                panic!("{}: {e:?}", nl.name());
+            }
+        }
+        // Each pipelined multiplier's registers are order sources whose
+        // fanin edges are cut.
+        let pipe = &circuits[1];
+        let topo = pipe.topology().unwrap();
+        for &d in pipe.dffs() {
+            assert_eq!(topo.levels()[d.index()], 0);
+            for &f in pipe.fanins(d) {
+                assert!(!topo.fanouts(f).contains(&d), "sequential edge {f} -> {d} kept");
+            }
+        }
     }
 
     #[test]

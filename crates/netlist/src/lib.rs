@@ -43,6 +43,6 @@ mod error;
 
 pub use error::NetlistError;
 pub use gate::GateKind;
-pub use graph::{NetId, Netlist};
+pub use graph::{NetId, Netlist, Topology};
 pub use rng::Rng64;
 pub use stats::NetlistStats;

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use budget::{BudgetExceeded, ResourceBudget};
-use netlist::{GateKind, NetId, Netlist};
+use netlist::{GateKind, NetId, Netlist, Topology};
 
 use crate::par;
 use crate::profile::{ActivityProfile, QueueOccupancy};
@@ -32,12 +32,13 @@ pub struct EventArena {
     batch: Vec<(u32, bool)>,
     /// Nets in the batch whose value actually changed.
     toggled: Vec<u32>,
-    /// Word-parallel state for the dense kernel: current and next per-net
-    /// lane words, the chunk's initial settled words, the
-    /// `(net, toggled-lane-count)` frontier lists and the input words
-    /// before/after each lane's transition.
+    /// Word-parallel state for the dense kernel: the current per-net lane
+    /// words, one tick's staged outputs of the nets that toggled (`L`
+    /// words each, in `wtoggled_next` order), the chunk's initial settled
+    /// words, the `(net, toggled-lane-count)` frontier lists and the input
+    /// words before/after each lane's transition.
     wcur: Vec<u64>,
-    wnext: Vec<u64>,
+    wstaged: Vec<u64>,
     wsettled: Vec<u64>,
     wtoggled: Vec<(u32, u32)>,
     wtoggled_next: Vec<(u32, u32)>,
@@ -182,7 +183,9 @@ impl TimingActivity {
 #[derive(Debug)]
 pub struct EventSim<'a> {
     nl: &'a Netlist,
-    order: Vec<NetId>,
+    /// Topological order and fanout lists (CSR), from one
+    /// [`Netlist::topology`] pass.
+    topo: Topology,
     /// Flat copies of the netlist's per-net tables in CSR layout. The
     /// event hot loop reads only these contiguous arrays — gate kind,
     /// fanin ids and fanout ids are each one indexed load away, with none
@@ -190,8 +193,6 @@ pub struct EventSim<'a> {
     kinds: Vec<GateKind>,
     fanin_off: Vec<u32>,
     fanin_idx: Vec<u32>,
-    fanout_off: Vec<u32>,
-    fanout_idx: Vec<u32>,
     /// One packed record per net for the drain loop: a sink evaluation is
     /// one 16-byte load plus two value loads and a shift.
     sinks: Vec<SinkEval>,
@@ -232,7 +233,7 @@ impl<'a> EventSim<'a> {
     /// Panics if the netlist is sequential or cyclic.
     pub fn new(nl: &'a Netlist, model: &DelayModel) -> EventSim<'a> {
         assert!(nl.is_combinational(), "EventSim requires combinational netlist");
-        let order = nl.topo_order().expect("netlist must be acyclic");
+        let topo = nl.topology().expect("netlist must be acyclic");
         let n = nl.len();
         let mut kinds = Vec::with_capacity(n);
         let mut fanin_off = Vec::with_capacity(n + 1);
@@ -242,13 +243,6 @@ impl<'a> EventSim<'a> {
             kinds.push(nl.kind(net));
             fanin_idx.extend(nl.fanins(net).iter().map(|x| x.index() as u32));
             fanin_off.push(fanin_idx.len() as u32);
-        }
-        let mut fanout_off = Vec::with_capacity(n + 1);
-        let mut fanout_idx = Vec::new();
-        fanout_off.push(0u32);
-        for outs in &nl.fanouts() {
-            fanout_idx.extend(outs.iter().map(|x| x.index() as u32));
-            fanout_off.push(fanout_idx.len() as u32);
         }
         let delays: Vec<u32> = nl.iter_nets().map(|net| model.delay(nl, net)).collect();
         let max_delay = delays.iter().copied().max().unwrap_or(1);
@@ -286,12 +280,10 @@ impl<'a> EventSim<'a> {
         }
         EventSim {
             nl,
-            order,
+            topo,
             kinds,
             fanin_off,
             fanin_idx,
-            fanout_off,
-            fanout_idx,
             sinks,
             max_delay,
             uniform,
@@ -408,7 +400,7 @@ impl<'a> EventSim<'a> {
     }
 
     fn settle(&self, values: &mut [bool], ins: &mut Vec<bool>) {
-        for &net in &self.order {
+        for &net in self.topo.order() {
             let kind = self.nl.kind(net);
             if kind.is_source() {
                 if let GateKind::Const(v) = kind {
@@ -471,6 +463,10 @@ impl<'a> EventSim<'a> {
     /// * `cancelled` is identically 0: with one delay everywhere, a net's
     ///   next pop is always the event that changes it.
     ///
+    /// Each tick evaluates its sinks against the current words, stages the
+    /// outputs of the sinks that toggled, and then writes back only those:
+    /// `Σ toggled · L` words per tick instead of a copy of all `n · L`.
+    ///
     /// Lanes evolve independently, and a lane that has settled
     /// contributes zero toggles, visits and enqueues to later ticks. A
     /// short last chunk leaves its trailing lanes without an input
@@ -498,8 +494,6 @@ impl<'a> EventSim<'a> {
         let inputs = self.nl.inputs();
         arena.wcur.clear();
         arena.wcur.resize(n * L, 0);
-        arena.wnext.clear();
-        arena.wnext.resize(n * L, 0);
         arena.wsettled.clear();
         arena.wsettled.resize(n * L, 0);
         arena.win_init.clear();
@@ -517,7 +511,7 @@ impl<'a> EventSim<'a> {
         for (j, &pi) in inputs.iter().enumerate() {
             arena.wcur[pi.index() * L..][..L].copy_from_slice(&arena.win_init[j * L..][..L]);
         }
-        for &net in &self.order {
+        for &net in self.topo.order() {
             let si = net.index();
             if self.kinds[si] != GateKind::Input {
                 let out = self.eval_net_wide::<L>(si, &arena.wcur);
@@ -543,22 +537,22 @@ impl<'a> EventSim<'a> {
             }
         }
         // Jacobi relaxation: each tick evaluates the distinct sinks of the
-        // previous tick's toggled nets against the *old* words (double
-        // buffer), exactly the event engine's apply-then-evaluate order.
+        // previous tick's toggled nets against the *old* words, exactly the
+        // event engine's apply-then-evaluate order; the toggled outputs are
+        // staged and written back only once every sink has been evaluated.
         while !arena.wtoggled.is_empty() {
             meter.flush(budget)?;
             budget.check_deadline()?;
-            arena.wnext.copy_from_slice(&arena.wcur);
             arena.sink_epoch += 1;
             arena.wtoggled_next.clear();
+            arena.wstaged.clear();
             let mut visits = 0u64;
             let mut enq = 0u64;
             for &(u, pc) in &arena.wtoggled {
-                let lo = self.fanout_off[u as usize] as usize;
-                let hi = self.fanout_off[u as usize + 1] as usize;
-                visits += (hi - lo) as u64 * pc as u64;
-                for &sink in &self.fanout_idx[lo..hi] {
-                    let si = sink as usize;
+                let sinks = self.topo.fanouts(NetId::from_index(u as usize));
+                visits += sinks.len() as u64 * pc as u64;
+                for &sink in sinks {
+                    let si = sink.index();
                     if arena.sink_stamp[si] == arena.sink_epoch {
                         continue;
                     }
@@ -569,18 +563,20 @@ impl<'a> EventSim<'a> {
                         pc += (out[l] ^ arena.wcur[si * L + l]).count_ones();
                     }
                     if pc != 0 {
-                        arena.wnext[si * L..][..L].copy_from_slice(&out);
+                        arena.wstaged.extend_from_slice(&out);
                         counts.total[si] += pc as u64;
                         enq += pc as u64;
-                        arena.wtoggled_next.push((sink, pc));
+                        arena.wtoggled_next.push((si as u32, pc));
                     }
                 }
+            }
+            for (&(si, _), out) in arena.wtoggled_next.iter().zip(arena.wstaged.chunks_exact(L)) {
+                arena.wcur[si as usize * L..][..L].copy_from_slice(out);
             }
             counts.processed += enq;
             counts.enqueued += enq;
             counts.coalesced += visits - enq;
             meter.local += enq;
-            std::mem::swap(&mut arena.wcur, &mut arena.wnext);
             std::mem::swap(&mut arena.wtoggled, &mut arena.wtoggled_next);
         }
         // Functional toggles and signal probabilities for the valid lanes
@@ -615,8 +611,13 @@ impl<'a> EventSim<'a> {
     /// parallel and the merged counts stay bit-identical.
     ///
     /// Uniform-delay runs without an event-queue limit go through
-    /// [`EventSim::dense_block`], `64 * LANES` transitions per chunk;
-    /// every other run drains the calendar queue pattern by pattern.
+    /// [`EventSim::dense_block`], `64 * LANES` transitions per chunk.
+    /// Each block settles its lanes' starting states itself, so that path
+    /// runs no scalar settle of the seed pattern and never resets the
+    /// calendar queue: cycle 0's one-counts are bit 0 of the first block's
+    /// settled words. A one-pattern stream has no block and keeps the
+    /// scalar settle. Every other run drains the calendar queue pattern by
+    /// pattern.
     /// Events processed count toward the shared `steps` tally (flushed
     /// every 1024 pops on the queue and every tick in the dense kernel, so
     /// the atomic stays off the per-event path); queue length is compared
@@ -671,42 +672,49 @@ impl<'a> EventSim<'a> {
             coalesced: 0,
             occupancy: QueueOccupancy::default(),
         };
+        // The seed pattern: the previous shard's last one (uncounted: that
+        // shard already counted its cycle), or this shard's cycle 0.
+        let (seed, rest): (&[bool], _) = match prev_pattern {
+            Some(p) => (p, patterns),
+            None => {
+                let Some((head, rest)) = patterns.split_first() else {
+                    return Ok(counts);
+                };
+                (head, rest)
+            }
+        };
+        arena.sink_stamp.clear();
+        arena.sink_stamp.resize(n, 0);
+        arena.sink_epoch = 0;
+        if dense && !rest.is_empty() {
+            assert_eq!(seed.len(), self.nl.num_inputs(), "pattern width");
+            let mut prev = seed;
+            for (c, chunk) in rest.chunks(64 * LANES).enumerate() {
+                for pattern in chunk {
+                    assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
+                }
+                self.dense_block::<LANES>(prev, chunk, arena, &mut counts, budget, &mut meter)?;
+                if c == 0 && prev_pattern.is_none() {
+                    // Cycle 0's ones: lane 0 of the seed's settled words.
+                    for i in 0..n {
+                        counts.ones[i] += arena.wsettled[i * LANES] & 1;
+                    }
+                }
+                prev = &chunk[chunk.len() - 1];
+            }
+            // Every tick flushed its events, so the tally is complete.
+            return Ok(counts);
+        }
         arena.values.clear();
         arena.values.resize(n, false);
         arena.settled.clear();
         arena.settled.resize(n, false);
         arena.queue.reset(n, self.max_delay);
-        arena.sink_stamp.clear();
-        arena.sink_stamp.resize(n, 0);
-        arena.sink_epoch = 0;
-        let (mut prev, rest): (&[bool], _) = match prev_pattern {
-            Some(p) => {
-                // Reconstruct the pre-shard settled state; the previous
-                // shard already counted this cycle.
-                self.apply_and_settle(p, &mut arena.values, &mut arena.ins);
-                (p, patterns)
+        self.apply_and_settle(seed, &mut arena.values, &mut arena.ins);
+        if prev_pattern.is_none() {
+            for i in 0..n {
+                counts.ones[i] += arena.values[i] as u64;
             }
-            None => {
-                let Some((head, rest)) = patterns.split_first() else {
-                    return Ok(counts);
-                };
-                self.apply_and_settle(head, &mut arena.values, &mut arena.ins);
-                for i in 0..n {
-                    counts.ones[i] += arena.values[i] as u64;
-                }
-                (head, rest)
-            }
-        };
-        if dense {
-            for chunk in rest.chunks(64 * LANES) {
-                for pattern in chunk {
-                    assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
-                }
-                self.dense_block::<LANES>(prev, chunk, arena, &mut counts, budget, &mut meter)?;
-                prev = &chunk[chunk.len() - 1];
-            }
-            // Every tick flushed its events, so the tally is complete.
-            return Ok(counts);
         }
         for pattern in rest {
             assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
@@ -754,10 +762,8 @@ impl<'a> EventSim<'a> {
                 // Evaluate each distinct sink of the changed nets once.
                 arena.sink_epoch += 1;
                 for &raw in &arena.toggled {
-                    let lo = self.fanout_off[raw as usize] as usize;
-                    let hi = self.fanout_off[raw as usize + 1] as usize;
-                    for &sink in &self.fanout_idx[lo..hi] {
-                        let si = sink as usize;
+                    for &sink in self.topo.fanouts(NetId::from_index(raw as usize)) {
+                        let si = sink.index();
                         if arena.sink_stamp[si] == arena.sink_epoch {
                             counts.coalesced += 1;
                             continue;
@@ -778,8 +784,12 @@ impl<'a> EventSim<'a> {
                         // No-change outputs on a sink with no pending
                         // event are suppressed inside the queue (the old
                         // engine enqueued, popped and cancelled them).
-                        match arena.queue.schedule_transition(sink, t, out, out == arena.values[si])
-                        {
+                        match arena.queue.schedule_transition(
+                            si as u32,
+                            t,
+                            out,
+                            out == arena.values[si],
+                        ) {
                             Scheduled::New => counts.enqueued += 1,
                             Scheduled::Coalesced | Scheduled::Suppressed => counts.coalesced += 1,
                         }
@@ -996,35 +1006,50 @@ mod tests {
         // patterns through the calendar queue. Every activity number and
         // every derived event counter must agree exactly. 300 patterns =
         // one full 256-lane chunk plus a masked 43-lane chunk, so the
-        // chunk-chaining handoff and the ragged tail are covered too.
+        // chunk-chaining handoff and the ragged tail are covered too; 1 and
+        // 2 patterns are a stream with no transition and one with a single
+        // lane. A seeded shard (every shard after the first) starts from
+        // the pattern before it without counting that pattern's cycle.
         let (nl, _) = array_multiplier(5);
-        let patterns = Stimulus::uniform(10).patterns(300, 41);
+        let stream = Stimulus::uniform(10).patterns(301, 41);
         let unlimited = ResourceBudget::unlimited();
         let steps = ResourceBudget::unlimited().with_max_sim_steps(1 << 40);
         let queue = ResourceBudget::unlimited().with_max_event_queue(1 << 20);
         for delay in [1u32, 3] {
             let sim = EventSim::new(&nl, &DelayModel::PerNet(vec![delay; nl.len()]))
                 .with_obs(obs::Obs::enabled());
-            let run = |budget: &ResourceBudget| {
-                let mut arena = EventArena::new();
-                sim.shard_counts(None, &patterns, &mut arena, budget, &AtomicU64::new(0))
-                    .expect("budget never trips")
-            };
-            let dense = run(&unlimited);
-            for other in [run(&steps), run(&queue)] {
-                assert_eq!(dense.total, other.total, "delay {delay}");
-                assert_eq!(dense.functional, other.functional);
-                assert_eq!(dense.ones, other.ones);
-                assert_eq!(dense.processed, other.processed);
-                assert_eq!(dense.enqueued, other.enqueued);
-                assert_eq!(dense.cancelled, other.cancelled);
-                assert_eq!(dense.coalesced, other.coalesced);
+            for len in [1, 2, 300] {
+                for seeded in [false, true] {
+                    let (seed, patterns) = if seeded {
+                        (Some(stream[0].as_slice()), &stream[1..=len])
+                    } else {
+                        (None, &stream[..len])
+                    };
+                    let run = |budget: &ResourceBudget| {
+                        let mut arena = EventArena::new();
+                        sim.shard_counts(seed, patterns, &mut arena, budget, &AtomicU64::new(0))
+                            .expect("budget never trips")
+                    };
+                    let dense = run(&unlimited);
+                    let case = format!("delay {delay}, {len} patterns, seeded {seeded}");
+                    for other in [run(&steps), run(&queue)] {
+                        assert_eq!(dense.total, other.total, "{case}");
+                        assert_eq!(dense.functional, other.functional, "{case}");
+                        assert_eq!(dense.ones, other.ones, "{case}");
+                        assert_eq!(dense.processed, other.processed, "{case}");
+                        assert_eq!(dense.enqueued, other.enqueued, "{case}");
+                        assert_eq!(dense.cancelled, other.cancelled, "{case}");
+                        assert_eq!(dense.coalesced, other.coalesced, "{case}");
+                    }
+                    // The occupancy histogram profiles the queue, so only
+                    // the queue run records it.
+                    assert_eq!(dense.occupancy, QueueOccupancy::default());
+                    assert_eq!(run(&steps).occupancy, QueueOccupancy::default());
+                    if seeded || len > 1 {
+                        assert!(run(&queue).occupancy.total() > 0, "{case}");
+                    }
+                }
             }
-            // The occupancy histogram profiles the queue, so only the
-            // queue run records it.
-            assert_eq!(dense.occupancy, QueueOccupancy::default());
-            assert_eq!(run(&steps).occupancy, QueueOccupancy::default());
-            assert!(run(&queue).occupancy.total() > 0);
         }
     }
 

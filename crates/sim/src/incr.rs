@@ -565,7 +565,7 @@ impl IncrementalSim {
     ) -> Result<IncrementalSim, BudgetExceeded> {
         assert!(nl.is_combinational(), "incremental engine requires combinational netlist");
         assert_eq!(packed.width(), nl.num_inputs(), "stimulus width");
-        let order = nl.topo_order().expect("netlist must be acyclic");
+        let topo = nl.topology().expect("netlist must be acyclic");
         let n = nl.len();
         let cycles = packed.cycles();
         let nblocks = packed.num_blocks();
@@ -579,7 +579,7 @@ impl IncrementalSim {
             }
         }
         let mut ins = Vec::new();
-        for (step, &net) in order.iter().enumerate() {
+        for (step, &net) in topo.order().iter().enumerate() {
             if step & 0xF == 0 {
                 budget.check_deadline()?;
             }
@@ -603,12 +603,6 @@ impl IncrementalSim {
             toggles[i] = t;
             ones[i] = o;
         }
-        let levels = nl
-            .levels()
-            .expect("netlist must be acyclic")
-            .into_iter()
-            .map(|l| l as u32)
-            .collect();
         let live = nl.live_mask();
         let mut refs = vec![Refs::default(); n];
         for (net, _) in nl.outputs() {
@@ -622,11 +616,11 @@ impl IncrementalSim {
             }
         }
         let mut arrival = vec![0.0; n];
-        for &net in &order {
+        for &net in topo.order() {
             arrival[net.index()] = unit_arrival(nl, &refs, net.index(), &arrival);
         }
         Ok(IncrementalSim {
-            fanouts: nl.fanouts(),
+            fanouts: nl.iter_nets().map(|net| topo.fanouts(net).to_vec()).collect(),
             refs,
             arrival,
             nl: nl.clone(),
@@ -636,7 +630,7 @@ impl IncrementalSim {
             words,
             toggles,
             ones,
-            levels,
+            levels: topo.levels().to_vec(),
             force_full: stress_env(),
             obs,
             stats: IncrStats::default(),
@@ -956,7 +950,7 @@ impl IncrementalSim {
         let retimed = retimer.run(
             arrival,
             levels,
-            fanouts,
+            |idx| fanouts[idx].as_slice(),
             |idx, arrival| unit_arrival(nl, refs, idx, arrival),
             |idx, old| {
                 if idx < prev_len {

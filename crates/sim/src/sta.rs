@@ -85,13 +85,13 @@ impl Retimer {
 
     /// Recompute the queued nets in level order with `arrival_at(net,
     /// arrival)`. Each arrival that moves goes to `moved(net, old)` before
-    /// it is stored, then the net's `fanouts` are queued. Returns the
-    /// number of arrivals recomputed.
-    pub fn run(
+    /// it is stored, then the sinks `fanouts(net)` returns are queued.
+    /// Returns the number of arrivals recomputed.
+    pub fn run<'f>(
         &mut self,
         arrival: &mut [f64],
         levels: &[u32],
-        fanouts: &[Vec<NetId>],
+        fanouts: impl Fn(usize) -> &'f [NetId],
         arrival_at: impl Fn(usize, &[f64]) -> f64,
         mut moved: impl FnMut(usize, f64),
     ) -> u64 {
@@ -105,7 +105,7 @@ impl Retimer {
             }
             moved(idx, arrival[idx]);
             arrival[idx] = a;
-            for &sink in &fanouts[idx] {
+            for &sink in fanouts(idx) {
                 self.enqueue(sink.index(), levels[sink.index()]);
             }
         }

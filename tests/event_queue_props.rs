@@ -8,12 +8,20 @@
 //! skipping). These properties drive both structures with identical random
 //! streams — including same-timestamp collisions, schedules interleaved
 //! with pops, and times far past the wheel span so events overflow and
-//! wrap the cursor — and demand identical waves.
+//! wrap the cursor — and demand identical waves. The queue is in turn the
+//! reference for `EventSim`'s dense word kernel, which must reproduce its
+//! activity and event counters exactly.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use lowpower::budget::ResourceBudget;
+use lowpower::logicopt::balance::balance_paths;
+use lowpower::netlist::gen::array_multiplier;
+use lowpower::obs::Obs;
+use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::queue::{CalendarQueue, Scheduled};
+use lowpower::sim::stimulus::Stimulus;
 use proptest::prelude::*;
 
 /// The old event queue, verbatim semantics: a min-heap on
@@ -161,6 +169,38 @@ proptest! {
                 prop_assert_eq!(&batch, &rwave);
             }
             prop_assert!(r.pop_wave().is_none());
+        }
+    }
+}
+
+/// The dense kernel against the calendar queue on a fully balanced 8-bit
+/// array multiplier, where every relaxation tick writes back only the few
+/// nets of one level, for streams of 1, 2 and 300 patterns on 1 to 3
+/// shards (each shard after the first starts from a seed pattern). A
+/// queue-length limit is what sends a unit-delay run through the queue;
+/// every activity field and every event counter must agree.
+#[test]
+fn dense_kernel_matches_calendar_queue_on_balanced_multiplier() {
+    let (balanced, _) = balance_paths(&array_multiplier(8).0, 0);
+    let queue = ResourceBudget::unlimited().with_max_event_queue(1 << 20);
+    for cycles in [1, 2, 300] {
+        let patterns = Stimulus::uniform(16).patterns(cycles, 43);
+        for jobs in [1, 2, 3] {
+            let run = |budget: &ResourceBudget| {
+                let obs = Obs::enabled();
+                let timing = EventSim::new(&balanced, &DelayModel::Unit)
+                    .with_obs(obs.clone())
+                    .try_activity_jobs(&patterns, jobs, budget)
+                    .expect("roomy budget");
+                (timing, obs.snapshot().counters)
+            };
+            let (dense, dense_counters) = run(&ResourceBudget::unlimited());
+            let (queued, queue_counters) = run(&queue);
+            let case = format!("{cycles} patterns, jobs {jobs}");
+            assert_eq!(dense.total, queued.total, "{case}");
+            assert_eq!(dense.functional, queued.functional, "{case}");
+            assert_eq!(dense_counters, queue_counters, "{case}");
+            assert_eq!(dense.glitch_fraction(), 0.0, "balanced paths cannot glitch");
         }
     }
 }
