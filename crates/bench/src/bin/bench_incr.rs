@@ -8,7 +8,12 @@
 //!   circuit depth down to 0, measuring glitch activity after every step.
 //!   From-scratch rebalances and re-simulates the whole netlist per
 //!   threshold; the incremental sweep applies `tighten_balance_delta`
-//!   against one resident [`IncrementalEventSim`].
+//!   against one resident [`IncrementalEventSim`], which runs one
+//!   `EventSim` per delta and none for a threshold that changes nothing.
+//!   Its work ratio counts buffers: those the tightening deltas inserted
+//!   per buffer the rebalances inserted. Its event ratio counts the
+//!   `sim.event.processed` of the incremental sweep's runs per event the
+//!   from-scratch sweep's runs processed.
 //! * **sizing-loop** (`mult4`): `downsize_for_power` on a `StaCache`
 //!   that re-times only the resized gate's cone vs its `force_full` twin
 //!   that re-times every gate per shrink trial.
@@ -42,12 +47,13 @@
 //! ```
 //!
 //! With `--check` the harness exits nonzero unless every section holds
-//! its headline win: a work ratio (incremental evaluations per
-//! from-scratch evaluation) of at most 1/3, and on the rewrite-search
-//! sections timing and BDD ratios of at most 1/2 and at most two full
-//! don't-care analyses per rewrite they found. All of these are
-//! deterministic counts, so the check means the same on a noisy CI box;
-//! wall-clock times are reported, never gated. Result identity (bitwise
+//! its headline win: a work ratio (incremental work per from-scratch
+//! work) of at most 1/3, on the balance sweep an event ratio of at most
+//! 1, and on the rewrite-search sections timing and BDD ratios of at
+//! most 1/2 and at most two full don't-care analyses per rewrite they
+//! found. All of these are deterministic counts, so the check means the
+//! same on a noisy CI box; wall-clock times are reported, never gated.
+//! Result identity (bitwise
 //! sizes, bitwise capacitance, glitch totals to 1e-9, node-for-node
 //! netlists and equal move and don't-care candidate counts from the
 //! rewrite twins) is always enforced, as are the rewrite-flow
@@ -67,6 +73,7 @@ use logicopt::dontcare::{
     optimize_dontcares_sim, optimize_dontcares_sim_with, CandidateCounts, DontCareSimReport,
 };
 use logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
+use lowpower::obs::Obs;
 use netlist::Netlist;
 use sim::event::{DelayModel, EventSim};
 use sim::incr::{IncrementalEventSim, IncrementalSim};
@@ -86,6 +93,10 @@ struct Section {
     work_ratio: f64,
     /// What the work ratio counts.
     work_unit: &'static str,
+    /// Events the incremental sweep's `EventSim` runs processed per event
+    /// the from-scratch sweep's processed (balance-sweep only;
+    /// deterministic).
+    event_ratio: Option<f64>,
     /// Arrival times recomputed per arrival the force-full twin
     /// recomputed (rewrite-search only; deterministic).
     timing_ratio: Option<f64>,
@@ -108,46 +119,71 @@ fn candidates_json(c: &CandidateCounts) -> String {
 }
 
 /// From-scratch balance sweep: rebalance and fully re-simulate per
-/// threshold. Returns the glitch totals the incremental sweep must match.
-fn balance_scratch(nl: &Netlist, patterns: &sim::stimulus::PatternSet, sweep: &[usize]) -> Vec<f64> {
-    sweep
+/// threshold, publishing each run's event counters to `obs`. Returns the
+/// glitch totals the incremental sweep must match and the buffers the
+/// rebalances inserted.
+fn balance_scratch(
+    nl: &Netlist,
+    patterns: &sim::stimulus::PatternSet,
+    sweep: &[usize],
+    obs: &Obs,
+) -> (Vec<f64>, usize) {
+    let mut buffers = 0;
+    let glitches = sweep
         .iter()
         .map(|&t| {
-            let (balanced, _) = balance_paths(nl, t);
+            let (balanced, report) = balance_paths(nl, t);
+            buffers += report.buffers_added;
             EventSim::new(&balanced, &DelayModel::Unit)
+                .with_obs(obs.clone())
                 .activity(patterns)
                 .total_glitches_per_cycle()
         })
-        .collect()
+        .collect();
+    (glitches, buffers)
 }
 
-/// Incremental balance sweep: one resident engine, deltas only. Also
-/// returns the nets the functional layer re-evaluated (dirty cones plus
-/// the initial build counted as one whole-netlist evaluation). The balance
-/// work ratio counts only those: the event layer re-times every net of
-/// the edited netlist per delta with one `EventSim` run.
-fn balance_incr(nl: &Netlist, packed: &PackedPatterns, sweep: &[usize]) -> (Vec<f64>, u64) {
+/// Incremental balance sweep: one resident engine that applies only the
+/// tightening deltas, skipping the thresholds that change nothing, and
+/// publishes its event counters to `obs`. Also returns the buffers the
+/// deltas inserted.
+fn balance_incr(
+    nl: &Netlist,
+    packed: &PackedPatterns,
+    sweep: &[usize],
+    obs: &Obs,
+) -> (Vec<f64>, usize) {
     let levels = nl.levels().expect("acyclic");
-    let mut engine = IncrementalEventSim::from_full_eval(nl, &DelayModel::Unit, packed);
-    let mut current = nl.clone();
+    let unlimited = ResourceBudget::unlimited();
+    let mut engine = IncrementalEventSim::try_from_full_eval(
+        nl,
+        &DelayModel::Unit,
+        packed,
+        &unlimited,
+        obs.clone(),
+    )
+    .expect("unlimited budget");
+    let mut buffers = 0;
     let mut from = usize::MAX;
     let glitches = sweep
         .iter()
         .map(|&t| {
-            let (delta, _) = if from == usize::MAX {
+            let (delta, added) = if from == usize::MAX {
                 balance_delta(nl, &levels, t)
             } else {
-                tighten_balance_delta(&current, nl.len(), &levels, from, t)
+                tighten_balance_delta(engine.netlist(), nl.len(), &levels, from, t)
             };
             from = t;
+            buffers += added;
             if !delta.is_empty() {
-                delta.apply_to(&mut current);
-                engine.apply_delta(&delta);
+                engine
+                    .try_apply_delta(&delta, &unlimited)
+                    .expect("unlimited budget");
             }
             engine.activity().total_glitches_per_cycle()
         })
         .collect();
-    (glitches, engine.stats().nets_reevaluated + nl.len() as u64)
+    (glitches, buffers)
 }
 
 fn bench_balance() -> Section {
@@ -156,23 +192,23 @@ fn bench_balance() -> Section {
     let packed = PackedPatterns::pack(&patterns);
     let sweep: Vec<usize> = (0..=nl.depth()).rev().collect();
 
-    let scratch = balance_scratch(&nl, &patterns, &sweep);
-    let (incr, reevaluated) = balance_incr(&nl, &packed, &sweep);
+    let (scratch_obs, incr_obs) = (Obs::enabled(), Obs::enabled());
+    let (scratch, scratch_buffers) = balance_scratch(&nl, &patterns, &sweep, &scratch_obs);
+    let (incr, incr_buffers) = balance_incr(&nl, &packed, &sweep, &incr_obs);
     // The tightened netlist is isomorphic (not id-identical) to the
     // one-shot result, so glitch totals match to rounding, not bits.
     let identical = scratch
         .iter()
         .zip(&incr)
         .all(|(a, b)| (a - b).abs() < 1e-9);
+    let processed = |obs: &Obs| obs.snapshot().counter("sim.event.processed").unwrap_or(0);
 
-    // From-scratch evaluates every net at every threshold (plus buffers,
-    // uncounted — the ratio is conservative).
-    let scratch_evals = (sweep.len() * nl.len()) as u64;
+    let disabled = Obs::disabled();
     let scratch_seconds = harness::per_call(|| {
-        std::hint::black_box(balance_scratch(&nl, &patterns, &sweep));
+        std::hint::black_box(balance_scratch(&nl, &patterns, &sweep, &disabled));
     });
     let incr_seconds = harness::per_call(|| {
-        std::hint::black_box(balance_incr(&nl, &packed, &sweep));
+        std::hint::black_box(balance_incr(&nl, &packed, &sweep, &disabled));
     });
     Section {
         name: "balance-sweep",
@@ -180,8 +216,9 @@ fn bench_balance() -> Section {
         scratch_seconds,
         incr_seconds,
         speedup: scratch_seconds / incr_seconds,
-        work_ratio: reevaluated as f64 / scratch_evals as f64,
-        work_unit: "net evaluations",
+        work_ratio: incr_buffers as f64 / scratch_buffers.max(1) as f64,
+        work_unit: "buffers inserted",
+        event_ratio: Some(processed(&incr_obs) as f64 / processed(&scratch_obs).max(1) as f64),
         timing_ratio: None,
         bdd_ratio: None,
         dontcare_candidates: None,
@@ -227,6 +264,7 @@ fn bench_sizing() -> Section {
         speedup: scratch_seconds / incr_seconds,
         work_ratio: sta.arrival_evals as f64 / full_sta.arrival_evals.max(1) as f64,
         work_unit: "arrival-time evaluations",
+        event_ratio: None,
         timing_ratio: None,
         bdd_ratio: None,
         dontcare_candidates: None,
@@ -289,6 +327,7 @@ fn bench_dontcare() -> Section {
         work_ratio: incr_report.nets_reevaluated as f64
             / full_report.nets_reevaluated.max(1) as f64,
         work_unit: "net evaluations",
+        event_ratio: None,
         timing_ratio: None,
         bdd_ratio: None,
         dontcare_candidates: None,
@@ -359,6 +398,7 @@ fn bench_rewrite_search(circuit: &'static str, nl: &Netlist) -> Section {
         speedup: scratch_seconds / incr_seconds,
         work_ratio: incr_report.nets_reevaluated as f64 / full_report.nets_reevaluated.max(1) as f64,
         work_unit: "net evaluations",
+        event_ratio: None,
         timing_ratio: Some(
             incr_report.arrivals_retimed as f64 / full_report.arrivals_retimed.max(1) as f64,
         ),
@@ -462,6 +502,9 @@ fn to_json(sections: &[Section], flows: &[FlowSection]) -> String {
         let _ = writeln!(out, "      \"speedup\": {:.3},", s.speedup);
         let _ = writeln!(out, "      \"work_ratio\": {:.4},", s.work_ratio);
         let _ = writeln!(out, "      \"work_unit\": \"{}\",", s.work_unit);
+        if let Some(e) = s.event_ratio {
+            let _ = writeln!(out, "      \"event_ratio\": {e:.4},");
+        }
         if let Some(t) = s.timing_ratio {
             let _ = writeln!(out, "      \"timing_ratio\": {t:.4},");
         }
@@ -519,6 +562,10 @@ fn main() {
 
     println!("wrote {out_path}");
     for s in &sections {
+        let events = s
+            .event_ratio
+            .map(|e| format!("events {:.1}% of scratch  ", e * 100.0))
+            .unwrap_or_default();
         let timing = s
             .timing_ratio
             .map(|t| format!("timing {:.1}% of scratch  ", t * 100.0))
@@ -538,7 +585,7 @@ fn main() {
             .unwrap_or_default();
         println!(
             "  {:<14} {:<8} scratch {:>9.3e} s  incr {:>9.3e} s ({:.2}x faster)  \
-             work {:.1}% of scratch  {timing}{bdd}{dontcare}identical: {}",
+             work {:.1}% of scratch  {events}{timing}{bdd}{dontcare}identical: {}",
             s.name,
             s.circuit,
             s.scratch_seconds,
@@ -592,6 +639,13 @@ fn main() {
                 eprintln!(
                     "check FAILED: {} ({}) work ratio {:.3} > 0.333",
                     s.name, s.circuit, s.work_ratio
+                );
+                ok = false;
+            }
+            if let Some(e) = s.event_ratio.filter(|&e| e > 1.0) {
+                eprintln!(
+                    "check FAILED: {} ({}) event ratio {e:.3} > 1",
+                    s.name, s.circuit
                 );
                 ok = false;
             }

@@ -1,10 +1,5 @@
 //! Runs every exhibit (E1-E20) in sequence, printing the full report —
 //! the data source for EXPERIMENTS.md.
 fn main() {
-    for (id, title, run) in bench::all_experiments() {
-        println!("==================================================================");
-        println!("{id}: {title}");
-        println!("==================================================================");
-        println!("{}", run());
-    }
+    print!("{}", bench::all_exhibits());
 }

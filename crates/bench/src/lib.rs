@@ -1,9 +1,10 @@
 //! Experiment harness regenerating every quantitative exhibit (E1–E20) of
 //! the survey reproduction. Each experiment is a pure function returning
-//! its report as text; the `exp_*` binaries print them, `exp_all` runs the
-//! full suite, and `EXPERIMENTS.md` records the measured numbers against
-//! the paper's claims. [`harness`] holds the timers and plumbing the
-//! `BENCH_*` regression binaries share.
+//! its report as text; the `exp_*` binaries print them, `exp_all` prints
+//! the full suite ([`all_exhibits`]), `tests/exhibits.rs` pins that to
+//! the committed `experiments_output.txt`, and `EXPERIMENTS.md` records
+//! the measured numbers against the paper's claims. [`harness`] holds the
+//! timers and plumbing the `BENCH_*` regression binaries share.
 
 #![forbid(unsafe_code)]
 
@@ -11,12 +12,25 @@
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]
 
+use std::fmt::Write as _;
+
 pub mod exps;
 pub mod harness;
 pub mod table;
 
 /// One registered experiment: `(id, title, runner)`.
 pub type Experiment = (&'static str, &'static str, fn() -> String);
+
+/// Every exhibit's report in exhibit order, each under a banner naming it:
+/// what `exp_all` prints and `experiments_output.txt` records.
+pub fn all_exhibits() -> String {
+    let rule = "=".repeat(66);
+    let mut out = String::new();
+    for (id, title, run) in all_experiments() {
+        let _ = writeln!(out, "{rule}\n{id}: {title}\n{rule}\n{}", run());
+    }
+    out
+}
 
 /// All experiments, in exhibit order.
 pub fn all_experiments() -> Vec<Experiment> {
@@ -44,16 +58,4 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("E20", "Architecture-level estimation accuracy", foundation::arch_estimation),
         ("EA", "Ablations of framework design choices", ablations::ablations),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn every_experiment_runs_and_reports() {
-        for (id, title, run) in super::all_experiments() {
-            let report = run();
-            assert!(!report.trim().is_empty(), "{id} {title}: empty report");
-            assert!(report.contains(id), "{id}: report should carry its id");
-        }
-    }
 }

@@ -63,8 +63,8 @@ pub fn balance_paths(nl: &Netlist, threshold: usize) -> (Netlist, BalanceReport)
 
 /// The balancing edit as a [`Delta`] instead of a rebuilt netlist, for the
 /// incremental engines: apply it to an `IncrementalEventSim` holding `nl`
-/// and only the buffered edges' fanout cones re-evaluate functionally
-/// before the engine re-times the edited netlist.
+/// and the engine edits its netlist in place, then re-times it with one
+/// `EventSim` run.
 ///
 /// `levels` must be `nl.levels()`. Replaying the delta on a clone of `nl`
 /// produces exactly the netlist [`balance_paths`] returns

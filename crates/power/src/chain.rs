@@ -286,35 +286,28 @@ fn normalized_probs(cfg: &ChainConfig, width: usize) -> Vec<f64> {
 /// estimate the same (or a structurally identical) circuit repeatedly —
 /// optimization loops, before/after comparisons — should thread a
 /// [`CircuitBddCache`](exact::CircuitBddCache) through
-/// [`estimate_activity_cached`] instead.
+/// [`estimate_activity_resident`] instead.
 pub fn estimate_activity(
     nl: &Netlist,
     budget: &ResourceBudget,
     cfg: &ChainConfig,
 ) -> Result<ChainEstimate, ChainError> {
     let mut cache = exact::CircuitBddCache::with_capacity(1);
-    estimate_activity_cached(nl, budget, cfg, &mut cache)
+    estimate_activity_resident(nl, budget, cfg, &mut cache, None)
 }
 
 /// [`estimate_activity`] with a caller-owned [`exact::CircuitBddCache`]
-/// feeding the exact tier. A cache hit skips the BDD build entirely, so
-/// repeated estimates of structurally unchanged circuits pay the kernel
-/// cost once; the tier-degradation contract is unchanged (the cache never
-/// stores failed builds, so a budget that killed the exact tier once will
-/// kill it again rather than resurrect a stale answer).
-pub fn estimate_activity_cached(
-    nl: &Netlist,
-    budget: &ResourceBudget,
-    cfg: &ChainConfig,
-    cache: &mut exact::CircuitBddCache,
-) -> Result<ChainEstimate, ChainError> {
-    estimate_activity_resident(nl, budget, cfg, cache, None)
-}
-
-/// [`estimate_activity_cached`] plus a resident [`StimulusCache`] for the
-/// sampled tier: when consecutive calls share a stimulus spec (width,
-/// cycles after budget fitting, seed, bias), the generated — and, for
-/// combinational circuits, packed — stream is reused instead of rebuilt.
+/// feeding the exact tier and, optionally, a resident [`StimulusCache`]
+/// feeding the sampled one.
+///
+/// A BDD cache hit skips the build entirely, so repeated estimates of
+/// structurally unchanged circuits pay the kernel cost once; the
+/// tier-degradation contract is unchanged (the cache never stores failed
+/// builds, so a budget that killed the exact tier once will kill it again
+/// rather than resurrect a stale answer). When consecutive calls share a
+/// stimulus spec (width, cycles after budget fitting, seed, bias), the
+/// generated — and, for combinational circuits, packed — stream is reused
+/// instead of rebuilt.
 pub fn estimate_activity_resident(
     nl: &Netlist,
     budget: &ResourceBudget,
@@ -435,24 +428,10 @@ pub fn estimate_power(
     Ok((report, estimate))
 }
 
-/// [`estimate_power`] with a caller-owned BDD cache for the exact tier.
-/// See [`estimate_activity_cached`].
-pub fn estimate_power_cached(
-    nl: &Netlist,
-    budget: &ResourceBudget,
-    cfg: &ChainConfig,
-    params: &PowerParams,
-    cache: &mut exact::CircuitBddCache,
-) -> Result<(PowerReport, ChainEstimate), ChainError> {
-    let estimate = estimate_activity_cached(nl, budget, cfg, cache)?;
-    let report = PowerReport::from_activity(nl, &estimate.profile, params);
-    Ok((report, estimate))
-}
-
-/// [`estimate_power_cached`] plus a resident [`StimulusCache`]. This is
-/// the serve workers' entry point: both caches live for the worker's
-/// lifetime, so back-to-back jobs with a shared stimulus spec skip the
-/// stream generation and pack entirely.
+/// [`estimate_power`] on the caches of [`estimate_activity_resident`].
+/// This is the serve workers' entry point: both caches live for the
+/// worker's lifetime, so back-to-back jobs with a shared stimulus spec
+/// skip the stream generation and pack entirely.
 pub fn estimate_power_resident(
     nl: &Netlist,
     budget: &ResourceBudget,
@@ -464,6 +443,43 @@ pub fn estimate_power_resident(
     let estimate = estimate_activity_resident(nl, budget, cfg, cache, Some(stim))?;
     let report = PowerReport::from_activity(nl, &estimate.profile, params);
     Ok((report, estimate))
+}
+
+/// The power of `before` and `after` estimated on one tier, for
+/// not-worse checks: a comparison of figures from two tiers would
+/// measure the estimators, not the circuits.
+///
+/// Both netlists go through the chain under `budget`, sharing `cache`.
+/// When they answer from different tiers, the side that answered from
+/// the stronger one runs again with the chain starting at the weaker
+/// tier ([`Tier`] orders exact < probabilistic < sampled), until both
+/// answer from the same tier. Returns both reports and that tier.
+pub fn estimate_power_pair(
+    before: &Netlist,
+    after: &Netlist,
+    budget: &ResourceBudget,
+    cfg: &ChainConfig,
+    params: &PowerParams,
+    cache: &mut exact::CircuitBddCache,
+) -> Result<(PowerReport, PowerReport, Tier), ChainError> {
+    let mut estimate =
+        |nl: &Netlist, cfg: &ChainConfig| estimate_activity_resident(nl, budget, cfg, cache, None);
+    let mut cfg = cfg.clone();
+    let mut a = estimate(before, &cfg)?;
+    let mut b = estimate(after, &cfg)?;
+    while a.tier != b.tier {
+        let weaker = a.tier.max(b.tier);
+        cfg.tiers.retain(|&t| t >= weaker);
+        if a.tier < weaker {
+            a = estimate(before, &cfg)?;
+        }
+        if b.tier < weaker {
+            b = estimate(after, &cfg)?;
+        }
+    }
+    let report =
+        |nl: &Netlist, e: &ChainEstimate| PowerReport::from_activity(nl, &e.profile, params);
+    Ok((report(before, &a), report(after, &b), a.tier))
 }
 
 #[cfg(test)]
@@ -712,8 +728,8 @@ mod tests {
         let plain = estimate_activity(&nl, &budget, &cfg).unwrap();
 
         let mut cache = exact::CircuitBddCache::new();
-        let first = estimate_activity_cached(&nl, &budget, &cfg, &mut cache).unwrap();
-        let second = estimate_activity_cached(&nl, &budget, &cfg, &mut cache).unwrap();
+        let first = estimate_activity_resident(&nl, &budget, &cfg, &mut cache, None).unwrap();
+        let second = estimate_activity_resident(&nl, &budget, &cfg, &mut cache, None).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(first.tier, Tier::ExactBdd);
         assert_eq!(second.tier, Tier::ExactBdd);
@@ -727,9 +743,42 @@ mod tests {
         // fresh cache under the same tight budget degrades as usual.
         let tight = ResourceBudget::unlimited().with_max_bdd_nodes(4);
         let mut fresh = exact::CircuitBddCache::new();
-        let est = estimate_activity_cached(&nl, &tight, &cfg, &mut fresh).unwrap();
+        let est = estimate_activity_resident(&nl, &tight, &cfg, &mut fresh, None).unwrap();
         assert_eq!(est.tier, Tier::Probabilistic);
         assert!(fresh.is_empty(), "failed builds must not be cached");
+    }
+
+    #[test]
+    fn pair_estimates_answer_from_one_tier() {
+        // 1,000 nodes fit the adder's exact build, not the multiplier's.
+        let (adder, _) = ripple_adder(4);
+        let (mult, _) = array_multiplier(6);
+        let budget = ResourceBudget::unlimited().with_max_bdd_nodes(1000);
+        let cfg = ChainConfig::default();
+        let params = PowerParams::default();
+        let alone = |nl: &Netlist, cfg: &ChainConfig| estimate_power(nl, &budget, cfg, &params);
+        assert_eq!(alone(&adder, &cfg).unwrap().1.tier, Tier::ExactBdd);
+        assert_eq!(alone(&mult, &cfg).unwrap().1.tier, Tier::Probabilistic);
+        // Either way round, both sides answer from the weaker tier, with
+        // that tier's own figures.
+        let weaker = ChainConfig {
+            tiers: vec![Tier::Probabilistic, Tier::SampledSim],
+            ..ChainConfig::default()
+        };
+        let total = |nl: &Netlist| alone(nl, &weaker).unwrap().0.total().to_bits();
+        let mut cache = exact::CircuitBddCache::new();
+        for (before, after) in [(&adder, &mult), (&mult, &adder)] {
+            let (b, a, tier) =
+                estimate_power_pair(before, after, &budget, &cfg, &params, &mut cache).unwrap();
+            assert_eq!(tier, Tier::Probabilistic);
+            assert_eq!(b.total().to_bits(), total(before));
+            assert_eq!(a.total().to_bits(), total(after));
+        }
+        // With room for both exact builds the pair answers exact.
+        let roomy = ResourceBudget::unlimited();
+        let (_, _, tier) =
+            estimate_power_pair(&adder, &mult, &roomy, &cfg, &params, &mut cache).unwrap();
+        assert_eq!(tier, Tier::ExactBdd);
     }
 
     #[test]

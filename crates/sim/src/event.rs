@@ -18,15 +18,14 @@ use crate::stimulus::PatternSet;
 use crate::wide::{prefix_mask, LANES};
 
 /// Reusable per-worker buffers for the event loop: net values, the settled
-/// reference state, fanin scratch, the calendar queue and the per-bucket
-/// batch/dedup buffers. Nothing in the per-cycle hot path allocates once
-/// the arena has warmed up, and [`par_map_with`](crate::par::par_map_with)
-/// builds one arena per worker thread, not one per shard.
+/// reference state, the calendar queue and the per-bucket batch/dedup
+/// buffers. Nothing in the per-cycle hot path allocates once the arena
+/// has warmed up, and [`par_map_with`](crate::par::par_map_with) builds
+/// one arena per worker thread, not one per shard.
 #[derive(Debug, Default)]
 pub struct EventArena {
     values: Vec<bool>,
     settled: Vec<bool>,
-    ins: Vec<bool>,
     queue: CalendarQueue,
     /// Transitions drained from one popped bucket, sorted by net.
     batch: Vec<(u32, bool)>,
@@ -399,18 +398,13 @@ impl<'a> EventSim<'a> {
         self
     }
 
-    fn settle(&self, values: &mut [bool], ins: &mut Vec<bool>) {
+    /// Settle every gate in topological order through [`EventSim::eval_net`].
+    fn settle(&self, values: &mut [bool]) {
         for &net in self.topo.order() {
-            let kind = self.nl.kind(net);
-            if kind.is_source() {
-                if let GateKind::Const(v) = kind {
-                    values[net.index()] = v;
-                }
-                continue;
+            let si = net.index();
+            if self.kinds[si] != GateKind::Input {
+                values[si] = self.eval_net(si, values);
             }
-            ins.clear();
-            ins.extend(self.nl.fanins(net).iter().map(|x| values[x.index()]));
-            values[net.index()] = kind.eval(ins);
         }
     }
 
@@ -422,17 +416,17 @@ impl<'a> EventSim<'a> {
         for (i, &pi) in self.nl.inputs().iter().enumerate() {
             chk[pi.index()] = pattern[i];
         }
-        self.settle(&mut chk, &mut arena.ins);
+        self.settle(&mut chk);
         debug_assert_eq!(chk, arena.values, "event sim must settle to functional values");
     }
 
     /// Apply `pattern` to the inputs of `values` and settle in place.
-    fn apply_and_settle(&self, pattern: &[bool], values: &mut [bool], ins: &mut Vec<bool>) {
+    fn apply_and_settle(&self, pattern: &[bool], values: &mut [bool]) {
         assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
         for (i, &pi) in self.nl.inputs().iter().enumerate() {
             values[pi.index()] = pattern[i];
         }
-        self.settle(values, ins);
+        self.settle(values);
     }
 
     /// Simulate up to `64 * L` consecutive cycle transitions word-parallel
@@ -593,7 +587,7 @@ impl<'a> EventSim<'a> {
         {
             let (lane, bit) = ((m - 1) / 64, (m - 1) % 64);
             let mut chk = vec![false; n];
-            self.apply_and_settle(&chunk[m - 1], &mut chk, &mut arena.ins);
+            self.apply_and_settle(&chunk[m - 1], &mut chk);
             for (i, &v) in chk.iter().enumerate() {
                 let got = arena.wcur[i * L + lane] >> bit & 1 != 0;
                 debug_assert_eq!(got, v, "dense block must exit on the settled state");
@@ -710,7 +704,7 @@ impl<'a> EventSim<'a> {
         arena.settled.clear();
         arena.settled.resize(n, false);
         arena.queue.reset(n, self.max_delay);
-        self.apply_and_settle(seed, &mut arena.values, &mut arena.ins);
+        self.apply_and_settle(seed, &mut arena.values);
         if prev_pattern.is_none() {
             for i in 0..n {
                 counts.ones[i] += arena.values[i] as u64;

@@ -12,19 +12,19 @@
 //! and one counts are updated by subtracting the old cone contribution and
 //! adding the new one, never by recounting the stream.
 //!
-//! Both engines are **bit-identical** to their from-scratch counterparts:
-//! [`IncrementalSim::activity`] equals `CombSim::activity` and
-//! [`IncrementalEventSim::activity`] equals `EventSim::activity` on the
-//! same netlist and stimulus, bit for bit. The event-driven variant adds
-//! the glitch-inclusive profile by re-timing the edited netlist with one
-//! [`crate::event::EventSim`] run per applied delta, so its answer *is*
-//! `EventSim`'s; under uniform delays that run takes the word-parallel
-//! dense kernel.
+//! [`IncrementalSim::activity`] is **bit-identical** to `CombSim::activity`
+//! on the same netlist and stimulus. When a delta dirties more than half
+//! the netlist (or under `LPOPT_INCR_STRESS=1`), the engine falls back to
+//! a full re-evaluation through the same code path — results are
+//! identical either way, the fallback merely skips pointless cone
+//! bookkeeping.
 //!
-//! When a delta dirties more than half the netlist (or under
-//! `LPOPT_INCR_STRESS=1`), the engines fall back to a full re-evaluation
-//! through the same code path — results are identical either way, the
-//! fallback merely skips pointless cone bookkeeping.
+//! [`IncrementalEventSim`] is the glitch-inclusive engine of the balance
+//! sweeps. It keeps no words of its own: an apply edits its netlist in
+//! place and runs one [`crate::event::EventSim`] over the result, so its
+//! answer *is* `EventSim`'s; under uniform delays that run takes the
+//! word-parallel dense kernel. A run the budget cuts short puts the
+//! netlist back from a record of that one apply.
 //!
 //! [`IncrementalSim`] also keeps three values per net resident for the
 //! live logic (the nets [`Netlist::sweep_dead`] keeps): how many live
@@ -65,12 +65,12 @@
 //! journal frame, no `stats()` or counter change, and the engine is left
 //! bit for bit as it was.
 //!
-//! Observability: every applied delta publishes `sim.incr.deltas`,
-//! `sim.incr.nets_dirtied`, `sim.incr.nets_reevaluated`,
+//! Observability: every delta the functional engine applies publishes
+//! `sim.incr.deltas`, `sim.incr.nets_dirtied`, `sim.incr.nets_reevaluated`,
 //! `sim.incr.cutoffs`, and `sim.incr.full_evals`; the undo stack adds
-//! `sim.incr.checkpoints`, `sim.incr.rollbacks`, and `sim.incr.commits`;
-//! the event engine's `EventSim` runs publish the usual whole-netlist
-//! `sim.event.*` counters.
+//! `sim.incr.checkpoints`, `sim.incr.rollbacks`, and `sim.incr.commits`.
+//! The event engine's `EventSim` runs publish the usual whole-netlist
+//! `sim.event.*` counters and nothing else.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -194,17 +194,19 @@ impl Delta {
     pub fn apply_to(&self, nl: &mut Netlist) {
         assert_eq!(nl.len(), self.base_len, "delta built against different netlist");
         for op in &self.ops {
-            match op {
-                DeltaOp::AddGate { kind, fanins } => {
-                    nl.add_gate(*kind, fanins);
-                }
-                DeltaOp::SetGate { net, kind, fanins } => {
-                    set_gate_in(nl, *net, *kind, fanins);
-                }
-                DeltaOp::ReplaceUses { old, new } => {
-                    nl.replace_uses(*old, *new);
-                }
+            op.apply_to(nl);
+        }
+    }
+}
+
+impl DeltaOp {
+    fn apply_to(&self, nl: &mut Netlist) {
+        match self {
+            DeltaOp::AddGate { kind, fanins } => {
+                nl.add_gate(*kind, fanins);
             }
+            DeltaOp::SetGate { net, kind, fanins } => set_gate_in(nl, *net, *kind, fanins),
+            DeltaOp::ReplaceUses { old, new } => nl.replace_uses(*old, *new),
         }
     }
 }
@@ -471,8 +473,8 @@ pub struct IncrementalSim {
 }
 
 /// Whether `LPOPT_INCR_STRESS` is set (to anything but `0`): the default
-/// `force_full` of every incremental engine built while it is, including
-/// `circuit::sizing::StaCache`.
+/// `force_full` of every [`IncrementalSim`] and `circuit::sizing::StaCache`
+/// built while it is.
 pub fn stress_env() -> bool {
     std::env::var_os("LPOPT_INCR_STRESS").is_some_and(|v| v != "0")
 }
@@ -520,44 +522,6 @@ impl IncrementalSim {
     /// `sim.comb.cycles` / `sim.comb.gate_evals` counters a
     /// [`crate::comb::CombSim`] run would.
     pub fn try_from_full_eval(
-        nl: &Netlist,
-        packed: &PackedPatterns,
-        budget: &ResourceBudget,
-        obs: obs::Obs,
-    ) -> Result<IncrementalSim, BudgetExceeded> {
-        let sim = Self::build(nl, packed, budget, obs)?;
-        sim.count_build();
-        Ok(sim)
-    }
-
-    /// Apply a delta (unlimited budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta creates a combinational cycle or violates
-    /// netlist invariants.
-    pub fn apply_delta(&mut self, delta: &Delta) -> ApplyInfo {
-        match self.try_apply_delta(delta, &ResourceBudget::unlimited()) {
-            Ok(info) => info,
-            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-        }
-    }
-
-    /// Apply a delta under a budget. Each re-evaluated net is metered as
-    /// `cycles` simulation steps (the unit the full engines use), checked
-    /// every 16 nets along with the deadline. On exhaustion the partial
-    /// apply is rolled back and the engine is exactly as before the call.
-    pub fn try_apply_delta(
-        &mut self,
-        delta: &Delta,
-        budget: &ResourceBudget,
-    ) -> Result<ApplyInfo, BudgetExceeded> {
-        let (info, undo) = self.apply(delta, budget)?;
-        self.record(&info, undo);
-        Ok(info)
-    }
-
-    fn build(
         nl: &Netlist,
         packed: &PackedPatterns,
         budget: &ResourceBudget,
@@ -619,6 +583,11 @@ impl IncrementalSim {
         for &net in topo.order() {
             arrival[net.index()] = unit_arrival(nl, &refs, net.index(), &arrival);
         }
+        if obs.is_enabled() {
+            obs.add("sim.comb.cycles", cycles as u64);
+            let evaluated = n - nl.num_inputs();
+            obs.add("sim.comb.gate_evals", nblocks as u64 * evaluated as u64);
+        }
         Ok(IncrementalSim {
             fanouts: nl.iter_nets().map(|net| topo.fanouts(net).to_vec()).collect(),
             refs,
@@ -651,25 +620,9 @@ impl IncrementalSim {
         })
     }
 
-    /// Publish the counters a [`crate::comb::CombSim`] run of the initial
-    /// evaluation would (once the whole build has succeeded).
-    fn count_build(&self) {
-        if self.obs.is_enabled() {
-            self.obs.add("sim.comb.cycles", self.cycles as u64);
-            let evaluated = self.nl.len() - self.nl.num_inputs();
-            self.obs
-                .add("sim.comb.gate_evals", self.nblocks as u64 * evaluated as u64);
-        }
-    }
-
     /// The engine's current netlist (base netlist plus all applied deltas).
     pub fn netlist(&self) -> &Netlist {
         &self.nl
-    }
-
-    /// Cycles in the resident stimulus.
-    pub fn cycles(&self) -> usize {
-        self.cycles
     }
 
     /// Cumulative incremental-evaluation statistics.
@@ -690,42 +643,31 @@ impl IncrementalSim {
         self.force_full
     }
 
-    /// Attach an observability handle (counters flush per applied delta).
-    pub fn with_obs(mut self, obs: obs::Obs) -> IncrementalSim {
-        self.obs = obs;
-        self
-    }
-
-    /// Journal an accepted apply and count it in `stats()` and the obs
-    /// counters. Called only once every layer has accepted the delta, so
-    /// an apply undone on budget exhaustion leaves no trace in either.
-    fn record(&mut self, info: &ApplyInfo, undo: Undo) {
-        self.journal.push(undo);
-        self.stats.deltas += 1;
-        self.stats.nets_dirtied += info.dirtied as u64;
-        self.stats.nets_reevaluated += info.reevaluated as u64;
-        self.stats.cutoffs += info.cutoffs as u64;
-        self.stats.full_evals += info.full_eval as u64;
-        self.stats.arrivals_retimed += info.retimed as u64;
-        if self.obs.is_enabled() {
-            self.obs.add("sim.incr.deltas", 1);
-            self.obs.add("sim.incr.nets_dirtied", info.dirtied as u64);
-            self.obs
-                .add("sim.incr.nets_reevaluated", info.reevaluated as u64);
-            self.obs.add("sim.incr.cutoffs", info.cutoffs as u64);
-            self.obs.add("sim.incr.full_evals", info.full_eval as u64);
+    /// Apply a delta (unlimited budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the delta creates a combinational cycle or violates
+    /// netlist invariants.
+    pub fn apply_delta(&mut self, delta: &Delta) -> ApplyInfo {
+        match self.try_apply_delta(delta, &ResourceBudget::unlimited()) {
+            Ok(info) => info,
+            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
         }
     }
 
-    /// Edit the netlist and re-evaluate the dirty nets, returning what
-    /// happened plus the frame that undoes it. The caller either records
-    /// the frame or undoes it; on budget exhaustion the partial apply is
-    /// undone here.
-    fn apply(
+    /// Apply a delta under a budget: edit the netlist, re-evaluate the
+    /// dirty nets, journal the frame that undoes the apply, and count it
+    /// in `stats()` and the obs counters. Each re-evaluated net is metered
+    /// as `cycles` simulation steps (the unit the full engines use),
+    /// checked every 16 nets along with the deadline. On exhaustion the
+    /// partial apply is rolled back and the engine is exactly as before
+    /// the call, with no trace in the journal, `stats()` or the counters.
+    pub fn try_apply_delta(
         &mut self,
         delta: &Delta,
         budget: &ResourceBudget,
-    ) -> Result<(ApplyInfo, Undo), BudgetExceeded> {
+    ) -> Result<ApplyInfo, BudgetExceeded> {
         assert_eq!(
             delta.base_len,
             self.nl.len(),
@@ -908,14 +850,28 @@ impl IncrementalSim {
         } else {
             self.cone.len()
         };
-        let info = ApplyInfo {
+        self.journal.push(undo);
+        self.stats.deltas += 1;
+        self.stats.nets_dirtied += dirtied as u64;
+        self.stats.nets_reevaluated += reevaluated as u64;
+        self.stats.cutoffs += cutoffs as u64;
+        self.stats.full_evals += full as u64;
+        self.stats.arrivals_retimed += retimed as u64;
+        if self.obs.is_enabled() {
+            self.obs.add("sim.incr.deltas", 1);
+            self.obs.add("sim.incr.nets_dirtied", dirtied as u64);
+            self.obs
+                .add("sim.incr.nets_reevaluated", reevaluated as u64);
+            self.obs.add("sim.incr.cutoffs", cutoffs as u64);
+            self.obs.add("sim.incr.full_evals", full as u64);
+        }
+        Ok(ApplyInfo {
             dirtied,
             reevaluated,
             cutoffs,
             full_eval: full,
             retimed,
-        };
-        Ok((info, undo))
+        })
     }
 
     /// Phase 5 of an apply: re-time the nets whose fanins moved (the
@@ -1372,47 +1328,98 @@ fn count_words(words: &[u64], cycles: usize) -> (u64, u64) {
     (toggles, ones)
 }
 
+/// What one apply overwrote in a netlist, enough to put it back: the old
+/// length, the old kind and fanins of each rewired gate, and the old net
+/// of each rewired output slot, oldest first.
+#[derive(Debug, Default)]
+struct NetlistUndo {
+    prev_len: usize,
+    gates: Vec<(NetId, GateKind, Vec<NetId>)>,
+    outputs: Vec<(usize, NetId)>,
+}
+
+impl NetlistUndo {
+    /// Apply `delta` to `nl` exactly as [`Delta::apply_to`] does,
+    /// recording what each op overwrites.
+    fn apply(delta: &Delta, nl: &mut Netlist) -> NetlistUndo {
+        assert_eq!(
+            nl.len(),
+            delta.base_len,
+            "delta built against different netlist"
+        );
+        let prev_len = nl.len();
+        let mut undo = NetlistUndo {
+            prev_len,
+            ..NetlistUndo::default()
+        };
+        for op in &delta.ops {
+            let mut save = |net: NetId| {
+                undo.gates
+                    .push((net, nl.kind(net), nl.fanins(net).to_vec()));
+            };
+            match op {
+                DeltaOp::AddGate { .. } => {}
+                DeltaOp::SetGate { net, .. } => save(*net),
+                DeltaOp::ReplaceUses { old, .. } => {
+                    // Gates appended by this delta go with the truncation.
+                    nl.iter_nets()
+                        .take(prev_len)
+                        .filter(|&net| nl.fanins(net).contains(old))
+                        .for_each(&mut save);
+                    for (idx, (net, _)) in nl.outputs().iter().enumerate() {
+                        if net == old {
+                            undo.outputs.push((idx, *old));
+                        }
+                    }
+                }
+            }
+            op.apply_to(nl);
+        }
+        undo
+    }
+
+    /// Put `nl` back as it was before the apply. Records are restored
+    /// newest first, so a gate or slot an apply overwrote twice ends at
+    /// its oldest value.
+    fn restore(self, nl: &mut Netlist) {
+        for (net, kind, fanins) in self.gates.into_iter().rev() {
+            set_gate_in(nl, net, kind, &fanins);
+        }
+        for (idx, net) in self.outputs.into_iter().rev() {
+            nl.set_output_net(idx, net);
+        }
+        nl.truncate(self.prev_len);
+    }
+}
+
 /// Incremental event-driven (timing) engine.
 ///
-/// An [`IncrementalSim`] carries the functional layer; the glitch-inclusive
-/// layer is one [`EventSim`] run over the edited netlist per applied delta,
-/// so [`IncrementalEventSim::activity`] is `EventSim`'s answer by
-/// construction. It has no undo stack: its callers build, apply and read,
-/// and never take a mark, so an accepted apply replaces the total profile
-/// outright.
+/// Holds the current netlist and the last [`EventSim`] answer on it. An
+/// apply edits the netlist in place as [`Delta::apply_to`] does and runs
+/// one [`EventSim`] over the result, so [`IncrementalEventSim::activity`]
+/// is `EventSim`'s answer by construction. A run the budget cuts short
+/// puts the netlist back from a record of that one apply and keeps the
+/// previous answer. There is no undo stack: callers build, apply and
+/// read.
 #[derive(Debug)]
 pub struct IncrementalEventSim {
-    func: IncrementalSim,
+    nl: Netlist,
     model: DelayModel,
-    /// The resident stimulus, unpacked once for the event runs.
+    /// The stimulus, unpacked once for the event runs.
     patterns: PatternSet,
-    /// Glitch-inclusive profile of the current netlist.
-    total: ActivityProfile,
+    obs: obs::Obs,
+    /// `EventSim`'s answer on the current netlist.
+    activity: TimingActivity,
 }
 
 impl IncrementalEventSim {
-    /// Build from a full functional evaluation plus one event run
-    /// (unlimited budget, no obs).
+    /// Build from one [`EventSim`] run of `nl` over `packed` under a
+    /// budget. Every run of the engine publishes its `sim.event.*`
+    /// counters to `obs`.
     ///
     /// # Panics
     ///
     /// Panics on sequential/cyclic netlists or stimulus width mismatch.
-    pub fn from_full_eval(
-        nl: &Netlist,
-        model: &DelayModel,
-        packed: &PackedPatterns,
-    ) -> IncrementalEventSim {
-        match Self::try_from_full_eval(nl, model, packed, &ResourceBudget::unlimited(), obs::Obs::disabled())
-        {
-            Ok(sim) => sim,
-            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-        }
-    }
-
-    /// [`IncrementalEventSim::from_full_eval`] under a budget, with an obs
-    /// handle. The event run publishes its `sim.event.*` counters and the
-    /// functional layer the `sim.comb.*` counters of its initial
-    /// evaluation.
     pub fn try_from_full_eval(
         nl: &Netlist,
         model: &DelayModel,
@@ -1420,78 +1427,52 @@ impl IncrementalEventSim {
         budget: &ResourceBudget,
         obs: obs::Obs,
     ) -> Result<IncrementalEventSim, BudgetExceeded> {
-        let func = IncrementalSim::build(nl, packed, budget, obs)?;
+        assert_eq!(packed.width(), nl.num_inputs(), "stimulus width");
         let patterns: PatternSet = (0..packed.cycles())
             .map(|k| (0..packed.width()).map(|i| packed.bit(i, k)).collect())
             .collect();
-        let total = EventSim::new(nl, model)
-            .with_obs(func.obs.clone())
-            .try_activity(&patterns, budget)?
-            .total;
-        func.count_build();
+        let activity = EventSim::new(nl, model)
+            .with_obs(obs.clone())
+            .try_activity(&patterns, budget)?;
         Ok(IncrementalEventSim {
-            func,
+            nl: nl.clone(),
             model: model.clone(),
             patterns,
-            total,
+            obs,
+            activity,
         })
     }
 
     /// The engine's current netlist.
     pub fn netlist(&self) -> &Netlist {
-        self.func.netlist()
+        &self.nl
     }
 
-    /// Cycles in the resident stimulus.
-    pub fn cycles(&self) -> usize {
-        self.func.cycles
-    }
-
-    /// Cumulative incremental-evaluation statistics (functional layer).
-    pub fn stats(&self) -> IncrStats {
-        self.func.stats()
-    }
-
-    /// See [`IncrementalSim::set_force_full`].
-    pub fn set_force_full(&mut self, on: bool) {
-        self.func.set_force_full(on);
-    }
-
-    /// Apply a delta (unlimited budget).
+    /// Apply a delta under a budget. The edited netlist's event run meters
+    /// its processed events against the step limit and its pending events
+    /// against the event-queue limit. On exhaustion the netlist and the
+    /// activity are exactly as before the call and the error is returned.
     ///
     /// # Panics
     ///
     /// Panics if the delta creates a cycle, violates netlist invariants, or
     /// (for [`DelayModel::PerNet`]) appends nets beyond the delay table.
-    pub fn apply_delta(&mut self, delta: &Delta) -> ApplyInfo {
-        match self.try_apply_delta(delta, &ResourceBudget::unlimited()) {
-            Ok(info) => info,
-            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-        }
-    }
-
-    /// Apply a delta under a budget: the functional layer meters
-    /// re-evaluated nets as `cycles` steps each, and the event run meters
-    /// the whole netlist's processed events against the same step limit
-    /// plus the event-queue limit. On exhaustion both layers are exactly
-    /// as before the call and the error is returned.
     pub fn try_apply_delta(
         &mut self,
         delta: &Delta,
         budget: &ResourceBudget,
-    ) -> Result<ApplyInfo, BudgetExceeded> {
-        let (info, undo) = self.func.apply(delta, budget)?;
-        let timing = EventSim::new(&self.func.nl, &self.model)
-            .with_obs(self.func.obs.clone())
+    ) -> Result<(), BudgetExceeded> {
+        let undo = NetlistUndo::apply(delta, &mut self.nl);
+        let run = EventSim::new(&self.nl, &self.model)
+            .with_obs(self.obs.clone())
             .try_activity(&self.patterns, budget);
-        match timing {
-            Ok(timing) => {
-                self.total = timing.total;
-                self.func.record(&info, undo);
-                Ok(info)
+        match run {
+            Ok(activity) => {
+                self.activity = activity;
+                Ok(())
             }
             Err(e) => {
-                self.func.undo_frame(undo);
+                undo.restore(&mut self.nl);
                 Err(e)
             }
         }
@@ -1500,18 +1481,15 @@ impl IncrementalEventSim {
     /// The timing activity, bit-identical to
     /// `EventSim::new(self.netlist(), model).activity(..)` on the same
     /// stimulus.
-    pub fn activity(&self) -> TimingActivity {
-        TimingActivity {
-            total: self.total.clone(),
-            functional: self.func.activity(),
-        }
+    pub fn activity(&self) -> &TimingActivity {
+        &self.activity
     }
 
     /// Switched capacitance per cycle under the *total* (glitch-inclusive)
     /// toggle rates: `switched_capacitance` on the total profile of
     /// [`IncrementalEventSim::activity`].
     pub fn switched_cap(&self) -> f64 {
-        self.total.switched_capacitance(&self.func.nl)
+        self.activity.total.switched_capacitance(&self.nl)
     }
 }
 
@@ -1533,6 +1511,23 @@ mod tests {
             p.toggles.iter().map(|t| t.to_bits()).collect(),
             p.probability.iter().map(|t| t.to_bits()).collect(),
         )
+    }
+
+    /// An event engine over `nl` built under an unlimited budget.
+    fn event_engine(
+        nl: &Netlist,
+        model: &DelayModel,
+        packed: &PackedPatterns,
+    ) -> IncrementalEventSim {
+        let unlimited = ResourceBudget::unlimited();
+        IncrementalEventSim::try_from_full_eval(nl, model, packed, &unlimited, obs::Obs::disabled())
+            .expect("unlimited budget")
+    }
+
+    fn apply_event(engine: &mut IncrementalEventSim, delta: &Delta) {
+        engine
+            .try_apply_delta(delta, &ResourceBudget::unlimited())
+            .expect("unlimited budget");
     }
 
     #[test]
@@ -1717,7 +1712,7 @@ mod tests {
         let patterns = Stimulus::uniform(8).patterns(150, 9);
         let packed = PackedPatterns::pack(&patterns);
         for model in [DelayModel::Unit, DelayModel::Analytic { resolution: 4 }] {
-            let mut engine = IncrementalEventSim::from_full_eval(&nl, &model, &packed);
+            let mut engine = event_engine(&nl, &model, &packed);
             let reference = EventSim::new(&nl, &model).activity(&patterns);
             assert_eq!(bits(&engine.activity().total), bits(&reference.total));
             assert_eq!(
@@ -1734,7 +1729,7 @@ mod tests {
             let b2 = delta.add_gate(GateKind::Buf, &[b1]);
             fanins[1] = b2;
             delta.set_gate(sink, nl.kind(sink), &fanins);
-            engine.apply_delta(&delta);
+            apply_event(&mut engine, &delta);
             let mut edited = nl.clone();
             delta.apply_to(&mut edited);
             let edited_ref = EventSim::new(&edited, &model).activity(&patterns);
@@ -1749,7 +1744,7 @@ mod tests {
         let patterns = Stimulus::uniform(8).patterns(110, 23);
         let packed = PackedPatterns::pack(&patterns);
         let model = DelayModel::Analytic { resolution: 4 };
-        let mut engine = IncrementalEventSim::from_full_eval(&nl, &model, &packed);
+        let mut engine = event_engine(&nl, &model, &packed);
         let victim = nl
             .iter_nets()
             .find(|&g| nl.kind(g) == GateKind::And)
@@ -1757,7 +1752,7 @@ mod tests {
         let mut edited = nl.clone();
         let mut d1 = Delta::for_netlist(&edited);
         d1.set_gate(victim, GateKind::Or, nl.fanins(victim));
-        engine.apply_delta(&d1);
+        apply_event(&mut engine, &d1);
         d1.apply_to(&mut edited);
         let ref1 = EventSim::new(&edited, &model).activity(&patterns);
         assert_eq!(bits(&engine.activity().total), bits(&ref1.total));
@@ -1769,7 +1764,7 @@ mod tests {
         let buf = d2.add_gate(GateKind::Buf, &[fanins[0]]);
         fanins[0] = buf;
         d2.set_gate(sink, edited.kind(sink), &fanins);
-        engine.apply_delta(&d2);
+        apply_event(&mut engine, &d2);
         d2.apply_to(&mut edited);
         let ref2 = EventSim::new(&edited, &model).activity(&patterns);
         assert_eq!(bits(&engine.activity().total), bits(&ref2.total));
@@ -1802,16 +1797,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_skip_an_apply_the_event_replay_rolls_back() {
-        // XOR-XOR-AND: the functional layer re-evaluates three nets within
-        // the budget, then the event run of 256 cycles exceeds it.
+    fn starved_event_apply_restores_netlist_and_profiles() {
+        // x1 = a ^ b, s = x1 ^ c (an output that also feeds y), y = s & a.
         let mut nl = Netlist::new("xxa");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
         let c = nl.add_input("c");
         let x1 = nl.add_gate(GateKind::Xor, &[a, b]);
-        let x2 = nl.add_gate(GateKind::Xor, &[x1, c]);
-        let y = nl.add_gate(GateKind::And, &[x2, a]);
+        let s = nl.add_gate(GateKind::Xor, &[x1, c]);
+        let y = nl.add_gate(GateKind::And, &[s, a]);
+        nl.mark_output(s, "s");
         nl.mark_output(y, "y");
         let patterns = Stimulus::uniform(3).patterns(256, 1);
         let packed = PackedPatterns::pack(&patterns);
@@ -1825,27 +1820,38 @@ mod tests {
             obs.clone(),
         )
         .expect("unlimited budget");
-        // One accepted edit, then a starved one.
-        let mut first = Delta::for_netlist(&nl);
-        first.set_gate(y, GateKind::Or, &[x2, a]);
-        engine.apply_delta(&first);
-        let before = engine.stats();
-        let mut once = nl.clone();
-        first.apply_to(&mut once);
-        let mut starved = Delta::for_netlist(&once);
-        starved.set_gate(x1, GateKind::Xnor, &[a, b]);
-        let tight = ResourceBudget::unlimited().with_max_sim_steps(257);
-        assert!(engine.try_apply_delta(&starved, &tight).is_err());
-        // Both layers are exactly the once-edited engine's, and no counter
-        // moved for the failed apply.
-        assert_eq!(write_text(engine.netlist()), write_text(&once));
-        let reference = EventSim::new(&once, &DelayModel::Unit).activity(&patterns);
+        // One delta that appends gates, rewires two gates, and replaces the
+        // uses of a primary-output net that also drives one of them, so y
+        // is overwritten twice and must come back to its first state.
+        let mut delta = Delta::for_netlist(&nl);
+        let buf = delta.add_gate(GateKind::Buf, &[b]);
+        delta.set_gate(x1, GateKind::Xnor, &[a, buf]);
+        delta.set_gate(y, GateKind::Or, &[s, buf]);
+        let fresh = delta.add_gate(GateKind::Nand, &[x1, c]);
+        delta.replace_uses(s, fresh);
+        let text = write_text(engine.netlist());
+        let before = engine.activity().clone();
+        let processed = obs.snapshot().counter("sim.event.processed");
+        let tight = ResourceBudget::unlimited().with_max_sim_steps(1);
+        let err = engine.try_apply_delta(&delta, &tight).unwrap_err();
+        assert_eq!(err.resource, budget::Resource::SimSteps);
+        // The netlist, both profiles and the counters are as before.
+        assert_eq!(write_text(engine.netlist()), text);
         let got = engine.activity();
-        assert_eq!(bits(&got.functional), bits(&reference.functional));
+        assert_eq!(bits(&got.total), bits(&before.total));
+        assert_eq!(bits(&got.functional), bits(&before.functional));
+        assert_eq!(obs.snapshot().counter("sim.event.processed"), processed);
+        // The same delta then applies and matches a from-scratch run.
+        apply_event(&mut engine, &delta);
+        let mut edited = nl.clone();
+        delta.apply_to(&mut edited);
+        assert_eq!(write_text(engine.netlist()), write_text(&edited));
+        let reference = EventSim::new(&edited, &DelayModel::Unit).activity(&patterns);
+        let got = engine.activity();
         assert_eq!(bits(&got.total), bits(&reference.total));
-        assert_eq!(engine.stats(), before);
-        assert_eq!(engine.stats().deltas, 1);
-        assert_eq!(obs.snapshot().counter("sim.incr.deltas"), Some(1));
+        assert_eq!(bits(&got.functional), bits(&reference.functional));
+        let cap = reference.total.switched_capacitance(&edited);
+        assert_eq!(engine.switched_cap().to_bits(), cap.to_bits());
     }
 
     #[test]

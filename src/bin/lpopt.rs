@@ -44,7 +44,7 @@ use lowpower::logicopt::mapping::{map, standard_library, MapObjective};
 use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use lowpower::netlist::blif::{parse_text, write_text};
 use lowpower::netlist::{gen, Netlist, NetlistStats};
-use lowpower::power::chain::{estimate_power, estimate_power_cached, ChainConfig, ChainEstimate};
+use lowpower::power::chain::{estimate_power, estimate_power_pair, ChainConfig, ChainEstimate};
 use lowpower::power::exact::CircuitBddCache;
 use lowpower::power::model::{PowerParams, PowerReport};
 use lowpower::sim::event::{DelayModel, EventSim};
@@ -388,8 +388,8 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
             )
             .map_err(|e| fail(format!("dontcare: {e}")))?;
             report.candidates.publish(&opts.obs);
-            // Not-worse guard: re-estimate both sides with whatever tier
-            // the budget affords and keep the original on a regression.
+            // Not-worse guard: re-estimate both sides on the one tier the
+            // budget affords both and keep the original on a regression.
             let params = PowerParams::default();
             let cfg = ChainConfig {
                 jobs: opts.jobs,
@@ -398,26 +398,30 @@ fn run_command(opts: &Opts, command: &str, args: &[String]) -> Result<String, Cl
                 ..ChainConfig::default()
             };
             let mut chosen = &optimized;
-            let verdict = match (
-                estimate_power_cached(&nl, &opts.budget, &cfg, &params, &mut bdd_cache),
-                estimate_power_cached(&optimized, &opts.budget, &cfg, &params, &mut bdd_cache),
+            let verdict = match estimate_power_pair(
+                &nl,
+                &optimized,
+                &opts.budget,
+                &cfg,
+                &params,
+                &mut bdd_cache,
             ) {
-                (Ok((before, _)), Ok((after, est))) if after.total() > before.total() => {
+                Ok((before, after, tier)) if after.total() > before.total() => {
                     chosen = &nl;
                     format!(
                         "reverted ({}): optimized power {:.4e} > original {:.4e} mW (netlist unchanged)\n",
-                        est.tier.name(),
+                        tier.name(),
                         after.total(),
                         before.total()
                     )
                 }
-                (Ok((before, _)), Ok((after, est))) => format!(
+                Ok((before, after, tier)) => format!(
                     "power check ({}): {:.4e} -> {:.4e} mW\n",
-                    est.tier.name(),
+                    tier.name(),
                     before.total(),
                     after.total()
                 ),
-                (Err(e), _) | (_, Err(e)) => format!("power check skipped: {e}\n"),
+                Err(e) => format!("power check skipped: {e}\n"),
             };
             save(chosen, out)?;
             let exhausted = if report.budget_exhausted {

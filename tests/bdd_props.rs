@@ -14,7 +14,7 @@
 use lowpower::budget::ResourceBudget;
 use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::Netlist;
-use lowpower::power::chain::{estimate_activity, estimate_activity_cached, ChainConfig};
+use lowpower::power::chain::{estimate_activity, estimate_activity_resident, ChainConfig};
 use lowpower::power::exact::{try_circuit_bdds, CircuitBddCache};
 use lowpower::sim::ActivityProfile;
 use proptest::prelude::*;
@@ -127,8 +127,8 @@ proptest! {
         let plain = estimate_activity(&nl, &budget, &cfg).unwrap();
 
         let mut cache = CircuitBddCache::new();
-        let missed = estimate_activity_cached(&nl, &budget, &cfg, &mut cache).unwrap();
-        let hit = estimate_activity_cached(&nl, &budget, &cfg, &mut cache).unwrap();
+        let missed = estimate_activity_resident(&nl, &budget, &cfg, &mut cache, None).unwrap();
+        let hit = estimate_activity_resident(&nl, &budget, &cfg, &mut cache, None).unwrap();
         prop_assert_eq!((cache.hits(), cache.misses()), (1, 1));
         prop_assert_eq!(bits_of(&plain.profile), bits_of(&missed.profile));
         prop_assert_eq!(bits_of(&missed.profile), bits_of(&hit.profile));

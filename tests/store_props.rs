@@ -18,7 +18,7 @@ use lowpower::bdd::store::{read_bdd, write_bdd, StoreError};
 use lowpower::budget::ResourceBudget;
 use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::Netlist;
-use lowpower::power::chain::{estimate_activity_cached, ChainConfig};
+use lowpower::power::chain::{estimate_activity_resident, ChainConfig};
 use lowpower::power::exact::{try_circuit_bdds, verify_snapshot_text, CircuitBddCache};
 use lowpower::power::order::ReorderConfig;
 use lowpower::sim::ActivityProfile;
@@ -106,7 +106,7 @@ proptest! {
         let mut warm = CircuitBddCache::new();
         let cold_answers: Vec<_> = circuits
             .iter()
-            .map(|nl| estimate_activity_cached(nl, &budget, &cfg, &mut warm).unwrap())
+            .map(|nl| estimate_activity_resident(nl, &budget, &cfg, &mut warm, None).unwrap())
             .collect();
         let text = warm.snapshot_text();
         verify_snapshot_text(&text).unwrap();
@@ -115,7 +115,7 @@ proptest! {
         let mut restored = CircuitBddCache::new();
         prop_assert_eq!(restored.load_snapshot_text(&text).unwrap(), circuits.len());
         for (nl, cold) in circuits.iter().zip(&cold_answers) {
-            let again = estimate_activity_cached(nl, &budget, &cfg, &mut restored).unwrap();
+            let again = estimate_activity_resident(nl, &budget, &cfg, &mut restored, None).unwrap();
             prop_assert_eq!(again.tier, cold.tier);
             prop_assert_eq!(
                 bits_of(&again.profile),
@@ -239,7 +239,7 @@ proptest! {
         let mut warm = CircuitBddCache::new();
         let cold_answers: Vec<_> = circuits
             .iter()
-            .map(|nl| estimate_activity_cached(nl, &budget, &cfg, &mut warm).unwrap())
+            .map(|nl| estimate_activity_resident(nl, &budget, &cfg, &mut warm, None).unwrap())
             .collect();
         let text = warm.snapshot_text();
         verify_snapshot_text(&text).unwrap();
@@ -247,7 +247,7 @@ proptest! {
         let mut restored = CircuitBddCache::new();
         prop_assert_eq!(restored.load_snapshot_text(&text).unwrap(), circuits.len());
         for (nl, cold) in circuits.iter().zip(&cold_answers) {
-            let again = estimate_activity_cached(nl, &budget, &cfg, &mut restored).unwrap();
+            let again = estimate_activity_resident(nl, &budget, &cfg, &mut restored, None).unwrap();
             prop_assert_eq!(again.tier, cold.tier);
             prop_assert_eq!(
                 bits_of(&again.profile),
@@ -264,7 +264,7 @@ proptest! {
             reorder: ReorderConfig::parse("force+always").unwrap(),
             ..ChainConfig::default()
         };
-        estimate_activity_cached(&circuits[0], &budget, &other, &mut restored).unwrap();
+        estimate_activity_resident(&circuits[0], &budget, &other, &mut restored, None).unwrap();
         prop_assert_eq!(restored.misses(), 1);
     }
 
