@@ -60,7 +60,10 @@ impl<'a> CombSim<'a> {
     /// Panics if the netlist is sequential or cyclic (use
     /// [`crate::seq::SeqSim`] for sequential circuits).
     pub fn new(nl: &'a Netlist) -> CombSim<'a> {
-        assert!(nl.is_combinational(), "CombSim requires combinational netlist");
+        assert!(
+            nl.is_combinational(),
+            "CombSim requires combinational netlist"
+        );
         let order = nl.topo_order().expect("netlist must be acyclic");
         CombSim {
             nl,
@@ -116,7 +119,10 @@ impl<'a> CombSim<'a> {
         // whole gather + fold stays unrolled in vector registers. The heap
         // scratch remains as the any-arity spill path.
         #[inline(always)]
-        fn gather<const L: usize, const F: usize>(values: &[u64], fanins: &[NetId]) -> [[u64; L]; F] {
+        fn gather<const L: usize, const F: usize>(
+            values: &[u64],
+            fanins: &[NetId],
+        ) -> [[u64; L]; F] {
             let mut buf = [[0u64; L]; F];
             for (f, &x) in fanins.iter().enumerate() {
                 buf[f].copy_from_slice(&values[L * x.index()..][..L]);
@@ -183,7 +189,12 @@ impl<'a> CombSim<'a> {
         arena: &mut CombArena,
         budget: &ResourceBudget,
     ) -> Result<ShardCounts, BudgetExceeded> {
-        const { assert!(LANES.is_multiple_of(L), "a group must sit inside one packed wide block") };
+        const {
+            assert!(
+                LANES.is_multiple_of(L),
+                "a group must sit inside one packed wide block"
+            )
+        };
         let n = self.nl.len();
         let mut counts = ShardCounts {
             toggles: vec![0u64; n],
@@ -355,7 +366,10 @@ impl<'a> CombSim<'a> {
         let denom = (cycles.saturating_sub(1)).max(1) as f64;
         Ok(ActivityProfile {
             toggles: toggles.iter().map(|&t| t as f64 / denom).collect(),
-            probability: ones.iter().map(|&o| o as f64 / cycles.max(1) as f64).collect(),
+            probability: ones
+                .iter()
+                .map(|&o| o as f64 / cycles.max(1) as f64)
+                .collect(),
             cycles,
         })
     }
@@ -521,7 +535,10 @@ mod tests {
         let mut c = netlist::Netlist::new("broken");
         let inputs: Vec<_> = (0..6).map(|i| c.add_input(format!("x{i}"))).collect();
         for w in 0..a.num_outputs() {
-            let g = c.add_gate(netlist::GateKind::Xor, &[inputs[w % 6], inputs[(w + 1) % 6]]);
+            let g = c.add_gate(
+                netlist::GateKind::Xor,
+                &[inputs[w % 6], inputs[(w + 1) % 6]],
+            );
             c.mark_output(g, format!("s{w}"));
         }
         assert_eq!(c.num_outputs(), a.num_outputs());
@@ -599,7 +616,10 @@ mod tests {
         }
         let denom = (patterns.len() - 1) as f64;
         for i in 0..nl.len() {
-            assert!((fast.toggles[i] - toggles[i] as f64 / denom).abs() < 1e-12, "net {i}");
+            assert!(
+                (fast.toggles[i] - toggles[i] as f64 / denom).abs() < 1e-12,
+                "net {i}"
+            );
             assert!(
                 (fast.probability[i] - ones[i] as f64 / patterns.len() as f64).abs() < 1e-12,
                 "net {i}"

@@ -91,7 +91,10 @@ impl std::fmt::Display for FaultError {
                 write!(f, "fault site n{net} out of range (netlist has {len} nets)")
             }
             FaultError::CycleOutOfRange { cycle, cycles } => {
-                write!(f, "flip cycle {cycle} out of range (stream has {cycles} cycles)")
+                write!(
+                    f,
+                    "flip cycle {cycle} out of range (stream has {cycles} cycles)"
+                )
             }
             FaultError::Budget(e) => write!(f, "{e}"),
         }
@@ -132,11 +135,21 @@ pub fn all_stuck_at_faults(nl: &Netlist) -> Vec<Fault> {
         match nl.kind(net) {
             GateKind::Const(v) => faults.push(Fault {
                 net,
-                kind: if v { FaultKind::StuckAt0 } else { FaultKind::StuckAt1 },
+                kind: if v {
+                    FaultKind::StuckAt0
+                } else {
+                    FaultKind::StuckAt1
+                },
             }),
             _ => {
-                faults.push(Fault { net, kind: FaultKind::StuckAt0 });
-                faults.push(Fault { net, kind: FaultKind::StuckAt1 });
+                faults.push(Fault {
+                    net,
+                    kind: FaultKind::StuckAt0,
+                });
+                faults.push(Fault {
+                    net,
+                    kind: FaultKind::StuckAt1,
+                });
             }
         }
     }
@@ -341,18 +354,29 @@ impl<'a> FaultSim<'a> {
                 }
             }
         }
-        let mut state: Vec<bool> =
-            self.nl.dffs().iter().map(|&d| self.nl.dff_init(d)).collect();
+        let mut state: Vec<bool> = self
+            .nl
+            .dffs()
+            .iter()
+            .map(|&d| self.nl.dff_init(d))
+            .collect();
         let FaultArena { values, ins, .. } = arena;
         let mut trace = Vec::with_capacity(patterns.len());
-        let dff_slot = fault.and_then(|f| {
-            self.nl.dffs().iter().position(|&d| d == f.net)
-        });
+        let dff_slot = fault.and_then(|f| self.nl.dffs().iter().position(|&d| d == f.net));
         for (c, p) in patterns.iter().enumerate() {
             let force = match fault {
-                Some(Fault { net, kind: FaultKind::StuckAt0 }) => Some((net, false)),
-                Some(Fault { net, kind: FaultKind::StuckAt1 }) => Some((net, true)),
-                Some(Fault { net, kind: FaultKind::BitFlip { cycle } }) if cycle == c => {
+                Some(Fault {
+                    net,
+                    kind: FaultKind::StuckAt0,
+                }) => Some((net, false)),
+                Some(Fault {
+                    net,
+                    kind: FaultKind::StuckAt1,
+                }) => Some((net, true)),
+                Some(Fault {
+                    net,
+                    kind: FaultKind::BitFlip { cycle },
+                }) if cycle == c => {
                     // Invert what the net would have carried this cycle.
                     let clean = self.clean_value(net, &state, p, values, ins);
                     Some((net, !clean))
@@ -409,10 +433,7 @@ impl<'a> FaultSim<'a> {
         arena: &mut FaultArena,
     ) -> Result<FaultReport, FaultError> {
         let (trace, end_state) = self.faulty_with(patterns, fault, arena)?;
-        let first_detected = trace
-            .iter()
-            .zip(golden.0.iter())
-            .position(|(a, b)| a != b);
+        let first_detected = trace.iter().zip(golden.0.iter()).position(|(a, b)| a != b);
         Ok(FaultReport {
             fault,
             first_detected,
@@ -502,8 +523,7 @@ impl<'a> FaultSim<'a> {
             if kind.is_source() {
                 if let GateKind::Const(c) = kind {
                     if force.map(|(f, _)| f) != Some(net) {
-                        values[net.index() * LANES..][..LANES]
-                            .fill(if c { u64::MAX } else { 0 });
+                        values[net.index() * LANES..][..LANES].fill(if c { u64::MAX } else { 0 });
                     }
                 }
                 continue;
@@ -662,10 +682,14 @@ impl<'a> FaultSim<'a> {
                 );
                 let mut diff = 0u64;
                 for (o, (net, _)) in self.nl.outputs().iter().enumerate() {
-                    diff |= arena.w_vals[net.index() * LANES + w]
-                        ^ golden[g * osize + o * LANES + w];
+                    diff |=
+                        arena.w_vals[net.index() * LANES + w] ^ golden[g * osize + o * LANES + w];
                 }
-                if diff & (1 << bit) != 0 { Some(cycle) } else { None }
+                if diff & (1 << bit) != 0 {
+                    Some(cycle)
+                } else {
+                    None
+                }
             }
         };
         Ok(FaultReport {
@@ -692,7 +716,9 @@ impl<'a> FaultSim<'a> {
         let faults: Vec<Fault> = (0..count)
             .map(|_| Fault {
                 net: NetId::from_index(rng.range(0, self.nl.len())),
-                kind: FaultKind::BitFlip { cycle: rng.range(0, cycles) },
+                kind: FaultKind::BitFlip {
+                    cycle: rng.range(0, cycles),
+                },
             })
             .collect();
         self.campaign(patterns, &faults, jobs, budget)
@@ -734,7 +760,11 @@ mod tests {
             for value in [false, true] {
                 let structural = inject_stuck_at(&nl, net, value).unwrap();
                 let expect = CombSim::new(&structural).eval_outputs(&patterns);
-                let kind = if value { FaultKind::StuckAt1 } else { FaultKind::StuckAt0 };
+                let kind = if value {
+                    FaultKind::StuckAt1
+                } else {
+                    FaultKind::StuckAt0
+                };
                 let (got, _) = sim.faulty(&patterns, Fault { net, kind }).unwrap();
                 assert_eq!(got, expect, "net {net} sa{}", value as u8);
             }
@@ -767,7 +797,10 @@ mod tests {
         let report = sim
             .report(
                 &patterns,
-                Fault { net: lsb, kind: FaultKind::BitFlip { cycle: 7 } },
+                Fault {
+                    net: lsb,
+                    kind: FaultKind::BitFlip { cycle: 7 },
+                },
                 &golden,
             )
             .unwrap();
@@ -776,7 +809,13 @@ mod tests {
         assert!(report.state_corrupted);
         // Flip cycle past the stream is a typed error.
         let err = sim
-            .faulty(&patterns, Fault { net: lsb, kind: FaultKind::BitFlip { cycle: 99 } })
+            .faulty(
+                &patterns,
+                Fault {
+                    net: lsb,
+                    kind: FaultKind::BitFlip { cycle: 99 },
+                },
+            )
             .unwrap_err();
         assert!(matches!(err, FaultError::CycleOutOfRange { .. }));
     }
@@ -794,7 +833,9 @@ mod tests {
             let mut rng = netlist::Rng64::new(41);
             faults.extend((0..40).map(|_| Fault {
                 net: NetId::from_index(rng.range(0, nl.len())),
-                kind: FaultKind::BitFlip { cycle: rng.range(0, cycles.max(1)) },
+                kind: FaultKind::BitFlip {
+                    cycle: rng.range(0, cycles.max(1)),
+                },
             }));
             let golden = sim.golden(&patterns);
             let stepped: Vec<_> = faults
@@ -828,8 +869,7 @@ mod tests {
         let err = sim.campaign(&patterns, &faults, 2, &tight).unwrap_err();
         assert!(matches!(err, FaultError::Budget(_)), "{err}");
         // Generous budget completes and matches the unbudgeted campaign.
-        let roomy = ResourceBudget::unlimited()
-            .with_max_sim_steps(run * (faults.len() as u64 + 2));
+        let roomy = ResourceBudget::unlimited().with_max_sim_steps(run * (faults.len() as u64 + 2));
         let a = sim.campaign(&patterns, &faults, 2, &roomy).unwrap();
         let b = sim
             .campaign(&patterns, &faults, 1, &ResourceBudget::unlimited())

@@ -159,7 +159,10 @@ impl Delta {
     /// Replace the function and fanins of an existing gate.
     pub fn set_gate(&mut self, net: NetId, kind: GateKind, fanins: &[NetId]) {
         assert!(net.index() < self.base_len, "set_gate target must exist");
-        assert!(kind != GateKind::Input, "cannot rewrite a net into an input");
+        assert!(
+            kind != GateKind::Input,
+            "cannot rewrite a net into an input"
+        );
         self.ops.push(DeltaOp::SetGate {
             net,
             kind,
@@ -192,7 +195,11 @@ impl Delta {
     /// Panics if `nl` is not the size the delta was built against, or if an
     /// op violates the netlist's arity/range invariants.
     pub fn apply_to(&self, nl: &mut Netlist) {
-        assert_eq!(nl.len(), self.base_len, "delta built against different netlist");
+        assert_eq!(
+            nl.len(),
+            self.base_len,
+            "delta built against different netlist"
+        );
         for op in &self.ops {
             op.apply_to(nl);
         }
@@ -510,8 +517,12 @@ impl IncrementalSim {
     /// Panics if the netlist is sequential/cyclic or the stimulus width
     /// does not match.
     pub fn from_full_eval(nl: &Netlist, packed: &PackedPatterns) -> IncrementalSim {
-        match Self::try_from_full_eval(nl, packed, &ResourceBudget::unlimited(), obs::Obs::disabled())
-        {
+        match Self::try_from_full_eval(
+            nl,
+            packed,
+            &ResourceBudget::unlimited(),
+            obs::Obs::disabled(),
+        ) {
             Ok(sim) => sim,
             Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
         }
@@ -527,7 +538,10 @@ impl IncrementalSim {
         budget: &ResourceBudget,
         obs: obs::Obs,
     ) -> Result<IncrementalSim, BudgetExceeded> {
-        assert!(nl.is_combinational(), "incremental engine requires combinational netlist");
+        assert!(
+            nl.is_combinational(),
+            "incremental engine requires combinational netlist"
+        );
         assert_eq!(packed.width(), nl.num_inputs(), "stimulus width");
         let topo = nl.topology().expect("netlist must be acyclic");
         let n = nl.len();
@@ -589,7 +603,10 @@ impl IncrementalSim {
             obs.add("sim.comb.gate_evals", nblocks as u64 * evaluated as u64);
         }
         Ok(IncrementalSim {
-            fanouts: nl.iter_nets().map(|net| topo.fanouts(net).to_vec()).collect(),
+            fanouts: nl
+                .iter_nets()
+                .map(|net| topo.fanouts(net).to_vec())
+                .collect(),
             refs,
             arrival,
             nl: nl.clone(),
@@ -728,7 +745,10 @@ impl IncrementalSim {
                     self.touched.push(*net);
                 }
                 DeltaOp::ReplaceUses { old, new } => {
-                    assert!(new.index() < self.nl.len(), "replacement {new} out of range");
+                    assert!(
+                        new.index() < self.nl.len(),
+                        "replacement {new} out of range"
+                    );
                     for (idx, (net, _)) in self.nl.outputs().iter().enumerate() {
                         if net == old {
                             undo.outputs.push((idx, *old));
@@ -817,7 +837,8 @@ impl IncrementalSim {
                 let t = self.touched[i];
                 if self.queued_stamp[t.index()] != self.epoch {
                     self.queued_stamp[t.index()] = self.epoch;
-                    self.heap.push(Reverse((self.levels[t.index()], t.index() as u32)));
+                    self.heap
+                        .push(Reverse((self.levels[t.index()], t.index() as u32)));
                 }
             }
         }
@@ -1638,7 +1659,11 @@ mod tests {
         assert!(engine.commit(m_done));
         assert!(!engine.rollback_to(m0), "rollback past commit must fail");
         assert_eq!(engine.pending_frames(), 0, "committed frames are gone");
-        assert_eq!(bits(&engine.activity()), committed, "rejection changed nothing");
+        assert_eq!(
+            bits(&engine.activity()),
+            committed,
+            "rejection changed nothing"
+        );
 
         let mut edited = nl.clone();
         edited.set_kind(gates[0], GateKind::Or);

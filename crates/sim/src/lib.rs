@@ -31,7 +31,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

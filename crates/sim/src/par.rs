@@ -45,7 +45,9 @@ pub fn num_threads(jobs: usize) -> usize {
     if jobs > 0 {
         jobs
     } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 }
 

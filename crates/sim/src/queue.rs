@@ -235,7 +235,11 @@ impl CalendarQueue {
     fn push_node(&mut self, net: u32, time: u64, value: bool) {
         let id = self.nodes.len() as u32;
         self.nodes.push(Node { net, value });
-        self.slots[net as usize] = Slot { time, stamp: self.epoch, node: id };
+        self.slots[net as usize] = Slot {
+            time,
+            stamp: self.epoch,
+            node: id,
+        };
         let wheel = self.mask + 1;
         if time < self.cursor + wheel {
             self.bucket_insert(time, id);
@@ -399,10 +403,7 @@ mod tests {
         assert_eq!(q.schedule(2, 3, true), Scheduled::New);
         assert_eq!(q.schedule(2, 9, false), Scheduled::New);
         let waves = drain_all(&mut q);
-        assert_eq!(
-            waves,
-            vec![(3, vec![(2, true)]), (9, vec![(2, false)])]
-        );
+        assert_eq!(waves, vec![(3, vec![(2, true)]), (9, vec![(2, false)])]);
     }
 
     #[test]
@@ -483,7 +484,7 @@ mod tests {
         q.begin_cycle();
         q.schedule(0, 5, true);
         q.schedule(1, 500, true); // overflow
-        // Simulate an aborted run: reset without draining.
+                                  // Simulate an aborted run: reset without draining.
         q.reset(4, 1);
         assert!(q.is_empty());
         q.begin_cycle();

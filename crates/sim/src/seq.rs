@@ -86,7 +86,11 @@ impl<'a> SeqSim<'a> {
             }
             stack.extend(nl.fanins(net).iter().copied());
         }
-        let state_order = order.iter().copied().filter(|n| in_cone[n.index()]).collect();
+        let state_order = order
+            .iter()
+            .copied()
+            .filter(|n| in_cone[n.index()])
+            .collect();
         SeqSim {
             nl,
             order,
@@ -107,7 +111,11 @@ impl<'a> SeqSim<'a> {
 
     /// Initial register state from the netlist's declared init values.
     pub fn initial_state(&self) -> Vec<bool> {
-        self.nl.dffs().iter().map(|&d| self.nl.dff_init(d)).collect()
+        self.nl
+            .dffs()
+            .iter()
+            .map(|&d| self.nl.dff_init(d))
+            .collect()
     }
 
     /// Evaluate the combinational logic for one cycle.
@@ -256,7 +264,13 @@ impl<'a> SeqSim<'a> {
         arena.state.clear();
         arena.state.extend_from_slice(start_state);
         if let Some(p) = prev_pattern {
-            self.settle_into(&arena.state, p, &mut arena.prev_values, &mut arena.ins, &self.order);
+            self.settle_into(
+                &arena.state,
+                p,
+                &mut arena.prev_values,
+                &mut arena.ins,
+                &self.order,
+            );
             prev_valid[0] |= 1;
             for i in 0..n {
                 if arena.prev_values[i] {
@@ -291,8 +305,18 @@ impl<'a> SeqSim<'a> {
                     budget.check_deadline()?;
                 }
                 let boundary = c == target - 1;
-                let subset = if boundary { &self.order } else { &self.state_order };
-                self.settle_into(&arena.state, &patterns[c], &mut arena.values, &mut arena.ins, subset);
+                let subset = if boundary {
+                    &self.order
+                } else {
+                    &self.state_order
+                };
+                self.settle_into(
+                    &arena.state,
+                    &patterns[c],
+                    &mut arena.values,
+                    &mut arena.ins,
+                    subset,
+                );
                 let next = self.next_state(&arena.state, &arena.values);
                 if boundary {
                     let (w, b) = (lane / 64, lane % 64);
@@ -337,15 +361,13 @@ impl<'a> SeqSim<'a> {
                 }
             }
             for (r, &dff) in self.nl.dffs().iter().enumerate() {
-                arena.w_vals[dff.index() * L..][..L]
-                    .copy_from_slice(&arena.w_state[r * L..][..L]);
+                arena.w_vals[dff.index() * L..][..L].copy_from_slice(&arena.w_state[r * L..][..L]);
             }
             for &net in &self.order {
                 let kind = self.nl.kind(net);
                 if kind.is_source() || kind == GateKind::Dff {
                     if let GateKind::Const(v) = kind {
-                        arena.w_vals[net.index() * L..][..L]
-                            .fill(if v { u64::MAX } else { 0 });
+                        arena.w_vals[net.index() * L..][..L].fill(if v { u64::MAX } else { 0 });
                     }
                     continue;
                 }
@@ -500,9 +522,14 @@ impl<'a> SeqSim<'a> {
                 let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
                 par::record_shard_gauges(&self.obs, "seq", &sizes);
             }
-            par::par_map_with(&work, shards, SeqArena::default, |_, (start, prev, slice), arena| {
-                self.shard_counts::<LANES>(start, *prev, slice, arena, budget)
-            })
+            par::par_map_with(
+                &work,
+                shards,
+                SeqArena::default,
+                |_, (start, prev, slice), arena| {
+                    self.shard_counts::<LANES>(start, *prev, slice, arena, budget)
+                },
+            )
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?
         };
@@ -541,7 +568,10 @@ impl<'a> SeqSim<'a> {
                     .collect(),
                 cycles,
             },
-            ff_output_toggles: ff_out.iter().map(|&t| t as f64 / cycles.max(1) as f64).collect(),
+            ff_output_toggles: ff_out
+                .iter()
+                .map(|&t| t as f64 / cycles.max(1) as f64)
+                .collect(),
             ff_input_toggles: ff_in.iter().map(|&t| t as f64 / denom).collect(),
             ff_load_fraction: ff_load
                 .iter()
@@ -563,7 +593,11 @@ mod tests {
         let patterns: PatternSet = (0..10).map(|_| vec![true]).collect();
         let trace = sim.run(&patterns);
         for (k, out) in trace.iter().enumerate() {
-            let v: usize = out.iter().enumerate().map(|(i, &b)| (b as usize) << i).sum();
+            let v: usize = out
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| (b as usize) << i)
+                .sum();
             assert_eq!(v, k % 16, "cycle {k}");
         }
     }
@@ -601,9 +635,7 @@ mod tests {
         nl.mark_output(q, "q");
         let sim = SeqSim::new(&nl);
         // Enable low half the time.
-        let patterns: PatternSet = (0..100)
-            .map(|k| vec![k % 2 == 0, k % 4 < 2])
-            .collect();
+        let patterns: PatternSet = (0..100).map(|k| vec![k % 2 == 0, k % 4 < 2]).collect();
         let activity = sim.activity(&patterns);
         assert!((activity.ff_load_fraction[0] - 0.5).abs() < 0.05);
         // Output toggles less often than data input.
@@ -620,7 +652,10 @@ mod tests {
         for jobs in [1, 2, 3, 4, 7, 8] {
             let par = sim.activity_jobs(&patterns, jobs);
             assert_eq!(par.profile, serial.profile, "profile, jobs={jobs}");
-            assert_eq!(par.ff_output_toggles, serial.ff_output_toggles, "jobs={jobs}");
+            assert_eq!(
+                par.ff_output_toggles, serial.ff_output_toggles,
+                "jobs={jobs}"
+            );
             assert_eq!(par.ff_input_toggles, serial.ff_input_toggles, "jobs={jobs}");
             assert_eq!(par.ff_load_fraction, serial.ff_load_fraction, "jobs={jobs}");
         }
@@ -638,7 +673,10 @@ mod tests {
         let roomy = ResourceBudget::unlimited().with_max_sim_steps(work + 1);
         let guarded = sim.try_activity(&patterns, &roomy).unwrap();
         let plain = sim.activity(&patterns);
-        assert_eq!(guarded.profile, plain.profile, "budget path is bit-identical");
+        assert_eq!(
+            guarded.profile, plain.profile,
+            "budget path is bit-identical"
+        );
         for jobs in [2, 4] {
             let p = sim.try_activity_jobs(&patterns, jobs, &roomy).unwrap();
             assert_eq!(p.profile, plain.profile, "jobs={jobs}");

@@ -244,7 +244,10 @@ pub fn measure(patterns: &PatternSet) -> InputStats {
     let n = patterns.len() as f64;
     InputStats {
         probability: ones.iter().map(|&o| o as f64 / n).collect(),
-        toggle_rate: toggles.iter().map(|&t| t as f64 / (n - 1.0).max(1.0)).collect(),
+        toggle_rate: toggles
+            .iter()
+            .map(|&t| t as f64 / (n - 1.0).max(1.0))
+            .collect(),
     }
 }
 

@@ -125,8 +125,14 @@ fn stepped_activity(nl: &Netlist, patterns: &[Vec<bool>]) -> SeqActivity {
 
 fn assert_seq_eq(got: &SeqActivity, want: &SeqActivity, what: &str) {
     assert_eq!(got.profile, want.profile, "{what} profile");
-    assert_eq!(got.ff_output_toggles, want.ff_output_toggles, "{what} Q toggles");
-    assert_eq!(got.ff_input_toggles, want.ff_input_toggles, "{what} D toggles");
+    assert_eq!(
+        got.ff_output_toggles, want.ff_output_toggles,
+        "{what} Q toggles"
+    );
+    assert_eq!(
+        got.ff_input_toggles, want.ff_input_toggles,
+        "{what} D toggles"
+    );
     assert_eq!(got.ff_load_fraction, want.ff_load_fraction, "{what} loads");
 }
 
