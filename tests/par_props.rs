@@ -89,7 +89,7 @@ proptest! {
     fn event_parallel_is_bit_identical(
         seed in 0u64..5000,
         gates in 10usize..60,
-        cycles in 1usize..200,
+        cycles in 1usize..800,
         kind in 0usize..4,
         bias in 1u32..100,
         jobs in 1usize..9,
