@@ -10,13 +10,10 @@
 //! has the cores.
 //!
 //! The event workloads also record the engine's obs counters from a
-//! serial run. Their **work ratio** — events actually processed per unit
-//! of event work the pre-calendar-queue engine would have enqueued
+//! serial run. Their **work ratio** — transitions per event a naive engine
+//! would have enqueued, one per input change and one per fanout visit
 //! (`processed / (processed + coalesced)`) — is deterministic: it depends
-//! only on the netlist and pattern stream, never on machine speed. They
-//! also report, without gating it, `kernel_over_queue`: the dense kernel's
-//! serial time over the calendar queue's on the same patterns, timed in
-//! alternating pairs in this process.
+//! only on the netlist and pattern stream, never on machine speed.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_json [out.json] [--check]
@@ -40,7 +37,6 @@
 use std::fmt::Write as _;
 
 use bench::harness;
-use lowpower::budget::ResourceBudget;
 use lowpower::netlist::gen;
 use lowpower::obs::Obs;
 use lowpower::sim::comb::CombSim;
@@ -54,10 +50,9 @@ use lowpower::sim::ActivityProfile;
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
 /// `--check`: highest acceptable event work ratio. Measured ~0.59 on the
-/// glitch workload and ~0.57 on the balanced adder (the calendar queue's
-/// coalescing + no-change suppression absorb the rest of the old engine's
-/// event traffic); 0.75 leaves headroom without letting the win erode to
-/// nothing.
+/// glitch workload and ~0.57 on the balanced adder (the rest of a naive
+/// engine's events are fanout visits that change nothing); 0.75 leaves
+/// headroom without letting the win erode to nothing.
 const MAX_WORK_RATIO: f64 = 0.75;
 
 /// `--check`: required `--jobs 4` speedup, enforced only when the 4-job
@@ -97,8 +92,8 @@ struct EventStats {
     enqueued: u64,
     cancelled: u64,
     coalesced: u64,
-    /// `processed / (processed + coalesced)`: events carried per event the
-    /// old heap engine would have enqueued. Deterministic.
+    /// `processed / (processed + coalesced)`: transitions per event a
+    /// naive engine would have enqueued. Deterministic.
     work_ratio: f64,
 }
 
@@ -116,8 +111,6 @@ struct Workload {
     patterns: usize,
     runs: Vec<Run>,
     events: Option<EventStats>,
-    /// Serial dense-kernel time over calendar-queue time (report only).
-    kernel_over_queue: Option<f64>,
     wide: Option<WideStats>,
 }
 
@@ -172,7 +165,6 @@ fn measure(
         patterns,
         runs,
         events: None,
-        kernel_over_queue: None,
         wide: None,
     }
 }
@@ -232,29 +224,12 @@ fn workloads(host_cores: usize) -> Vec<Workload> {
             seq_pipe.activity_jobs(&seq_pat, jobs).profile
         }),
     ];
-    // A queue-length limit sends a unit-delay run through the calendar
-    // queue instead of the dense kernel.
-    let queue = ResourceBudget::unlimited().with_max_event_queue(1 << 30);
-    for (name, nl, sim, pat) in [
-        (
-            "event_glitch/array_multiplier_6",
-            &mult,
-            &event_mult,
-            &glitch_pat,
-        ),
-        ("event/kogge_stone_adder_16", &ks, &event_ks, &event_ks_pat),
+    for (name, nl, pat) in [
+        ("event_glitch/array_multiplier_6", &mult, &glitch_pat),
+        ("event/kogge_stone_adder_16", &ks, &event_ks_pat),
     ] {
-        let (kernel_secs, queue_secs) = harness::paired(
-            || {
-                let _ = sim.activity(pat);
-            },
-            || {
-                let _ = sim.try_activity(pat, &queue);
-            },
-        );
         if let Some(wl) = loads.iter_mut().find(|wl| wl.name == name) {
             wl.events = Some(event_stats(nl, pat));
-            wl.kernel_over_queue = Some(kernel_secs / queue_secs);
         }
     }
     // Serial wide-vs-one-lane ratio on the comb workloads: same netlist,
@@ -311,9 +286,6 @@ fn to_json(host_cores: usize, loads: &[Workload]) -> String {
                 ev.processed, ev.enqueued, ev.cancelled, ev.coalesced, ev.work_ratio
             );
         }
-        if let Some(ratio) = wl.kernel_over_queue {
-            let _ = writeln!(out, "      \"kernel_over_queue\": {ratio:.3},");
-        }
         if let Some(w) = &wl.wide {
             let _ = writeln!(
                 out,
@@ -363,9 +335,9 @@ fn main() {
             "  {:<36} {:>10.0} pat/s serial, best {:.2}x at {} jobs, bit-identical: {}",
             wl.name, serial, best.speedup, best.jobs, deterministic
         );
-        if let (Some(ev), Some(ratio)) = (&wl.events, wl.kernel_over_queue) {
+        if let Some(ev) = &wl.events {
             println!(
-                "  {:<36} {:>10} events processed, work ratio {:.3}, kernel/queue time {ratio:.3}",
+                "  {:<36} {:>10} events processed, work ratio {:.3}",
                 "", ev.processed, ev.work_ratio
             );
         }

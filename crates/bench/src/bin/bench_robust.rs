@@ -45,7 +45,6 @@ use lowpower::sim::stimulus::Stimulus;
 fn generous() -> ResourceBudget {
     ResourceBudget::unlimited()
         .with_max_bdd_nodes(u64::MAX / 2)
-        .with_max_event_queue(u64::MAX / 2)
         .with_max_sim_steps(u64::MAX / 2)
         .with_deadline_ms(3_600_000)
 }
@@ -72,11 +71,7 @@ fn overheads() -> Vec<Overhead> {
     let pipe_pat = Stimulus::uniform(pipe.num_inputs()).patterns(2048, 5);
 
     let comb = CombSim::new(&wallace);
-    // Analytic delays keep both runs on the event-queue engine: with a
-    // uniform (unit) delay model the unguarded run takes the dense 64-lane
-    // path that finite step/queue budgets are excluded from by design, and
-    // the comparison would measure engine choice, not check cost.
-    let event = EventSim::new(&mult, &DelayModel::Analytic { resolution: 4 });
+    let event = EventSim::new(&mult, &DelayModel::Unit);
     let seq = SeqSim::new(&pipe);
 
     let (comb_un, comb_g) = paired(

@@ -12,26 +12,20 @@ use budget::{BudgetExceeded, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist, Topology};
 
 use crate::par;
-use crate::profile::{ActivityProfile, QueueOccupancy};
-use crate::queue::{CalendarQueue, Scheduled};
+use crate::profile::ActivityProfile;
 use crate::stimulus::PatternSet;
 use crate::wide::{prefix_mask, LANES};
 
-/// Reusable per-worker buffers for the event loop: net values, the settled
-/// state, the calendar queue, its batch/dedup buffers and the dense
-/// kernel's windows. Nothing in the hot path allocates once the arena has
-/// warmed up, and [`par_map_with`](crate::par::par_map_with) builds one
-/// arena per worker thread, not one per shard.
+/// Reusable per-worker buffers for the window kernel. Nothing in the hot
+/// path allocates once the arena has warmed up, and
+/// [`par_map_with`](crate::par::par_map_with) builds one arena per worker
+/// thread, not one per shard.
 #[derive(Debug, Default)]
 pub struct EventArena {
+    /// Each net's value after the block's last pattern, kept in debug
+    /// builds for the settled-state check.
     values: Vec<bool>,
-    settled: Vec<bool>,
-    queue: CalendarQueue,
-    /// Transitions drained from one popped bucket, sorted by net.
-    batch: Vec<(u32, bool)>,
-    /// Nets in the batch whose value actually changed.
-    toggled: Vec<u32>,
-    /// The dense kernel's lane words, `LANES` per slot, laid out by
+    /// The kernel's lane words, `LANES` per slot, laid out by
     /// [`WindowPlan`].
     words: Vec<u64>,
     /// One tick's fanin words of an n-ary or `Mux` gate, gathered for
@@ -39,10 +33,6 @@ pub struct EventArena {
     gather: Vec<u64>,
     /// Each net's window in the current block, cut to its changes.
     live: Vec<Window>,
-    /// Per-net stamp (`== sink_epoch`) marking sinks already evaluated for
-    /// the current bucket.
-    sink_stamp: Vec<u64>,
-    sink_epoch: u64,
 }
 
 impl EventArena {
@@ -57,24 +47,6 @@ struct EventCounts {
     total: Vec<u64>,
     functional: Vec<u64>,
     ones: Vec<u64>,
-    /// Events popped off the queue. Every enqueued event is eventually
-    /// popped (the per-cycle loop drains the queue), so across a successful
-    /// run `processed == enqueued`.
-    processed: u64,
-    /// Event nodes created (input changes + first-time fanout schedules).
-    enqueued: u64,
-    /// Pops that caused no transition: evaluations that matched the
-    /// current value by the time they applied. Always `<= processed`.
-    cancelled: u64,
-    /// Work the calendar queue never had to carry: same-instant duplicate
-    /// schedules folded into a pending slot, fanout sinks already
-    /// evaluated in the current bucket's batch, and no-change evaluations
-    /// suppressed at schedule time. The old heap engine enqueued (and
-    /// popped, and mostly cancelled) each of these individually, so
-    /// `enqueued + coalesced` here equals the old engine's `enqueued`.
-    coalesced: u64,
-    /// Popped-bucket size histogram (empty unless obs is enabled).
-    occupancy: QueueOccupancy,
 }
 
 /// One shard's count of processed events, flushed in batches to the
@@ -107,17 +79,17 @@ fn slot(words: &[u64], s: usize) -> [u64; LANES] {
     std::array::from_fn(|l| w[l])
 }
 
-/// Write window `w` of a one- or two-input gate from its fanins' windows
-/// `wa` and `wb`: slot `k` applies the truth table `lut`, in algebraic
-/// normal form `f(a, b) = c ^ a·ca ^ b·cb ^ a·b·cab` as a branch-free mask
-/// select, to the fanins' words at tick `w.start + k - 1`.
+/// Write window `w` of a one- or two-input gate with delay `d` from its
+/// fanins' windows `wa` and `wb`: slot `k` applies the truth table `lut`,
+/// in algebraic normal form `f(a, b) = c ^ a·ca ^ b·cb ^ a·b·cab` as a
+/// branch-free mask select, to the fanins' words at tick `w.start - d + k`.
 #[inline(never)]
-fn lut_window(words: &mut [u64], w: Window, wa: Window, wb: Window, lut: u32) {
+fn lut_window(words: &mut [u64], w: Window, d: u32, wa: Window, wb: Window, lut: u32) {
     let row = |r: u32| 0u64.wrapping_sub(u64::from(lut >> r & 1));
     let (c, ca, cb) = (row(0), row(0) ^ row(2), row(0) ^ row(1));
     let cab = ca ^ row(1) ^ row(3);
     for k in 0..=w.len {
-        let t = w.start - 1 + k;
+        let t = w.start - d + k;
         let (x, y) = (slot(words, wa.at(t)), slot(words, wb.at(t)));
         let v: [u64; LANES] =
             std::array::from_fn(|l| c ^ (x[l] & ca) ^ (y[l] & cb) ^ (x[l] & y[l] & cab));
@@ -131,14 +103,14 @@ fn popcount(v: [u64; LANES]) -> u64 {
     v.iter().map(|x| u64::from(x.count_ones())).sum()
 }
 
-/// Patterns per dense block and per shard unit: one lane bit each.
+/// Patterns per kernel block and per shard unit: one lane bit each.
 const BLOCK: usize = 64 * LANES;
 
-/// Window slots the dense kernel evaluates between two step-tally flushes.
+/// Window slots the kernel evaluates between two step-tally flushes.
 const POLL_SLOTS: usize = 1 << 16;
 
-/// Where the dense kernel keeps one net's lane words: slots `base ..=
-/// base + len`, holding the net's value at ticks `start ..= start + len`.
+/// Where the kernel keeps one net's lane words: slots `base ..= base +
+/// len`, holding the net's value at ticks `start ..= start + len`.
 /// Ticks count from 1, the inputs' switch; the net holds slot 0's value
 /// (its initial settled word) before `start` and its last slot's after.
 #[derive(Debug, Clone, Copy, Default)]
@@ -155,17 +127,18 @@ impl Window {
         (self.base + t.saturating_sub(self.start).min(self.len)) as usize
     }
 
-    /// The window at arena slot `base` of a gate whose fanins change in
-    /// `fanins`: it can change one tick after any of them does.
+    /// The window at arena slot `base` of a gate with delay `d` whose
+    /// fanins change in `fanins`: it can change `d` ticks after any of them
+    /// does.
     #[inline(always)]
-    fn spanning(fanins: impl IntoIterator<Item = Window>, base: u32) -> Window {
+    fn spanning(fanins: impl IntoIterator<Item = Window>, d: u32, base: u32) -> Window {
         let (mut start, mut end) = (u32::MAX, 0);
         for f in fanins.into_iter().filter(|f| f.len > 0) {
-            start = start.min(f.start + 1);
-            end = end.max(f.start + f.len + 1);
+            start = start.min(f.start + d);
+            end = end.max(f.start + f.len + d);
         }
-        // No fanin changes: start at 1, so the kernel's `start - 1` holds.
-        let (start, len) = (start.min(end.max(1)), end.saturating_sub(start));
+        // No fanin changes: start at `d`, so the kernel's `start - d` holds.
+        let (start, len) = (start.min(end.max(d)), end.saturating_sub(start));
         Window { start, len, base }
     }
 
@@ -183,11 +156,11 @@ impl Window {
     }
 }
 
-/// The dense kernel's layout, planned once per uniform-delay simulator:
-/// every net's [`Window`] and the arena size. Input `j` owns slots `2j`
-/// and `2j + 1` (before and after its switch); the arena holds only the
-/// live frontier of the topological walk.
-#[derive(Debug)]
+/// The kernel's layout, planned once per simulator: every net's
+/// [`Window`] and the arena size. Input `j` owns slots `2j` and `2j + 1`
+/// (before and after its switch); the arena holds only the live frontier
+/// of the topological walk.
+#[derive(Debug, Default)]
 struct WindowPlan {
     windows: Vec<Window>,
     slots: usize,
@@ -198,6 +171,12 @@ impl WindowPlan {
     /// over its fanins', give it the lowest free run of slots that holds
     /// it (first fit), and free a net's run once its last fanout has taken
     /// its own, or at once if nothing reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate's delay added to the latest tick of the windows
+    /// planned before it passes `u32::MAX`, or if the windows need more
+    /// than `u32::MAX` arena slots.
     fn new(sim: &EventSim) -> WindowPlan {
         /// Return `w`'s run to the address-ordered list, merging neighbours.
         fn release(free: &mut Vec<(u32, u32)>, w: Window) {
@@ -218,21 +197,31 @@ impl WindowPlan {
         for (j, &pi) in sim.nl.inputs().iter().enumerate() {
             (windows[pi.index()].len, windows[pi.index()].base) = (1, 2 * j as u32);
         }
-        // The last run is the arena's unused top: it never runs out.
-        let mut free = vec![(inputs, u32::MAX / 2)];
+        // The last run is the arena's unused top.
+        let mut free = vec![(inputs, u32::MAX - inputs)];
         // Fanout edges not yet evaluated, per net; inputs are never freed.
         let mut unread = vec![u32::MAX; windows.len()];
         let mut top = inputs;
+        // The latest tick any window planned so far reaches.
+        let mut horizon = 1u32;
         for &net in sim.topo.order() {
             let si = net.index();
             if sim.kinds[si] == GateKind::Input {
                 continue;
             }
+            let d = sim.sinks[si].delay;
+            assert!(
+                horizon.checked_add(d).is_some(),
+                "event ticks overflow: a window could reach past tick u32::MAX"
+            );
             let fanins = sim.fanins(si).iter().map(|&f| windows[f as usize]);
-            let w = Window::spanning(fanins, 0);
+            let w = Window::spanning(fanins, d, 0);
+            horizon = horizon.max(w.start + w.len);
             let size = w.len + 1;
             let i = free.iter().position(|&(_, len)| len >= size);
-            let i = i.unwrap_or(free.len() - 1);
+            let Some(i) = i else {
+                panic!("event window arena overflows: more than u32::MAX slots");
+            };
             let (base, len) = free[i];
             if len == size {
                 free.remove(i);
@@ -274,7 +263,8 @@ pub enum DelayModel {
 }
 
 impl DelayModel {
-    pub(crate) fn delay(&self, nl: &Netlist, net: NetId) -> u32 {
+    /// The delay of `net` in ticks (at least 1).
+    pub fn delay(&self, nl: &Netlist, net: NetId) -> u32 {
         match self {
             DelayModel::Unit => 1,
             DelayModel::Analytic { resolution } => {
@@ -343,33 +333,28 @@ pub struct EventSim<'a> {
     /// [`Netlist::topology`] pass.
     topo: Topology,
     /// Flat copies of the netlist's per-net tables in CSR layout. The
-    /// event hot loop reads only these contiguous arrays — gate kind,
-    /// fanin ids and fanout ids are each one indexed load away, with none
-    /// of the netlist's per-gate vector indirections.
+    /// kernel reads only these contiguous arrays — gate kind, fanin ids and
+    /// fanout ids are each one indexed load away, with none of the
+    /// netlist's per-gate vector indirections.
     kinds: Vec<GateKind>,
     fanin_off: Vec<u32>,
     fanin_idx: Vec<u32>,
-    /// One packed record per net for the drain loop: a sink evaluation is
-    /// one 16-byte load plus two value loads and a shift.
+    /// One packed record per net for the kernel's walk.
     sinks: Vec<SinkEval>,
-    /// Largest per-net delay; sizes the calendar queue's wheel.
-    max_delay: u32,
-    /// Present when every net has the same delay: event propagation is
-    /// then synchronous relaxation, and runs without a queue limit take
-    /// the dense kernel (see [`EventSim::window_block`]).
-    plan: Option<WindowPlan>,
+    /// Every net's window (see [`EventSim::window_block`]).
+    plan: WindowPlan,
     obs: obs::Obs,
 }
 
 /// Packed evaluation record for one net, sized to four per cache line.
 ///
 /// Gates with one or two fanins — the overwhelming majority of real
-/// netlists — evaluate as a 4-entry truth table: `lut >> ((a << 1) | b)`,
-/// no gate-kind match, no fanin-slice walk. One-input gates duplicate
-/// their fanin into both slots so only the `a == b` LUT rows are ever
-/// addressed. `a == GENERIC` routes wider gates (e.g. `Mux`, n-ary
-/// `And`/`Xor`) to [`EventSim::eval_net`]. `delay` rides along so the
-/// reschedule that follows every evaluation hits the same cache line.
+/// netlists — evaluate as a 4-entry truth table (see [`lut_window`]): no
+/// gate-kind match, no fanin-slice walk. One-input gates duplicate their
+/// fanin into both slots so only the `a == b` LUT rows are ever addressed.
+/// `a == GENERIC` routes wider gates (e.g. `Mux`, n-ary `And`/`Xor`) and
+/// constants to [`GateKind::eval_wide`]. `delay` is the net's delay in
+/// ticks.
 #[derive(Debug, Clone, Copy)]
 struct SinkEval {
     a: u32,
@@ -382,11 +367,16 @@ struct SinkEval {
 const GENERIC: u32 = u32::MAX;
 
 impl<'a> EventSim<'a> {
-    /// Bind a simulator with the given delay model.
+    /// Bind a simulator with the given delay model and plan its kernel's
+    /// windows.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist is sequential or cyclic.
+    /// Panics if the netlist is sequential or cyclic, or if its delays are
+    /// too long for the kernel's `u32` ticks and slots: a gate's delay plus
+    /// the latest tick any net before it in topological order can change
+    /// at passes `u32::MAX`, or the windows need more than `u32::MAX`
+    /// arena slots.
     pub fn new(nl: &'a Netlist, model: &DelayModel) -> EventSim<'a> {
         assert!(
             nl.is_combinational(),
@@ -398,7 +388,6 @@ impl<'a> EventSim<'a> {
         let mut fanin_off = Vec::with_capacity(n + 1);
         let mut fanin_idx = Vec::new();
         let mut sinks = Vec::with_capacity(n);
-        let (mut min_delay, mut max_delay) = (u32::MAX, 1);
         fanin_off.push(0u32);
         for net in nl.iter_nets() {
             let (kind, ins) = (nl.kind(net), nl.fanins(net));
@@ -406,7 +395,6 @@ impl<'a> EventSim<'a> {
             fanin_idx.extend(ins.iter().map(|x| x.index() as u32));
             fanin_off.push(fanin_idx.len() as u32);
             let delay = model.delay(nl, net);
-            (min_delay, max_delay) = (min_delay.min(delay), max_delay.max(delay));
             // Row `(a << 1) | b` of the truth table is bit 1 of 0b1100 and
             // bit 0 of 0b1010; a one-input gate reads its fanin as both.
             let lut = |rows: &[u64]| kind.eval_wide::<1>(rows)[0] as u32 & 0b1111;
@@ -424,14 +412,10 @@ impl<'a> EventSim<'a> {
             fanin_off,
             fanin_idx,
             sinks,
-            max_delay,
-            plan: None,
+            plan: WindowPlan::default(),
             obs: obs::Obs::disabled(),
         };
-        if min_delay >= max_delay {
-            // One delay everywhere (or no nets at all).
-            sim.plan = Some(WindowPlan::new(&sim));
-        }
+        sim.plan = WindowPlan::new(&sim);
         sim
     }
 
@@ -441,106 +425,58 @@ impl<'a> EventSim<'a> {
         &self.fanin_idx[self.fanin_off[si] as usize..self.fanin_off[si + 1] as usize]
     }
 
-    /// Evaluate net `si` straight off the CSR tables, reading fanin values
-    /// in place — no gather into a scratch buffer. Matches
-    /// [`GateKind::eval`] exactly for every evaluable kind.
-    ///
-    /// The n-ary kinds fold with non-short-circuiting `&`/`|`/`^`: fanin
-    /// values are effectively random, so `all`/`any`-style early exits
-    /// would cost a mispredicted branch per fanin where the plain bit op
-    /// costs one ALU instruction.
-    #[inline(always)]
-    fn eval_net(&self, si: usize, values: &[bool]) -> bool {
-        let ins = self.fanins(si);
-        match self.kinds[si] {
-            GateKind::And => ins.iter().fold(true, |a, &x| a & values[x as usize]),
-            GateKind::Or => ins.iter().fold(false, |a, &x| a | values[x as usize]),
-            GateKind::Nand => !ins.iter().fold(true, |a, &x| a & values[x as usize]),
-            GateKind::Nor => !ins.iter().fold(false, |a, &x| a | values[x as usize]),
-            GateKind::Not => !values[ins[0] as usize],
-            GateKind::Buf | GateKind::Dff => values[ins[0] as usize],
-            GateKind::Xor => ins.iter().fold(false, |a, &x| a ^ values[x as usize]),
-            GateKind::Xnor => !ins.iter().fold(false, |a, &x| a ^ values[x as usize]),
-            GateKind::Mux => {
-                if values[ins[0] as usize] {
-                    values[ins[2] as usize]
-                } else {
-                    values[ins[1] as usize]
-                }
-            }
-            GateKind::Const(v) => v,
-            // Inputs have no fanin and are never anyone's fanout sink.
-            GateKind::Input => {
-                debug_assert!(false, "inputs are never evaluated as sinks");
-                values[si]
-            }
-        }
-    }
-
-    /// Attach an observability handle. Event counters (`sim.event.cycles`,
-    /// `.processed`, `.enqueued`, `.cancelled`, `.coalesced`) accumulate as
-    /// plain `u64`s inside each shard and flush once per successful
-    /// activity run, along with the `sim.event.occupancy.*` bucket-size
-    /// histogram gauges. The histogram profiles the queue, so runs that
-    /// take the dense kernel (uniform delays, no event-queue limit) report
-    /// counters only.
+    /// Attach an observability handle. Each successful activity run adds
+    /// `sim.event.cycles` and four event counters derived from its
+    /// transitions, the same for every thread count and delay model:
+    /// `sim.event.processed` and `.enqueued` count the transitions,
+    /// `.cancelled` is 0, and `.coalesced` counts the fanout edges the
+    /// transitions visit, less the gate transitions.
     pub fn with_obs(mut self, obs: obs::Obs) -> EventSim<'a> {
         self.obs = obs;
         self
     }
 
-    /// Settle every gate in topological order through [`EventSim::eval_net`].
-    fn settle(&self, values: &mut [bool]) {
-        for &net in self.topo.order() {
-            let si = net.index();
-            if self.kinds[si] != GateKind::Input {
-                values[si] = self.eval_net(si, values);
-            }
-        }
-    }
-
     /// Cross-check that `values` is the settled state of `pattern` (the
-    /// invariant the settled-diff functional counting rests on).
+    /// invariant functional counting rests on), evaluating each gate
+    /// through [`GateKind::eval`].
     #[cfg(debug_assertions)]
     fn debug_check_settled(&self, pattern: &[bool], values: &[bool]) {
         let mut chk = vec![false; values.len()];
-        self.apply_and_settle(pattern, &mut chk);
-        debug_assert_eq!(chk, values, "event sim must settle to functional values");
-    }
-
-    /// Apply `pattern` to the inputs of `values` and settle in place.
-    fn apply_and_settle(&self, pattern: &[bool], values: &mut [bool]) {
-        assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
-        for (i, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = pattern[i];
+        for (&pi, &v) in self.nl.inputs().iter().zip(pattern) {
+            chk[pi.index()] = v;
         }
-        self.settle(values);
+        let mut ins = Vec::new();
+        for &net in self.topo.order() {
+            let si = net.index();
+            if self.kinds[si] != GateKind::Input {
+                ins.clear();
+                ins.extend(self.fanins(si).iter().map(|&f| chk[f as usize]));
+                chk[si] = self.kinds[si].eval(&ins);
+            }
+        }
+        debug_assert_eq!(chk, values, "event sim must settle to functional values");
     }
 
     /// Simulate up to [`BLOCK`] cycle transitions word-parallel (lane bit
     /// `k` = the transition into `chunk[k]` from the pattern before it).
     ///
-    /// Under a uniform delay, event propagation *is* synchronous
-    /// relaxation: with the inputs switching at tick 1, a gate's value at
-    /// tick `t` is its function of its fanins' values at tick `t - 1`. A
-    /// net can change only inside its [`Window`], so one walk of the
-    /// topological order writes each net's waveform in one contiguous
-    /// loop from its fanins' windows, cut to the ticks where they changed.
+    /// Under transport delays, with the inputs switching at tick 1, a
+    /// gate's value at tick `t` is its function of its fanins' values at
+    /// tick `t - d`, `d` its delay: the value that an event simulator
+    /// applying transitions in `(time, net)` order, last write winning,
+    /// schedules for it. A net can change only inside its [`Window`], so
+    /// one walk of the topological order writes each net's waveform in one
+    /// contiguous loop from its fanins' windows, cut to the ticks where
+    /// they changed.
     ///
     /// Toggles are popcounts of consecutive words of a window, functional
     /// toggles and signal probabilities of its first and last word (only
-    /// `ones` needs the valid-lane mask: padding lanes never switch). The
-    /// event counters derive from the toggles and equal the queue's: an
-    /// event is enqueued and processed exactly when a net toggles; each
-    /// lane toggle of `u` visits `u`'s fanout edges one tick later, and
-    /// every visit that enqueues no gate toggle is coalesced; with one
-    /// delay no pop is cancelled. The toggles flush to the step tally, and
-    /// the deadline is polled, every [`POLL_SLOTS`] slots and at block
-    /// end, so a step limit fails the run exactly when the queue's does.
-    #[allow(clippy::too_many_arguments)]
+    /// `ones` needs the valid-lane mask: padding lanes never switch). Each
+    /// toggle is one event processed: the toggles flush to the step tally,
+    /// and the deadline is polled, every [`POLL_SLOTS`] slots and at block
+    /// end.
     fn window_block(
         &self,
-        plan: &WindowPlan,
         prev: &[bool],
         chunk: &[Vec<bool>],
         arena: &mut EventArena,
@@ -549,6 +485,7 @@ impl<'a> EventSim<'a> {
         budget: &ResourceBudget,
     ) -> Result<(), BudgetExceeded> {
         const L: usize = LANES;
+        let plan = &self.plan;
         let m = chunk.len();
         debug_assert!((1..=BLOCK).contains(&m));
         let valid = prefix_mask::<L>(m);
@@ -576,15 +513,15 @@ impl<'a> EventSim<'a> {
             let e = self.sinks[si];
             let w = if e.a != GENERIC {
                 let (wa, wb) = (live[e.a as usize], live[e.b as usize]);
-                let w = Window::spanning([wa, wb], base);
-                lut_window(words, w, wa, wb, e.lut);
+                let w = Window::spanning([wa, wb], e.delay, base);
+                lut_window(words, w, e.delay, wa, wb, e.lut);
                 w
             } else if self.kinds[si] != GateKind::Input {
                 let ins = self.fanins(si);
-                let w = Window::spanning(ins.iter().map(|&f| live[f as usize]), base);
+                let w = Window::spanning(ins.iter().map(|&f| live[f as usize]), e.delay, base);
                 arena.gather.resize(ins.len() * L, 0);
                 for k in 0..=w.len {
-                    let t = w.start - 1 + k;
+                    let t = w.start - e.delay + k;
                     for (i, &f) in ins.iter().enumerate() {
                         let x = slot(words, live[f as usize].at(t));
                         arena.gather[i * L..][..L].copy_from_slice(&x);
@@ -624,43 +561,23 @@ impl<'a> EventSim<'a> {
         meter.flush(budget)
     }
 
-    /// Count transitions over one contiguous shard.
+    /// Count transitions over one contiguous shard, [`BLOCK`] patterns per
+    /// [`EventSim::window_block`] call.
     ///
     /// The shard's first transition starts from `prev_pattern`, the
     /// pattern just before the shard (uncounted: its shard counted its
     /// cycle), or for the stream's first shard from `patterns[0]` itself,
     /// so cycle 0 is a transition that changes nothing and counts only its
     /// signal probabilities. A combinational settled state depends only on
-    /// the current pattern, so one settle reconstructs exactly the state
-    /// the serial run would have carried in: shards are embarrassingly
-    /// parallel and the merged counts stay bit-identical.
+    /// the current pattern, so the seed pattern alone reconstructs exactly
+    /// the state the serial run would have carried in: shards are
+    /// embarrassingly parallel and the merged counts stay bit-identical.
     ///
-    /// Uniform-delay runs without an event-queue limit go through
-    /// [`EventSim::window_block`], [`BLOCK`] transitions per chunk, and
-    /// derive their event counters from the toggles. Every other run
-    /// drains the calendar queue pattern by pattern. Events processed
-    /// count toward the shared `steps` tally (flushed every 1024 pops on
-    /// the queue and every [`POLL_SLOTS`] window slots and block in the
-    /// dense kernel, so the atomic stays off the per-event path); queue
-    /// length is compared against the pre-resolved limit before every
-    /// node creation (one register compare); the wall clock is polled once
-    /// per cycle and once per flush. Unlike the cycle-based engines,
-    /// event-driven cost is unknowable up front — a glitchy circuit can
-    /// schedule orders of magnitude more events than cycles — so these are
-    /// the runtime guards that make the engine safe to call under a budget
-    /// at all.
-    ///
-    /// The queue loop drains the calendar queue one *timestamp* at a time:
-    /// first every transition in the bucket is applied (they touch
-    /// distinct nets, so application order is immaterial), then each
-    /// distinct fanout sink is evaluated exactly once and rescheduled.
-    /// This is bit-identical to the old per-event loop: the heap's
-    /// peek-ahead coalescing kept only the last same-instant evaluation of
-    /// a sink, which — because events at one instant popped in net order —
-    /// was always the one that saw every same-instant fanin transition
-    /// already applied. Evaluating once after applying the whole batch
-    /// computes exactly that value, while skipping the redundant earlier
-    /// evaluations instead of enqueueing and cancelling them.
+    /// Unlike the cycle-based engines, event-driven cost is unknowable up
+    /// front — a glitchy circuit can make orders of magnitude more
+    /// transitions than cycles — so the step tally and the deadline polls
+    /// of [`EventSim::window_block`] are the runtime guards that make the
+    /// engine safe to call under a budget at all.
     fn shard_counts(
         &self,
         prev_pattern: Option<&[bool]>,
@@ -669,153 +586,47 @@ impl<'a> EventSim<'a> {
         budget: &ResourceBudget,
         steps: &AtomicU64,
     ) -> Result<EventCounts, BudgetExceeded> {
-        const FLUSH: u64 = 1024;
-        let max_queue = budget.max_event_queue_or(u64::MAX);
         let mut meter = StepMeter {
             shared: steps,
             limit: budget.max_sim_steps_or(u64::MAX),
             local: 0,
         };
         let n = self.nl.len();
-        // A queue-length limit is enforced on the queue, so only runs
-        // without one may take the dense kernel.
-        let plan = self.plan.as_ref().filter(|_| max_queue == u64::MAX);
-        // The occupancy histogram profiles the *queue*: it is recorded only
-        // on runs that use it. The choice depends on the delay model and
-        // budget, never on sharding, so the gauges stay `--jobs` invariant.
-        let record_occupancy = self.obs.is_enabled() && plan.is_none();
         let mut counts = EventCounts {
             total: vec![0u64; n],
             functional: vec![0u64; n],
             ones: vec![0u64; n],
-            processed: 0,
-            enqueued: 0,
-            cancelled: 0,
-            coalesced: 0,
-            occupancy: QueueOccupancy::default(),
         };
         let Some(first) = patterns.first() else {
             return Ok(counts);
         };
-        let seed = prev_pattern.unwrap_or(first);
-        for pattern in std::iter::once(seed).chain(patterns.iter().map(Vec::as_slice)) {
+        let mut prev = prev_pattern.unwrap_or(first);
+        for pattern in std::iter::once(prev).chain(patterns.iter().map(Vec::as_slice)) {
             assert_eq!(pattern.len(), self.nl.num_inputs(), "pattern width");
         }
-        if let Some(plan) = plan {
-            let mut prev = seed;
-            for chunk in patterns.chunks(BLOCK) {
-                self.window_block(plan, prev, chunk, arena, &mut counts, &mut meter, budget)?;
-                prev = &chunk[chunk.len() - 1];
-            }
-            // Derived, not traced (see `window_block`).
-            let (mut visits, mut gate_events) = (0, 0);
-            for &x in self.topo.order() {
-                let toggles = counts.total[x.index()];
-                visits += self.topo.fanouts(x).len() as u64 * toggles;
-                gate_events += toggles * u64::from(self.kinds[x.index()] != GateKind::Input);
-                counts.processed += toggles;
-            }
-            (counts.enqueued, counts.coalesced) = (counts.processed, visits - gate_events);
-            return Ok(counts);
+        for chunk in patterns.chunks(BLOCK) {
+            self.window_block(prev, chunk, arena, &mut counts, &mut meter, budget)?;
+            prev = &chunk[chunk.len() - 1];
         }
-        arena.sink_stamp.clear();
-        arena.sink_stamp.resize(n, 0);
-        arena.sink_epoch = 0;
-        arena.values.clear();
-        arena.values.resize(n, false);
-        arena.settled.clear();
-        arena.settled.resize(n, false);
-        arena.queue.reset(n, self.max_delay);
-        self.apply_and_settle(seed, &mut arena.values);
-        for pattern in patterns {
-            budget.check_deadline()?;
-            // Snapshot the previous settled state. Functional toggles are
-            // the settled-to-settled diff, and the event loop provably
-            // converges to the zero-delay settled state — so the diff is
-            // taken after the queue drains, replacing the full per-cycle
-            // settle pass the old engine ran just to count them.
-            arena.settled.copy_from_slice(&arena.values);
-            // Event-driven propagation from the input changes.
-            arena.queue.begin_cycle();
-            for (i, &pi) in self.nl.inputs().iter().enumerate() {
-                if arena.values[pi.index()] != pattern[i] {
-                    if arena.queue.pending() >= max_queue {
-                        return Err(budget.event_queue_exceeded(arena.queue.pending() + 1));
-                    }
-                    arena.queue.schedule(pi.index() as u32, 0, pattern[i]);
-                    counts.enqueued += 1;
-                }
-            }
-            while let Some(time) = arena.queue.pop_bucket(&mut arena.batch) {
-                if record_occupancy {
-                    counts.occupancy.record(arena.batch.len());
-                }
-                counts.processed += arena.batch.len() as u64;
-                meter.local += arena.batch.len() as u64;
-                if meter.local >= FLUSH {
-                    meter.flush(budget)?;
-                }
-                // Apply the whole batch (one entry per net), remembering
-                // which nets actually changed.
-                arena.toggled.clear();
-                for &(raw, value) in &arena.batch {
-                    let i = raw as usize;
-                    if arena.values[i] == value {
-                        counts.cancelled += 1;
-                        continue;
-                    }
-                    arena.values[i] = value;
-                    counts.total[i] += 1;
-                    arena.toggled.push(raw);
-                }
-                // Evaluate each distinct sink of the changed nets once.
-                arena.sink_epoch += 1;
-                for &raw in &arena.toggled {
-                    for &sink in self.topo.fanouts(NetId::from_index(raw as usize)) {
-                        let si = sink.index();
-                        if arena.sink_stamp[si] == arena.sink_epoch {
-                            counts.coalesced += 1;
-                            continue;
-                        }
-                        arena.sink_stamp[si] = arena.sink_epoch;
-                        let e = self.sinks[si];
-                        let out = if e.a != GENERIC {
-                            let row = ((arena.values[e.a as usize] as u32) << 1)
-                                | arena.values[e.b as usize] as u32;
-                            e.lut >> row & 1 != 0
-                        } else {
-                            self.eval_net(si, &arena.values)
-                        };
-                        let t = time + e.delay as u64;
-                        if arena.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(arena.queue.pending() + 1));
-                        }
-                        // No-change outputs on a sink with no pending
-                        // event are suppressed inside the queue (the old
-                        // engine enqueued, popped and cancelled them).
-                        match arena.queue.schedule_transition(
-                            si as u32,
-                            t,
-                            out,
-                            out == arena.values[si],
-                        ) {
-                            Scheduled::New => counts.enqueued += 1,
-                            Scheduled::Coalesced | Scheduled::Suppressed => counts.coalesced += 1,
-                        }
-                    }
-                }
-            }
-            // Functional toggles and signal probabilities from the
-            // settled-state diff.
-            for i in 0..n {
-                counts.functional[i] += (arena.settled[i] != arena.values[i]) as u64;
-                counts.ones[i] += arena.values[i] as u64;
-            }
-            #[cfg(debug_assertions)]
-            self.debug_check_settled(pattern, &arena.values);
-        }
-        meter.flush(budget)?;
         Ok(counts)
+    }
+
+    /// The `(processed, coalesced)` event counts of a run whose per-net
+    /// transitions are `total`. Every transition is one event processed
+    /// (and enqueued; none is cancelled), and visits each of its net's
+    /// fanout edges; every visit that makes no gate transition is
+    /// coalesced. A gate transition at tick `t` needs a fanin transition
+    /// at `t - d`, so the visits cover the gate transitions under every
+    /// delay model.
+    fn event_counters(&self, total: &[u64]) -> (u64, u64) {
+        let (mut processed, mut visits, mut gate_events) = (0, 0, 0);
+        for &x in self.topo.order() {
+            let toggles = total[x.index()];
+            processed += toggles;
+            visits += self.topo.fanouts(x).len() as u64 * toggles;
+            gate_events += toggles * u64::from(self.kinds[x.index()] != GateKind::Input);
+        }
+        (processed, visits - gate_events)
     }
 
     /// Simulate a pattern stream and return total + functional activity.
@@ -852,13 +663,12 @@ impl<'a> EventSim<'a> {
 
     /// [`EventSim::activity_jobs`] under a [`ResourceBudget`].
     ///
-    /// The step limit counts *events processed* (summed across shards via
-    /// a shared counter, flushed every 1024 pops on the queue and every
-    /// 65,536 window slots and block in the dense kernel), the queue limit
-    /// bounds the pending events of each shard's calendar queue, and the
-    /// deadline is polled per cycle and per flush. On exhaustion the run
-    /// stops with a typed [`BudgetExceeded`]; a successful run is
-    /// bit-identical to the unbudgeted one.
+    /// The step limit counts *events processed*, one per transition,
+    /// summed across shards via a shared counter that each shard adds to
+    /// every 65,536 window slots and at the end of every block of 256
+    /// patterns. The deadline is polled at each of those points. On
+    /// exhaustion the run stops with a typed [`BudgetExceeded`]; a
+    /// successful run is bit-identical to the unbudgeted one.
     pub fn try_activity_jobs(
         &self,
         patterns: &PatternSet,
@@ -868,7 +678,7 @@ impl<'a> EventSim<'a> {
         let n = self.nl.len();
         budget.check_deadline()?;
         let steps = AtomicU64::new(0);
-        // Work items are blocks of the dense kernel's lane width, as in
+        // Work items are blocks of the kernel's lane width, as in
         // `CombSim`: at most one shard per block, and only the stream's
         // last block is partial. Shard `s` covers patterns `[a, b)` of
         // whole blocks, seeded by `patterns[a - 1]` (shard 0 by none).
@@ -891,7 +701,7 @@ impl<'a> EventSim<'a> {
             par::record_shard_gauges(&self.obs, "event", &sizes);
         }
         // Shards reuse one arena per worker thread (par_map_with), so
-        // queue wheels and window arenas warm up once per core.
+        // window arenas warm up once per core.
         let counts =
             par::par_map_with(&work, shards, EventArena::new, |_, (prev, slice), arena| {
                 self.shard_counts(*prev, slice, arena, budget, &steps)
@@ -910,32 +720,15 @@ impl<'a> EventSim<'a> {
             }
         }
         if self.obs.is_enabled() {
-            // Event totals are thread-count invariant: each shard replays
-            // exactly the event waves the serial run would, so the merged
-            // sums match for every `jobs` setting. Only successful runs
-            // flush (an exhausted budget abandons partial shard counts).
+            // Derived from the merged transitions, so the counters match
+            // for every `jobs` setting. Only successful runs flush (an
+            // exhausted budget abandons partial shard counts).
+            let (processed, coalesced) = self.event_counters(&total);
             self.obs.add("sim.event.cycles", patterns.len() as u64);
-            self.obs.add(
-                "sim.event.processed",
-                counts.iter().map(|c| c.processed).sum(),
-            );
-            self.obs.add(
-                "sim.event.enqueued",
-                counts.iter().map(|c| c.enqueued).sum(),
-            );
-            self.obs.add(
-                "sim.event.cancelled",
-                counts.iter().map(|c| c.cancelled).sum(),
-            );
-            self.obs.add(
-                "sim.event.coalesced",
-                counts.iter().map(|c| c.coalesced).sum(),
-            );
-            let mut occupancy = QueueOccupancy::default();
-            for c in &counts {
-                occupancy.merge(&c.occupancy);
-            }
-            occupancy.flush(&self.obs);
+            self.obs.add("sim.event.processed", processed);
+            self.obs.add("sim.event.enqueued", processed);
+            self.obs.add("sim.event.cancelled", 0);
+            self.obs.add("sim.event.coalesced", coalesced);
         }
         let cycles = patterns.len();
         let denom = cycles.saturating_sub(1).max(1) as f64;
@@ -955,13 +748,19 @@ impl<'a> EventSim<'a> {
 }
 
 #[cfg(test)]
+#[path = "../tests/event_reference/mod.rs"]
+mod event_reference;
+
+#[cfg(test)]
 mod tests {
+    use super::event_reference;
     use super::*;
     use crate::stimulus::Stimulus;
     use netlist::gen::{
         alu4, array_multiplier, carry_select_adder, parity_tree, random_dag, ripple_adder,
         RandomDagConfig,
     };
+    use netlist::Rng64;
 
     fn glitchy_pair() -> netlist::Netlist {
         // y = a & !a through different depths: a classic static-1 hazard
@@ -1011,7 +810,7 @@ mod tests {
         }
     }
 
-    /// The dense kernel's test circuits: two-input gates only (the
+    /// The kernel's test circuits: two-input gates only (the
     /// multiplier), n-ary gates with duplicate fanins and inverters (random
     /// DAGs with fanin up to 5), constants and `Mux` (the carry-select
     /// adder, whose speculative chains start from constants, and alu4),
@@ -1046,27 +845,48 @@ mod tests {
         ]
     }
 
+    /// Every net's delay under `model`, as the reference takes them.
+    fn delays(nl: &netlist::Netlist, model: &DelayModel) -> Vec<u32> {
+        nl.iter_nets().map(|net| model.delay(nl, net)).collect()
+    }
+
+    /// The delay models the kernel is checked under on a netlist of `n`
+    /// nets: uniform 1 and 3, alternating 1 and 2, random 1–5, and the
+    /// analytic model at two resolutions.
+    fn delay_models(n: usize, seed: u64) -> Vec<(&'static str, DelayModel)> {
+        let mut rng = Rng64::new(seed);
+        vec![
+            ("uniform 1", DelayModel::PerNet(vec![1; n])),
+            ("uniform 3", DelayModel::PerNet(vec![3; n])),
+            (
+                "alternating 1/2",
+                DelayModel::PerNet((0..n).map(|i| 1 + (i as u32 & 1)).collect()),
+            ),
+            (
+                "random 1-5",
+                DelayModel::PerNet((0..n).map(|_| 1 + rng.range(0, 5) as u32).collect()),
+            ),
+            ("analytic 4", DelayModel::Analytic { resolution: 4 }),
+            ("analytic 8", DelayModel::Analytic { resolution: 8 }),
+        ]
+    }
+
     #[test]
-    fn dense_kernel_matches_calendar_queue_bit_exactly() {
-        // With no queue limit a uniform-delay run takes the dense kernel
-        // (a step limit keeps it there); a roomy queue limit sends the same
-        // patterns through the calendar queue. Every activity number and
-        // every derived event counter must agree exactly. 257
-        // and 300 patterns are a full 256-lane block plus a one-lane or a
-        // masked 44-lane block, so the block-chaining handoff and the
-        // ragged tail are covered too; 1 and 2 patterns are a stream whose
-        // one lane is cycle 0 (a transition from itself) and one with a
-        // single real transition. A seeded shard (every
-        // shard after the first) starts from the pattern before it without
-        // counting that pattern's cycle.
+    fn kernel_matches_reference_bit_exactly() {
+        // Every activity count and both derived event counters must equal
+        // what the scalar reference traces. 257 and 300 patterns are a
+        // full 256-lane block plus a one-lane or a masked 44-lane block,
+        // so the block-chaining handoff and the ragged tail are covered
+        // too; 1 and 2 patterns are a stream whose one lane is cycle 0 (a
+        // transition from itself) and one with a single real transition.
+        // A seeded shard (every shard after the first) starts from the
+        // pattern before it without counting that pattern's cycle.
         let unlimited = ResourceBudget::unlimited();
-        let steps = ResourceBudget::unlimited().with_max_sim_steps(1 << 40);
-        let queue = ResourceBudget::unlimited().with_max_event_queue(1 << 20);
         for nl in kernel_circuits() {
             let stream = Stimulus::uniform(nl.num_inputs()).patterns(301, 41);
-            for delay in [1u32, 3] {
-                let sim = EventSim::new(&nl, &DelayModel::PerNet(vec![delay; nl.len()]))
-                    .with_obs(obs::Obs::enabled());
+            for (label, model) in delay_models(nl.len(), 47) {
+                let sim = EventSim::new(&nl, &model);
+                let delays = delays(&nl, &model);
                 for len in [1, 2, 257, 300] {
                     for seeded in [false, true] {
                         let (seed, patterns) = if seeded {
@@ -1074,31 +894,18 @@ mod tests {
                         } else {
                             (None, &stream[..len])
                         };
-                        let run = |budget: &ResourceBudget| {
-                            let (mut arena, steps) = (EventArena::new(), AtomicU64::new(0));
-                            sim.shard_counts(seed, patterns, &mut arena, budget, &steps)
-                                .expect("budget never trips")
-                        };
-                        let dense = run(&unlimited);
-                        let case = format!(
-                            "{}, delay {delay}, {len} patterns, seeded {seeded}",
-                            nl.name()
-                        );
-                        for other in [run(&steps), run(&queue)] {
-                            assert_eq!(dense.total, other.total, "{case}");
-                            assert_eq!(dense.functional, other.functional, "{case}");
-                            assert_eq!(dense.ones, other.ones, "{case}");
-                            assert_eq!(dense.processed, other.processed, "{case}");
-                            assert_eq!(dense.enqueued, other.enqueued, "{case}");
-                            assert_eq!(dense.cancelled, other.cancelled, "{case}");
-                            assert_eq!(dense.coalesced, other.coalesced, "{case}");
-                        }
-                        // The occupancy histogram profiles the queue,
-                        // so only the queue run records it.
-                        assert_eq!(dense.occupancy, QueueOccupancy::default());
-                        assert_eq!(run(&steps).occupancy, QueueOccupancy::default());
-                        let profiled = run(&queue).occupancy.total() > 0;
-                        assert_eq!(profiled, dense.processed > 0, "{case}");
+                        let (mut arena, steps) = (EventArena::new(), AtomicU64::new(0));
+                        let kernel = sim
+                            .shard_counts(seed, patterns, &mut arena, &unlimited, &steps)
+                            .expect("budget never trips");
+                        let reference = event_reference::run(&nl, &delays, seed, patterns);
+                        let case =
+                            format!("{}, {label}, {len} patterns, seeded {seeded}", nl.name());
+                        assert_eq!(kernel.total, reference.total, "{case}");
+                        assert_eq!(kernel.functional, reference.functional, "{case}");
+                        assert_eq!(kernel.ones, reference.ones, "{case}");
+                        let counters = (reference.processed(), reference.coalesced());
+                        assert_eq!(sim.event_counters(&kernel.total), counters, "{case}");
                     }
                 }
             }
@@ -1106,36 +913,70 @@ mod tests {
     }
 
     #[test]
-    fn dense_kernel_trips_step_limits_where_the_queue_does() {
-        // A step limit fails a run once the events processed reach it. The
-        // kernel flushes its toggles at other points than the queue's
-        // 1024-pop batches, so the count an error reports may differ, but
-        // whether the run fails may not: at every limit around the run's
-        // total, on one shard and on three.
-        let queue = ResourceBudget::unlimited().with_max_event_queue(1 << 20);
+    fn kernel_trips_step_limits_at_the_reference_event_count() {
+        // A step limit fails a run once the events processed, one per
+        // transition, reach it: at every limit around the reference's
+        // count, on one shard and on three.
         for nl in kernel_circuits() {
             let patterns = Stimulus::uniform(nl.num_inputs()).patterns(600, 43);
-            let obs = obs::Obs::enabled();
-            let sim = EventSim::new(&nl, &DelayModel::Unit).with_obs(obs.clone());
-            sim.activity(&patterns);
-            let total = obs.snapshot().counter("sim.event.processed").unwrap_or(0);
-            assert!(total > 0, "{}", nl.name());
-            for limit in [1, total / 2, total - 1, total, total + 1, 2 * total] {
-                for jobs in [1, 3] {
-                    let verdict = |budget: ResourceBudget| {
-                        let budget = budget.with_max_sim_steps(limit);
-                        match sim.try_activity_jobs(&patterns, jobs, &budget) {
+            for model in [DelayModel::Unit, DelayModel::Analytic { resolution: 4 }] {
+                let sim = EventSim::new(&nl, &model);
+                let total =
+                    event_reference::run(&nl, &delays(&nl, &model), None, &patterns).processed();
+                assert!(total > 0, "{}", nl.name());
+                for limit in [1, total / 2, total - 1, total, total + 1, 2 * total] {
+                    for jobs in [1, 3] {
+                        let budget = ResourceBudget::unlimited().with_max_sim_steps(limit);
+                        let verdict = match sim.try_activity_jobs(&patterns, jobs, &budget) {
                             Ok(_) => None,
                             Err(e) => Some(e.resource),
-                        }
-                    };
-                    let dense = verdict(ResourceBudget::unlimited());
-                    assert_eq!(dense, verdict(queue), "{}, limit {limit}", nl.name());
-                    let tripped = limit <= total;
-                    assert_eq!(dense, tripped.then_some(budget::Resource::SimSteps));
+                        };
+                        let tripped = limit <= total;
+                        assert_eq!(
+                            verdict,
+                            tripped.then_some(budget::Resource::SimSteps),
+                            "{}, {model:?}, limit {limit}, jobs {jobs}",
+                            nl.name()
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "event ticks overflow")]
+    fn delays_past_the_tick_range_are_rejected() {
+        // Three buffers of 2^31 ticks each: the last would change past
+        // tick u32::MAX.
+        let mut nl = netlist::Netlist::new("slow");
+        let mut x = nl.add_input("x");
+        for _ in 0..3 {
+            x = nl.add_gate(GateKind::Buf, &[x]);
+        }
+        nl.mark_output(x, "y");
+        EventSim::new(&nl, &DelayModel::PerNet(vec![1 << 31; nl.len()]));
+    }
+
+    #[test]
+    #[should_panic(expected = "event window arena overflows")]
+    fn windows_past_the_slot_range_are_rejected() {
+        // Each XOR sees one fanin change at tick 2 and the other 3·2^30
+        // ticks later, so its window needs 3·2^30 slots; both are live
+        // until the OR reads them. The plan fails before allocating any.
+        let mut nl = netlist::Netlist::new("wide");
+        let x = nl.add_input("x");
+        let (fast, slow) = (
+            nl.add_gate(GateKind::Buf, &[x]),
+            nl.add_gate(GateKind::Not, &[x]),
+        );
+        let a = nl.add_gate(GateKind::Xor, &[fast, slow]);
+        let b = nl.add_gate(GateKind::Xnor, &[fast, slow]);
+        let y = nl.add_gate(GateKind::Or, &[a, b]);
+        nl.mark_output(y, "y");
+        let mut delays = vec![1; nl.len()];
+        delays[slow.index()] = 3 << 30;
+        EventSim::new(&nl, &DelayModel::PerNet(delays));
     }
 
     #[test]
@@ -1168,8 +1009,9 @@ mod tests {
 
     #[test]
     fn parallel_timing_activity_is_bit_identical() {
+        // 600 patterns are three blocks, so jobs 2 and up run 2 or 3 shards.
         let (nl, _) = array_multiplier(5);
-        let patterns = Stimulus::uniform(10).patterns(150, 41);
+        let patterns = Stimulus::uniform(10).patterns(600, 41);
         let sim = EventSim::new(&nl, &DelayModel::Analytic { resolution: 4 });
         let serial = sim.activity(&patterns);
         for jobs in [1, 2, 3, 4, 7, 8] {
@@ -1193,10 +1035,6 @@ mod tests {
         for jobs in [2, 4] {
             assert!(sim.try_activity_jobs(&patterns, jobs, &tight).is_err());
         }
-        // A one-event queue cannot hold any fanout wave.
-        let starved = ResourceBudget::unlimited().with_max_event_queue(1);
-        let err = sim.try_activity(&patterns, &starved).unwrap_err();
-        assert_eq!(err.resource, budget::Resource::EventQueue);
     }
 
     #[test]
@@ -1207,7 +1045,6 @@ mod tests {
         let plain = sim.activity(&patterns);
         let roomy = ResourceBudget::unlimited()
             .with_max_sim_steps(1 << 30)
-            .with_max_event_queue(1 << 20)
             .with_deadline_ms(60_000);
         for jobs in [1, 3] {
             let guarded = sim.try_activity_jobs(&patterns, jobs, &roomy).unwrap();
@@ -1218,11 +1055,11 @@ mod tests {
 
     #[test]
     fn event_counters_are_consistent_and_jobs_invariant() {
+        // 600 patterns are three blocks, so jobs 2 and 4 run 2 and 3 shards.
         let (nl, _) = array_multiplier(5);
-        let patterns = Stimulus::uniform(10).patterns(150, 41);
-        // Mixed per-net delays exercise the general calendar queue; unit
-        // delays take the dense kernel. Counter invariants and
-        // jobs-invariance must hold on both.
+        let patterns = Stimulus::uniform(10).patterns(600, 41);
+        // Counter invariants and jobs-invariance hold on uniform and mixed
+        // per-net delays alike.
         let mixed = DelayModel::PerNet((0..nl.len()).map(|i| 1 + (i as u32 & 1)).collect());
         for model in [DelayModel::Unit, mixed] {
             let run = |jobs: usize| {
@@ -1233,38 +1070,14 @@ mod tests {
             };
             let serial = run(1);
             let processed = serial.counter("sim.event.processed").unwrap();
-            let enqueued = serial.counter("sim.event.enqueued").unwrap();
-            let cancelled = serial.counter("sim.event.cancelled").unwrap();
-            let coalesced = serial.counter("sim.event.coalesced").unwrap();
             assert!(processed > 0);
-            assert_eq!(processed, enqueued, "every enqueued event is popped");
-            assert!(cancelled <= processed);
+            assert_eq!(serial.counter("sim.event.enqueued"), Some(processed));
+            assert_eq!(serial.counter("sim.event.cancelled"), Some(0));
+            let coalesced = serial.counter("sim.event.coalesced").unwrap();
             assert!(coalesced > 0, "a multiplier reconverges heavily");
-            assert_eq!(serial.counter("sim.event.cycles"), Some(150));
-            // The occupancy histogram covers every popped bucket — but
-            // only on runs that exercise a queue; the dense word path
-            // (unit delays, unlimited budget) reports counters only.
-            let buckets: u64 = ["le1", "le2", "le4", "le8", "le16", "gt16"]
-                .iter()
-                .map(|b| {
-                    serial
-                        .gauge(&format!("sim.event.occupancy.{b}"))
-                        .unwrap_or(0.0) as u64
-                })
-                .sum();
-            if matches!(model, DelayModel::Unit) {
-                assert_eq!(buckets, 0, "dense-eligible runs skip the histogram");
-            } else {
-                assert!(buckets > 0 && buckets <= processed);
-            }
+            assert_eq!(serial.counter("sim.event.cycles"), Some(600));
             for jobs in [2, 4] {
-                let par = run(jobs);
-                assert_eq!(par.counters, serial.counters, "jobs={jobs}");
-                assert_eq!(
-                    par.gauge("sim.event.occupancy.le1"),
-                    serial.gauge("sim.event.occupancy.le1"),
-                    "occupancy is jobs-invariant"
-                );
+                assert_eq!(run(jobs).counters, serial.counters, "jobs={jobs}");
             }
         }
     }

@@ -22,9 +22,9 @@
 //! [`IncrementalEventSim`] is the glitch-inclusive engine of the balance
 //! sweeps. It keeps no words of its own: an apply edits its netlist in
 //! place and runs one [`crate::event::EventSim`] over the result, so its
-//! answer *is* `EventSim`'s; under uniform delays that run takes the
-//! word-parallel dense kernel. A run the budget cuts short puts the
-//! netlist back from a record of that one apply.
+//! answer *is* `EventSim`'s, from its word-parallel window kernel. A run
+//! the budget cuts short puts the netlist back from a record of that one
+//! apply.
 //!
 //! [`IncrementalSim`] also keeps three values per net resident for the
 //! live logic (the nets [`Netlist::sweep_dead`] keeps): how many live
@@ -1470,9 +1470,9 @@ impl IncrementalEventSim {
     }
 
     /// Apply a delta under a budget. The edited netlist's event run meters
-    /// its processed events against the step limit and its pending events
-    /// against the event-queue limit. On exhaustion the netlist and the
-    /// activity are exactly as before the call and the error is returned.
+    /// its processed events against the step limit and polls the deadline.
+    /// On exhaustion the netlist and the activity are exactly as before the
+    /// call and the error is returned.
     ///
     /// # Panics
     ///

@@ -40,7 +40,6 @@ pub mod event;
 pub mod fault;
 pub mod incr;
 pub mod par;
-pub mod queue;
 pub mod seq;
 pub mod sta;
 pub mod stimulus;
@@ -48,4 +47,4 @@ pub mod wide;
 
 mod profile;
 
-pub use profile::{ActivityProfile, QueueOccupancy};
+pub use profile::ActivityProfile;

@@ -23,8 +23,8 @@
 //!   including however many helpers actually started.
 //! * **Arena locality** — [`par_map_with`] gives each participant one
 //!   `init()`-built state reused across every item it steals, so the hot
-//!   loops allocate nothing per shard: simulation arenas and event queues
-//!   warm up once per participant, not once per work item.
+//!   loops allocate nothing per shard: simulation arenas warm up once per
+//!   participant, not once per work item.
 //! * **Panic isolation** — a panic inside `f` does not poison the other
 //!   shards. [`par_map`] catches it, lets every healthy shard finish, then
 //!   retries the failed items serially in index order. Only a
@@ -111,8 +111,8 @@ where
 /// [`par_map`] with reusable per-worker state.
 ///
 /// Each worker thread builds its state once with `init()` and threads it
-/// through every item it steals, so expensive scratch (simulation arenas,
-/// event queues) is constructed `threads` times instead of `items` times.
+/// through every item it steals, so expensive scratch (simulation arenas)
+/// is constructed `threads` times instead of `items` times.
 /// The inline (`jobs <= 1`) path builds one state and reuses it across all
 /// items — exactly what a serial caller holding its own arena would do.
 ///

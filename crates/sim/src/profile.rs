@@ -73,98 +73,10 @@ impl ActivityProfile {
     }
 }
 
-/// Histogram bin labels for [`QueueOccupancy`], smallest first.
-const OCCUPANCY_BINS: [&str; 6] = ["le1", "le2", "le4", "le8", "le16", "gt16"];
-
-/// Histogram of calendar-queue bucket occupancy: how many transitions each
-/// popped timestamp carried. Shows where event time goes — a profile
-/// dominated by 1-event buckets pays pure queue overhead per transition,
-/// while fat buckets amortize fanout evaluation across a whole wave.
-///
-/// Recorded per shard by the event engine (only when observability is
-/// enabled), merged in fixed shard order, and flushed as
-/// `sim.event.occupancy.<bin>` gauges. Bucket contents are a property of
-/// the event waves, not of the sharding, so the gauges are `--jobs`
-/// invariant like the engine's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueOccupancy {
-    /// Popped-bucket size counts, binned `<=1, <=2, <=4, <=8, <=16, >16`.
-    pub bins: [u64; 6],
-}
-
-impl QueueOccupancy {
-    /// Record one popped bucket of `len` transitions.
-    pub fn record(&mut self, len: usize) {
-        let bin = match len {
-            0..=1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            9..=16 => 4,
-            _ => 5,
-        };
-        self.bins[bin] += 1;
-    }
-
-    /// Fold another shard's histogram into this one.
-    pub fn merge(&mut self, other: &QueueOccupancy) {
-        for (a, b) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Total buckets recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
-    /// Publish the histogram as `sim.event.occupancy.<bin>` gauges.
-    /// Gauges rather than counters: the histogram describes the most
-    /// recent run, and re-runs overwrite it.
-    pub fn flush(&self, obs: &obs::Obs) {
-        if !obs.is_enabled() || self.total() == 0 {
-            return;
-        }
-        for (label, &count) in OCCUPANCY_BINS.iter().zip(self.bins.iter()) {
-            obs.gauge_set(&format!("sim.event.occupancy.{label}"), count as f64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netlist::GateKind;
-
-    #[test]
-    fn occupancy_bins_and_merge() {
-        let mut h = QueueOccupancy::default();
-        for len in [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 1000] {
-            h.record(len);
-        }
-        assert_eq!(h.bins, [2, 1, 2, 2, 2, 2]);
-        let mut other = QueueOccupancy::default();
-        other.record(1);
-        h.merge(&other);
-        assert_eq!(h.bins[0], 3);
-        assert_eq!(h.total(), 12);
-    }
-
-    #[test]
-    fn occupancy_flushes_gauges_when_enabled() {
-        let mut h = QueueOccupancy::default();
-        h.record(1);
-        h.record(7);
-        let obs = obs::Obs::enabled();
-        h.flush(&obs);
-        let snap = obs.snapshot();
-        assert_eq!(snap.gauge("sim.event.occupancy.le1"), Some(1.0));
-        assert_eq!(snap.gauge("sim.event.occupancy.le8"), Some(1.0));
-        assert_eq!(snap.gauge("sim.event.occupancy.gt16"), Some(0.0));
-        // Disabled handles and empty histograms record nothing.
-        h.flush(&obs::Obs::disabled());
-        QueueOccupancy::default().flush(&obs::Obs::enabled());
-    }
 
     #[test]
     fn aggregate_measures() {

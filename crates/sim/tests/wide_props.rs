@@ -3,11 +3,14 @@
 //!
 //! Every engine runs one lane-generic kernel at `LANES` words, so each is
 //! checked against something that does not share that kernel's width: comb
-//! against the same kernel at one lane, event against the calendar queue,
-//! seq against per-cycle stepping, fault against per-fault reports, and the
-//! incremental engine against `CombSim` from scratch. Random DAGs and
+//! against the same kernel at one lane, event against the scalar reference
+//! simulator of `event_reference`, seq against per-cycle stepping, fault
+//! against per-fault reports, and the incremental engine against `CombSim`
+//! from scratch. Random DAGs and
 //! cycle counts deliberately straddling block (64) and wide-group (256)
 //! boundaries keep ragged-tail masking in play.
+
+mod event_reference;
 
 use budget::ResourceBudget;
 use netlist::gen::{random_dag, RandomDagConfig};
@@ -182,12 +185,12 @@ proptest! {
         }
     }
 
-    /// Event: the dense kernel, 256 lanes at a time with a masked last
+    /// Event: the window kernel, 256 lanes at a time with a masked last
     /// chunk, reports the same timing activity (total and functional,
-    /// glitches included) and the same event counters as the calendar
-    /// queue, which a queue limit forces.
+    /// glitches included) and the same event counters as the scalar
+    /// reference, which simulates one pattern at a time.
     #[test]
-    fn event_dense_matches_calendar_queue(
+    fn event_kernel_matches_reference(
         seed in 0u64..1 << 48,
         inputs in 4usize..10,
         gates in 12usize..80,
@@ -195,20 +198,18 @@ proptest! {
         delay in 1u32..4,
     ) {
         let nl = small_dag(seed, inputs, gates);
-        let model = DelayModel::PerNet(vec![delay; nl.len()]);
+        let delays = vec![delay; nl.len()];
         let patterns = Stimulus::uniform(inputs).patterns(cycles, seed ^ 0x51ed);
-        let run = |budget: &ResourceBudget| {
-            let obs = obs::Obs::enabled();
-            let sim = EventSim::new(&nl, &model).with_obs(obs.clone());
-            let timing = sim.try_activity(&patterns, budget).expect("budget never trips");
-            (timing, obs.snapshot().counters)
-        };
-        let (dense, dense_counters) = run(&ResourceBudget::unlimited());
-        let queue_budget = ResourceBudget::unlimited().with_max_event_queue(1 << 30);
-        let (queue, queue_counters) = run(&queue_budget);
-        prop_assert_eq!(&dense.total, &queue.total);
-        prop_assert_eq!(&dense.functional, &queue.functional);
-        prop_assert_eq!(dense_counters, queue_counters);
+        let obs = obs::Obs::enabled();
+        let timing = EventSim::new(&nl, &DelayModel::PerNet(delays.clone()))
+            .with_obs(obs.clone())
+            .activity(&patterns);
+        let reference = event_reference::run(&nl, &delays, None, &patterns);
+        prop_assert_eq!(&timing.total.toggles, &reference.total_rates());
+        prop_assert_eq!(&timing.functional.toggles, &reference.functional_rates());
+        prop_assert_eq!(&timing.total.probability, &reference.probability());
+        let counters = event_reference::event_counters(&obs.snapshot().counters);
+        prop_assert_eq!(counters, reference.counters());
     }
 
     /// Incr: resident packed words, the masked last group and the wide

@@ -19,11 +19,11 @@
 //! threads (`0` or omitted = all cores, also settable via `LPOPT_JOBS`).
 //! Results are bit-identical for every thread count.
 //!
-//! `--budget-nodes`, `--budget-steps`, `--budget-queue` and `--deadline-ms`
-//! bound the resources any command may consume. Estimation commands
-//! degrade gracefully (exact BDD → probability propagation → sampled
-//! simulation, reporting the tier that answered); everything else fails
-//! with a one-line typed diagnostic instead of running away.
+//! `--budget-nodes`, `--budget-steps` and `--deadline-ms` bound the
+//! resources any command may consume. Estimation commands degrade
+//! gracefully (exact BDD → probability propagation → sampled simulation,
+//! reporting the tier that answered); everything else fails with a
+//! one-line typed diagnostic instead of running away.
 //!
 //! `--trace <file>` writes a JSONL span/counter trace, `--metrics-json
 //! <file>` an aggregate `metrics.json`, and `--report` appends a
@@ -88,7 +88,6 @@ flags:
   --jobs N          worker threads (0 or omitted = all cores; LPOPT_JOBS env)
   --budget-nodes N  give up on exact BDD estimation past N manager nodes
   --budget-steps N  cap total simulation work (cycles x nets, events)
-  --budget-queue N  cap the timing simulator's event-queue length
   --deadline-ms N   wall-clock budget for the whole command
   --reorder SPEC    BDD variable-ordering policy for exact estimation:
                     static seed (natural|dfs|force) and/or dynamic schedule
@@ -167,7 +166,6 @@ fn parse_flags(args: &[String]) -> Result<(Opts, &[String]), CliError> {
             }
             "--budget-nodes" => budget = budget.with_max_bdd_nodes(parse_u64(name, &value)?),
             "--budget-steps" => budget = budget.with_max_sim_steps(parse_u64(name, &value)?),
-            "--budget-queue" => budget = budget.with_max_event_queue(parse_u64(name, &value)?),
             "--deadline-ms" => budget = budget.with_deadline_ms(parse_u64(name, &value)?),
             "--reorder" => {
                 reorder = lowpower::power::order::ReorderConfig::parse(&value)

@@ -2,8 +2,8 @@
 //!
 //! 200 deterministic pseudo-random scenarios drive CombSim, EventSim,
 //! SeqSim, the fault engine and the estimator chain with hostile budgets
-//! (tiny node counts, starved step limits, short queues, zero-millisecond
-//! deadlines) and occasionally invalid fault sites. The contract under
+//! (tiny node counts, starved step limits, zero-millisecond deadlines) and
+//! occasionally invalid fault sites. The contract under
 //! test is the robustness tentpole:
 //!
 //! * zero panics — every failure is a typed error;
@@ -45,9 +45,6 @@ fn random_budget(rng: &mut Rng64) -> (ResourceBudget, bool) {
     }
     if rng.chance(0.4) {
         budget = budget.with_max_sim_steps(1 << rng.range(6, 22));
-    }
-    if rng.chance(0.3) {
-        budget = budget.with_max_event_queue(1 << rng.range(2, 12));
     }
     let deadline = rng.chance(0.15);
     if deadline {

@@ -45,13 +45,13 @@ const CASES: &[Case] = &[
         artifacts: &["metrics.json"],
     },
     Case {
-        // A tiny event-queue budget abandons the event-driven engine and
+        // A tiny step budget abandons the event-driven engine and
         // exercises the degradation chain (exact BDD answers).
         name: "power-chain-mult4",
         args: &[
             "--jobs",
             "1",
-            "--budget-queue",
+            "--budget-steps",
             "4",
             "--report",
             "--metrics-json",

@@ -6,8 +6,8 @@
 //!
 //! * BDD computed-table hits never exceed lookups, and every unique-table
 //!   lookup either hit or created a node.
-//! * The event simulator processes exactly what it enqueues (the heap
-//!   drains), and cancels at most what it processes.
+//! * The event simulator processes exactly what it enqueues (one event
+//!   per transition), and cancels at most what it processes.
 //! * Every degradation-chain attempt is either the (single) answer or a
 //!   typed abandonment — nothing is dropped silently.
 
@@ -83,7 +83,7 @@ proptest! {
         let processed = snap.counter("sim.event.processed").unwrap_or(0);
         let enqueued = snap.counter("sim.event.enqueued").unwrap_or(0);
         let cancelled = snap.counter("sim.event.cancelled").unwrap_or(0);
-        prop_assert_eq!(processed, enqueued, "the event heap must drain");
+        prop_assert_eq!(processed, enqueued, "every enqueued event is processed");
         prop_assert!(cancelled <= processed);
         prop_assert_eq!(snap.counter("sim.event.cycles"), Some(cycles as u64));
     }

@@ -152,7 +152,9 @@ proptest! {
 /// bit-identical to jobs 1 for the combinational and unit-delay event
 /// engines on a 32-bit Wallace multiplier and a 10,000-gate random DAG,
 /// for the sequential engine on a pipelined 8-bit multiplier, and for a
-/// stuck-at campaign over an 8-bit array multiplier.
+/// stuck-at campaign over an 8-bit array multiplier. Event shards are
+/// whole 256-pattern blocks, so the event runs take 600 patterns: three
+/// blocks, split two ways at jobs 2 and three ways at jobs 3 and 8.
 #[test]
 fn realistic_circuits_are_jobs_invariant() {
     let (wallace, _) = gen::wallace_multiplier(32);
@@ -166,7 +168,7 @@ fn realistic_circuits_are_jobs_invariant() {
     };
     let dag = random_dag(&dag_config, 7);
     assert_eq!(dag.len(), 10_064);
-    for (nl, comb_cycles, event_cycles) in [(&wallace, 1024, 128), (&dag, 1024, 256)] {
+    for (nl, comb_cycles, event_cycles) in [(&wallace, 1024, 600), (&dag, 1024, 600)] {
         let stimulus = Stimulus::uniform(nl.num_inputs());
         let comb = CombSim::new(nl);
         let patterns = stimulus.patterns(comb_cycles, 0xC0);
