@@ -237,7 +237,9 @@ pub fn read_bdd_prefix(mgr: &mut Bdd, text: &str) -> Result<(Vec<Ref>, usize), S
     let mut refs: Vec<Ref> = Vec::with_capacity(nnodes as usize + 1);
     refs.push(Ref::FALSE);
     for i in 0..nnodes {
-        let line = parser.next_line().ok_or_else(|| malformed("truncated node list"))?;
+        let line = parser
+            .next_line()
+            .ok_or_else(|| malformed("truncated node list"))?;
         let mut it = line.split_ascii_whitespace();
         let var = parse_num(it.next(), "node var")?;
         let lo = parse_num(it.next(), "node lo edge")?;
@@ -246,7 +248,10 @@ pub fn read_bdd_prefix(mgr: &mut Bdd, text: &str) -> Result<(Vec<Ref>, usize), S
             return Err(malformed(format!("trailing tokens on node line {}", i + 1)));
         }
         if var >= nvars {
-            return Err(malformed(format!("node {} var {var} outside domain {nvars}", i + 1)));
+            return Err(malformed(format!(
+                "node {} var {var} outside domain {nvars}",
+                i + 1
+            )));
         }
         let lo = decode_edge(mgr, lo, &refs)?;
         let hi = decode_edge(mgr, hi, &refs)?;
@@ -256,7 +261,9 @@ pub fn read_bdd_prefix(mgr: &mut Bdd, text: &str) -> Result<(Vec<Ref>, usize), S
     parser.expect_line(".roots")?;
     let mut roots = Vec::with_capacity(nroots as usize);
     for _ in 0..nroots {
-        let line = parser.next_line().ok_or_else(|| malformed("truncated root list"))?;
+        let line = parser
+            .next_line()
+            .ok_or_else(|| malformed("truncated root list"))?;
         let edge = parse_num(Some(line.trim()), "root edge")?;
         roots.push(decode_edge(mgr, edge, &refs)?);
     }
@@ -285,9 +292,11 @@ fn parse_num(token: Option<&str>, what: &str) -> Result<u64, StoreError> {
 fn decode_edge(mgr: &mut Bdd, edge: u64, refs: &[Ref]) -> Result<Ref, StoreError> {
     let serial = (edge / 2) as usize;
     let complemented = edge % 2 == 1;
-    let base = *refs
-        .get(serial)
-        .ok_or_else(|| malformed(format!("edge {edge} references serial {serial} before definition")))?;
+    let base = *refs.get(serial).ok_or_else(|| {
+        malformed(format!(
+            "edge {edge} references serial {serial} before definition"
+        ))
+    })?;
     Ok(if complemented { mgr.not(base) } else { base })
 }
 
@@ -322,9 +331,7 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| malformed(format!("missing {key} line")))?;
         let value = line.strip_prefix(key).map(str::trim);
         match value {
-            Some(v) if key == ".lpbdd" => v
-                .parse()
-                .map_err(|_| StoreError::Version(v.to_string())),
+            Some(v) if key == ".lpbdd" => v.parse().map_err(|_| StoreError::Version(v.to_string())),
             Some(v) => v
                 .parse()
                 .map_err(|_| malformed(format!("unreadable {key} value {v:?}"))),
@@ -496,7 +503,10 @@ mod tests {
         let y = target.var(1);
         let keep = target.and(x, y);
         let rebuilt = read_bdd_into(&mut target, &blob).unwrap();
-        assert!(!target.has_custom_order(), "populated manager keeps its order");
+        assert!(
+            !target.has_custom_order(),
+            "populated manager keeps its order"
+        );
         for (&orig, &new) in roots.iter().zip(&rebuilt) {
             for bits in 0u32..16 {
                 let env: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
@@ -533,7 +543,10 @@ mod tests {
             .unwrap();
         bytes[digit] = if bytes[digit] == b'0' { b'1' } else { b'0' };
         let flipped = String::from_utf8(bytes).unwrap();
-        assert!(read_bdd(&flipped).is_err(), "order corruption must be rejected");
+        assert!(
+            read_bdd(&flipped).is_err(),
+            "order corruption must be rejected"
+        );
     }
 
     #[test]

@@ -63,10 +63,8 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     leaf.prop_recursive(5, 64, 2, |inner| {
         prop_oneof![
             inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
             (inner.clone(), inner).prop_map(|(a, b)| Expr::Xor(Box::new(a), Box::new(b))),
         ]
     })
