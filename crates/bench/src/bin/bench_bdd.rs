@@ -25,8 +25,12 @@
 //! deterministic node counts, immune to CI timing noise — and fails if the
 //! sifted build's pass count, swap count or peak drifts from the committed
 //! values: sifting is deterministic, so any drift means the reorderer now
-//! decides differently. The exhibit also records the sifted build's
-//! collections and freed nodes, and its wall-clock time per build
+//! decides differently. It also fails if the sifted build's passes read
+//! more than [`MAX_REORDER_PROBES`] unique-table slots
+//! (`OpCounts::reorder_probes`): the swaps' table work, a deterministic
+//! count that per-variable tables at a quarter load cut from 17.5M to 9.7M.
+//! The exhibit also records the sifted build's collections, freed nodes
+//! and probes per swap, and its wall-clock time per build
 //! ([`harness::per_call`]: best of 5 timed builds after one probe build).
 
 use std::fmt::Write as _;
@@ -111,6 +115,12 @@ const REORDER_NODE_BUDGET: u64 = 40_000;
 const SIFTED_RUNS: u64 = 9;
 const SIFTED_SWAPS: u64 = 3755;
 const SIFTED_PEAK: u64 = 36_339;
+/// Ceiling on the sifted build's unique-table slot reads during its
+/// passes. The kernel reads 9,699,838 (2,583 per swap) with per-variable
+/// tables at a quarter load; one global table at three quarters read
+/// 17,457,252 (4,649 per swap), and per-variable tables at three quarters
+/// read 14,065,880 (3,746 per swap).
+const MAX_REORDER_PROBES: u64 = 11_000_000;
 
 struct ReorderMeasured {
     fixed_peak: u64,
@@ -119,6 +129,7 @@ struct ReorderMeasured {
     reorder_swaps: u64,
     gc_runs: u64,
     nodes_freed: u64,
+    reorder_probes: u64,
     /// Seconds per sifted build.
     seconds: f64,
     /// The natural order must blow the committed budget…
@@ -148,6 +159,7 @@ fn measure_reorder() -> ReorderMeasured {
         reorder_swaps: counts.reorder_swaps,
         gc_runs: counts.gc_runs,
         nodes_freed: counts.nodes_freed,
+        reorder_probes: counts.reorder_probes,
         seconds,
         fixed_exhausts_budget: try_circuit_bdds(&nl, &budget).is_err(),
         reordered_completes_budget: try_circuit_bdds_reorder(&nl, &budget, &cfg, &nobs).is_ok(),
@@ -166,6 +178,12 @@ fn reorder_json(r: &ReorderMeasured) -> String {
     let _ = writeln!(out, "    \"reorder_swaps\": {},", r.reorder_swaps);
     let _ = writeln!(out, "    \"gc_runs\": {},", r.gc_runs);
     let _ = writeln!(out, "    \"nodes_freed\": {},", r.nodes_freed);
+    let _ = writeln!(out, "    \"reorder_probes\": {},", r.reorder_probes);
+    let _ = writeln!(
+        out,
+        "    \"probes_per_swap\": {:.1},",
+        r.reorder_probes as f64 / r.reorder_swaps.max(1) as f64
+    );
     let _ = writeln!(out, "    \"seconds\": {:.3e},", r.seconds);
     let _ = writeln!(out, "    \"fixed_exhausts_budget\": {},", r.fixed_exhausts_budget);
     let _ = writeln!(
@@ -227,12 +245,14 @@ fn main() {
     }
     println!(
         "  mult8    peak {} -> {} under {REORDER_SPEC} ({} runs, {} swaps, {} collections, \
-         {:.3e} s/build, best of 5); budget {REORDER_NODE_BUDGET}: fixed {}, reordered {}",
+         {} probes, {:.3e} s/build, best of 5); budget {REORDER_NODE_BUDGET}: fixed {}, \
+         reordered {}",
         reorder.fixed_peak,
         reorder.reordered_peak,
         reorder.reorder_runs,
         reorder.reorder_swaps,
         reorder.gc_runs,
+        reorder.reorder_probes,
         reorder.seconds,
         if reorder.fixed_exhausts_budget { "exhausts" } else { "COMPLETES" },
         if reorder.reordered_completes_budget { "completes" } else { "EXHAUSTS" },
@@ -289,6 +309,19 @@ fn main() {
         println!(
             "check ok: mult8 sifting decisions unchanged ({SIFTED_RUNS} passes, \
              {SIFTED_SWAPS} swaps, peak {SIFTED_PEAK})"
+        );
+        if reorder.reorder_probes > MAX_REORDER_PROBES {
+            eprintln!(
+                "check FAILED: mult8 under {REORDER_SPEC} read {} unique-table slots in its \
+                 reorder passes (ceiling {MAX_REORDER_PROBES}): the swaps probe longer runs",
+                reorder.reorder_probes
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "check ok: mult8 reorder passes read {} unique-table slots (ceiling \
+             {MAX_REORDER_PROBES})",
+            reorder.reorder_probes
         );
     }
 }

@@ -39,6 +39,14 @@ use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::seq::SeqSim;
 use lowpower::sim::stimulus::Stimulus;
 
+/// Stream lengths of the overhead pairs. Each call takes at least 10 ms on
+/// a 2-core Xeon host, so a paired percentage measures the checks and the
+/// instrumentation rather than timer and scheduler noise (at 4,096, 1,024
+/// and 2,048 the calls took 0.1–2.5 ms).
+const COMB_PATTERNS: usize = 393_216;
+const EVENT_PATTERNS: usize = 131_072;
+const SEQ_CYCLES: usize = 16_384;
+
 /// Every limit set, none reachable: the checks run, the branches never
 /// take, which is exactly the hot-path configuration the overhead target
 /// is about.
@@ -66,9 +74,9 @@ fn overheads() -> Vec<Overhead> {
     let (wallace, _) = gen::wallace_multiplier(8);
     let (mult, _) = gen::array_multiplier(6);
     let pipe = gen::pipelined_multiplier(4);
-    let wallace_pat = Stimulus::uniform(wallace.num_inputs()).patterns(4096, 5);
-    let mult_pat = Stimulus::uniform(mult.num_inputs()).patterns(1024, 5);
-    let pipe_pat = Stimulus::uniform(pipe.num_inputs()).patterns(2048, 5);
+    let wallace_pat = Stimulus::uniform(wallace.num_inputs()).patterns(COMB_PATTERNS, 5);
+    let mult_pat = Stimulus::uniform(mult.num_inputs()).patterns(EVENT_PATTERNS, 5);
+    let pipe_pat = Stimulus::uniform(pipe.num_inputs()).patterns(SEQ_CYCLES, 5);
 
     let comb = CombSim::new(&wallace);
     let event = EventSim::new(&mult, &DelayModel::Unit);
@@ -136,9 +144,9 @@ fn obs_overheads() -> Vec<ObsOverhead> {
     let (wallace, _) = gen::wallace_multiplier(8);
     let (mult, _) = gen::array_multiplier(6);
     let pipe = gen::pipelined_multiplier(4);
-    let wallace_pat = Stimulus::uniform(wallace.num_inputs()).patterns(4096, 5);
-    let mult_pat = Stimulus::uniform(mult.num_inputs()).patterns(1024, 5);
-    let pipe_pat = Stimulus::uniform(pipe.num_inputs()).patterns(2048, 5);
+    let wallace_pat = Stimulus::uniform(wallace.num_inputs()).patterns(COMB_PATTERNS, 5);
+    let mult_pat = Stimulus::uniform(mult.num_inputs()).patterns(EVENT_PATTERNS, 5);
+    let pipe_pat = Stimulus::uniform(pipe.num_inputs()).patterns(SEQ_CYCLES, 5);
 
     let obs = Obs::enabled();
     let comb = CombSim::new(&wallace);

@@ -18,15 +18,15 @@
 //!   same rooting contract.
 //!
 //! Separately, the sifting *decisions* on real circuits are pinned:
-//! sifting is deterministic, so the pass count, swap count, freed nodes,
-//! final and peak live nodes and the final order of a few committed
-//! builds may only change when the reorderer is meant to decide
-//! differently.
+//! sifting is deterministic, so every operation counter, the final and
+//! peak live nodes and the final order of a few committed builds may only
+//! change when the reorderer is meant to decide differently.
 //!
 //! Sizes stay small: the `always` schedule re-sifts on every growth and
 //! is quadratic-ish in debug builds, and all-assignment evaluation is
 //! `2^inputs` per case.
 
+use lowpower::bdd::OpCounts;
 use lowpower::budget::ResourceBudget;
 use lowpower::netlist::blif::{parse_text, write_text};
 use lowpower::netlist::gen::{self, random_dag, RandomDagConfig};
@@ -195,9 +195,9 @@ struct Pinned {
     circuit: fn() -> Netlist,
     spec: &'static str,
     max_nodes: Option<u64>,
-    runs: u64,
-    swaps: u64,
-    nodes_freed: u64,
+    /// Every counter but `reorder_probes`, which measures the table work
+    /// of a pass rather than a decision (`bench_bdd` gates it).
+    counts: OpCounts,
     node_count: usize,
     peak: usize,
     order: &'static [u32],
@@ -205,16 +205,31 @@ struct Pinned {
 
 /// Outcomes measured before swaps kept reference counts (each swap then
 /// ended with a full collection), on the generators' BLIF round trip as
-/// `lpopt` reads them.
+/// `lpopt` reads them. The counters other than passes, swaps and freed
+/// nodes, and the wallace6 build, were measured before passes kept a
+/// unique table per variable.
 const PINNED: &[Pinned] = &[
     Pinned {
         name: "mult6",
         circuit: || gen::array_multiplier(6).0,
         spec: "dfs+threshold:256",
         max_nodes: Some(40_000),
-        runs: 5,
-        swaps: 1157,
-        nodes_freed: 99_917,
+        counts: OpCounts {
+            ite_calls: 17_866,
+            cache_lookups: 12_325,
+            cache_hits: 3578,
+            cache_evictions: 2515,
+            unique_lookups: 168_403,
+            unique_hits: 64_720,
+            nodes_created: 103_683,
+            gc_runs: 5,
+            nodes_freed: 99_917,
+            reorder_runs: 5,
+            reorder_swaps: 1157,
+            reorder_nodes_before: 5842,
+            reorder_nodes_after: 5465,
+            reorder_probes: 0,
+        },
         node_count: 3767,
         peak: 4006,
         order: &[8, 11, 6, 9, 10, 7, 4, 5, 3, 2, 1, 0],
@@ -224,21 +239,72 @@ const PINNED: &[Pinned] = &[
         circuit: || gen::array_multiplier(8).0,
         spec: "dfs+threshold:256",
         max_nodes: Some(40_000),
-        runs: 9,
-        swaps: 3755,
-        nodes_freed: 1_278_715,
+        counts: OpCounts {
+            ite_calls: 213_740,
+            cache_lookups: 176_369,
+            cache_hits: 69_843,
+            cache_evictions: 36_653,
+            unique_lookups: 2_209_588,
+            unique_hits: 894_535,
+            nodes_created: 1_315_053,
+            gc_runs: 9,
+            nodes_freed: 1_278_715,
+            reorder_runs: 9,
+            reorder_swaps: 3755,
+            reorder_nodes_before: 58_069,
+            reorder_nodes_after: 52_692,
+            reorder_probes: 0,
+        },
         node_count: 36_339,
         peak: 36_339,
         order: &[10, 9, 8, 11, 13, 14, 15, 12, 6, 7, 5, 4, 3, 2, 1, 0],
+    },
+    Pinned {
+        name: "wallace6",
+        circuit: || gen::wallace_multiplier(6).0,
+        spec: "force+threshold:128",
+        max_nodes: None,
+        counts: OpCounts {
+            ite_calls: 15_872,
+            cache_lookups: 10_845,
+            cache_hits: 3111,
+            cache_evictions: 1794,
+            unique_lookups: 177_886,
+            unique_hits: 73_704,
+            nodes_created: 104_182,
+            gc_runs: 6,
+            nodes_freed: 99_897,
+            reorder_runs: 6,
+            reorder_swaps: 1375,
+            reorder_nodes_before: 5957,
+            reorder_nodes_after: 5754,
+            reorder_probes: 0,
+        },
+        node_count: 4286,
+        peak: 4409,
+        order: &[0, 3, 4, 6, 8, 9, 10, 11, 7, 5, 2, 1],
     },
     Pinned {
         name: "cmp12",
         circuit: || gen::comparator_gt(12).0,
         spec: "always",
         max_nodes: None,
-        runs: 46,
-        swaps: 46_812,
-        nodes_freed: 46_797,
+        counts: OpCounts {
+            ite_calls: 1124,
+            cache_lookups: 897,
+            cache_hits: 383,
+            cache_evictions: 8,
+            unique_lookups: 86_008,
+            unique_hits: 38_778,
+            nodes_created: 47_230,
+            gc_runs: 46,
+            nodes_freed: 46_797,
+            reorder_runs: 46,
+            reorder_swaps: 46_812,
+            reorder_nodes_before: 4776,
+            reorder_nodes_after: 4671,
+            reorder_probes: 0,
+        },
         node_count: 434,
         peak: 562,
         order: &[
@@ -278,21 +344,17 @@ fn sifting_decisions_match_pinned_outcomes() {
         let bdds = try_circuit_bdds_reorder(&nl, &budget, &cfg, &obs::Obs::disabled())
             .unwrap_or_else(|e| panic!("{}: {e}", pin.name));
         let c = bdds.mgr.op_counts();
-        let got = (
-            c.reorder_runs,
-            c.reorder_swaps,
-            c.nodes_freed,
-            bdds.mgr.node_count(),
-            bdds.mgr.peak_live_nodes(),
+        assert_eq!(
+            OpCounts {
+                reorder_probes: 0,
+                ..c
+            },
+            pin.counts,
+            "{}: operation counts",
+            pin.name
         );
-        let want = (
-            pin.runs,
-            pin.swaps,
-            pin.nodes_freed,
-            pin.node_count,
-            pin.peak,
-        );
-        assert_eq!(got, want, "{}: (runs, swaps, freed, live, peak)", pin.name);
+        let live = (bdds.mgr.node_count(), bdds.mgr.peak_live_nodes());
+        assert_eq!(live, (pin.node_count, pin.peak), "{}: live, peak", pin.name);
         assert_eq!(
             bdds.variable_order(),
             pin.order,
