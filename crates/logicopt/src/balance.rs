@@ -74,7 +74,10 @@ pub fn balance_paths(nl: &Netlist, threshold: usize) -> (Netlist, BalanceReport)
 ///
 /// Panics if the netlist is sequential.
 pub fn balance_delta(nl: &Netlist, levels: &[usize], threshold: usize) -> (Delta, usize) {
-    assert!(nl.is_combinational(), "balancing operates on combinational logic");
+    assert!(
+        nl.is_combinational(),
+        "balancing operates on combinational logic"
+    );
     let mut delta = Delta::for_netlist(nl);
     let mut buffers_added = 0;
 
@@ -228,7 +231,10 @@ mod tests {
             assert!(equivalent_exhaustive(&nl, &balanced));
         }
         // Fewer buffers as threshold grows; more residual glitching.
-        assert!(buffer_counts.windows(2).all(|w| w[0] >= w[1]), "{buffer_counts:?}");
+        assert!(
+            buffer_counts.windows(2).all(|w| w[0] >= w[1]),
+            "{buffer_counts:?}"
+        );
         assert_eq!(*buffer_counts.last().unwrap(), 0);
         assert!(glitch_fractions[0] < 1e-9);
         assert!(

@@ -191,7 +191,10 @@ pub fn try_optimize_dontcares(
     cache: &mut CircuitBddCache,
     budget: &ResourceBudget,
 ) -> Result<(Netlist, DontCareReport), BudgetExceeded> {
-    assert!(nl.is_combinational(), "don't-care pass needs combinational logic");
+    assert!(
+        nl.is_combinational(),
+        "don't-care pass needs combinational logic"
+    );
     assert_eq!(input_probs.len(), nl.num_inputs());
     let mut current = nl.clone();
     let cap_before = try_estimated_cap_cached(&current, input_probs, cache, budget)?;
@@ -563,11 +566,7 @@ enum Analysis {
 /// in full, as it would without a witness.
 ///
 /// `engine` must hold the netlist the candidate belongs to.
-fn care_witness(
-    engine: &mut IncrementalSim,
-    node: NetId,
-    budget: &ResourceBudget,
-) -> Vec<bool> {
+fn care_witness(engine: &mut IncrementalSim, node: NetId, budget: &ResourceBudget) -> Vec<bool> {
     let mut known = vec![false; 1 << engine.netlist().fanins(node).len()];
     let Ok(observed) = engine.observability_mask(node, budget) else {
         return known;
@@ -747,7 +746,11 @@ fn find_rewrite(analyzer: &mut Analyzer, node: NetId, known_care: &[bool]) -> An
     let nl = analyzer.netlist();
     let fanins = nl.fanins(node).to_vec();
     let k = fanins.len();
-    assert_eq!(known_care.len(), 1 << k, "one witness flag per fanin minterm");
+    assert_eq!(
+        known_care.len(),
+        1 << k,
+        "one witness flag per fanin minterm"
+    );
     if known_care.iter().all(|&c| c) {
         return Analysis::Witnessed;
     }
@@ -879,8 +882,7 @@ mod tests {
     #[test]
     fn rewrites_redundant_node() {
         let (nl, _) = redundant_and();
-        let (optimized, report) =
-            optimize(&nl, &[0.5, 0.5], Mode::FanoutAware, 6);
+        let (optimized, report) = optimize(&nl, &[0.5, 0.5], Mode::FanoutAware, 6);
         assert!(report.nodes_changed >= 1, "should find the redundancy");
         assert!(equivalent_exhaustive(&nl, &optimized));
         assert!(
@@ -902,8 +904,7 @@ mod tests {
     fn fully_observable_circuit_untouched() {
         // XOR tree: every node fully observable, no don't-cares.
         let nl = netlist::gen::parity_tree(4);
-        let (optimized, report) =
-            optimize(&nl, &[0.5; 4], Mode::FanoutAware, 6);
+        let (optimized, report) = optimize(&nl, &[0.5; 4], Mode::FanoutAware, 6);
         assert_eq!(report.nodes_changed, 0);
         assert!(equivalent_exhaustive(&nl, &optimized));
         assert!((report.cap_after - report.cap_before).abs() < 1e-9);
@@ -1042,8 +1043,7 @@ mod tests {
         };
         for seed in [1, 2, 3] {
             let nl = netlist::gen::random_dag(&config, seed);
-            let (optimized, report) =
-                optimize(&nl, &[0.5; 6], Mode::FanoutAware, 5);
+            let (optimized, report) = optimize(&nl, &[0.5; 6], Mode::FanoutAware, 5);
             assert!(equivalent_exhaustive(&nl, &optimized));
             assert!(
                 report.cap_after <= report.cap_before + 1e-9,
@@ -1112,7 +1112,10 @@ mod tests {
             let known = care_witness(&mut engine, node, &ResourceBudget::unlimited());
             let care = bdd_care(nl, &bdds, node);
             for (m, (&seen, &is_care)) in known.iter().zip(&care).enumerate() {
-                prop_assert!(!seen || is_care, "{node}: minterm {m} witnessed but not care");
+                prop_assert!(
+                    !seen || is_care,
+                    "{node}: minterm {m} witnessed but not care"
+                );
             }
             witnessed += known.iter().filter(|&&k| k).count();
             let blind = vec![false; known.len()];

@@ -336,7 +336,11 @@ impl SopNetwork {
             .iter()
             .map(|(_, s)| s.literal_count())
             .sum::<usize>()
-            + self.outputs.iter().map(|s| s.literal_count()).sum::<usize>()
+            + self
+                .outputs
+                .iter()
+                .map(|s| s.literal_count())
+                .sum::<usize>()
     }
 
     /// One round of extraction: find and apply the single kernel that most
@@ -501,9 +505,9 @@ impl SopNetwork {
             var_nets.insert(v, id);
         }
         let build_sop = |nl: &mut Netlist,
-                             sop: &Sop,
-                             var_nets: &BTreeMap<usize, NetId>,
-                             inv_nets: &mut BTreeMap<usize, NetId>|
+                         sop: &Sop,
+                         var_nets: &BTreeMap<usize, NetId>,
+                         inv_nets: &mut BTreeMap<usize, NetId>|
          -> NetId {
             if sop.cubes.is_empty() {
                 return nl.add_const(false);
@@ -576,7 +580,12 @@ mod tests {
     #[test]
     fn textbook_factoring_example() {
         // The survey's own example: ac + ad + bc + bd = (a+b)(c+d).
-        let f = Sop::new(vec![cube(&[0, 2]), cube(&[0, 3]), cube(&[1, 2]), cube(&[1, 3])]);
+        let f = Sop::new(vec![
+            cube(&[0, 2]),
+            cube(&[0, 3]),
+            cube(&[1, 2]),
+            cube(&[1, 3]),
+        ]);
         assert_eq!(f.literal_count(), 8);
         let kernels = f.kernels();
         // (a+b) and (c+d) must both be kernels.
@@ -592,22 +601,40 @@ mod tests {
 
     #[test]
     fn extraction_reduces_literals() {
-        let f = Sop::new(vec![cube(&[0, 2]), cube(&[0, 3]), cube(&[1, 2]), cube(&[1, 3])]);
+        let f = Sop::new(vec![
+            cube(&[0, 2]),
+            cube(&[0, 3]),
+            cube(&[1, 2]),
+            cube(&[1, 3]),
+        ]);
         let g = Sop::new(vec![cube(&[4, 2]), cube(&[4, 3])]); // e·c + e·d
         let mut network = SopNetwork::new(5, vec![0.5; 5], vec![f, g]);
         let before = network.literal_count();
         let introduced = network.extract_kernels(&CostFn::Literals);
         assert!(introduced >= 1);
-        assert!(network.literal_count() < before, "{} -> {}", before, network.literal_count());
+        assert!(
+            network.literal_count() < before,
+            "{} -> {}",
+            before,
+            network.literal_count()
+        );
         // Function preserved.
         let check = |network: &SopNetwork| {
             for assignment in 0u64..32 {
                 let direct_f = (assignment & 1 != 0 || assignment & 2 != 0)
                     && (assignment & 4 != 0 || assignment & 8 != 0);
-                let direct_g = (assignment & 16 != 0)
-                    && (assignment & 4 != 0 || assignment & 8 != 0);
-                assert_eq!(network.eval_output(0, assignment), direct_f, "{assignment:b}");
-                assert_eq!(network.eval_output(1, assignment), direct_g, "{assignment:b}");
+                let direct_g =
+                    (assignment & 16 != 0) && (assignment & 4 != 0 || assignment & 8 != 0);
+                assert_eq!(
+                    network.eval_output(0, assignment),
+                    direct_f,
+                    "{assignment:b}"
+                );
+                assert_eq!(
+                    network.eval_output(1, assignment),
+                    direct_g,
+                    "{assignment:b}"
+                );
             }
         };
         check(&network);
@@ -643,7 +670,12 @@ mod tests {
 
     #[test]
     fn extraction_to_netlist_is_equivalent() {
-        let f = Sop::new(vec![cube(&[0, 2]), cube(&[0, 3]), cube(&[1, 2]), cube(&[1, 3])]);
+        let f = Sop::new(vec![
+            cube(&[0, 2]),
+            cube(&[0, 3]),
+            cube(&[1, 2]),
+            cube(&[1, 3]),
+        ]);
         let g = Sop::new(vec![cube(&[1, 2]), cube(&[1, 3]), cube(&[0])]);
         let mut network = SopNetwork::new(4, vec![0.5; 4], vec![f, g]);
         let flat = network.to_netlist("flat");
@@ -666,10 +698,7 @@ mod tests {
     fn negative_literals_supported() {
         // f = a·!b + c·!b = (a+c)·!b
         let nb = Cube::literal(1, false);
-        let f = Sop::new(vec![
-            var(0).and(nb).unwrap(),
-            var(2).and(nb).unwrap(),
-        ]);
+        let f = Sop::new(vec![var(0).and(nb).unwrap(), var(2).and(nb).unwrap()]);
         let kernels = f.kernels();
         let a_or_c = Sop::new(vec![var(0), var(2)]);
         assert!(kernels.contains(&a_or_c), "{kernels:?}");

@@ -131,7 +131,10 @@ impl<'a> GuardedSim<'a> {
     ///
     /// Panics if the netlist is sequential, cyclic, or two guards overlap.
     pub fn new(nl: &'a Netlist, guards: Vec<Guard>) -> GuardedSim<'a> {
-        assert!(nl.is_combinational(), "guarded evaluation of combinational logic");
+        assert!(
+            nl.is_combinational(),
+            "guarded evaluation of combinational logic"
+        );
         let order = nl.topo_order().expect("acyclic");
         let mut cone_of = vec![None; nl.len()];
         for (gi, g) in guards.iter().enumerate() {
@@ -286,12 +289,7 @@ mod tests {
         nl
     }
 
-    fn copy_into(
-        nl: &mut Netlist,
-        src: &Netlist,
-        a: &[NetId],
-        b: &[NetId],
-    ) -> Vec<NetId> {
+    fn copy_into(nl: &mut Netlist, src: &Netlist, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
         let mut map = vec![NetId::from_index(0); src.len()];
         let n = a.len();
         for (i, &pi) in src.inputs().iter().enumerate() {

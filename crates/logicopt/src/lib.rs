@@ -21,7 +21,6 @@
 //!   the foundation the node-level passes and FSM synthesis build on.
 
 #![forbid(unsafe_code)]
-
 // Index-based loops are idiomatic for the parallel-array structures used
 // throughout this EDA codebase.
 #![allow(clippy::needless_range_loop)]

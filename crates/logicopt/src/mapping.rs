@@ -366,7 +366,12 @@ fn match_pattern(
 ///
 /// Returns the cover plus its area/delay/power summary (all three metrics
 /// are reported regardless of which one was optimized).
-pub fn map(nl: &Netlist, library: &[Cell], objective: MapObjective, input_probs: &[f64]) -> Mapping {
+pub fn map(
+    nl: &Netlist,
+    library: &[Cell],
+    objective: MapObjective,
+    input_probs: &[f64],
+) -> Mapping {
     let subject = decompose(nl);
     let fanout = subject.fanout_counts();
     let order = subject.topo_order().expect("acyclic");
@@ -506,16 +511,12 @@ impl Mapping {
                 .map(|l| net_of[l.index()].expect("leaves precede roots in topo order"))
                 .collect();
             let mut iter = leaf_nets.iter().copied();
-            let root_net =
-                instantiate_pattern(&mut out, &library[m.cell].pattern, &mut iter);
+            let root_net = instantiate_pattern(&mut out, &library[m.cell].pattern, &mut iter);
             assert!(iter.next().is_none(), "all leaves consumed");
             net_of[net.index()] = Some(root_net);
         }
         for (net, name) in self.subject.outputs() {
-            out.mark_output(
-                net_of[net.index()].expect("output covered"),
-                name.clone(),
-            );
+            out.mark_output(net_of[net.index()].expect("output covered"), name.clone());
         }
         out
     }

@@ -264,7 +264,10 @@ pub fn try_rewrite_sim(
     budget: &ResourceBudget,
     cfg: &RewriteConfig,
 ) -> Result<(Netlist, RewriteReport), BudgetExceeded> {
-    assert!(nl.is_combinational(), "rewriting search needs combinational logic");
+    assert!(
+        nl.is_combinational(),
+        "rewriting search needs combinational logic"
+    );
     assert_eq!(input_probs.len(), nl.num_inputs());
     let mut engine = IncrementalSim::try_from_full_eval(nl, packed, budget, cfg.obs.clone())?;
     if cfg.force_full {
@@ -568,7 +571,9 @@ fn pair_extract_moves(nl: &Netlist, live: &[bool], cap: usize, out: &mut Vec<Mov
     ] {
         let gates: Vec<(NetId, Vec<NetId>)> = nl
             .iter_nets()
-            .filter(|&n| live[n.index()] && members.contains(&nl.kind(n)) && nl.fanins(n).len() >= 2)
+            .filter(|&n| {
+                live[n.index()] && members.contains(&nl.kind(n)) && nl.fanins(n).len() >= 2
+            })
             .map(|n| {
                 let mut fan = nl.fanins(n).to_vec();
                 fan.sort_unstable();
@@ -606,12 +611,21 @@ fn pair_extract_moves(nl: &Netlist, live: &[bool], cap: usize, out: &mut Vec<Mov
                     return;
                 }
                 let (gb, fb) = &gates[b];
-                let shared: Vec<NetId> =
-                    fa.iter().copied().filter(|x| fb.binary_search(x).is_ok()).collect();
-                let rest_a: Vec<NetId> =
-                    fa.iter().copied().filter(|x| shared.binary_search(x).is_err()).collect();
-                let rest_b: Vec<NetId> =
-                    fb.iter().copied().filter(|x| shared.binary_search(x).is_err()).collect();
+                let shared: Vec<NetId> = fa
+                    .iter()
+                    .copied()
+                    .filter(|x| fb.binary_search(x).is_ok())
+                    .collect();
+                let rest_a: Vec<NetId> = fa
+                    .iter()
+                    .copied()
+                    .filter(|x| shared.binary_search(x).is_err())
+                    .collect();
+                let rest_b: Vec<NetId> = fb
+                    .iter()
+                    .copied()
+                    .filter(|x| shared.binary_search(x).is_err())
+                    .collect();
                 if rest_a.is_empty() && rest_b.is_empty() {
                     // Identical fanin sets: that's resubstitution's job.
                     continue;
@@ -814,7 +828,11 @@ fn dontcare_moves(
     let nl = analyzer.netlist();
     // The search enumerates from the engine's own netlist, whether it sits
     // on the round's base or on a lookahead head.
-    assert_eq!(engine.netlist().len(), nl.len(), "witness engine holds another netlist");
+    assert_eq!(
+        engine.netlist().len(),
+        nl.len(),
+        "witness engine holds another netlist"
+    );
     let unlimited = ResourceBudget::unlimited();
     let mut count = 0;
     for node in sim_candidates(nl, max_fanin) {
@@ -853,7 +871,6 @@ mod tests {
         nl.mark_output(g, "g");
         nl
     }
-
 
     #[test]
     fn resub_merges_duplicate_cones() {
@@ -918,13 +935,19 @@ mod tests {
                         return;
                     }
                     let ((ga, fa), (gb, fb)) = (&gates[a], &gates[b]);
-                    let shared: Vec<NetId> =
-                        fa.iter().copied().filter(|x| fb.binary_search(x).is_ok()).collect();
+                    let shared: Vec<NetId> = fa
+                        .iter()
+                        .copied()
+                        .filter(|x| fb.binary_search(x).is_ok())
+                        .collect();
                     if shared.len() < 2 {
                         continue;
                     }
                     let rest = |f: &[NetId]| -> Vec<NetId> {
-                        f.iter().copied().filter(|x| shared.binary_search(x).is_err()).collect()
+                        f.iter()
+                            .copied()
+                            .filter(|x| shared.binary_search(x).is_err())
+                            .collect()
                     };
                     let (rest_a, rest_b) = (rest(fa), rest(fb));
                     if rest_a.is_empty() && rest_b.is_empty() {
@@ -953,7 +976,10 @@ mod tests {
         let scan = |extract: fn(&Netlist, &[bool], usize, &mut Vec<Move>), cap| {
             let mut moves = Vec::new();
             extract(nl, &live, cap, &mut moves);
-            moves.iter().map(|mv| format!("{:?}", mv.delta)).collect::<Vec<_>>()
+            moves
+                .iter()
+                .map(|mv| format!("{:?}", mv.delta))
+                .collect::<Vec<_>>()
         };
         let all = scan(all_pairs_extract_moves, usize::MAX);
         for cap in (0..=all.len() + 1).chain([usize::MAX]) {
@@ -1245,11 +1271,14 @@ mod tests {
         let packed = Stimulus::uniform(3).packed(256, 7);
         let budget = ResourceBudget::unlimited().with_max_bdd_nodes(2);
         let cfg = RewriteConfig::default();
-        let (out, report) = try_rewrite_sim(&nl, &[0.5; 3], &packed, &budget, &cfg)
-            .expect("the engine build fits");
+        let (out, report) =
+            try_rewrite_sim(&nl, &[0.5; 3], &packed, &budget, &cfg).expect("the engine build fits");
         assert!(report.budget_exhausted);
         assert_eq!(report.chains_accepted, 0);
         assert_eq!(report.tried.total(), 0);
-        assert_eq!(netlist::blif::write_text(&out), netlist::blif::write_text(&nl));
+        assert_eq!(
+            netlist::blif::write_text(&out),
+            netlist::blif::write_text(&nl)
+        );
     }
 }
