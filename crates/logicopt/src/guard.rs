@@ -376,6 +376,44 @@ mod tests {
         assert!(savings.iter().all(|&s| s >= -1e-9), "{savings:?}");
     }
 
+    /// Every `GuardedActivity` field, as f64 bits, on `shared_alu` with its
+    /// disjoint guards over a seeded stream whose select is high with
+    /// probability 0.7. The values were recorded from the engine that read
+    /// each guard's select from a separate full-netlist settle per guard
+    /// and pattern.
+    #[test]
+    fn guarded_activity_is_pinned() {
+        let nl = shared_alu();
+        let mut guards = find_guards(&nl);
+        let mut used: HashSet<usize> = HashSet::new();
+        guards.retain(|g| {
+            if g.cone.iter().any(|c| used.contains(&c.index())) {
+                false
+            } else {
+                used.extend(g.cone.iter().map(|c| c.index()));
+                true
+            }
+        });
+        let mut probs = vec![0.5; 7];
+        probs[0] = 0.7;
+        let patterns = Stimulus::biased(probs).patterns(500, 0x6A);
+        let result = GuardedSim::new(&nl, guards).run(&patterns);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&[
+                result.baseline_toggles,
+                result.guarded_toggles,
+                result.saved_toggles
+            ]),
+            [0x4034bed87f3aff7d, 0x40336510ee0b495d, 0x3ff59c7912fb6200]
+        );
+        let (frozen, open) = (0x3fe6f9db22d0e560, 0x3fd20c49ba5e353f);
+        assert_eq!(
+            bits(&result.freeze_fraction),
+            [frozen, open, frozen, open, frozen, open]
+        );
+    }
+
     #[test]
     fn no_guards_no_change() {
         let (nl, _) = ripple_adder(3);
