@@ -203,8 +203,8 @@ fn step_counts(nl: &Netlist, patterns: &PatternSet) -> SeqCounts {
             .iter()
             .map(|&r| values[nl.fanins(r)[0].index()])
             .collect();
-        for i in 0..nl.len() {
-            counts.ones[i] += u64::from(values[i]);
+        for (ones, &v) in counts.ones.iter_mut().zip(&values) {
+            *ones += u64::from(v);
         }
         if let Some((prev_values, prev_d)) = &prev {
             for i in 0..nl.len() {
