@@ -17,6 +17,7 @@ use std::collections::HashSet;
 
 use netlist::{GateKind, NetId, Netlist};
 use sim::stimulus::PatternSet;
+use sim::sweep;
 
 /// One guarding opportunity.
 #[derive(Debug, Clone)]
@@ -160,61 +161,49 @@ impl<'a> GuardedSim<'a> {
     /// analysis was wrong).
     pub fn run(&self, patterns: &PatternSet) -> GuardedActivity {
         let n = self.nl.len();
-        let mut base = vec![false; n];
-        let mut guarded = vec![false; n];
+        // One-lane words, read at bit 0: the previous cycle's settled
+        // values and this cycle's, without and with guarding.
+        let mut base = vec![0u64; n];
+        let mut guarded = vec![0u64; n];
+        let mut next_base = vec![0u64; n];
+        let mut next_guarded = vec![0u64; n];
+        let mut spill = Vec::new();
+        let mut frozen = vec![false; self.guards.len()];
         let mut base_toggles = vec![0u64; n];
         let mut guarded_toggles = vec![0u64; n];
         let mut freezes = vec![0u64; self.guards.len()];
-        let mut first = true;
-        for pattern in patterns {
-            // Baseline settle.
-            let mut next_base = base.clone();
+        for (c, pattern) in patterns.iter().enumerate() {
+            // A frozen cone net holds its previous value.
+            next_guarded.copy_from_slice(&guarded);
             for (i, &pi) in self.nl.inputs().iter().enumerate() {
-                next_base[pi.index()] = pattern[i];
+                next_base[pi.index()] = u64::from(pattern[i]);
+                next_guarded[pi.index()] = u64::from(pattern[i]);
             }
-            self.settle(&mut next_base, None, &guarded);
-            // Guarded settle: evaluate select lines first using the guarded
-            // values; a cone net holds its previous value when frozen.
-            let mut next_guarded = guarded.clone();
-            for (i, &pi) in self.nl.inputs().iter().enumerate() {
-                next_guarded[pi.index()] = pattern[i];
+            sweep::settle::<1>(self.nl, &self.order, &mut next_base, &mut spill, |_| false);
+            // The select decides observability this cycle. It lies outside
+            // every cone, so it settles the same with or without guarding.
+            for (gi, g) in self.guards.iter().enumerate() {
+                frozen[gi] = (next_base[g.select.index()] & 1) as usize != g.side;
+                freezes[gi] += u64::from(frozen[gi]);
             }
-            let frozen: Vec<bool> = self
-                .guards
-                .iter()
-                .map(|g| {
-                    // Select value this cycle decides observability. The
-                    // select line is outside every cone, so settling it with
-                    // frozen cones still yields its true value.
-                    let mut probe = next_guarded.clone();
-                    self.settle(&mut probe, None, &guarded);
-                    let sel = probe[g.select.index()];
-                    (sel as usize) != g.side
-                })
-                .collect();
-            for (gi, &f) in frozen.iter().enumerate() {
-                if f {
-                    freezes[gi] += 1;
-                }
-            }
-            self.settle_guarded(&mut next_guarded, &frozen, &guarded);
-            if !first {
+            let held = |net: NetId| self.cone_of[net.index()].is_some_and(|gi| frozen[gi]);
+            sweep::settle::<1>(self.nl, &self.order, &mut next_guarded, &mut spill, held);
+            if c > 0 {
                 for i in 0..n {
-                    base_toggles[i] += (next_base[i] != base[i]) as u64;
-                    guarded_toggles[i] += (next_guarded[i] != guarded[i]) as u64;
+                    base_toggles[i] += (next_base[i] ^ base[i]) & 1;
+                    guarded_toggles[i] += (next_guarded[i] ^ guarded[i]) & 1;
                 }
             }
             // Outputs must agree.
             for (out, name) in self.nl.outputs() {
                 assert_eq!(
-                    next_base[out.index()],
-                    next_guarded[out.index()],
+                    next_base[out.index()] & 1,
+                    next_guarded[out.index()] & 1,
                     "guarding changed output {name}"
                 );
             }
-            base = next_base;
-            guarded = next_guarded;
-            first = false;
+            std::mem::swap(&mut base, &mut next_base);
+            std::mem::swap(&mut guarded, &mut next_guarded);
         }
         let denom = (patterns.len().saturating_sub(1)).max(1) as f64;
         let baseline: f64 = base_toggles.iter().sum::<u64>() as f64 / denom;
@@ -227,37 +216,6 @@ impl<'a> GuardedSim<'a> {
                 .iter()
                 .map(|&f| f as f64 / patterns.len().max(1) as f64)
                 .collect(),
-        }
-    }
-
-    fn settle(&self, values: &mut [bool], frozen: Option<&[bool]>, previous: &[bool]) {
-        let all_free: Vec<bool> = vec![false; self.guards.len()];
-        let frozen = frozen.unwrap_or(&all_free);
-        self.settle_guarded(values, frozen, previous)
-    }
-
-    fn settle_guarded(&self, values: &mut [bool], frozen: &[bool], previous: &[bool]) {
-        for &net in &self.order {
-            let kind = self.nl.kind(net);
-            if kind.is_source() {
-                if let GateKind::Const(v) = kind {
-                    values[net.index()] = v;
-                }
-                continue;
-            }
-            if let Some(gi) = self.cone_of[net.index()] {
-                if frozen[gi] {
-                    values[net.index()] = previous[net.index()];
-                    continue;
-                }
-            }
-            let ins: Vec<bool> = self
-                .nl
-                .fanins(net)
-                .iter()
-                .map(|x| values[x.index()])
-                .collect();
-            values[net.index()] = kind.eval(&ins);
         }
     }
 }

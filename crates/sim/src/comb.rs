@@ -6,11 +6,12 @@
 //! perfectly path-balanced circuit would achieve.
 
 use budget::{BudgetExceeded, ResourceBudget};
-use netlist::{GateKind, NetId, Netlist};
+use netlist::{NetId, Netlist};
 
 use crate::par;
 use crate::profile::ActivityProfile;
 use crate::stimulus::{PackedPatterns, PatternSet};
+use crate::sweep;
 use crate::wide::{prefix_mask, LANES};
 
 /// Reusable scratch buffers for [`CombSim`] hot loops.
@@ -97,10 +98,11 @@ impl<'a> CombSim<'a> {
     /// `inputs[i * stride ..][..L]`, so a sub-slice of one
     /// [`PackedPatterns::wide_block`] (stride [`LANES`]) feeds any `L` that
     /// divides [`LANES`] with no gather. `values` comes back lane-grouped
-    /// (`values[L*net + lane]` is block `lane`'s word for `net`), so each
-    /// gate's lanes sit in one cache line and the per-gate fold vectorizes
-    /// with **no per-block gather**. Lane `lane` is bit-identical to the
-    /// same kernel at `L = 1` over that lane's block.
+    /// (`values[L*net + lane]` is block `lane`'s word for `net`), as
+    /// [`sweep::settle`] lays it out, so each gate's lanes sit in one cache
+    /// line and the per-gate fold vectorizes with **no per-block gather**.
+    /// Lane `lane` is bit-identical to the same sweep at `L = 1` over that
+    /// lane's block.
     fn eval_wide_into<const L: usize>(
         &self,
         inputs: &[u64],
@@ -113,42 +115,7 @@ impl<'a> CombSim<'a> {
         for (i, &pi) in self.nl.inputs().iter().enumerate() {
             values[L * pi.index()..][..L].copy_from_slice(&inputs[i * stride..][..L]);
         }
-        // The common arities (1..=3 cover every gate the generators emit)
-        // gather fanin lanes into fixed-size stack buffers, so the slice
-        // length reaching `eval_wide` is a compile-time constant and the
-        // whole gather + fold stays unrolled in vector registers. The heap
-        // scratch remains as the any-arity spill path.
-        #[inline(always)]
-        fn gather<const L: usize, const F: usize>(
-            values: &[u64],
-            fanins: &[NetId],
-        ) -> [[u64; L]; F] {
-            let mut buf = [[0u64; L]; F];
-            for (f, &x) in fanins.iter().enumerate() {
-                buf[f].copy_from_slice(&values[L * x.index()..][..L]);
-            }
-            buf
-        }
-        for &net in &self.order {
-            let kind = self.nl.kind(net);
-            if kind == GateKind::Input {
-                continue;
-            }
-            let fanins = self.nl.fanins(net);
-            let out = match fanins.len() {
-                1 => kind.eval_wide::<L>(gather::<L, 1>(values, fanins).as_flattened()),
-                2 => kind.eval_wide::<L>(gather::<L, 2>(values, fanins).as_flattened()),
-                3 => kind.eval_wide::<L>(gather::<L, 3>(values, fanins).as_flattened()),
-                _ => {
-                    scratch.clear();
-                    for &x in fanins {
-                        scratch.extend_from_slice(&values[L * x.index()..][..L]);
-                    }
-                    kind.eval_wide::<L>(scratch)
-                }
-            };
-            values[L * net.index()..][..L].copy_from_slice(&out);
-        }
+        sweep::settle::<L>(self.nl, &self.order, values, scratch, |_| false);
     }
 
     /// Evaluate a full pattern set; returns the output values per cycle.
@@ -220,6 +187,11 @@ impl<'a> CombSim<'a> {
     ///
     /// Toggles are counted between consecutive cycles, including across
     /// 64-pattern block boundaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patterns' width is not the netlist's input count, as
+    /// every activity entry point does.
     pub fn activity(&self, patterns: &PatternSet) -> ActivityProfile {
         self.activity_jobs(patterns, 1)
     }
@@ -309,6 +281,11 @@ impl<'a> CombSim<'a> {
         jobs: usize,
         budget: &ResourceBudget,
     ) -> Result<ActivityProfile, BudgetExceeded> {
+        // Every activity entry point funnels here.
+        assert!(
+            packed.cycles() == 0 || packed.width() == self.nl.num_inputs(),
+            "pattern width"
+        );
         let n = self.nl.len();
         budget.check_sim_steps(packed.cycles() as u64 * n.max(1) as u64)?;
         budget.check_deadline()?;
@@ -644,6 +621,20 @@ mod tests {
         for jobs in [2, 4] {
             assert_eq!(sim.try_activity_jobs(&patterns, jobs, &roomy).unwrap(), ok);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern width")]
+    fn narrower_stream_is_rejected() {
+        let (nl, _) = ripple_adder(2);
+        CombSim::new(&nl).activity(&Stimulus::uniform(3).patterns(100, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern width")]
+    fn wider_stream_is_rejected() {
+        let (nl, _) = ripple_adder(2);
+        CombSim::new(&nl).activity(&Stimulus::uniform(5).patterns(100, 1));
     }
 
     #[test]

@@ -437,24 +437,21 @@ impl<'a> EventSim<'a> {
     }
 
     /// Cross-check that `values` is the settled state of `pattern` (the
-    /// invariant functional counting rests on), evaluating each gate
-    /// through [`GateKind::eval`].
+    /// invariant functional counting rests on) against a one-lane
+    /// [`crate::sweep::settle`].
     #[cfg(debug_assertions)]
     fn debug_check_settled(&self, pattern: &[bool], values: &[bool]) {
-        let mut chk = vec![false; values.len()];
+        let mut words = vec![0u64; values.len()];
         for (&pi, &v) in self.nl.inputs().iter().zip(pattern) {
-            chk[pi.index()] = v;
+            words[pi.index()] = u64::from(v);
         }
-        let mut ins = Vec::new();
-        for &net in self.topo.order() {
-            let si = net.index();
-            if self.kinds[si] != GateKind::Input {
-                ins.clear();
-                ins.extend(self.fanins(si).iter().map(|&f| chk[f as usize]));
-                chk[si] = self.kinds[si].eval(&ins);
-            }
-        }
-        debug_assert_eq!(chk, values, "event sim must settle to functional values");
+        let order = self.topo.order();
+        crate::sweep::settle::<1>(self.nl, order, &mut words, &mut Vec::new(), |_| false);
+        let settled: Vec<bool> = words.iter().map(|&w| w & 1 == 1).collect();
+        debug_assert_eq!(
+            settled, values,
+            "event sim must settle to functional values"
+        );
     }
 
     /// Simulate up to [`BLOCK`] cycle transitions word-parallel (lane bit

@@ -24,7 +24,8 @@ use budget::{BudgetExceeded, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
 
 use crate::par;
-use crate::stimulus::PatternSet;
+use crate::stimulus::{PackedPatterns, PatternSet};
+use crate::sweep;
 use crate::wide::{prefix_mask, LANES};
 
 /// The supported fault models.
@@ -80,6 +81,13 @@ pub enum FaultError {
         /// Number of cycles in the stream.
         cycles: usize,
     },
+    /// A pattern's width is not the netlist's input count.
+    PatternWidth {
+        /// The netlist's input count.
+        expected: usize,
+        /// The offending pattern's width.
+        got: usize,
+    },
     /// The campaign ran out of budget.
     Budget(BudgetExceeded),
 }
@@ -95,6 +103,9 @@ impl std::fmt::Display for FaultError {
                     f,
                     "flip cycle {cycle} out of range (stream has {cycles} cycles)"
                 )
+            }
+            FaultError::PatternWidth { expected, got } => {
+                write!(f, "pattern width {got} does not match {expected} inputs")
             }
             FaultError::Budget(e) => write!(f, "{e}"),
         }
@@ -210,16 +221,16 @@ impl CampaignReport {
     }
 }
 
-/// Reusable scratch for faulty runs: the settled-value and fanin buffers
-/// survive across faults, so a campaign allocates once per worker thread
-/// instead of once per run.
+/// Reusable scratch for faulty runs: the settled words and [`sweep`]
+/// scratch survive across faults, so a campaign allocates once per worker
+/// thread instead of once per run.
 #[derive(Debug, Default)]
 pub struct FaultArena {
-    values: Vec<bool>,
-    ins: Vec<bool>,
-    /// Lane-grouped word buffers for the packed combinational campaign.
-    w_vals: Vec<u64>,
-    w_ins: Vec<u64>,
+    /// Settled words: one lane per net for a stepped run, [`LANES`] for a
+    /// packed group.
+    words: Vec<u64>,
+    spill: Vec<u64>,
+    next: Vec<u64>,
 }
 
 /// Behavioral fault simulator bound to one netlist (combinational or
@@ -241,75 +252,28 @@ impl<'a> FaultSim<'a> {
         FaultSim { nl, order }
     }
 
-    /// Settle one cycle with an optional forced net value, writing all net
-    /// values into `values`. `state` is the flip-flop state (empty for
-    /// combinational netlists).
-    fn settle_forced(
-        &self,
-        state: &[bool],
-        inputs: &[bool],
-        force: Option<(NetId, bool)>,
-        values: &mut Vec<bool>,
-        ins: &mut Vec<bool>,
-    ) {
-        assert_eq!(inputs.len(), self.nl.num_inputs(), "pattern width");
-        values.clear();
-        values.resize(self.nl.len(), false);
-        for (i, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = inputs[i];
+    /// [`FaultError::PatternWidth`] for the first pattern whose width is
+    /// not the netlist's input count.
+    fn check_width(&self, patterns: &PatternSet) -> Result<(), FaultError> {
+        let expected = self.nl.num_inputs();
+        match patterns.iter().find(|p| p.len() != expected) {
+            Some(p) => Err(FaultError::PatternWidth {
+                expected,
+                got: p.len(),
+            }),
+            None => Ok(()),
         }
-        for (i, &dff) in self.nl.dffs().iter().enumerate() {
-            values[dff.index()] = state[i];
-        }
-        if let Some((net, v)) = force {
-            // Sources and registers are skipped by the sweep below, so the
-            // override must land before downstream gates read them.
-            values[net.index()] = v;
-        }
-        for &net in &self.order {
-            let kind = self.nl.kind(net);
-            if kind.is_source() || kind == GateKind::Dff {
-                if let GateKind::Const(c) = kind {
-                    if force.map(|(f, _)| f) != Some(net) {
-                        values[net.index()] = c;
-                    }
-                }
-                continue;
-            }
-            ins.clear();
-            ins.extend(self.nl.fanins(net).iter().map(|x| values[x.index()]));
-            values[net.index()] = kind.eval(ins);
-            if let Some((fnet, v)) = force {
-                if fnet == net {
-                    values[net.index()] = v;
-                }
-            }
-        }
-    }
-
-    fn next_state(&self, values: &[bool]) -> Vec<bool> {
-        self.nl
-            .dffs()
-            .iter()
-            .map(|&dff| {
-                let fanins = self.nl.fanins(dff);
-                if fanins.len() == 2 && !values[fanins[1].index()] {
-                    // Hold — but a forced register value must persist, so
-                    // read the (possibly forced) current value, not the
-                    // pre-force state.
-                    values[dff.index()]
-                } else {
-                    values[fanins[0].index()]
-                }
-            })
-            .collect()
     }
 
     /// The fault-free output trace (and final register state) for a stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern's width is not the netlist's input count.
     pub fn golden(&self, patterns: &PatternSet) -> (Vec<Vec<bool>>, Vec<bool>) {
         match self.trace(patterns, None, &mut FaultArena::default()) {
             Ok(t) => t,
-            Err(e) => unreachable!("fault-free run failed: {e}"),
+            Err(e) => panic!("fault-free run failed: {e}"),
         }
     }
 
@@ -332,12 +296,16 @@ impl<'a> FaultSim<'a> {
         self.trace(patterns, Some(fault), arena)
     }
 
+    /// Step the stream one cycle at a time at one lane, read at bit 0: the
+    /// flip-flop slots of `arena.words` hold the register state, and the
+    /// faulty net, while forced, holds its forced value through the sweep.
     fn trace(
         &self,
         patterns: &PatternSet,
         fault: Option<Fault>,
         arena: &mut FaultArena,
     ) -> Result<(Vec<Vec<bool>>, Vec<bool>), FaultError> {
+        self.check_width(patterns)?;
         if let Some(f) = fault {
             if f.net.index() >= self.nl.len() {
                 return Err(FaultError::UnknownNet {
@@ -354,16 +322,17 @@ impl<'a> FaultSim<'a> {
                 }
             }
         }
-        let mut state: Vec<bool> = self
-            .nl
-            .dffs()
-            .iter()
-            .map(|&d| self.nl.dff_init(d))
-            .collect();
-        let FaultArena { values, ins, .. } = arena;
+        let FaultArena { words, spill, next } = arena;
+        words.clear();
+        words.resize(self.nl.len(), 0);
+        for &dff in self.nl.dffs() {
+            words[dff.index()] = u64::from(self.nl.dff_init(dff));
+        }
         let mut trace = Vec::with_capacity(patterns.len());
-        let dff_slot = fault.and_then(|f| self.nl.dffs().iter().position(|&d| d == f.net));
         for (c, p) in patterns.iter().enumerate() {
+            for (&pi, &v) in self.nl.inputs().iter().zip(p) {
+                words[pi.index()] = u64::from(v);
+            }
             let force = match fault {
                 Some(Fault {
                     net,
@@ -378,40 +347,30 @@ impl<'a> FaultSim<'a> {
                     kind: FaultKind::BitFlip { cycle },
                 }) if cycle == c => {
                     // Invert what the net would have carried this cycle.
-                    let clean = self.clean_value(net, &state, p, values, ins);
-                    Some((net, !clean))
+                    sweep::settle::<1>(self.nl, &self.order, words, spill, |_| false);
+                    Some((net, words[net.index()] & 1 == 0))
                 }
                 _ => None,
             };
-            if let (Some(slot), Some((_, v))) = (dff_slot, force) {
-                // A forced register bit is a *state* upset: patch the
-                // stored bit so hold cycles keep the forced value.
-                state[slot] = v;
+            // The forced value lands in the net's slot and the sweep holds
+            // it. On a register that is a *state* upset: hold cycles keep
+            // the forced value.
+            if let Some((net, v)) = force {
+                words[net.index()] = u64::from(v);
             }
-            self.settle_forced(&state, p, force, values, ins);
+            let held = force.map(|(net, _)| net);
+            sweep::settle::<1>(self.nl, &self.order, words, spill, |x| Some(x) == held);
             trace.push(
                 self.nl
                     .outputs()
                     .iter()
-                    .map(|(net, _)| values[net.index()])
+                    .map(|(net, _)| words[net.index()] & 1 == 1)
                     .collect(),
             );
-            state = self.next_state(values);
+            sweep::clock::<1>(self.nl, words, next);
         }
-        Ok((trace, state))
-    }
-
-    /// The value `net` would settle to this cycle with no fault active.
-    fn clean_value(
-        &self,
-        net: NetId,
-        state: &[bool],
-        pattern: &[bool],
-        values: &mut Vec<bool>,
-        ins: &mut Vec<bool>,
-    ) -> bool {
-        self.settle_forced(state, pattern, None, values, ins);
-        values[net.index()]
+        let state = self.nl.dffs().iter().map(|d| words[d.index()] & 1 == 1);
+        Ok((trace, state.collect()))
     }
 
     /// Compare one fault against a precomputed golden run.
@@ -446,7 +405,9 @@ impl<'a> FaultSim<'a> {
     ///
     /// Work is metered as `cycles × nets` per faulty run against the step
     /// limit (shared across threads); the deadline is polled between runs.
-    /// Reports come back in campaign order regardless of thread count.
+    /// Reports come back in campaign order regardless of thread count. A
+    /// pattern whose width is not the netlist's input count fails with
+    /// [`FaultError::PatternWidth`] before any run.
     pub fn campaign(
         &self,
         patterns: &PatternSet,
@@ -454,6 +415,7 @@ impl<'a> FaultSim<'a> {
         jobs: usize,
         budget: &ResourceBudget,
     ) -> Result<CampaignReport, FaultError> {
+        self.check_width(patterns)?;
         // Combinational campaigns run word-parallel: a faulty settle
         // covers 64·LANES cycles at once, and a stuck-at run stops at the
         // first differing group. State feedback makes the packed scheme
@@ -496,50 +458,29 @@ impl<'a> FaultSim<'a> {
         })
     }
 
-    /// Settle one wide group (64·LANES consecutive cycles) with an
-    /// optional forced net word. `input_words` is lane-grouped
-    /// (`input * LANES + lane`), as is the `values` output
-    /// (`net * LANES + lane`). Mirrors [`FaultSim::settle_forced`]:
-    /// the force lands before downstream gates read it and survives the
-    /// sweep even on sources.
-    fn settle_words_forced(
+    /// Settle wide group `g` of `packed` (64·LANES consecutive cycles) into
+    /// `arena.words` at [`LANES`] lanes, lane-grouped (`net * LANES +
+    /// lane`). A forced net's words land before the sweep, which holds
+    /// them.
+    fn settle_group(
         &self,
-        input_words: &[u64],
+        packed: &PackedPatterns,
+        g: usize,
         force: Option<(NetId, [u64; LANES])>,
-        values: &mut Vec<u64>,
-        ins: &mut Vec<u64>,
+        arena: &mut FaultArena,
     ) {
-        values.clear();
-        values.resize(self.nl.len() * LANES, 0);
+        let FaultArena { words, spill, .. } = arena;
+        words.clear();
+        words.resize(self.nl.len() * LANES, 0);
+        let group = packed.wide_block(g);
         for (i, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index() * LANES..][..LANES]
-                .copy_from_slice(&input_words[i * LANES..][..LANES]);
+            words[pi.index() * LANES..][..LANES].copy_from_slice(&group[i * LANES..][..LANES]);
         }
         if let Some((net, w)) = force {
-            values[net.index() * LANES..][..LANES].copy_from_slice(&w);
+            words[net.index() * LANES..][..LANES].copy_from_slice(&w);
         }
-        for &net in &self.order {
-            let kind = self.nl.kind(net);
-            if kind.is_source() {
-                if let GateKind::Const(c) = kind {
-                    if force.map(|(f, _)| f) != Some(net) {
-                        values[net.index() * LANES..][..LANES].fill(if c { u64::MAX } else { 0 });
-                    }
-                }
-                continue;
-            }
-            ins.clear();
-            for f in self.nl.fanins(net) {
-                ins.extend_from_slice(&values[f.index() * LANES..][..LANES]);
-            }
-            let out = kind.eval_wide::<LANES>(ins);
-            values[net.index() * LANES..][..LANES].copy_from_slice(&out);
-            if let Some((fnet, w)) = force {
-                if fnet == net {
-                    values[net.index() * LANES..][..LANES].copy_from_slice(&w);
-                }
-            }
-        }
+        let held = force.map(|(net, _)| net);
+        sweep::settle::<LANES>(self.nl, &self.order, words, spill, |x| Some(x) == held);
     }
 
     /// Word-parallel campaign over a combinational netlist. Bit-identical
@@ -558,35 +499,18 @@ impl<'a> FaultSim<'a> {
     ) -> Result<CampaignReport, FaultError> {
         budget.check_deadline()?;
         let cycles = patterns.len();
-        let ninp = self.nl.num_inputs();
-        let nout = self.nl.num_outputs();
-        let ngroups = cycles.div_ceil(64).div_ceil(LANES);
-        let gsize = ninp * LANES;
-        let osize = nout * LANES;
-        // Pack the stream lane-grouped: group g, input i, lane w holds
-        // cycles `(g*LANES + w)*64 .. +64`; tail bits stay zero.
-        let mut iw = vec![0u64; ngroups * gsize];
-        for (c, p) in patterns.iter().enumerate() {
-            let b = c / 64;
-            let (g, w, bit) = (b / LANES, b % LANES, c % 64);
-            for (i, &v) in p.iter().enumerate() {
-                if v {
-                    iw[g * gsize + i * LANES + w] |= 1 << bit;
-                }
-            }
-        }
-        let mut golden = vec![0u64; ngroups * osize];
-        {
-            let mut vals = Vec::new();
-            let mut ins = Vec::new();
-            for g in 0..ngroups {
-                self.settle_words_forced(&iw[g * gsize..][..gsize], None, &mut vals, &mut ins);
-                for (o, (net, _)) in self.nl.outputs().iter().enumerate() {
-                    golden[g * osize + o * LANES..][..LANES]
-                        .copy_from_slice(&vals[net.index() * LANES..][..LANES]);
-                }
-            }
-        }
+        let packed = PackedPatterns::pack(patterns);
+        // Golden output words, group by group (`nout * LANES` per group).
+        let mut arena = FaultArena::default();
+        let golden: Vec<Vec<u64>> = (0..packed.num_wide_blocks())
+            .map(|g| {
+                self.settle_group(&packed, g, None, &mut arena);
+                let outputs = self.nl.outputs().iter();
+                let words =
+                    outputs.flat_map(|(net, _)| &arena.words[net.index() * LANES..][..LANES]);
+                words.copied().collect()
+            })
+            .collect();
         let run_cost = cycles as u64 * self.nl.len().max(1) as u64;
         let max_steps = budget.max_sim_steps_or(u64::MAX);
         let steps = AtomicU64::new(run_cost); // the golden run counts too
@@ -599,23 +523,18 @@ impl<'a> FaultSim<'a> {
                 return Err(FaultError::Budget(budget.sim_steps_exceeded(tally)));
             }
             budget.check_deadline()?;
-            self.report_packed(fault, cycles, &iw, gsize, &golden, osize, ngroups, arena)
+            self.report_packed(fault, &packed, &golden, arena)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
         Ok(CampaignReport { reports, cycles })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn report_packed(
         &self,
         fault: Fault,
-        cycles: usize,
-        iw: &[u64],
-        gsize: usize,
-        golden: &[u64],
-        osize: usize,
-        ngroups: usize,
+        packed: &PackedPatterns,
+        golden: &[Vec<u64>],
         arena: &mut FaultArena,
     ) -> Result<FaultReport, FaultError> {
         if fault.net.index() >= self.nl.len() {
@@ -624,6 +543,15 @@ impl<'a> FaultSim<'a> {
                 len: self.nl.len(),
             });
         }
+        let cycles = packed.cycles();
+        // Lane `w`'s output differences from the golden run in group `g`.
+        let diff = |arena: &FaultArena, g: usize, w: usize| {
+            let mut diff = 0u64;
+            for (o, (net, _)) in self.nl.outputs().iter().enumerate() {
+                diff |= arena.words[net.index() * LANES + w] ^ golden[g][o * LANES + w];
+            }
+            diff
+        };
         let first_detected = match fault.kind {
             FaultKind::StuckAt0 | FaultKind::StuckAt1 => {
                 let fw = if fault.kind == FaultKind::StuckAt1 {
@@ -632,23 +560,13 @@ impl<'a> FaultSim<'a> {
                     [0u64; LANES]
                 };
                 let mut hit = None;
-                'groups: for g in 0..ngroups {
-                    self.settle_words_forced(
-                        &iw[g * gsize..][..gsize],
-                        Some((fault.net, fw)),
-                        &mut arena.w_vals,
-                        &mut arena.w_ins,
-                    );
+                'groups: for g in 0..golden.len() {
+                    self.settle_group(packed, g, Some((fault.net, fw)), arena);
                     let valid = prefix_mask::<LANES>(cycles - g * 64 * LANES);
                     for w in 0..LANES {
-                        let mut diff = 0u64;
-                        for (o, (net, _)) in self.nl.outputs().iter().enumerate() {
-                            diff |= arena.w_vals[net.index() * LANES + w]
-                                ^ golden[g * osize + o * LANES + w];
-                        }
-                        diff &= valid[w];
-                        if diff != 0 {
-                            hit = Some((g * LANES + w) * 64 + diff.trailing_zeros() as usize);
+                        let d = diff(arena, g, w) & valid[w];
+                        if d != 0 {
+                            hit = Some((g * LANES + w) * 64 + d.trailing_zeros() as usize);
                             break 'groups;
                         }
                     }
@@ -665,31 +583,12 @@ impl<'a> FaultSim<'a> {
                 // word, then re-settle with that one bit inverted. Every
                 // other bit column sees clean values, so the diff is
                 // confined to the flip's own column.
-                self.settle_words_forced(
-                    &iw[g * gsize..][..gsize],
-                    None,
-                    &mut arena.w_vals,
-                    &mut arena.w_ins,
-                );
+                self.settle_group(packed, g, None, arena);
                 let mut fw = [0u64; LANES];
-                fw.copy_from_slice(&arena.w_vals[fault.net.index() * LANES..][..LANES]);
+                fw.copy_from_slice(&arena.words[fault.net.index() * LANES..][..LANES]);
                 fw[w] ^= 1 << bit;
-                self.settle_words_forced(
-                    &iw[g * gsize..][..gsize],
-                    Some((fault.net, fw)),
-                    &mut arena.w_vals,
-                    &mut arena.w_ins,
-                );
-                let mut diff = 0u64;
-                for (o, (net, _)) in self.nl.outputs().iter().enumerate() {
-                    diff |=
-                        arena.w_vals[net.index() * LANES + w] ^ golden[g * osize + o * LANES + w];
-                }
-                if diff & (1 << bit) != 0 {
-                    Some(cycle)
-                } else {
-                    None
-                }
+                self.settle_group(packed, g, Some((fault.net, fw)), arena);
+                (diff(arena, g, w) & (1 << bit) != 0).then_some(cycle)
             }
         };
         Ok(FaultReport {
@@ -875,6 +774,27 @@ mod tests {
             .campaign(&patterns, &faults, 1, &ResourceBudget::unlimited())
             .unwrap();
         assert_eq!(a.reports, b.reports, "campaign order is deterministic");
+    }
+
+    #[test]
+    fn stream_width_mismatch_fails_typed() {
+        let unlimited = ResourceBudget::unlimited();
+        // The packed (combinational) and the stepped (sequential) path.
+        for (nl, width) in [(ripple_adder(2).0, 4), (counter(4), 1)] {
+            let sim = FaultSim::new(&nl);
+            let faults = all_stuck_at_faults(&nl);
+            for got in [width - 1, width + 1] {
+                let patterns = Stimulus::uniform(got).patterns(70, 3);
+                let expected = FaultError::PatternWidth {
+                    expected: width,
+                    got,
+                };
+                let err = sim.campaign(&patterns, &faults, 2, &unlimited).unwrap_err();
+                assert_eq!(err, expected, "{} at width {got}", nl.name());
+                let err = sim.faulty(&patterns, faults[0]).unwrap_err();
+                assert_eq!(err, expected, "{} at width {got}", nl.name());
+            }
+        }
     }
 
     #[test]

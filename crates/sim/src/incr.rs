@@ -82,6 +82,7 @@ use crate::event::{DelayModel, EventSim, TimingActivity};
 use crate::profile::ActivityProfile;
 use crate::sta::{self, Retimer};
 use crate::stimulus::{PackedPatterns, PatternSet};
+use crate::sweep;
 use crate::wide::{prefix_mask, LANES};
 
 /// One structural edit inside a [`Delta`].
@@ -473,7 +474,7 @@ pub struct IncrementalSim {
     lvl_done: Vec<u64>,
     lvl_onstack: Vec<u64>,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
-    ins: Vec<u64>,
+    spill: Vec<u64>,
     new_words: Vec<u64>,
     retimer: Retimer,
     ref_stack: Vec<(NetId, Refs)>,
@@ -486,18 +487,16 @@ pub fn stress_env() -> bool {
     std::env::var_os("LPOPT_INCR_STRESS").is_some_and(|v| v != "0")
 }
 
-/// Evaluate `kind` over the group of [`LANES`] blocks starting at block
-/// `b` (`ins` holds its fanins' words lane-grouped), with every bit at or
-/// past `cycles` cleared.
-fn eval_group(kind: GateKind, ins: &[u64], b: usize, cycles: usize) -> [u64; LANES] {
-    let mut out = kind.eval_wide::<LANES>(ins);
+/// `words` of the group of [`LANES`] blocks starting at block `b`, with
+/// every bit at or past `cycles` cleared.
+fn mask_tail(mut words: [u64; LANES], b: usize, cycles: usize) -> [u64; LANES] {
     if 64 * (b + LANES) > cycles {
         let valid = prefix_mask::<LANES>(cycles - 64 * b);
         for l in 0..LANES {
-            out[l] &= valid[l];
+            words[l] &= valid[l];
         }
     }
-    out
+    words
 }
 
 fn remove_one(list: &mut Vec<NetId>, x: NetId) {
@@ -556,22 +555,18 @@ impl IncrementalSim {
                 words[pi.index() * stride + b] = packed.word(i, b);
             }
         }
-        let mut ins = Vec::new();
+        let mut spill = Vec::new();
         for (step, &net) in topo.order().iter().enumerate() {
             if step & 0xF == 0 {
                 budget.check_deadline()?;
             }
-            let kind = nl.kind(net);
-            if kind == GateKind::Input {
+            if nl.kind(net) == GateKind::Input {
                 continue;
             }
             for b in (0..stride).step_by(LANES) {
-                ins.clear();
-                for &f in nl.fanins(net) {
-                    ins.extend_from_slice(&words[f.index() * stride + b..][..LANES]);
-                }
-                let out = eval_group(kind, &ins, b, cycles);
-                words[net.index() * stride + b..][..LANES].copy_from_slice(&out);
+                let out = sweep::eval_net::<LANES>(nl, net, &words[b..], stride, &mut spill);
+                words[net.index() * stride + b..][..LANES]
+                    .copy_from_slice(&mask_tail(out, b, cycles));
             }
         }
         let mut toggles = vec![0u64; n];
@@ -630,7 +625,7 @@ impl IncrementalSim {
             lvl_done: vec![0; n],
             lvl_onstack: vec![0; n],
             heap: BinaryHeap::new(),
-            ins: Vec::new(),
+            spill: Vec::new(),
             new_words: vec![0; stride],
             retimer: Retimer::default(),
             ref_stack: Vec::new(),
@@ -1003,15 +998,12 @@ impl IncrementalSim {
             }
             reevaluated += 1;
             let net = NetId::from_index(idx);
-            let kind = self.nl.kind(net);
             let mut changed = false;
             for b in (0..self.stride).step_by(LANES) {
-                self.ins.clear();
-                for &f in self.nl.fanins(net) {
-                    self.ins
-                        .extend_from_slice(&self.words[f.index() * self.stride + b..][..LANES]);
-                }
-                let out = eval_group(kind, &self.ins, b, self.cycles);
+                let words = &self.words[b..];
+                let out =
+                    sweep::eval_net::<LANES>(&self.nl, net, words, self.stride, &mut self.spill);
+                let out = mask_tail(out, b, self.cycles);
                 self.new_words[b..b + LANES].copy_from_slice(&out);
                 // Wide word-equality early cut-off: all lanes at once.
                 changed |= out.as_slice() != &self.words[idx * self.stride + b..][..LANES];
@@ -1083,7 +1075,7 @@ impl IncrementalSim {
         let base = node.index() * self.stride;
         for b in (0..self.stride).step_by(LANES) {
             let resident = &self.words[base + b..][..LANES];
-            let flipped = eval_group(GateKind::Not, resident, b, self.cycles);
+            let flipped = mask_tail(std::array::from_fn(|l| !resident[l]), b, self.cycles);
             self.new_words[b..b + LANES].copy_from_slice(&flipped);
         }
         store(self, node.index());

@@ -1,6 +1,6 @@
 //! Simulation engines for switching-activity measurement.
 //!
-//! Three engines, matching the needs of the survey's experiments:
+//! The engines, matching the needs of the survey's experiments:
 //!
 //! * [`comb`] — 64-way bit-parallel **zero-delay** functional simulation.
 //!   Counts *functional* transitions (value changes between settled
@@ -12,6 +12,15 @@
 //!   flip-flops (with load-enable support for gated-clock and
 //!   precomputation architectures), counting toggles at register inputs
 //!   and outputs separately (the observation behind low-power retiming).
+//! * [`fault`] — stuck-at and single-event-upset injection and campaigns.
+//! * [`incr`] — incremental re-evaluation of edited netlists for the
+//!   optimization loops.
+//!
+//! Every zero-delay engine (comb, seq, fault, incr, and `logicopt`'s
+//! guarded evaluation) settles a netlist through the one lane-generic
+//! sweep of [`sweep`]: gate evaluation, the topological walk and the
+//! flip-flop load rule, at [`wide::LANES`] lanes or at one. The event
+//! engine's window kernel keeps its own evaluator.
 //!
 //! [`stimulus`] provides the input-pattern sources: uniform, biased,
 //! temporally correlated and counting streams. [`sta`] is the static-timing
@@ -43,6 +52,7 @@ pub mod par;
 pub mod seq;
 pub mod sta;
 pub mod stimulus;
+pub mod sweep;
 pub mod wide;
 
 mod profile;

@@ -8,11 +8,12 @@
 //! inputs.
 
 use budget::{BudgetExceeded, ResourceBudget};
-use netlist::{GateKind, NetId, Netlist};
+use netlist::{NetId, Netlist};
 
 use crate::par;
 use crate::profile::ActivityProfile;
 use crate::stimulus::PatternSet;
+use crate::sweep;
 use crate::wide::{prefix_mask, LANES};
 
 /// Cycle-accurate sequential simulator.
@@ -30,14 +31,15 @@ pub struct SeqSim<'a> {
 /// Reusable per-worker buffers for sequential simulation.
 #[derive(Debug, Default)]
 struct SeqArena {
-    values: Vec<bool>,
-    prev_values: Vec<bool>,
-    ins: Vec<bool>,
-    state: Vec<bool>,
+    /// One-lane words of the state-forwarding pass, read at bit 0; the
+    /// flip-flop slots hold the register state.
+    one: Vec<u64>,
+    /// [`sweep`] scratch: fanin spill and captured register words.
+    spill: Vec<u64>,
+    next: Vec<u64>,
     /// Lane-grouped word buffers (`net * L + w`).
     w_vals: Vec<u64>,
     w_prev: Vec<u64>,
-    w_ins: Vec<u64>,
     w_state: Vec<u64>,
     w_prev_d: Vec<u64>,
 }
@@ -123,75 +125,67 @@ impl<'a> SeqSim<'a> {
     /// `state` holds flip-flop values in [`Netlist::dffs`] order. Returns
     /// all net values (flip-flop nets carry the *current* state).
     pub fn settle(&self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-        let mut values = Vec::new();
-        let mut ins = Vec::new();
-        self.settle_into(state, inputs, &mut values, &mut ins, &self.order);
-        values
+        let words = self.settle_words(state, inputs);
+        words.iter().map(|&w| w & 1 == 1).collect()
     }
 
-    /// Settle into caller-provided buffers, evaluating only `subset`
-    /// (either the full topological order or the flip-flop input cone).
-    fn settle_into(
-        &self,
-        state: &[bool],
-        inputs: &[bool],
-        values: &mut Vec<bool>,
-        ins: &mut Vec<bool>,
-        subset: &[NetId],
-    ) {
-        assert_eq!(inputs.len(), self.nl.num_inputs(), "input width");
+    /// [`SeqSim::settle`] as one-lane words, read at bit 0.
+    fn settle_words(&self, state: &[bool], inputs: &[bool]) -> Vec<u64> {
         assert_eq!(state.len(), self.nl.num_dffs(), "state width");
-        values.clear();
-        values.resize(self.nl.len(), false);
-        for (i, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = inputs[i];
+        let mut words = vec![0u64; self.nl.len()];
+        for (&dff, &q) in self.nl.dffs().iter().zip(state) {
+            words[dff.index()] = u64::from(q);
         }
-        for (i, &dff) in self.nl.dffs().iter().enumerate() {
-            values[dff.index()] = state[i];
+        self.settle_one(inputs, &self.order, &mut words, &mut Vec::new());
+        words
+    }
+
+    /// Load `inputs` into the one-lane `words` and settle `order` (the full
+    /// topological order or the flip-flop input cone) over them and the
+    /// register state the flip-flop slots hold.
+    fn settle_one(
+        &self,
+        inputs: &[bool],
+        order: &[NetId],
+        words: &mut [u64],
+        spill: &mut Vec<u64>,
+    ) {
+        assert_eq!(inputs.len(), self.nl.num_inputs(), "pattern width");
+        for (&pi, &v) in self.nl.inputs().iter().zip(inputs) {
+            words[pi.index()] = u64::from(v);
         }
-        for &net in subset {
-            let kind = self.nl.kind(net);
-            if kind.is_source() || kind == GateKind::Dff {
-                if let GateKind::Const(v) = kind {
-                    values[net.index()] = v;
-                }
-                continue;
-            }
-            ins.clear();
-            ins.extend(self.nl.fanins(net).iter().map(|x| values[x.index()]));
-            values[net.index()] = kind.eval(ins);
-        }
+        sweep::settle::<1>(self.nl, order, words, spill, |_| false);
+    }
+
+    /// Each register's [`sweep::capture`] from settled one-lane `words`.
+    fn capture_all(&self, words: &[u64]) -> Vec<bool> {
+        self.nl
+            .dffs()
+            .iter()
+            .map(|&dff| sweep::capture::<1>(self.nl, dff, words)[0] & 1 == 1)
+            .collect()
     }
 
     /// Next register state given settled values.
     pub fn next_state(&self, state: &[bool], values: &[bool]) -> Vec<bool> {
-        self.nl
-            .dffs()
-            .iter()
-            .enumerate()
-            .map(|(i, &dff)| {
-                let fanins = self.nl.fanins(dff);
-                let d = values[fanins[0].index()];
-                if fanins.len() == 2 && !values[fanins[1].index()] {
-                    state[i] // hold: enable low
-                } else {
-                    d
-                }
-            })
-            .collect()
+        assert_eq!(state.len(), self.nl.num_dffs(), "state width");
+        let mut words: Vec<u64> = values.iter().map(|&v| u64::from(v)).collect();
+        for (&dff, &q) in self.nl.dffs().iter().zip(state) {
+            words[dff.index()] = u64::from(q);
+        }
+        self.capture_all(&words)
     }
 
     /// Run one cycle: returns (primary outputs, next state).
     pub fn step(&self, state: &[bool], inputs: &[bool]) -> (Vec<bool>, Vec<bool>) {
-        let values = self.settle(state, inputs);
+        let words = self.settle_words(state, inputs);
         let outputs = self
             .nl
             .outputs()
             .iter()
-            .map(|(net, _)| values[net.index()])
+            .map(|(net, _)| words[net.index()] & 1 == 1)
             .collect();
-        let next = self.next_state(state, &values);
-        (outputs, next)
+        (outputs, self.capture_all(&words))
     }
 
     /// Run a whole pattern stream from the declared initial state and
@@ -217,17 +211,17 @@ impl<'a> SeqSim<'a> {
     ///
     /// The shard's cycle stream is split into `64 * L` contiguous chunks
     /// ("virtual streams"), one per lane bit, and the whole netlist
-    /// settles all chunks together with one [`GateKind::eval_wide`] sweep
+    /// settles all chunks together with one [`sweep::settle`] at `L` lanes
     /// per step. Register state still feeds forward serially *within*
     /// each chunk (that dependence is inherent), so a cone-only forwarding
     /// pass — the same trick the sharded path already plays across
     /// threads — first computes the state entering every chunk, and one
     /// full settle per chunk boundary seeds the cross-chunk toggle and
-    /// D-input comparisons. A shard shorter than `64 * L` cycles gets one
-    /// cycle per lane, so its forwarding pass is one full settle per
-    /// cycle. All counts are exact integer popcounts over the per-cycle
-    /// comparisons [`SeqSim::step`] implies, so the result is
-    /// bit-identical to stepping the stream one cycle at a time.
+    /// D-input comparisons; both settle at one lane. A shard shorter than
+    /// `64 * L` cycles gets one cycle per lane, so its forwarding pass is
+    /// one full settle per cycle. All counts are exact integer popcounts
+    /// over the per-cycle comparisons [`SeqSim::step`] implies, so the
+    /// result is bit-identical to stepping the stream one cycle at a time.
     fn shard_counts<const L: usize>(
         &self,
         start_state: &[bool],
@@ -258,39 +252,37 @@ impl<'a> SeqSim<'a> {
         arena.w_vals.resize(n * L, 0);
         // Lanes whose step-0 cycle has a predecessor to compare against.
         let mut prev_valid = [0u64; L];
+        // Seed lane bit `(w, b)` of the previous-cycle words from the
+        // settled one-lane words: every net's value and every D input.
+        let seed_prev = |arena: &mut SeqArena, w: usize, b: usize| {
+            for i in 0..n {
+                arena.w_prev[i * L + w] |= (arena.one[i] & 1) << b;
+            }
+            for (r, &dff) in self.nl.dffs().iter().enumerate() {
+                arena.w_prev_d[r * L + w] |= (arena.one[self.nl.fanins(dff)[0].index()] & 1) << b;
+            }
+        };
+        // Seed lane bit `(w, b)` of the state words from the registers.
+        let seed_state = |arena: &mut SeqArena, w: usize, b: usize| {
+            for (r, &dff) in self.nl.dffs().iter().enumerate() {
+                arena.w_state[r * L + w] |= (arena.one[dff.index()] & 1) << b;
+            }
+        };
 
         // Chunk 0 starts from the shard's entry state: re-settle the
         // uncounted previous pattern if the shard has one.
-        arena.state.clear();
-        arena.state.extend_from_slice(start_state);
+        arena.one.clear();
+        arena.one.resize(n, 0);
+        for (&dff, &q) in self.nl.dffs().iter().zip(start_state) {
+            arena.one[dff.index()] = u64::from(q);
+        }
         if let Some(p) = prev_pattern {
-            self.settle_into(
-                &arena.state,
-                p,
-                &mut arena.prev_values,
-                &mut arena.ins,
-                &self.order,
-            );
+            self.settle_one(p, &self.order, &mut arena.one, &mut arena.spill);
             prev_valid[0] |= 1;
-            for i in 0..n {
-                if arena.prev_values[i] {
-                    arena.w_prev[i * L] |= 1;
-                }
-            }
-            for (r, &dff) in self.nl.dffs().iter().enumerate() {
-                if arena.prev_values[self.nl.fanins(dff)[0].index()] {
-                    arena.w_prev_d[r * L] |= 1;
-                }
-            }
-            let next = self.next_state(&arena.state, &arena.prev_values);
-            arena.state.clear();
-            arena.state.extend_from_slice(&next);
+            seed_prev(arena, 0, 0);
+            sweep::clock::<1>(self.nl, &mut arena.one, &mut arena.next);
         }
-        for (r, &s) in arena.state.iter().enumerate() {
-            if s {
-                arena.w_state[r * L] |= 1;
-            }
-        }
+        seed_state(arena, 0, 0);
 
         // Serial forwarding pass over the flip-flop cone: register state
         // entering each chunk, plus a full settle at each chunk boundary.
@@ -300,6 +292,7 @@ impl<'a> SeqSim<'a> {
             if target >= cycles {
                 break; // this chunk (and all later ones) is empty
             }
+            let (w, b) = (lane / 64, lane % 64);
             while c < target {
                 if c & 0x3F == 0 {
                     budget.check_deadline()?;
@@ -310,35 +303,15 @@ impl<'a> SeqSim<'a> {
                 } else {
                     &self.state_order
                 };
-                self.settle_into(
-                    &arena.state,
-                    &patterns[c],
-                    &mut arena.values,
-                    &mut arena.ins,
-                    subset,
-                );
-                let next = self.next_state(&arena.state, &arena.values);
+                self.settle_one(&patterns[c], subset, &mut arena.one, &mut arena.spill);
                 if boundary {
-                    let (w, b) = (lane / 64, lane % 64);
                     prev_valid[w] |= 1 << b;
-                    for i in 0..n {
-                        if arena.values[i] {
-                            arena.w_prev[i * L + w] |= 1 << b;
-                        }
-                    }
-                    for (r, &dff) in self.nl.dffs().iter().enumerate() {
-                        if arena.values[self.nl.fanins(dff)[0].index()] {
-                            arena.w_prev_d[r * L + w] |= 1 << b;
-                        }
-                    }
-                    for (r, &s) in next.iter().enumerate() {
-                        if s {
-                            arena.w_state[r * L + w] |= 1 << b;
-                        }
-                    }
+                    seed_prev(arena, w, b);
                 }
-                arena.state.clear();
-                arena.state.extend_from_slice(&next);
+                sweep::clock::<1>(self.nl, &mut arena.one, &mut arena.next);
+                if boundary {
+                    seed_state(arena, w, b);
+                }
                 c += 1;
             }
         }
@@ -363,23 +336,13 @@ impl<'a> SeqSim<'a> {
             for (r, &dff) in self.nl.dffs().iter().enumerate() {
                 arena.w_vals[dff.index() * L..][..L].copy_from_slice(&arena.w_state[r * L..][..L]);
             }
-            for &net in &self.order {
-                let kind = self.nl.kind(net);
-                if kind.is_source() || kind == GateKind::Dff {
-                    if let GateKind::Const(v) = kind {
-                        arena.w_vals[net.index() * L..][..L].fill(if v { u64::MAX } else { 0 });
-                    }
-                    continue;
-                }
-                arena.w_ins.clear();
-                for f in self.nl.fanins(net) {
-                    arena
-                        .w_ins
-                        .extend_from_slice(&arena.w_vals[f.index() * L..][..L]);
-                }
-                let out = kind.eval_wide::<L>(&arena.w_ins);
-                arena.w_vals[net.index() * L..][..L].copy_from_slice(&out);
-            }
+            sweep::settle::<L>(
+                self.nl,
+                &self.order,
+                &mut arena.w_vals,
+                &mut arena.spill,
+                |_| false,
+            );
             // Toggles at step 0 only count lanes with a seeded predecessor.
             let tmask: [u64; L] = if t == 0 {
                 std::array::from_fn(|w| mask[w] & prev_valid[w])
@@ -396,21 +359,18 @@ impl<'a> SeqSim<'a> {
             }
             for (r, &dff) in self.nl.dffs().iter().enumerate() {
                 let fanins = self.nl.fanins(dff);
-                let d_base = fanins[0].index() * L;
+                let next = sweep::capture::<L>(self.nl, dff, &arena.w_vals);
                 for w in 0..L {
-                    let d = arena.w_vals[d_base + w];
+                    let d = arena.w_vals[fanins[0].index() * L + w];
+                    let en = fanins
+                        .get(1)
+                        .map_or(u64::MAX, |e| arena.w_vals[e.index() * L + w]);
+                    let st = arena.w_state[r * L + w];
                     counts.ff_in[r] +=
                         u64::from(((d ^ arena.w_prev_d[r * L + w]) & tmask[w]).count_ones());
-                    let en = if fanins.len() == 2 {
-                        arena.w_vals[fanins[1].index() * L + w]
-                    } else {
-                        u64::MAX
-                    };
-                    let st = arena.w_state[r * L + w];
-                    let next = (en & d) | (!en & st);
-                    counts.ff_out[r] += u64::from(((next ^ st) & mask[w]).count_ones());
+                    counts.ff_out[r] += u64::from(((next[w] ^ st) & mask[w]).count_ones());
                     counts.ff_load[r] += u64::from((en & mask[w]).count_ones());
-                    arena.w_state[r * L + w] = next;
+                    arena.w_state[r * L + w] = next[w];
                     arena.w_prev_d[r * L + w] = d;
                 }
             }
@@ -420,6 +380,11 @@ impl<'a> SeqSim<'a> {
     }
 
     /// Measure sequential activity over a pattern stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patterns' width is not the netlist's input count, as
+    /// every activity entry point does.
     pub fn activity(&self, patterns: &PatternSet) -> SeqActivity {
         self.activity_jobs(patterns, 1)
     }
@@ -464,6 +429,9 @@ impl<'a> SeqSim<'a> {
         jobs: usize,
         budget: &ResourceBudget,
     ) -> Result<SeqActivity, BudgetExceeded> {
+        for p in patterns {
+            assert_eq!(p.len(), self.nl.num_inputs(), "pattern width");
+        }
         let n = patterns.len();
         budget.check_sim_steps(n as u64 * self.nl.len().max(1) as u64)?;
         budget.check_deadline()?;
@@ -483,22 +451,25 @@ impl<'a> SeqSim<'a> {
             // the register state entering cycle `start - 1` of every shard
             // after the first.
             let mut checkpoints: Vec<Vec<bool>> = Vec::with_capacity(ranges.len() - 1);
-            let mut state = self.initial_state();
-            let mut values = Vec::new();
-            let mut ins = Vec::new();
+            let mut fwd = SeqArena::default();
+            fwd.one.resize(self.nl.len(), 0);
+            for (&dff, q) in self.nl.dffs().iter().zip(self.initial_state()) {
+                fwd.one[dff.index()] = u64::from(q);
+            }
             let last_needed = ranges.last().expect("nonempty").start - 1;
             for (c, p) in patterns.iter().enumerate().take(last_needed + 1) {
                 if c & 0x3F == 0 {
                     budget.check_deadline()?;
                 }
                 if ranges[checkpoints.len() + 1].start - 1 == c {
-                    checkpoints.push(state.clone());
+                    let dffs = self.nl.dffs().iter();
+                    checkpoints.push(dffs.map(|d| fwd.one[d.index()] & 1 == 1).collect());
                     if checkpoints.len() == ranges.len() - 1 {
                         break;
                     }
                 }
-                self.settle_into(&state, p, &mut values, &mut ins, &self.state_order);
-                state = self.next_state(&state, &values);
+                self.settle_one(p, &self.state_order, &mut fwd.one, &mut fwd.spill);
+                sweep::clock::<1>(self.nl, &mut fwd.one, &mut fwd.next);
             }
             // One shard's work: (register state entering the shard,
             // uncounted previous pattern, counted patterns).
@@ -681,6 +652,20 @@ mod tests {
             let p = sim.try_activity_jobs(&patterns, jobs, &roomy).unwrap();
             assert_eq!(p.profile, plain.profile, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern width")]
+    fn narrower_stream_is_rejected() {
+        let nl = pipelined_multiplier(4);
+        SeqSim::new(&nl).activity(&vec![vec![true; 7]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern width")]
+    fn wider_stream_is_rejected() {
+        let nl = pipelined_multiplier(4);
+        SeqSim::new(&nl).activity(&vec![vec![true; 9]]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! patterns at the default [`LANES`] = 4), stored lane-grouped so that a
 //! gate's fanin words sit contiguously and rustc's autovectorizer can keep
 //! the whole fold in one 256-bit register on stable — no `std::simd`, no
-//! intrinsics. Every engine folds plain arrays through
-//! `GateKind::eval_wide` or the event engine's CSR evaluator. Widening the
-//! entire stack to 512 bits is a one-line change here.
+//! intrinsics. The zero-delay engines fold plain arrays through the one
+//! sweep of [`crate::sweep`], and the event engine through its window
+//! kernel. Widening the entire stack to 512 bits is a one-line change
+//! here.
 //!
 //! Lane `l` of a wide group holds block `wb * LANES + l`, i.e. cycles
 //! `64*(wb*LANES + l) .. +64`. Cross-lane concerns (toggles across block

@@ -1,14 +1,19 @@
-//! Property tests pinning each word-parallel engine to an independent
-//! oracle.
+//! Property tests pinning each word-parallel engine to an oracle that
+//! does not share its width or its engine.
 //!
-//! Every engine runs one lane-generic kernel at `LANES` words, so each is
-//! checked against something that does not share that kernel's width: comb
-//! against the same kernel at one lane, event against the scalar reference
-//! simulator of `event_reference`, seq against per-cycle stepping, fault
-//! against per-fault reports, and the incremental engine against `CombSim`
-//! from scratch. Random DAGs and
-//! cycle counts deliberately straddling block (64) and wide-group (256)
-//! boundaries keep ragged-tail masking in play.
+//! The zero-delay engines all settle through the one lane-generic sweep of
+//! `sim::sweep`, at `LANES` words in their hot paths. Comb is checked
+//! against the same sweep at one lane, seq against per-cycle stepping
+//! through its one-lane `settle` and `next_state`, fault campaigns
+//! against per-fault one-lane reports, and the incremental engine against
+//! `CombSim` from scratch. The event kernel, which keeps its own
+//! evaluator, is checked against the scalar reference simulator of
+//! `event_reference`. Oracles that share no code with the sweep (that
+//! reference simulator, `Netlist::eval_comb` and a `GateKind::eval`
+//! stepper) check the engines at size in the workspace's
+//! `tests/differential.rs`. Random DAGs and cycle counts deliberately
+//! straddling block (64) and wide-group (256) boundaries keep ragged-tail
+//! masking in play.
 
 mod event_reference;
 
